@@ -14,11 +14,17 @@
 //! * `persist/recover/snap64`      — interval 64;
 //! * `persist/recover/snap512`     — interval 512.
 //!
+//! * `persist/snapshot/sessions1000` — one `drain()` (journal sync plus
+//!   a full snapshot) of a daemon holding 1,000 monitor sessions over
+//!   25 HOA targets.
+//!
 //! Correctness gates come first: every recovered daemon must answer a
-//! probe suffix byte-identically to an uninterrupted twin, and the
+//! probe suffix byte-identically to an uninterrupted twin, the
 //! snapshot configurations must replay strictly fewer journal records
-//! than the journal-only one. `BENCH_persist.json` records the
-//! medians; `scripts/verify.sh` gates on this artifact.
+//! than the journal-only one, and the fleet's newest snapshot must hold
+//! each distinct automaton text exactly once (a count, not a timing).
+//! `BENCH_persist.json` records the medians; `scripts/verify.sh` gates
+//! on this artifact.
 
 use sl_bench::{header, Scoreboard};
 use sl_service::{Json, PersistConfig, Service, ServiceConfig};
@@ -29,6 +35,9 @@ use std::process::ExitCode;
 
 /// Requests in the populated session (journaled ones dominate).
 const SESSION: usize = 1200;
+/// Targets and monitor sessions of the snapshot-cost fleet.
+const FLEET_TARGETS: usize = 25;
+const FLEET_SESSIONS: usize = 1000;
 
 fn config() -> ServiceConfig {
     ServiceConfig {
@@ -45,30 +54,31 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+/// A `define` of a small random HOA automaton under `name`.
+fn define(rng: &mut SplitMix, name: &str) -> String {
+    let b = sl_buchi::random_buchi(
+        &sl_omega::Alphabet::ab(),
+        rng.next_u64(),
+        sl_buchi::RandomConfig {
+            states: 1 + rng.below(4),
+            density_percent: 60,
+            accepting_percent: 50,
+        },
+    );
+    let hoa = sl_buchi::hoa::to_hoa(&b, name)
+        .replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n");
+    format!("{{\"verb\":\"define\",\"name\":\"{name}\",\"hoa\":\"{hoa}\"}}")
+}
+
 /// The seeded session: three HOA-defined policies, then a stream of
 /// `monitor-step`s (each one a journal record) over eight concurrent
 /// monitor sessions, with occasional redefinitions and decompositions.
 fn session(seed: u64) -> Vec<String> {
-    let sigma = sl_omega::Alphabet::ab();
     let mut rng = SplitMix::new(seed);
     let mut lines = Vec::with_capacity(SESSION);
     let names = ["p0", "p1", "p2"];
-    let define = |rng: &mut SplitMix, name: &str| {
-        let b = sl_buchi::random_buchi(
-            &sigma,
-            rng.next_u64(),
-            sl_buchi::RandomConfig {
-                states: 1 + rng.below(4),
-                density_percent: 60,
-                accepting_percent: 50,
-            },
-        );
-        let hoa = sl_buchi::hoa::to_hoa(&b, name)
-            .replace('\\', "\\\\")
-            .replace('"', "\\\"")
-            .replace('\n', "\\n");
-        format!("{{\"verb\":\"define\",\"name\":\"{name}\",\"hoa\":\"{hoa}\"}}")
-    };
     for name in names {
         lines.push(define(&mut rng, name));
     }
@@ -96,6 +106,42 @@ fn session(seed: u64) -> Vec<String> {
         }
     }
     lines
+}
+
+/// The snapshot-cost fleet: 25 HOA targets, then 1,000 monitor
+/// sessions spread over them, each created by one step.
+fn fleet(seed: u64) -> Vec<String> {
+    let mut rng = SplitMix::new(seed);
+    let mut lines: Vec<String> = (0..FLEET_TARGETS)
+        .map(|t| define(&mut rng, &format!("t{t:02}")))
+        .collect();
+    for j in 0..FLEET_SESSIONS {
+        lines.push(format!(
+            "{{\"verb\":\"monitor-step\",\"monitor\":\"m{j:04}\",\"target\":\"t{:02}\",\"symbols\":[\"{}\"]}}",
+            j % FLEET_TARGETS,
+            if rng.flip() { "a" } else { "b" }
+        ));
+    }
+    lines
+}
+
+/// The payload of the newest snapshot in `dir`.
+fn newest_snapshot(dir: &std::path::Path) -> String {
+    let newest = std::fs::read_dir(dir)
+        .expect("fleet dir")
+        .filter_map(|entry| {
+            let name = entry.ok()?.file_name().into_string().ok()?;
+            let epoch: u64 = name
+                .strip_prefix("snap-")?
+                .strip_suffix(".slsnap")?
+                .parse()
+                .ok()?;
+            Some((epoch, name))
+        })
+        .max()
+        .expect("a snapshot was written");
+    let bytes = std::fs::read(dir.join(newest.1)).expect("read snapshot");
+    String::from_utf8(bytes[24..].to_vec()).expect("UTF-8 payload")
 }
 
 /// Queries the recovered daemon must answer exactly like the twin.
@@ -204,12 +250,56 @@ fn main() -> ExitCode {
         medians.push(med);
     }
 
+    // Snapshot cost at fleet scale: every `drain()` syncs the journal
+    // and writes a full snapshot (temp file, fsync, rename, directory
+    // fsync, journal rotation), exactly as the daemon's cadence does.
+    let fleet_dir = scratch("fleet");
+    let fleet_svc = Service::with_persistence(
+        config(),
+        &PersistConfig {
+            dir: fleet_dir.clone(),
+            snapshot_every: 0,
+        },
+    )
+    .expect("fleet daemon");
+    for line in fleet(2003) {
+        fleet_svc.handle_line(&line);
+    }
+    let snapshot_med = bench.measure("persist/snapshot/sessions1000", || {
+        black_box(fleet_svc.drain().expect("drain"));
+    });
+    let payload = newest_snapshot(&fleet_dir);
+    let table: Vec<String> = sl_service::json::parse(&payload)
+        .ok()
+        .and_then(|doc| {
+            doc.get("automata")?
+                .as_arr()?
+                .iter()
+                .map(|t| t.as_str().map(str::to_string))
+                .collect()
+        })
+        .unwrap_or_default();
+    let distinct: std::collections::HashSet<&String> = table.iter().collect();
+    let texts = payload.matches("HOA: v1").count();
+    println!(
+        "  fleet snapshot: {} bytes, {texts} automaton texts for {FLEET_TARGETS} targets and {FLEET_SESSIONS} sessions",
+        payload.len()
+    );
+    board.claim(
+        "the newest fleet snapshot holds each distinct automaton text exactly once",
+        texts == FLEET_TARGETS && table.len() == FLEET_TARGETS && distinct.len() == FLEET_TARGETS,
+    );
+
     println!("\nrecovery (median):");
     for ((_, tag, _), med) in dirs.iter().zip(&medians) {
         println!("  {tag:<12}: {:>9.3} ms", med.as_secs_f64() * 1e3);
     }
     let rps = replayed[0] as f64 / medians[0].as_secs_f64().max(1e-12);
     println!("journal replay rate: {rps:.0} records/sec");
+    println!(
+        "fleet snapshot (median): {:.3} ms",
+        snapshot_med.as_secs_f64() * 1e3
+    );
     board.claim(
         "snapshot-assisted recovery (snap64) is no slower than full replay",
         medians[1] <= medians[0],
@@ -218,6 +308,7 @@ fn main() -> ExitCode {
     for (_, _, dir) in &dirs {
         let _ = std::fs::remove_dir_all(dir);
     }
+    let _ = std::fs::remove_dir_all(&fleet_dir);
     bench.finish("persist");
     board.finish()
 }

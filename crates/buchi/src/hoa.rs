@@ -54,26 +54,34 @@ pub fn to_hoa(b: &Buchi, name: &str) -> String {
     let _ = writeln!(out, "Acceptance: 1 Inf(0)");
     let _ = writeln!(out, "properties: trans-labels explicit-labels state-acc");
     let _ = writeln!(out, "--BODY--");
+    // One-hot label per symbol: this symbol true, all others false.
+    let labels: Vec<String> = sigma
+        .symbols()
+        .map(|sym| {
+            let mut label = String::from("[");
+            for (i, s) in sigma.symbols().enumerate() {
+                if i > 0 {
+                    label.push('&');
+                }
+                if s != sym {
+                    label.push('!');
+                }
+                let _ = write!(label, "{}", s.index());
+            }
+            label.push_str("] ");
+            label
+        })
+        .collect();
     for q in 0..b.num_states() {
         if b.is_accepting(q) {
             let _ = writeln!(out, "State: {q} {{0}}");
         } else {
             let _ = writeln!(out, "State: {q}");
         }
-        for sym in sigma.symbols() {
-            // One-hot label: this symbol true, all others false.
-            let label: Vec<String> = sigma
-                .symbols()
-                .map(|s| {
-                    if s == sym {
-                        format!("{}", s.index())
-                    } else {
-                        format!("!{}", s.index())
-                    }
-                })
-                .collect();
+        for (sym, label) in sigma.symbols().zip(&labels) {
             for &succ in b.successors(q, sym) {
-                let _ = writeln!(out, "[{}] {succ}", label.join("&"));
+                out.push_str(label);
+                let _ = writeln!(out, "{succ}");
             }
         }
     }

@@ -195,26 +195,27 @@ struct Sessions {
 }
 
 impl Sessions {
-    /// Picks a session backend for a target: safety-classified targets
-    /// compile into a shared dense-table fleet (reusing the table when
-    /// other sessions already watch the same `Arc`); anything else —
+    /// Picks a session backend for a target: sessions on an `Arc` that
+    /// already has a fleet join it; otherwise a safety-classified target
+    /// compiles into a new shared dense-table fleet, and anything else —
     /// not cl-safety, safety check over budget, or a table past the
-    /// `u16` cap — falls back to a private NFA-path [`Monitor`].
+    /// `u16` cap — falls back to a private NFA-path [`Monitor`]. So
+    /// safety is decided once per target automaton, not per session.
     ///
     /// The safety check deliberately bypasses the query cache and the
     /// engine totals: `monitor-step` has never touched either, and
     /// keeping it that way preserves every existing golden `stats`
     /// transcript byte-for-byte.
     fn make_backend(&mut self, target: &Arc<Buchi>) -> SessionBackend {
+        if let Some(i) = self
+            .fleets
+            .iter()
+            .position(|entry| Arc::ptr_eq(&entry.source, target))
+        {
+            let slot = self.fleets[i].fleet.spawn();
+            return SessionBackend::Compiled { fleet: i, slot };
+        }
         if matches!(is_safety(target), Ok(true)) {
-            if let Some(i) = self
-                .fleets
-                .iter()
-                .position(|entry| Arc::ptr_eq(&entry.source, target))
-            {
-                let slot = self.fleets[i].fleet.spawn();
-                return SessionBackend::Compiled { fleet: i, slot };
-            }
             if let Ok(compiled) = CompiledMonitor::new(target) {
                 let mut fleet = MonitorFleet::new(&compiled);
                 let slot = fleet.spawn();
@@ -238,10 +239,12 @@ pub struct Reply {
     /// The response line (no trailing newline).
     pub line: String,
     /// Whether this request ends the issuing session: `true` for
-    /// `quit` (connection-local) and `shutdown` (which additionally
-    /// drains the whole daemon — the serving loop tells them apart by
-    /// [`Service::is_stopped`]).
+    /// `quit` (connection-local) and `shutdown`.
     pub quit: bool,
+    /// Whether this request was the `shutdown` that drained the whole
+    /// daemon: the serving loop closes every other connection only
+    /// after this line is written.
+    pub shutdown: bool,
 }
 
 /// All verbs, in the fixed order the `stats` response reports them.
@@ -305,7 +308,16 @@ struct PersistState {
     persist: Persist,
     replaying: bool,
     notes: Vec<String>,
+    /// The HOA text of every automaton the last snapshot wrote, so the
+    /// next snapshot renders only automata that are new since.
+    rendered: RenderMemo,
 }
+
+/// Rendered HOA text keyed by `Arc` identity and the name it is rendered
+/// under (the name is part of the text). Each entry holds its `Arc`, so
+/// the automaton's address cannot be freed and reused by a different
+/// automaton while the entry lives.
+type RenderMemo = HashMap<(usize, String), (Arc<Buchi>, String)>;
 
 /// Request/error/session tallies, all atomics so any connection can
 /// bump them without a lock.
@@ -440,6 +452,7 @@ impl Service {
             persist,
             replaying: true,
             notes: recovered.notes,
+            rendered: RenderMemo::new(),
         });
         if let Some(snapshot) = &recovered.snapshot {
             service.restore_snapshot(snapshot)?;
@@ -578,11 +591,10 @@ impl Service {
 
     /// The drain body, for callers already holding the mutation lock.
     fn drain_with(&self, persist: &mut Option<PersistState>) -> Result<bool, PersistError> {
-        if persist.is_none() {
+        let Some(state) = persist.as_mut() else {
             return Ok(false);
-        }
-        let (registry, sessions) = self.snapshot_state();
-        let state = persist.as_mut().expect("checked above");
+        };
+        let (registry, sessions) = self.snapshot_state(&mut state.rendered);
         state.persist.sync()?;
         state.persist.write_snapshot(registry, sessions)?;
         Ok(true)
@@ -641,6 +653,7 @@ impl Service {
             return Reply {
                 line: ok_value(id.as_ref(), Json::obj(vec![("bye", Json::Bool(true))])).render(),
                 quit: true,
+                shutdown: false,
             };
         }
         if request.verb == Verb::Shutdown {
@@ -697,6 +710,7 @@ impl Service {
         Reply {
             line: ok_value(id, body).render(),
             quit: true,
+            shutdown: true,
         }
     }
 
@@ -708,6 +722,7 @@ impl Service {
             Ok(Ok(result)) => Reply {
                 line: ok_value(id, result).render(),
                 quit: false,
+                shutdown: false,
             },
             Ok(Err(error)) => self.error_reply(id, &error),
             Err(payload) => {
@@ -743,13 +758,11 @@ impl Service {
     /// `snapshot_every` records. A failed snapshot is a diagnostic,
     /// not a request failure: the journal already holds everything.
     fn maybe_snapshot(&self, persist: &mut Option<PersistState>) {
-        let due = match persist {
-            Some(state) => !state.replaying && state.persist.should_snapshot(),
-            None => false,
+        let Some(state) = persist.as_mut() else {
+            return;
         };
-        if due {
-            let (registry, sessions) = self.snapshot_state();
-            let state = persist.as_mut().expect("checked above");
+        if !state.replaying && state.persist.should_snapshot() {
+            let (registry, sessions) = self.snapshot_state(&mut state.rendered);
             if let Err(e) = state.persist.write_snapshot(registry, sessions) {
                 eprintln!("sld: snapshot failed: {e}");
             }
@@ -761,11 +774,26 @@ impl Service {
     /// sessions with their raw backend state. Called with the mutation
     /// lock held, so no mutator is mid-flight; queries may interleave
     /// freely (they never touch durable state).
-    fn snapshot_state(&self) -> (Vec<(String, String)>, Vec<SessionSnap>) {
+    ///
+    /// Automata are immutable behind their `Arc`, so each is rendered
+    /// once and its text reused from `memo` by every later snapshot
+    /// that still holds it. `memo` ends up holding exactly the automata
+    /// this snapshot wrote; the ones it no longer reaches are released.
+    fn snapshot_state(&self, memo: &mut RenderMemo) -> (Vec<(String, String)>, Vec<SessionSnap>) {
+        let mut previous = std::mem::take(memo);
+        let mut render = |automaton: &Arc<Buchi>, name: &str| -> String {
+            let key = (Arc::as_ptr(automaton) as usize, name.to_string());
+            let (_, text) = memo.entry(key).or_insert_with_key(|key| {
+                previous
+                    .remove(key)
+                    .unwrap_or_else(|| (Arc::clone(automaton), hoa::to_hoa(automaton, name)))
+            });
+            text.clone()
+        };
         let mut registry: Vec<(String, String)> = self
             .read_registry()
             .iter()
-            .map(|(name, automaton)| (name.to_string(), hoa::to_hoa(automaton, name)))
+            .map(|(name, automaton)| (name.to_string(), render(automaton, name)))
             .collect();
         registry.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let guard = self.lock_sessions();
@@ -782,7 +810,7 @@ impl Service {
                 SessionSnap {
                     name: name.clone(),
                     target: session.target.clone(),
-                    hoa: hoa::to_hoa(&session.source, &session.target),
+                    hoa: render(&session.source, &session.target),
                     state,
                 }
             })
@@ -852,6 +880,7 @@ impl Service {
         Reply {
             line: err_value(id, error).render(),
             quit: false,
+            shutdown: false,
         }
     }
 
@@ -1986,5 +2015,64 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "panic with non-string payload".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The names the memo holds renderings under, sorted.
+    fn memo_entries(service: &Service) -> Vec<String> {
+        let guard = service.lock_persist();
+        let memo = &guard.as_ref().expect("persistent").rendered;
+        let mut names: Vec<String> = memo.keys().map(|(_, name)| name.clone()).collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn the_render_memo_keeps_exactly_what_the_last_snapshot_wrote() {
+        let dir = std::env::temp_dir().join(format!("sl-engine-memo-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = Service::with_persistence(
+            ServiceConfig {
+                fault: FaultPlan::disabled(),
+                threads: 1,
+                ..ServiceConfig::default()
+            },
+            &PersistConfig {
+                dir: dir.clone(),
+                snapshot_every: 0,
+            },
+        )
+        .expect("open");
+        let define = |name: &str, ltl: &str| {
+            let line = format!(
+                r#"{{"verb":"define","name":"{name}","ltl":"{ltl}","alphabet":["a","b"]}}"#
+            );
+            assert!(service.handle_line(&line).line.contains("\"ok\":true"));
+        };
+        define("p", "G a");
+        define("q", "G b");
+        service.handle_line(r#"{"verb":"monitor-step","monitor":"m","target":"p","symbols":[]}"#);
+        service.drain().expect("drain");
+        // `p`'s binding and its session share one entry: same `Arc`,
+        // same name, same text.
+        assert_eq!(memo_entries(&service), ["p", "q"]);
+        let old_p = Arc::clone(service.read_registry().get("p").expect("p"));
+        define("p", "F a");
+        define("q", "F b");
+        service.drain().expect("drain");
+        // New `p` and `q`, plus the old `p` the session still watches;
+        // the old `q`, which nothing reaches any more, is released.
+        assert_eq!(memo_entries(&service), ["p", "p", "q"]);
+        let key = (Arc::as_ptr(&old_p) as usize, "p".to_string());
+        let guard = service.lock_persist();
+        let (held, text) = &guard.as_ref().expect("persistent").rendered[&key];
+        assert!(Arc::ptr_eq(held, &old_p));
+        assert_eq!(*text, hoa::to_hoa(&old_p, "p"));
+        drop(guard);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

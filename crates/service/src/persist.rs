@@ -33,8 +33,25 @@
 //! `fsync` after), so a crash leaves either the old set of snapshots
 //! or the old set plus one complete new snapshot — never a torn one.
 //! Recovery walks snapshots newest-first and falls back on corruption.
+//!
+//! The payload writes each distinct HOA text once:
+//!
+//! ```text
+//! {"seq":N,
+//!  "automata":["HOA: v1…", …],
+//!  "registry":[{"name":"p0","automaton":0}, …],
+//!  "sessions":[{"name":"m0","target":"p0","automaton":0,"state":"3"}, …]}
+//! ```
+//!
+//! The `automata` table is ordered by first occurrence in the
+//! name-sorted registry, then the name-sorted sessions, so the bytes
+//! are a function of the state. An `automaton` index outside the table
+//! is [`PersistError::Corrupt`]. The reader also accepts the older
+//! shape, with no table and a `"hoa"` text in every registry and
+//! session entry.
 
 use crate::json::{self, Json};
+use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -152,7 +169,8 @@ pub struct SessionSnap {
     /// The session's own automaton as HOA text — per session, not a
     /// registry lookup, so sessions that outlived a redefinition of
     /// their target name restore against the automaton they actually
-    /// watch.
+    /// watch. On disk it is an index into the snapshot's `automata`
+    /// table, shared with every entry of the same text.
     pub hoa: String,
     /// The raw monitor state (backend-specific encoding; sentinels
     /// included). Stored as a decimal string on the wire because the
@@ -162,7 +180,7 @@ pub struct SessionSnap {
 
 /// Everything a daemon needs to resume: the registry and every monitor
 /// session, plus the journal sequence number the state reflects.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// The next journal sequence number at snapshot time: records with
     /// `seq >=` this are newer than the snapshot and must be replayed.
@@ -174,14 +192,28 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    fn to_json(&self) -> Json {
+    /// The payload: each distinct HOA text once, in an `automata` table
+    /// ordered by first occurrence in `registry`, then `sessions`, which
+    /// point into it by index — so the bytes stay a function of the
+    /// state while a thousand sessions over one target cost one text.
+    fn to_json<'a>(&'a self) -> Json {
+        let mut table: HashMap<&str, usize> = HashMap::new();
+        let mut automata: Vec<Json> = Vec::new();
+        let mut index_of = |text: &'a str| -> Json {
+            let next = table.len();
+            let index = *table.entry(text).or_insert_with(|| {
+                automata.push(Json::Str(text.to_string()));
+                next
+            });
+            Json::Int(index as i64)
+        };
         let registry = self
             .registry
             .iter()
             .map(|(name, hoa)| {
                 Json::obj(vec![
                     ("name", Json::Str(name.clone())),
-                    ("hoa", Json::Str(hoa.clone())),
+                    ("automaton", index_of(hoa)),
                 ])
             })
             .collect();
@@ -192,28 +224,56 @@ impl Snapshot {
                 Json::obj(vec![
                     ("name", Json::Str(s.name.clone())),
                     ("target", Json::Str(s.target.clone())),
-                    ("hoa", Json::Str(s.hoa.clone())),
+                    ("automaton", index_of(&s.hoa)),
                     ("state", Json::Str(s.state.to_string())),
                 ])
             })
             .collect();
         Json::obj(vec![
             ("seq", Json::Int(self.seq as i64)),
+            ("automata", Json::Arr(automata)),
             ("registry", Json::Arr(registry)),
             ("sessions", Json::Arr(sessions)),
         ])
     }
 
+    /// Decodes either payload shape: entries carrying an `automaton`
+    /// index into the `automata` table, or (as snapshots written before
+    /// the table existed do) their own `hoa` text.
     fn from_json(doc: &Json) -> Result<Snapshot, String> {
         let seq = doc
             .get("seq")
             .and_then(Json::as_u64)
             .ok_or("snapshot needs a nonnegative integer `seq`")?;
+        let automata: Vec<&str> = match doc.get("automata") {
+            None => Vec::new(),
+            Some(table) => table
+                .as_arr()
+                .and_then(|items| items.iter().map(Json::as_str).collect())
+                .ok_or("snapshot `automata` must be an array of strings")?,
+        };
         let text = |item: &Json, key: &str| -> Result<String, String> {
             item.get(key)
                 .and_then(Json::as_str)
                 .map(str::to_string)
                 .ok_or_else(|| format!("snapshot entry needs a string `{key}`"))
+        };
+        let hoa = |item: &Json| -> Result<String, String> {
+            let Some(index) = item.get("automaton") else {
+                return text(item, "hoa");
+            };
+            index
+                .as_u64()
+                .and_then(|i| usize::try_from(i).ok())
+                .and_then(|i| automata.get(i))
+                .map(|t| (*t).to_string())
+                .ok_or_else(|| {
+                    format!(
+                        "snapshot entry `automaton` {} is not an index into the {}-entry table",
+                        index.render(),
+                        automata.len()
+                    )
+                })
         };
         let mut registry = Vec::new();
         for item in doc
@@ -221,7 +281,7 @@ impl Snapshot {
             .and_then(Json::as_arr)
             .ok_or("snapshot needs a `registry` array")?
         {
-            registry.push((text(item, "name")?, text(item, "hoa")?));
+            registry.push((text(item, "name")?, hoa(item)?));
         }
         let mut sessions = Vec::new();
         for item in doc
@@ -235,7 +295,7 @@ impl Snapshot {
             sessions.push(SessionSnap {
                 name: text(item, "name")?,
                 target: text(item, "target")?,
-                hoa: text(item, "hoa")?,
+                hoa: hoa(item)?,
                 state,
             });
         }
@@ -564,7 +624,8 @@ impl Persist {
     /// Writes a snapshot of the given state atomically (temp file,
     /// `fsync`, rename, directory `fsync`), rotates to a fresh journal
     /// epoch, and prunes every epoch before the previous one (the
-    /// previous epoch is kept whole as the corruption fallback).
+    /// previous epoch is kept whole as the corruption fallback). Equal
+    /// HOA texts among the bindings and sessions are written once.
     ///
     /// # Errors
     ///
@@ -854,8 +915,133 @@ mod tests {
         };
         let doc = snap.to_json();
         let back = Snapshot::from_json(&json::parse(&doc.render()).unwrap()).unwrap();
-        assert_eq!(back.seq, snap.seq);
-        assert_eq!(back.registry, snap.registry);
-        assert_eq!(back.sessions, snap.sessions);
+        assert_eq!(back, snap);
+    }
+
+    /// 1,000 sessions over 25 targets, as a monitoring daemon holds them.
+    fn fleet_snapshot() -> Snapshot {
+        let text = |t: usize| format!("HOA: v1\nname: \"t{t}\"\nStates: {}\n--END--\n", t + 1);
+        Snapshot {
+            seq: 7,
+            registry: (0..25).map(|t| (format!("t{t:02}"), text(t))).collect(),
+            sessions: (0..1000)
+                .map(|j| SessionSnap {
+                    name: format!("m{j:04}"),
+                    target: format!("t{:02}", j % 25),
+                    hoa: text(j % 25),
+                    state: j as u64,
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn each_distinct_automaton_text_is_written_once_and_round_trips() {
+        let snap = fleet_snapshot();
+        let payload = snap.to_json().render();
+        for t in 0..25 {
+            let needle = format!("name: \\\"t{t}\\\"");
+            assert_eq!(
+                payload.matches(&needle).count(),
+                1,
+                "text of t{t} in {payload}"
+            );
+        }
+        let doc = json::parse(&payload).unwrap();
+        assert_eq!(
+            doc.get("automata")
+                .and_then(Json::as_arr)
+                .map(<[Json]>::len),
+            Some(25)
+        );
+        assert_eq!(Snapshot::from_json(&doc).unwrap(), snap);
+
+        // Through the file, too: the written snapshot recovers intact.
+        let dir = temp_dir("table");
+        let (mut p, _) = Persist::open(&config(&dir)).unwrap();
+        let (registry, sessions) = (snap.registry.clone(), snap.sessions.clone());
+        p.write_snapshot(registry, sessions).unwrap();
+        drop(p);
+        let (_, rec) = Persist::open(&config(&dir)).unwrap();
+        assert_eq!(rec.snapshot, Some(Snapshot { seq: 0, ..snap }));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The payload as written before the `automata` table existed: every
+    /// registry binding and session carried its own `hoa` text.
+    fn per_entry_json(snap: &Snapshot) -> Json {
+        let registry = snap
+            .registry
+            .iter()
+            .map(|(name, hoa)| {
+                Json::obj(vec![
+                    ("name", Json::Str(name.clone())),
+                    ("hoa", Json::Str(hoa.clone())),
+                ])
+            })
+            .collect();
+        let sessions = snap
+            .sessions
+            .iter()
+            .map(|s| {
+                Json::obj(vec![
+                    ("name", Json::Str(s.name.clone())),
+                    ("target", Json::Str(s.target.clone())),
+                    ("hoa", Json::Str(s.hoa.clone())),
+                    ("state", Json::Str(s.state.to_string())),
+                ])
+            })
+            .collect();
+        Json::obj(vec![
+            ("seq", Json::Int(snap.seq as i64)),
+            ("registry", Json::Arr(registry)),
+            ("sessions", Json::Arr(sessions)),
+        ])
+    }
+
+    /// Writes `payload` as a complete, checksum-valid snapshot file.
+    fn write_snapshot_file(path: &Path, payload: &str) {
+        let mut bytes = SNAPSHOT_MAGIC.to_vec();
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&fnv64(0, payload.as_bytes()).to_le_bytes());
+        bytes.extend_from_slice(payload.as_bytes());
+        fs::write(path, bytes).unwrap();
+    }
+
+    #[test]
+    fn per_entry_hoa_snapshots_still_load() {
+        let snap = fleet_snapshot();
+        let dir = temp_dir("per-entry");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap-1.slsnap");
+        write_snapshot_file(&path, &per_entry_json(&snap).render());
+        assert_eq!(load_snapshot(&path).unwrap(), snap);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_bad_automaton_index_is_typed_corruption_not_a_panic() {
+        let dir = temp_dir("bad-index");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap-1.slsnap");
+        let cases = [
+            r#"{"seq":0,"automata":["A"],"registry":[{"name":"a","automaton":1}],"sessions":[]}"#,
+            r#"{"seq":0,"automata":["A"],"registry":[],"sessions":[{"name":"m","target":"a","automaton":99,"state":"0"}]}"#,
+            r#"{"seq":0,"automata":["A"],"registry":[{"name":"a","automaton":-1}],"sessions":[]}"#,
+            r#"{"seq":0,"automata":["A"],"registry":[{"name":"a","automaton":"0"}],"sessions":[]}"#,
+            r#"{"seq":0,"registry":[{"name":"a","automaton":0}],"sessions":[]}"#,
+            r#"{"seq":0,"automata":[7],"registry":[],"sessions":[]}"#,
+        ];
+        for payload in cases {
+            write_snapshot_file(&path, payload);
+            match load_snapshot(&path) {
+                Err(PersistError::Corrupt { offset, detail, .. }) => {
+                    assert_eq!(offset, 24, "{detail}");
+                    assert!(detail.contains("automat"), "{payload}: {detail}");
+                }
+                other => panic!("{payload}: expected Corrupt, got {other:?}"),
+            }
+        }
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

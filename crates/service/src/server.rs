@@ -8,9 +8,9 @@
 //! `overloaded` rejection beyond the cap), every connection serving
 //! against a clone of the same [`Service`] handle. `quit` ends only
 //! the issuing connection; `shutdown` drains the daemon: the stopped
-//! flag refuses further requests everywhere, live sockets are shut
-//! down so idle clients observe EOF, and the supervisor returns once
-//! every connection thread has finished.
+//! flag refuses further requests everywhere; once the issuer's reply is
+//! written, live sockets are shut down so idle clients observe EOF; and
+//! the supervisor returns once every connection thread has finished.
 
 use crate::engine::{Reply, Service};
 use crate::proto::{err_response, read_frame, Frame, ProtoError};
@@ -26,6 +26,10 @@ pub struct SessionSummary {
     pub responses: u64,
     /// Whether the session ended on `quit`/`shutdown` (vs EOF).
     pub quit: bool,
+    /// Whether the session issued the `shutdown` that drained the
+    /// daemon — set before its reply is written, so it holds even when
+    /// that write fails.
+    pub shutdown: bool,
 }
 
 /// Decrements the active-session gauge however the session ends
@@ -53,9 +57,21 @@ pub fn serve<R: BufRead, W: Write>(
     reader: &mut R,
     writer: &mut W,
 ) -> std::io::Result<SessionSummary> {
+    let mut summary = SessionSummary::default();
+    serve_into(service, reader, writer, &mut summary)?;
+    Ok(summary)
+}
+
+/// The body of [`serve`], accumulating into `summary` so a caller still
+/// sees what the session did when it ends in an I/O error.
+fn serve_into<R: BufRead, W: Write>(
+    service: &Service,
+    reader: &mut R,
+    writer: &mut W,
+    summary: &mut SessionSummary,
+) -> std::io::Result<()> {
     service.begin_session();
     let _guard = SessionGuard(service);
-    let mut summary = SessionSummary::default();
     let max_line = service.max_line();
     loop {
         let reply = match read_frame(reader, max_line)? {
@@ -68,6 +84,7 @@ pub fn serve<R: BufRead, W: Write>(
                 Reply {
                     line: err_response(None, &error),
                     quit: false,
+                    shutdown: false,
                 }
             }
             Frame::Line(line) => {
@@ -77,6 +94,7 @@ pub fn serve<R: BufRead, W: Write>(
                 service.handle_line(&line)
             }
         };
+        summary.shutdown |= reply.shutdown;
         let mut line = reply.line;
         line.push('\n');
         writer.write_all(line.as_bytes())?;
@@ -87,7 +105,7 @@ pub fn serve<R: BufRead, W: Write>(
             break;
         }
     }
-    Ok(summary)
+    Ok(())
 }
 
 /// Serves stdin → stdout until `quit` or EOF. Single-session by
@@ -112,13 +130,11 @@ pub fn serve_connection<R: BufRead, W: Write>(
     reader: &mut R,
     writer: &mut W,
 ) -> SessionSummary {
-    match serve(service, reader, writer) {
-        Ok(summary) => summary,
-        Err(_) => {
-            service.note_io_error();
-            SessionSummary::default()
-        }
+    let mut summary = SessionSummary::default();
+    if serve_into(service, reader, writer, &mut summary).is_err() {
+        service.note_io_error();
     }
+    summary
 }
 
 /// The connection supervisor: accepts TCP connections and serves each
@@ -132,48 +148,71 @@ pub fn serve_connection<R: BufRead, W: Write>(
 ///   gets one typed `overloaded` response line and is closed.
 /// * `quit` ends the issuing connection; the supervisor keeps
 ///   accepting.
-/// * `shutdown` drains the daemon: the handling thread wakes the
-///   (blocking) acceptor with a loopback connection and shuts down
-///   every live socket, so idle clients observe EOF instead of
-///   hanging the drain; the supervisor then joins all connection
-///   threads and returns.
+/// * `shutdown` drains the daemon. The thread whose session issued it
+///   — and only that thread, after writing its reply or failing to —
+///   closes the registry of live sockets to new entries, shuts every
+///   live socket down so idle clients observe EOF instead of hanging
+///   the drain, and wakes the (blocking) acceptor with a loopback
+///   connection; the supervisor then joins all connection threads and
+///   returns. Other connections ending mid-drain shut nothing down, so
+///   they cannot cut the issuer's reply short.
 ///
 /// # Errors
 ///
 /// Propagates fatal `accept` errors; per-connection I/O errors end
 /// that connection only (counted as `io_errors`).
 pub fn serve_tcp(service: &Service, listener: &TcpListener) -> std::io::Result<()> {
-    // Live sockets, for the drain broadcast. Dead entries are pruned
-    // opportunistically whenever a connection ends.
-    let conns: Mutex<Vec<TcpStream>> = Mutex::new(Vec::new());
+    /// Live sockets, for the drain broadcast; `closed` once it ran, so
+    /// no connection can register (and escape the broadcast) after it.
+    #[derive(Default)]
+    struct Conns {
+        live: Vec<TcpStream>,
+        closed: bool,
+    }
+    let conns: Mutex<Conns> = Mutex::new(Conns::default());
+    let lock = || {
+        conns
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    };
     let local = listener.local_addr().ok();
     std::thread::scope(|scope| {
-        let mut accept_error = None;
         for stream in listener.incoming() {
-            if service.is_stopped() {
-                break;
-            }
             let stream = match stream {
                 Ok(stream) => stream,
                 Err(e) => {
-                    accept_error = Some(e);
-                    break;
+                    // The acceptor is gone, so the daemon is too: shut
+                    // every live socket so the scope join cannot hang
+                    // on a client that never disconnects.
+                    let mut registry = lock();
+                    registry.closed = true;
+                    for conn in &registry.live {
+                        let _ = conn.shutdown(Shutdown::Both);
+                    }
+                    return Err(e);
                 }
             };
             let _ = stream.set_nodelay(true);
+            let mut registry = lock();
+            if registry.closed {
+                break;
+            }
             if service.active_sessions() >= service.max_conns() as u64 {
+                drop(registry);
                 let mut line = service.overloaded_reply();
                 line.push('\n');
                 let mut writer = &stream;
                 let _ = writer.write_all(line.as_bytes());
                 continue; // dropping the socket closes it
             }
+            // Dead entries are pruned opportunistically here and
+            // whenever a connection ends.
             if let Ok(registered) = stream.try_clone() {
-                let mut conns = conns.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                conns.retain(|c| c.peer_addr().is_ok());
-                conns.push(registered);
+                registry.live.retain(|c| c.peer_addr().is_ok());
+                registry.live.push(registered);
             }
-            let conns = &conns;
+            drop(registry);
+            let lock = &lock;
             scope.spawn(move || {
                 let peer = stream.peer_addr();
                 let mut writer = BufWriter::new(match stream.try_clone() {
@@ -184,38 +223,31 @@ pub fn serve_tcp(service: &Service, listener: &TcpListener) -> std::io::Result<(
                     }
                 });
                 let mut reader = BufReader::new(stream);
-                serve_connection(service, &mut reader, &mut writer);
-                let mut conns = conns.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                let summary = serve_connection(service, &mut reader, &mut writer);
+                let mut registry = lock();
                 if let Ok(peer) = peer {
-                    conns.retain(|c| c.peer_addr().map(|a| a != peer).unwrap_or(false));
+                    registry
+                        .live
+                        .retain(|c| c.peer_addr().map(|a| a != peer).unwrap_or(false));
                 }
-                if service.is_stopped() {
-                    // Drain broadcast: shut every live socket (their
-                    // serve loops see EOF and exit), then wake the
-                    // acceptor blocked in `accept` with a loopback
-                    // connection so it observes the stopped flag.
-                    for conn in conns.iter() {
+                if summary.shutdown {
+                    // Drain broadcast, after this session's reply went
+                    // out: shut every live socket (their serve loops see
+                    // EOF and exit), then wake the acceptor blocked in
+                    // `accept` with a loopback connection so it observes
+                    // `closed` and stops admitting.
+                    registry.closed = true;
+                    for conn in &registry.live {
                         let _ = conn.shutdown(Shutdown::Both);
                     }
-                    drop(conns);
+                    drop(registry);
                     if let Some(addr) = local {
                         let _ = TcpStream::connect(addr);
                     }
                 }
             });
         }
-        // Final broadcast: a connection admitted in the races around
-        // the stopped flag still gets its socket shut here, so the
-        // scope join cannot hang on a client that never disconnects.
-        let guard = conns.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        for conn in guard.iter() {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-        drop(guard);
-        match accept_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        Ok(())
     })
 }
 
@@ -245,7 +277,14 @@ mod tests {
         );
         let mut output = Vec::new();
         let summary = serve(&service, &mut Cursor::new(script), &mut output).unwrap();
-        assert_eq!(summary, SessionSummary { responses: 2, quit: true });
+        assert_eq!(
+            summary,
+            SessionSummary {
+                responses: 2,
+                quit: true,
+                shutdown: false
+            }
+        );
         let text = String::from_utf8(output).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2, "{text}");

@@ -255,3 +255,248 @@ fn stats_reports_persistence_metrics() {
     assert!(!stats.contains("\"persist\""), "{stats}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A persistent daemon state worth snapshotting: `targets` HOA-free
+/// LTL policies and `sessions` monitor sessions spread over them, each
+/// stepped once. Returns the lines, so a twin can replay them.
+fn fleet_lines(targets: usize, sessions: usize) -> Vec<String> {
+    let formulas = ["G a", "G (a | X b)", "G (b -> X a)", "a U b", "G F a"];
+    let mut lines: Vec<String> = (0..targets)
+        .map(|t| {
+            format!(
+                r#"{{"verb":"define","name":"t{t}","ltl":"{}","alphabet":["a","b"]}}"#,
+                formulas[t % formulas.len()]
+            )
+        })
+        .collect();
+    for j in 0..sessions {
+        let sym = if j % 3 == 0 { "b" } else { "a" };
+        lines.push(format!(
+            r#"{{"verb":"monitor-step","monitor":"m{j}","target":"t{}","symbols":["{sym}"]}}"#,
+            j % targets
+        ));
+    }
+    lines
+}
+
+/// Questions whose answers depend on every restored automaton and
+/// session state.
+fn fleet_probe(targets: usize, sessions: usize) -> Vec<String> {
+    let mut probe: Vec<String> = (0..targets)
+        .map(|t| format!(r#"{{"verb":"classify","target":"t{t}"}}"#))
+        .collect();
+    for j in 0..sessions {
+        probe.push(format!(
+            r#"{{"verb":"monitor-step","monitor":"m{j}","symbols":["a","b","a"]}}"#
+        ));
+    }
+    probe
+}
+
+fn answers(svc: &Service, lines: &[String]) -> Vec<String> {
+    lines.iter().map(|l| svc.handle_line(l).line).collect()
+}
+
+/// FNV-1a 64 over the snapshot payload (a snapshot file's checksum).
+fn fnv64(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in 0u64.to_le_bytes().iter().chain(bytes) {
+        hash ^= u64::from(*byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+fn snapshot_payload(path: &std::path::Path) -> Json {
+    let bytes = std::fs::read(path).unwrap();
+    sl_service::json::parse(std::str::from_utf8(&bytes[24..]).unwrap()).unwrap()
+}
+
+#[test]
+fn snapshots_written_before_the_automata_table_recover_to_the_same_responses() {
+    let (targets, sessions) = (5, 60);
+    let lines = fleet_lines(targets, sessions);
+    let probe = fleet_probe(targets, sessions);
+    let twin = Service::new(quiet());
+    answers(&twin, &lines);
+    let want = answers(&twin, &probe);
+
+    let dir = temp_dir("per-entry");
+    let svc = open(&dir, 0);
+    answers(&svc, &lines);
+    assert!(svc.drain().unwrap());
+    drop(svc);
+    // Rewrite the snapshot in the per-entry shape: every registry
+    // binding and session carries its own `hoa` text, no table.
+    let path = dir.join("snap-1.slsnap");
+    let doc = snapshot_payload(&path);
+    let table = doc
+        .get("automata")
+        .and_then(Json::as_arr)
+        .expect("automata table");
+    assert!(table.len() < targets + sessions, "the table deduplicates");
+    let per_entry = |key: &str| -> Json {
+        let items = doc.get(key).and_then(Json::as_arr).unwrap();
+        Json::Arr(
+            items
+                .iter()
+                .map(|item| {
+                    let Json::Obj(fields) = item else {
+                        panic!("entry object")
+                    };
+                    Json::Obj(
+                        fields
+                            .iter()
+                            .map(|(k, v)| match k.as_str() {
+                                "automaton" => (
+                                    "hoa".to_string(),
+                                    table[v.as_u64().unwrap() as usize].clone(),
+                                ),
+                                _ => (k.clone(), v.clone()),
+                            })
+                            .collect(),
+                    )
+                })
+                .collect(),
+        )
+    };
+    let old = Json::obj(vec![
+        ("seq", doc.get("seq").unwrap().clone()),
+        ("registry", per_entry("registry")),
+        ("sessions", per_entry("sessions")),
+    ])
+    .render();
+    assert!(!old.contains("\"automat"), "{old}");
+    let mut bytes = b"SLSNAP1\n".to_vec();
+    bytes.extend_from_slice(&(old.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&fnv64(old.as_bytes()).to_le_bytes());
+    bytes.extend_from_slice(old.as_bytes());
+    std::fs::write(&path, bytes).unwrap();
+
+    let svc = open(&dir, 0);
+    assert!(
+        svc.take_recovery_notes().is_empty(),
+        "the old shape is not damage"
+    );
+    assert_eq!(answers(&svc, &probe), want);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sessions_restore_against_the_automaton_they_watch_across_redefinitions() {
+    // m0 outlives two redefinitions of its target and m1 watches the
+    // middle version. p1 is dropped and replaced between two snapshots
+    // (`None` marks a drain), again and again, with nothing left holding
+    // the dropped automaton — the pattern under which a freed address
+    // could come back as a different automaton under the same name.
+    let define = |name: &str, ltl: &str| {
+        Some(format!(
+            r#"{{"verb":"define","name":"{name}","ltl":"{ltl}","alphabet":["a","b"]}}"#
+        ))
+    };
+    let step = |monitor: &str, target: &str, symbol: &str| {
+        Some(format!(
+            r#"{{"verb":"monitor-step","monitor":"{monitor}","target":"{target}","symbols":["{symbol}"]}}"#
+        ))
+    };
+    let mut lines = vec![
+        define("p0", "G a"),
+        step("m0", "p0", "a"),
+        None,
+        define("p0", "G b"),
+        step("m1", "p0", "b"),
+        None,
+        define("p0", "G (a | b)"),
+    ];
+    for (first, second) in [("G a", "F b"), ("G b", "F a"), ("a U b", "G F a")] {
+        lines.extend([None, define("p1", first), define("p1", second)]);
+    }
+    lines.push(None);
+    let probe = [
+        r#"{"verb":"monitor-step","monitor":"m0","symbols":["a","b"]}"#,
+        r#"{"verb":"monitor-step","monitor":"m1","symbols":["b","a"]}"#,
+        r#"{"verb":"monitor-step","monitor":"m2","target":"p0","symbols":["a","b"]}"#,
+        r#"{"verb":"monitor-step","monitor":"m3","target":"p1","symbols":["a","a"]}"#,
+        r#"{"verb":"classify","target":"p0"}"#,
+        r#"{"verb":"classify","target":"p1"}"#,
+    ];
+    let twin = Service::new(quiet());
+    for line in lines.iter().flatten() {
+        twin.handle_line(line);
+    }
+    let want: Vec<String> = probe.iter().map(|l| twin.handle_line(l).line).collect();
+    assert!(
+        want[0].contains("\"violation\""),
+        "m0 still watches G a: {}",
+        want[0]
+    );
+    assert!(
+        want[1].contains("\"violation\""),
+        "m1 still watches G b: {}",
+        want[1]
+    );
+
+    let dir = temp_dir("redefine");
+    let svc = open(&dir, 0);
+    for line in &lines {
+        match line {
+            Some(line) => assert!(svc.handle_line(line).line.contains("\"ok\":true")),
+            None => assert!(svc.drain().unwrap()),
+        }
+    }
+    drop(svc); // crash right after the last snapshot
+    let svc = open(&dir, 0);
+    let got: Vec<String> = probe.iter().map(|l| svc.handle_line(l).line).collect();
+    assert_eq!(got, want);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn shutdown_reply_survives_peers_disconnecting_mid_drain() {
+    use std::net::{TcpListener, TcpStream};
+    use std::time::Duration;
+    // A drain with many sessions takes long enough for idle peers to
+    // hang up while it runs; their connection threads end mid-drain and
+    // must not close the issuer's socket before its reply is written.
+    let lines = fleet_lines(25, 1000);
+    for round in 0..6u64 {
+        let dir = temp_dir("drain-race");
+        let svc = open(&dir, 0);
+        answers(&svc, &lines);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let daemon = svc.clone();
+        let server = std::thread::spawn(move || serve_tcp(&daemon, &listener));
+        let mut peers: Vec<TcpStream> = (0..8)
+            .map(|_| {
+                let mut peer = TcpStream::connect(addr).unwrap();
+                peer.write_all(b"{\"verb\":\"stats\"}\n").unwrap();
+                let mut byte = [0u8; 1];
+                peer.read_exact(&mut byte).unwrap(); // its thread is serving
+                peer
+            })
+            .collect();
+        let mut issuer = TcpStream::connect(addr).unwrap();
+        issuer
+            .write_all(b"{\"id\":9,\"verb\":\"shutdown\"}\n")
+            .unwrap();
+        // Hang up one peer before the drain starts, the rest as it runs,
+        // at offsets that vary per round.
+        drop(peers.remove(0));
+        while !svc.is_stopped() {
+            std::thread::yield_now();
+        }
+        for (i, peer) in peers.into_iter().enumerate() {
+            std::thread::sleep(Duration::from_micros(round * 50 * i as u64));
+            drop(peer);
+        }
+        let mut reply = String::new();
+        let read = issuer.read_to_string(&mut reply);
+        assert!(
+            reply.contains("{\"id\":9,\"ok\":true,\"result\":{\"bye\":true,\"drained\":true"),
+            "round {round}: the issuer lost its reply ({read:?}): {reply:?}"
+        );
+        server.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

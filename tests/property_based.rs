@@ -318,6 +318,76 @@ fn hoa_round_trips_random_automata() {
     });
 }
 
+/// The straightforward renderer `to_hoa` must stay byte-identical to:
+/// one `format!`ed, `join`ed one-hot label per state × symbol.
+fn reference_hoa(b: &safety_liveness::buchi::Buchi, name: &str) -> String {
+    use std::fmt::Write as _;
+    let sigma = b.alphabet();
+    let mut out = String::new();
+    let _ = writeln!(out, "HOA: v1");
+    let _ = writeln!(out, "name: \"{name}\"");
+    let _ = writeln!(out, "States: {}", b.num_states());
+    let _ = writeln!(out, "Start: {}", b.initial());
+    let aps: Vec<String> = sigma
+        .symbols()
+        .map(|s| format!("\"{}\"", sigma.name(s)))
+        .collect();
+    let _ = writeln!(out, "AP: {} {}", sigma.len(), aps.join(" "));
+    let _ = writeln!(out, "acc-name: Buchi");
+    let _ = writeln!(out, "Acceptance: 1 Inf(0)");
+    let _ = writeln!(out, "properties: trans-labels explicit-labels state-acc");
+    let _ = writeln!(out, "--BODY--");
+    for q in 0..b.num_states() {
+        if b.is_accepting(q) {
+            let _ = writeln!(out, "State: {q} {{0}}");
+        } else {
+            let _ = writeln!(out, "State: {q}");
+        }
+        for sym in sigma.symbols() {
+            let label: Vec<String> = sigma
+                .symbols()
+                .map(|s| {
+                    if s == sym {
+                        format!("{}", s.index())
+                    } else {
+                        format!("!{}", s.index())
+                    }
+                })
+                .collect();
+            for &succ in b.successors(q, sym) {
+                let _ = writeln!(out, "[{}] {succ}", label.join("&"));
+            }
+        }
+    }
+    let _ = writeln!(out, "--END--");
+    out
+}
+
+#[test]
+fn hoa_rendering_is_byte_identical_to_the_reference_renderer() {
+    prop::check(
+        "hoa_rendering_is_byte_identical_to_the_reference_renderer",
+        &(0u64..200),
+        |&seed| {
+            use safety_liveness::buchi::hoa::to_hoa;
+            let names = ["a", "b", "c", "d", "e"];
+            let s = Alphabet::new(&names[..1 + (seed as usize % names.len())]);
+            let m = random_buchi(
+                &s,
+                seed,
+                RandomConfig {
+                    states: 1 + (seed as usize % 9),
+                    density_percent: 10 + seed as u32 % 80,
+                    ..RandomConfig::default()
+                },
+            );
+            let name = format!("ref-{seed}");
+            prop_assert_eq!(to_hoa(&m, &name), reference_hoa(&m, &name));
+            Ok(())
+        },
+    );
+}
+
 #[test]
 fn finite_tree_prefix_laws() {
     prop::check(
