@@ -29,7 +29,7 @@
 //!    blocks, edited eight times in the *source* block (the one no
 //!    other SCC reaches). From-scratch recomputation pays the full
 //!    simulation fixpoint per edit; the interned graph's
-//!    [`InternedGraph::advance`] re-derives only the dirty SCC and
+//!    [`QuotientCache::advance`] re-derives only the dirty SCC and
 //!    must carry the other 199 blocks over unchanged.
 //!
 //! Every sweep asserts exactness (verdict agreement, bit-identical
@@ -38,7 +38,7 @@
 use sl_bench::{header, Scoreboard};
 use sl_buchi::{
     included_antichain, included_onthefly_with_cache, random_buchi, scratch_quotient, Buchi,
-    BuchiBuilder, InternedGraph, QuotientCache, RandomConfig,
+    BuchiBuilder, QuotientCache, RandomConfig, QUOTIENT_CACHE_CAP,
 };
 use sl_omega::Alphabet;
 use sl_support::bench::{black_box, Bench};
@@ -230,8 +230,8 @@ fn main() -> ExitCode {
         .collect();
     // Exactness first: every advance must land bit-identically on the
     // from-scratch quotient, with the downstream blocks carried clean.
-    let mut graph = InternedGraph::new();
-    graph.quotient(&versions[0]);
+    let graph = QuotientCache::one_stripe(QUOTIENT_CACHE_CAP);
+    let _ = graph.quotient(&versions[0]);
     let mut exact = true;
     let mut clean_total = 0u64;
     for w in versions.windows(2) {
@@ -252,8 +252,8 @@ fn main() -> ExitCode {
         }
     });
     let incremental = bench.measure("redefine/incremental/chain1000", || {
-        let mut graph = InternedGraph::new();
-        graph.quotient(&versions[0]);
+        let graph = QuotientCache::one_stripe(QUOTIENT_CACHE_CAP);
+        let _ = graph.quotient(&versions[0]);
         for w in versions.windows(2) {
             black_box(graph.advance(&w[0], &w[1]).dirty_sccs);
         }

@@ -88,8 +88,8 @@ pub mod sabotage {
 const SCAN_STRIDE: u64 = 64;
 
 /// Monotone counters describing the antichain engine's work on the
-/// current thread, snapshot via [`antichain_stats`] (or the combined
-/// [`crate::incl::engine_stats`]). Counters accumulate per thread for
+/// current thread, snapshot via [`antichain_stats`]. Counters
+/// accumulate per thread for
 /// the life of the thread; callers interested in one query's cost take
 /// a snapshot before and after and diff with
 /// [`AntichainStats::delta_since`] — that is how the `sld` daemon

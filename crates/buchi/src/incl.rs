@@ -24,33 +24,29 @@
 //!
 //! Rank-based complements are expensive, and the exhaustive verifiers
 //! may call the rank engine over small corpora where the same automata
-//! recur constantly. A process-wide memoizing [`ComplementCache`] —
-//! sharded by [`Buchi::structural_hash`] into striped locks so
-//! concurrent sessions share every complement instead of re-deriving
-//! it per thread — therefore backs the rank-based deciders, with an
-//! equality collision check so a lookup hashes 8 bytes instead of a
-//! whole automaton. The cache's [`ComplementCacheStats`] make the
+//! recur constantly. A process-wide memoizing [`ComplementCache`] — an
+//! [`sl_support::StripedCache`] keyed by [`Buchi::structural_hash`],
+//! so concurrent sessions share every complement (one compute per cold
+//! automaton) and a lookup hashes 8 bytes instead of a whole automaton
+//! — therefore backs the rank-based deciders. Its counters make the
 //! deciders' complement behavior observable (e.g. that
 //! [`equivalent_rank`] short-circuits after a failed first inclusion
 //! without ever complementing the second operand — pinned through the
 //! explicit-cache entry points like [`equivalent_rank_with_cache`],
-//! which measure an isolated instance instead of the shared shards).
+//! which measure an isolated instance instead of the shared one).
 
 use crate::antichain::{
-    antichain_stats, equivalent_antichain, equivalent_antichain_budgeted, equivalent_onthefly,
+    equivalent_antichain, equivalent_antichain_budgeted, equivalent_onthefly,
     equivalent_onthefly_budgeted, included_antichain, included_antichain_budgeted,
     included_onthefly, included_onthefly_budgeted, universal_antichain, universal_onthefly,
-    AntichainStats,
 };
 use crate::automaton::Buchi;
 use crate::complement::{complement, complement_budgeted, ComplementBudgetExceeded};
 use crate::empty::{find_accepted_word, is_empty};
-use crate::interned::{shared_quotient_cache_stats, QuotientCacheStats};
 use crate::ops::intersection;
 use sl_omega::LassoWord;
-use sl_support::{fault, Budget, SlError};
-use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use sl_support::{fault, Budget, CacheStats, SlError, StripedCache};
+use std::sync::OnceLock;
 
 /// Which engine backs the dispatching deciders [`included`],
 /// [`equivalent`], and [`universal`].
@@ -108,338 +104,95 @@ pub fn incl_engine() -> InclEngine {
     })
 }
 
-/// Global entry cap for the shared complement cache; past it a shard
-/// is cleared rather than grown, bounding memory on unbounded corpora.
-/// The budget is split evenly across [`COMPLEMENT_CACHE_SHARDS`].
+/// Entry cap for a [`ComplementCache`]; past it a stripe is cleared
+/// rather than grown, bounding memory on unbounded corpora. The budget
+/// is split evenly across [`COMPLEMENT_CACHE_SHARDS`].
 const COMPLEMENT_CACHE_CAP: usize = 256;
 
-/// Stripe count for the shared complement cache. Shard selection is
-/// `structural_hash % shards`, so repeat queries for one automaton
-/// always land on (and serialize through) the same stripe while
-/// distinct automata complement concurrently.
+/// Stripe count for [`ComplementCache`]. Selection is
+/// `structural_hash % stripes`, so repeat queries for one automaton
+/// always land on the same stripe while distinct automata complement
+/// concurrently.
 const COMPLEMENT_CACHE_SHARDS: usize = 8;
 
-/// Counters describing how a [`ComplementCache`] has been used.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ComplementCacheStats {
-    /// Lookups answered from the cache.
-    pub hits: usize,
-    /// Lookups whose hash had no occupant at all, so the rank-based
-    /// construction ran and the result was stored. Disjoint from
-    /// `collisions`: every lookup is exactly one of hit, miss, or
-    /// collision.
-    pub misses: usize,
-    /// Complements currently stored.
-    pub entries: usize,
-    /// Entries dropped by fault injection (site
-    /// `"buchi.complement_cache"`) — each one forced a
-    /// behavior-preserving recomputation.
-    pub invalidations: usize,
-    /// Lookups whose 64-bit structural hash matched a stored entry for
-    /// a *different* automaton; the result was recomputed uncached, so
-    /// a collision costs time but never correctness.
-    pub collisions: usize,
-}
-
-/// A stored complement alongside the automaton it was computed for —
-/// the collision check for the hash-keyed map.
-#[derive(Debug)]
-struct CacheEntry {
-    automaton: Buchi,
-    result: Result<Buchi, ComplementBudgetExceeded>,
-}
+/// The fault-injection site at which a firing drill drops a memoized
+/// complement and forces a behavior-preserving recomputation.
+const COMPLEMENT_FAULT_SITE: &str = "buchi.complement_cache";
 
 /// A memoizing cache for rank-based complements, keyed by
-/// [`Buchi::structural_hash`] — so a lookup hashes 8 bytes instead of
-/// re-hashing the whole transition relation — with the stored automaton
-/// equality-checked to rule out collisions. The rank-based deciders
+/// [`Buchi::structural_hash`] with the stored automaton
+/// equality-checked to rule out collisions. The whole `Result` is
+/// stored: budget errors are cached too, since retrying an automaton
+/// that blew the budget would blow it again. The rank-based deciders
 /// [`included_rank`], [`equivalent_rank`], and [`universal_rank`] share
-/// one process-wide sharded instance (see
-/// [`shared_complement_cache_stats`]); explicit instances can be
-/// created for isolated measurements via the `*_with_cache` entry
+/// the process-wide [`shared_complement_cache`]; explicit instances
+/// measure one decider in isolation via the `*_with_cache` entry
 /// points.
 #[derive(Debug)]
 pub struct ComplementCache {
-    map: HashMap<u64, CacheEntry>,
-    cap: usize,
-    hits: usize,
-    misses: usize,
-    invalidations: usize,
-    collisions: usize,
-    lookups: u64,
+    complements: StripedCache<Buchi, Result<Buchi, ComplementBudgetExceeded>>,
 }
 
 impl Default for ComplementCache {
     fn default() -> Self {
-        Self::with_cap(COMPLEMENT_CACHE_CAP)
+        Self::new()
     }
 }
 
 impl ComplementCache {
-    /// An empty cache with the default entry cap.
+    /// An empty cache (256 entries over 8 stripes) under the
+    /// process-wide fault plan, drilled at site
+    /// `"buchi.complement_cache"`.
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty cache clearing itself past `cap` entries (the shared
-    /// shards use `COMPLEMENT_CACHE_CAP / COMPLEMENT_CACHE_SHARDS`
-    /// each, so the global bound stays where the thread-local cache's
-    /// was).
-    #[must_use]
-    pub fn with_cap(cap: usize) -> Self {
         ComplementCache {
-            map: HashMap::new(),
-            cap: cap.max(1),
-            hits: 0,
-            misses: 0,
-            invalidations: 0,
-            collisions: 0,
-            lookups: 0,
+            complements: StripedCache::with_fault(
+                COMPLEMENT_CACHE_CAP,
+                COMPLEMENT_CACHE_SHARDS,
+                COMPLEMENT_FAULT_SITE,
+                *fault::global(),
+            ),
         }
     }
 
     /// The complement of `b`, computed at most once per distinct
-    /// automaton (budget errors are cached too — retrying an automaton
-    /// that blew the budget would blow it again).
-    ///
-    /// Under a process-wide fault drill (site
-    /// `"buchi.complement_cache"`), a firing lookup drops the memoized
-    /// entry and recomputes — a behavior-preserving degradation that
-    /// exercises the recovery path, observable via
-    /// [`ComplementCacheStats::invalidations`].
+    /// automaton across every thread sharing this cache.
     ///
     /// # Errors
     ///
     /// Propagates [`ComplementBudgetExceeded`] from the underlying
     /// construction.
-    pub fn complement(&mut self, b: &Buchi) -> Result<Buchi, ComplementBudgetExceeded> {
-        let lookup = self.lookups;
-        self.lookups += 1;
-        let key = b.structural_hash();
-        if fault::global().should_fault("buchi.complement_cache", lookup)
-            && self
-                .map
-                .get(&key)
-                .is_some_and(|entry| entry.automaton == *b)
-        {
-            self.map.remove(&key);
-            self.invalidations += 1;
-        }
-        if let Some(entry) = self.map.get(&key) {
-            if entry.automaton == *b {
-                self.hits += 1;
-                return entry.result.clone();
-            }
-            // Hash collision with a distinct automaton: keep the first
-            // occupant (deterministic) and recompute uncached. Counted
-            // as a collision only — not also a miss — so the two
-            // fallback paths stay distinguishable in `engine_stats()`.
-            self.collisions += 1;
-            return complement(b);
-        }
-        self.misses += 1;
-        let result = complement(b);
-        if self.map.len() >= self.cap {
-            self.map.clear();
-        }
-        self.map.insert(
-            key,
-            CacheEntry {
-                automaton: b.clone(),
-                result: result.clone(),
-            },
-        );
-        result
+    pub fn complement(&self, b: &Buchi) -> Result<Buchi, ComplementBudgetExceeded> {
+        let hash = b.structural_hash();
+        self.complements
+            .get_or_insert_with(hash, hash, b, || complement(b))
     }
 
-    /// Usage counters.
+    /// Usage counters, summed over stripes.
     #[must_use]
-    pub fn stats(&self) -> ComplementCacheStats {
-        ComplementCacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            entries: self.map.len(),
-            invalidations: self.invalidations,
-            collisions: self.collisions,
-        }
+    pub fn stats(&self) -> CacheStats {
+        self.complements.stats()
     }
 
     /// Drops all entries and resets the counters.
-    pub fn reset(&mut self) {
-        self.map.clear();
-        self.hits = 0;
-        self.misses = 0;
-        self.invalidations = 0;
-        self.collisions = 0;
-        self.lookups = 0;
+    pub fn reset(&self) {
+        self.complements.reset();
     }
 }
 
-/// The process-wide complement cache: striped `Mutex`-guarded shards
-/// selected by structural hash, so every session and worker thread
+/// The process-wide complement cache: every session and worker thread
 /// shares one memoization pool instead of each thread re-deriving the
-/// same complements (the pre-concurrency design was `thread_local!`).
-fn shared_shards() -> &'static [Mutex<ComplementCache>] {
-    static SHARDS: OnceLock<Vec<Mutex<ComplementCache>>> = OnceLock::new();
-    SHARDS.get_or_init(|| {
-        let per_shard = (COMPLEMENT_CACHE_CAP / COMPLEMENT_CACHE_SHARDS).max(1);
-        (0..COMPLEMENT_CACHE_SHARDS)
-            .map(|_| Mutex::new(ComplementCache::with_cap(per_shard)))
-            .collect()
-    })
+/// same complements. The `sld` daemon's `stats` verb reports it under
+/// `engine.complement_cache`.
+pub fn shared_complement_cache() -> &'static ComplementCache {
+    static SHARED: OnceLock<ComplementCache> = OnceLock::new();
+    SHARED.get_or_init(ComplementCache::new)
 }
 
-/// The shard responsible for `b`, locked. Mutex poisoning is absorbed:
-/// the cache is semantically transparent, so state abandoned by a
-/// panicking thread is still a valid (possibly stale) memo table.
-fn shard_for(b: &Buchi) -> MutexGuard<'static, ComplementCache> {
-    let shards = shared_shards();
-    let index = (b.structural_hash() % shards.len() as u64) as usize;
-    shards[index].lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Summed counters of the shared sharded complement cache — what the
-/// `sld` daemon's `stats` verb reports under `engine.complement_cache`.
-/// `entries` is the total resident across shards.
-#[must_use]
-pub fn shared_complement_cache_stats() -> ComplementCacheStats {
-    let mut total = ComplementCacheStats::default();
-    for shard in shared_shards() {
-        let stats = shard.lock().unwrap_or_else(std::sync::PoisonError::into_inner).stats();
-        total.hits += stats.hits;
-        total.misses += stats.misses;
-        total.entries += stats.entries;
-        total.invalidations += stats.invalidations;
-        total.collisions += stats.collisions;
-    }
-    total
-}
-
-/// Empties every shard of the shared complement cache and zeroes its
-/// counters (bench cold/warm isolation).
+/// Empties the shared complement cache and zeroes its counters (bench
+/// cold/warm isolation).
 pub fn reset_shared_complement_cache() {
-    for shard in shared_shards() {
-        shard.lock().unwrap_or_else(std::sync::PoisonError::into_inner).reset();
-    }
-}
-
-/// A combined snapshot of both inclusion engines' instrumentation: the
-/// rank path's complement-cache counters (process-shared, summed over
-/// the shards) and the antichain path's iteration counters (still
-/// thread-local — a pure function of the queries this thread ran). The
-/// `sld` daemon's `stats` verb and the `e12_service_throughput` bench
-/// report these instead of guessing at cache effectiveness; per-query
-/// antichain costs come from snapshotting before and after a call on
-/// the thread that ran it and diffing with
-/// [`EngineStats::delta_since`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Complement-cache counters (rank engine): hits, misses, resident
-    /// entries, fault invalidations, hash collisions.
-    pub complement_cache: ComplementCacheStats,
-    /// Quotient-cache counters (on-the-fly engine): hits, misses,
-    /// resident entries, invalidations, collisions, incremental
-    /// advances, dirty/clean SCC splits.
-    pub quotient_cache: QuotientCacheStats,
-    /// Antichain fixpoint counters: searches, insertion attempts,
-    /// subsumption scans, counterexamples, macro-state gauges.
-    pub antichain: AntichainStats,
-}
-
-impl EngineStats {
-    /// The counter increments since `earlier`. The `entries` gauge of
-    /// the complement cache is carried over as-is (it is a level, not a
-    /// counter); everything else is a saturating difference.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &EngineStats) -> EngineStats {
-        EngineStats {
-            complement_cache: ComplementCacheStats {
-                hits: self.complement_cache.hits.saturating_sub(earlier.complement_cache.hits),
-                misses: self
-                    .complement_cache
-                    .misses
-                    .saturating_sub(earlier.complement_cache.misses),
-                entries: self.complement_cache.entries,
-                invalidations: self
-                    .complement_cache
-                    .invalidations
-                    .saturating_sub(earlier.complement_cache.invalidations),
-                collisions: self
-                    .complement_cache
-                    .collisions
-                    .saturating_sub(earlier.complement_cache.collisions),
-            },
-            quotient_cache: QuotientCacheStats {
-                hits: self.quotient_cache.hits.saturating_sub(earlier.quotient_cache.hits),
-                misses: self
-                    .quotient_cache
-                    .misses
-                    .saturating_sub(earlier.quotient_cache.misses),
-                entries: self.quotient_cache.entries,
-                invalidations: self
-                    .quotient_cache
-                    .invalidations
-                    .saturating_sub(earlier.quotient_cache.invalidations),
-                collisions: self
-                    .quotient_cache
-                    .collisions
-                    .saturating_sub(earlier.quotient_cache.collisions),
-                advances: self
-                    .quotient_cache
-                    .advances
-                    .saturating_sub(earlier.quotient_cache.advances),
-                dirty_sccs: self
-                    .quotient_cache
-                    .dirty_sccs
-                    .saturating_sub(earlier.quotient_cache.dirty_sccs),
-                clean_sccs: self
-                    .quotient_cache
-                    .clean_sccs
-                    .saturating_sub(earlier.quotient_cache.clean_sccs),
-            },
-            antichain: self.antichain.delta_since(&earlier.antichain),
-        }
-    }
-
-    /// Accumulates another delta into this total. `entries` takes the
-    /// maximum (a high-water gauge across threads is more informative
-    /// than a meaningless sum of levels).
-    pub fn absorb(&mut self, delta: &EngineStats) {
-        self.complement_cache.hits += delta.complement_cache.hits;
-        self.complement_cache.misses += delta.complement_cache.misses;
-        self.complement_cache.entries =
-            self.complement_cache.entries.max(delta.complement_cache.entries);
-        self.complement_cache.invalidations += delta.complement_cache.invalidations;
-        self.complement_cache.collisions += delta.complement_cache.collisions;
-        self.quotient_cache.hits += delta.quotient_cache.hits;
-        self.quotient_cache.misses += delta.quotient_cache.misses;
-        self.quotient_cache.entries =
-            self.quotient_cache.entries.max(delta.quotient_cache.entries);
-        self.quotient_cache.invalidations += delta.quotient_cache.invalidations;
-        self.quotient_cache.collisions += delta.quotient_cache.collisions;
-        self.quotient_cache.advances += delta.quotient_cache.advances;
-        self.quotient_cache.dirty_sccs += delta.quotient_cache.dirty_sccs;
-        self.quotient_cache.clean_sccs += delta.quotient_cache.clean_sccs;
-        self.antichain.absorb(&delta.antichain);
-    }
-}
-
-/// An [`EngineStats`] snapshot: the **process-wide** shared complement
-/// cache plus **this thread's** antichain counters. The antichain store
-/// is thread-local (a pure function of the queries this thread ran), so
-/// callers that fan work out across a sweep must still snapshot on the
-/// worker thread that ran the query (as the `sld` daemon does) rather
-/// than on the coordinating thread; the complement half is shared, so
-/// deltas of it are only meaningful while no other thread is driving
-/// the rank engine.
-#[must_use]
-pub fn engine_stats() -> EngineStats {
-    EngineStats {
-        complement_cache: shared_complement_cache_stats(),
-        quotient_cache: shared_quotient_cache_stats(),
-        antichain: antichain_stats(),
-    }
+    shared_complement_cache().reset();
 }
 
 /// The outcome of an inclusion check: either inclusion holds, or a
@@ -479,10 +232,9 @@ pub fn included(a: &Buchi, b: &Buchi) -> Result<Inclusion, ComplementBudgetExcee
 }
 
 /// Decides `L(a) ⊆ L(b)` with the rank-based engine, regardless of
-/// `SL_INCL_ENGINE`: complement `b` (through the shared sharded
-/// [`ComplementCache`]) and test `L(a) ∩ ¬L(b)` for emptiness. The
-/// shard lock is held for the complement lookup only, so concurrent
-/// duplicate queries serialize through one construction while distinct
+/// `SL_INCL_ENGINE`: complement `b` (through the shared
+/// [`ComplementCache`]) and test `L(a) ∩ ¬L(b)` for emptiness.
+/// Concurrent duplicate queries share one construction while distinct
 /// automata proceed on other stripes.
 ///
 /// # Errors
@@ -490,12 +242,11 @@ pub fn included(a: &Buchi, b: &Buchi) -> Result<Inclusion, ComplementBudgetExcee
 /// Propagates [`ComplementBudgetExceeded`] if complementing `b` blows
 /// up.
 pub fn included_rank(a: &Buchi, b: &Buchi) -> Result<Inclusion, ComplementBudgetExceeded> {
-    let not_b = shard_for(b).complement(b)?;
-    Ok(included_with_complement(a, &not_b))
+    included_rank_with_cache(shared_complement_cache(), a, b)
 }
 
 /// [`included_rank`] against an explicit, caller-owned cache instead of
-/// the shared shards — isolated measurements (how many complements did
+/// the shared one — isolated measurements (how many complements did
 /// this decider compute?) without cross-talk from concurrent threads.
 ///
 /// # Errors
@@ -503,7 +254,7 @@ pub fn included_rank(a: &Buchi, b: &Buchi) -> Result<Inclusion, ComplementBudget
 /// Propagates [`ComplementBudgetExceeded`] if complementing `b` blows
 /// up.
 pub fn included_rank_with_cache(
-    cache: &mut ComplementCache,
+    cache: &ComplementCache,
     a: &Buchi,
     b: &Buchi,
 ) -> Result<Inclusion, ComplementBudgetExceeded> {
@@ -551,13 +302,7 @@ pub fn equivalent_rank(
     a: &Buchi,
     b: &Buchi,
 ) -> Result<Result<(), LassoWord>, ComplementBudgetExceeded> {
-    if let Inclusion::CounterExample(w) = included_rank(a, b)? {
-        return Ok(Err(w));
-    }
-    if let Inclusion::CounterExample(w) = included_rank(b, a)? {
-        return Ok(Err(w));
-    }
-    Ok(Ok(()))
+    equivalent_rank_with_cache(shared_complement_cache(), a, b)
 }
 
 /// [`equivalent_rank`] against an explicit, caller-owned cache; both
@@ -568,7 +313,7 @@ pub fn equivalent_rank(
 ///
 /// Propagates [`ComplementBudgetExceeded`].
 pub fn equivalent_rank_with_cache(
-    cache: &mut ComplementCache,
+    cache: &ComplementCache,
     a: &Buchi,
     b: &Buchi,
 ) -> Result<Result<(), LassoWord>, ComplementBudgetExceeded> {
@@ -602,11 +347,7 @@ pub fn universal(b: &Buchi) -> Result<Result<(), LassoWord>, ComplementBudgetExc
 ///
 /// Propagates [`ComplementBudgetExceeded`].
 pub fn universal_rank(b: &Buchi) -> Result<Result<(), LassoWord>, ComplementBudgetExceeded> {
-    let not_b = shard_for(b).complement(b)?;
-    Ok(match find_accepted_word(&not_b) {
-        None => Ok(()),
-        Some(w) => Err(w),
-    })
+    universal_rank_with_cache(shared_complement_cache(), b)
 }
 
 /// [`universal_rank`] against an explicit, caller-owned cache.
@@ -615,7 +356,7 @@ pub fn universal_rank(b: &Buchi) -> Result<Result<(), LassoWord>, ComplementBudg
 ///
 /// Propagates [`ComplementBudgetExceeded`].
 pub fn universal_rank_with_cache(
-    cache: &mut ComplementCache,
+    cache: &ComplementCache,
     b: &Buchi,
 ) -> Result<Result<(), LassoWord>, ComplementBudgetExceeded> {
     let not_b = cache.complement(b)?;
@@ -633,7 +374,7 @@ pub fn universal_rank_with_cache(
 /// the exponential part — is metered through [`complement_budgeted`];
 /// the product-emptiness search that follows is polynomial and runs
 /// unmetered. Budget semantics are per-call, so the rank path
-/// deliberately bypasses the per-thread memoization cache (a cached
+/// deliberately bypasses the shared memoization cache (a cached
 /// result computed under a generous budget must not be replayed as if
 /// a strict one had admitted it).
 ///
@@ -705,6 +446,7 @@ pub fn empty(b: &Buchi) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::antichain::{antichain_stats, AntichainStats};
     use crate::automaton::BuchiBuilder;
     use sl_omega::Alphabet;
 
@@ -764,78 +506,48 @@ mod tests {
     }
 
     #[test]
-    fn engine_stats_count_antichain_work() {
+    fn antichain_deltas_count_search_work() {
         let s = sigma();
-        let before = engine_stats();
+        let before = antichain_stats();
         let inc = included_antichain(&only_a(&s), &inf_a(&s)).unwrap();
         assert!(inc.holds());
-        let holds_delta = engine_stats().delta_since(&before);
-        assert_eq!(holds_delta.antichain.searches, 1);
-        assert!(holds_delta.antichain.insert_attempts > 0);
-        assert_eq!(holds_delta.antichain.counterexamples, 0);
-        // (The antichain path never touches the complement cache, but
-        // that cache is now process-shared — concurrent tests driving
-        // the rank engine would make a delta assertion here flaky; the
-        // isolation is pinned below with an explicit cache instead.)
+        let holds_delta = antichain_stats().delta_since(&before);
+        assert_eq!(holds_delta.searches, 1);
+        assert!(holds_delta.insert_attempts > 0);
+        assert_eq!(holds_delta.counterexamples, 0);
 
-        let mid = engine_stats();
+        let mid = antichain_stats();
         let inc = included_antichain(&inf_a(&s), &only_a(&s)).unwrap();
         assert!(!inc.holds());
-        let cex_delta = engine_stats().delta_since(&mid);
-        assert_eq!(cex_delta.antichain.searches, 1);
-        assert_eq!(cex_delta.antichain.counterexamples, 1);
+        let cex_delta = antichain_stats().delta_since(&mid);
+        assert_eq!(cex_delta.searches, 1);
+        assert_eq!(cex_delta.counterexamples, 1);
     }
 
     #[test]
-    fn engine_stats_deltas_absorb_into_totals() {
-        let a = EngineStats {
-            complement_cache: ComplementCacheStats {
-                hits: 2,
-                misses: 1,
-                entries: 3,
-                invalidations: 0,
-                collisions: 0,
-            },
-            quotient_cache: QuotientCacheStats {
-                hits: 5,
-                misses: 2,
-                entries: 2,
-                invalidations: 0,
-                collisions: 0,
-                advances: 1,
-                dirty_sccs: 3,
-                clean_sccs: 7,
-            },
-            antichain: AntichainStats {
-                searches: 1,
-                insert_attempts: 10,
-                subsumption_scans: 20,
-                counterexamples: 0,
-                peak_macro_states: 8,
-                final_antichain: 5,
-            },
+    fn antichain_deltas_absorb_into_totals() {
+        let a = AntichainStats {
+            searches: 1,
+            insert_attempts: 10,
+            subsumption_scans: 20,
+            counterexamples: 0,
+            peak_macro_states: 8,
+            final_antichain: 5,
         };
-        let mut total = EngineStats::default();
+        let mut total = AntichainStats::default();
         total.absorb(&a);
         total.absorb(&a);
-        assert_eq!(total.complement_cache.hits, 4);
-        // `entries` is a gauge: absorbed as a high-water mark, not summed.
-        assert_eq!(total.complement_cache.entries, 3);
-        assert_eq!(total.quotient_cache.hits, 10);
-        assert_eq!(total.quotient_cache.entries, 2);
-        assert_eq!(total.quotient_cache.dirty_sccs, 6);
-        assert_eq!(total.antichain.insert_attempts, 20);
-        // The macro-state gauges absorb as high-water marks too.
-        assert_eq!(total.antichain.peak_macro_states, 8);
-        assert_eq!(a.delta_since(&a), EngineStats {
-            complement_cache: ComplementCacheStats { entries: 3, ..Default::default() },
-            quotient_cache: QuotientCacheStats { entries: 2, ..Default::default() },
-            antichain: AntichainStats {
+        assert_eq!(total.insert_attempts, 20);
+        // The macro-state gauges absorb as high-water marks, not sums.
+        assert_eq!(total.peak_macro_states, 8);
+        assert_eq!(
+            a.delta_since(&a),
+            AntichainStats {
                 peak_macro_states: 8,
                 final_antichain: 5,
                 ..Default::default()
-            },
-        });
+            }
+        );
     }
 
     #[test]
@@ -947,12 +659,12 @@ mod tests {
         // L(universal) ⊄ L(inf_a): the first inclusion fails, so
         // `equivalent_rank` must stop after complementing only inf_a —
         // the complement of the universal automaton is never computed.
-        // An explicit cache isolates the count from the shared shards
+        // An explicit cache isolates the count from the shared one
         // (which concurrent tests mutate freely).
         let big = Buchi::universal(s.clone());
         let small = inf_a(&s);
-        let mut cache = ComplementCache::new();
-        let verdict = equivalent_rank_with_cache(&mut cache, &big, &small).unwrap();
+        let cache = ComplementCache::new();
+        let verdict = equivalent_rank_with_cache(&cache, &big, &small).unwrap();
         assert!(verdict.is_err(), "languages differ");
         let stats = cache.stats();
         assert_eq!(
@@ -962,7 +674,7 @@ mod tests {
              (modulo injected invalidations)"
         );
         assert_eq!(stats.entries, 1);
-        // The shared-shard decider agrees on the verdict itself.
+        // The shared-cache decider agrees on the verdict itself.
         assert!(equivalent_rank(&big, &small).unwrap().is_err());
     }
 
@@ -970,11 +682,11 @@ mod tests {
     fn complement_cache_memoizes_repeat_queries() {
         let s = sigma();
         let m = inf_a(&s);
-        let mut cache = ComplementCache::new();
-        assert!(universal_rank_with_cache(&mut cache, &m).unwrap().is_err());
-        assert!(universal_rank_with_cache(&mut cache, &m).unwrap().is_err());
+        let cache = ComplementCache::new();
+        assert!(universal_rank_with_cache(&cache, &m).unwrap().is_err());
+        assert!(universal_rank_with_cache(&cache, &m).unwrap().is_err());
         assert!(
-            !included_rank_with_cache(&mut cache, &Buchi::universal(s.clone()), &m)
+            !included_rank_with_cache(&cache, &Buchi::universal(s.clone()), &m)
                 .unwrap()
                 .holds()
         );
@@ -990,109 +702,27 @@ mod tests {
     }
 
     #[test]
-    fn shared_shards_answer_like_an_isolated_cache() {
-        // The sharded shared cache is semantically transparent: the
-        // deciders that route through it agree with explicit-cache and
-        // uncached runs, and its rolled-up stats move monotonically.
+    fn shared_cache_answers_like_an_isolated_cache() {
+        // The shared cache is semantically transparent: the deciders
+        // that route through it agree with explicit-cache runs, and its
+        // stats move monotonically.
         let s = sigma();
         let m = inf_a(&s);
-        let before = shared_complement_cache_stats();
+        let shared = shared_complement_cache();
+        let before = shared.stats();
         assert!(universal_rank(&m).unwrap().is_err());
         assert!(universal_rank(&m).unwrap().is_err());
-        let after = shared_complement_cache_stats();
+        let after = shared.stats();
         assert!(
             after.hits + after.misses + after.collisions
                 >= before.hits + before.misses + before.collisions + 2,
             "two lookups must be accounted somewhere: {before:?} -> {after:?}"
         );
-        let mut isolated = ComplementCache::new();
+        let isolated = ComplementCache::new();
         assert_eq!(
-            universal_rank_with_cache(&mut isolated, &m).unwrap(),
+            universal_rank_with_cache(&isolated, &m).unwrap(),
             universal_rank(&m).unwrap()
         );
-    }
-
-    #[test]
-    fn hash_collisions_recompute_uncached() {
-        let s = sigma();
-        let planted = inf_a(&s);
-        let queried = only_a(&s);
-        assert_ne!(planted, queried);
-        let reference = complement(&queried).unwrap();
-        let mut cache = ComplementCache::new();
-        // Plant the wrong automaton under the queried automaton's key,
-        // simulating a 64-bit structural-hash collision.
-        cache.map.insert(
-            queried.structural_hash(),
-            CacheEntry {
-                automaton: planted.clone(),
-                result: complement(&planted),
-            },
-        );
-        let out = cache.complement(&queried).unwrap();
-        assert_eq!(out, reference, "collision never changes the answer");
-        let stats = cache.stats();
-        assert_eq!(stats.collisions, 1);
-        assert_eq!(stats.hits, 0);
-        assert_eq!(
-            stats.misses, 0,
-            "a collision fallback is not double-counted as a miss"
-        );
-        assert_eq!(stats.entries, 1, "the first occupant is kept");
-        // A repeat query collides again — deterministically uncached.
-        let again = cache.complement(&queried).unwrap();
-        assert_eq!(again, reference);
-        assert_eq!(cache.stats().collisions, 2);
-        assert_eq!(cache.stats().misses, 0);
-    }
-
-    #[test]
-    fn collision_and_miss_counters_are_disjoint() {
-        // Regression for the stats bug where a hash-collision fallback
-        // also bumped `misses`, making the two paths indistinguishable
-        // in `engine_stats()`. Drive one genuine miss, one hit, and one
-        // planted collision; each lookup lands in exactly one counter.
-        let s = sigma();
-        let first = inf_a(&s);
-        let second = only_a(&s);
-        assert_ne!(first, second);
-        let mut cache = ComplementCache::new();
-        cache.complement(&first).unwrap(); // miss: empty slot, computed + stored
-        cache.complement(&first).unwrap(); // hit: same automaton
-        cache.map.insert(
-            second.structural_hash(),
-            CacheEntry {
-                automaton: first.clone(),
-                result: complement(&first),
-            },
-        );
-        cache.complement(&second).unwrap(); // collision: occupant differs
-        let stats = cache.stats();
-        assert_eq!(stats.collisions, 1);
-        // A process-wide fault drill may invalidate the stored entry and
-        // turn the hit into a recorded miss; either way each of the
-        // first two lookups is exactly one of hit/miss, and the
-        // collision is counted in neither.
-        assert_eq!(
-            stats.hits + stats.misses,
-            2,
-            "collision must not leak into hits or misses: {stats:?}"
-        );
-        assert_eq!(stats.misses, 1 + stats.invalidations);
-    }
-
-    #[test]
-    fn cached_budget_errors_are_replayed() {
-        let mut cache = ComplementCache::new();
-        let s = sigma();
-        let m = inf_a(&s);
-        let first = cache.complement(&m).unwrap();
-        let second = cache.complement(&m).unwrap();
-        assert_eq!(first, second, "recomputation after invalidation is exact");
-        let stats = cache.stats();
-        assert_eq!(stats.hits + stats.misses, 2);
-        assert_eq!(stats.misses, 1 + stats.invalidations);
-        assert_eq!(stats.entries, 1);
     }
 
     #[test]
@@ -1134,25 +764,5 @@ mod tests {
             }
             Err(err) => assert!(err.root().is_fault_injected(), "{err}"),
         }
-    }
-
-    #[test]
-    fn injected_invalidation_is_behavior_preserving() {
-        // An always-firing plan drops the memoized entry on every
-        // lookup; the recomputation must agree bit-for-bit with an
-        // untouched cache.
-        let plan = sl_support::FaultPlan::new(2003, 1.0);
-        let s = sigma();
-        let m = inf_a(&s);
-        let mut cache = ComplementCache::new();
-        let baseline = cache.complement(&m).unwrap();
-        // Simulate the drill by hand: the plan decides, the cache path
-        // re-runs the construction.
-        assert!(plan.should_fault("buchi.complement_cache", 1));
-        let mut poisoned = ComplementCache::new();
-        let first = poisoned.complement(&m).unwrap();
-        let again = poisoned.complement(&m).unwrap();
-        assert_eq!(baseline, first);
-        assert_eq!(baseline, again);
     }
 }

@@ -8,13 +8,11 @@
 //! in a daemon whose registry changes only on `define`/`redefine`. The
 //! fix has three parts:
 //!
-//! * **[`InternedGraph`]** — an arena of interned automaton nodes with
-//!   cheap node-by-structural-key lookup
-//!   ([`Buchi::structural_hash`] + an equality collision check). A node
-//!   pins the raw automaton, its reachable part, its greatest-fixpoint
-//!   simulation rows, and the resulting quotient, so repeat queries are
-//!   an 8-byte hash probe instead of an `O(n²)` refinement.
-//! * **Incremental maintenance** — [`InternedGraph::advance`] interns a
+//! * **[`InternedNode`]** — one automaton version: its reachable part,
+//!   its greatest-fixpoint simulation rows, and the resulting quotient,
+//!   so repeat queries are an 8-byte hash probe instead of an `O(n²)`
+//!   refinement.
+//! * **Incremental maintenance** — [`QuotientCache::advance`] interns a
 //!   *successor version* of an automaton (the `redefine` path) by
 //!   recomputing simulation only where the edit can matter. States are
 //!   partitioned per SCC of the new automaton into *clean* (index,
@@ -29,13 +27,16 @@
 //!   post-fixpoint), the incremental quotient is **bit-identical** to a
 //!   from-scratch one; `tests/interned_core.rs` holds that bar over
 //!   seeded 50+-mutation histories.
-//! * **[`QuotientCache`]** — striped `Mutex` shards of [`InternedGraph`]
-//!   (the [`crate::incl::ComplementCache`] idiom: hash-selected stripe,
-//!   cap-and-clear, poison absorption, fault-drill invalidation at site
-//!   `"buchi.quotient_cache"`). One process-wide instance backs the
-//!   plain entry points ([`shared_quotient_cache`]); the `sld` daemon
-//!   owns a private instance so its `stats` counters are a
-//!   deterministic function of the session.
+//! * **[`QuotientCache`]** — the nodes memoized in an
+//!   [`sl_support::StripedCache`] keyed by [`Buchi::structural_hash`]
+//!   with an equality check on probe: 64 entries over 8 stripes,
+//!   cap-and-clear, singleflight, and fault-drill invalidation at site
+//!   `"buchi.quotient_cache"` under a plan pinned per cache. A node
+//!   lives exactly as long as its cache entry and the `Arc`s callers
+//!   hold. One process-wide instance backs the plain
+//!   entry points ([`shared_quotient_cache`]); the `sld` daemon owns a
+//!   private instance so its `stats` counters are a deterministic
+//!   function of the session.
 //!
 //! The quotient pipeline here trims unreachable states *first* and
 //! computes simulation over the reachable part only — on the
@@ -47,9 +48,9 @@ use crate::graph::{tarjan, Graph};
 use crate::reduce::{initial_rows, quotient_from_rows, refine_rows, successor_sets};
 use sl_lattice::Bitset;
 use sl_support::fault::{self, FaultPlan};
+use sl_support::{CacheStats, StripedCache};
 use std::borrow::Cow;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Test-only engine sabotage, used by the conformance fuzzer to prove
 /// the incremental-vs-scratch differential oracle catches a real
@@ -61,7 +62,7 @@ pub mod sabotage {
 
     static BREAK_DIRTY_TRACKING: AtomicBool = AtomicBool::new(false);
 
-    /// When enabled, [`super::InternedGraph::advance`] marks an SCC
+    /// When enabled, [`super::QuotientCache::advance`] marks an SCC
     /// dirty only when one of its *own* states changed, skipping the
     /// propagation from dirty successor SCCs. A state whose cone
     /// changed downstream then keeps stale simulation verdicts as its
@@ -81,13 +82,13 @@ pub mod sabotage {
     }
 }
 
-/// Global entry cap for the shared quotient cache; past it a shard is
-/// cleared rather than grown. Nodes carry `O(reachable²)` bits of
-/// simulation rows, so the cap is tighter than the complement cache's.
-const QUOTIENT_CACHE_CAP: usize = 64;
+/// Entry cap for a [`QuotientCache`]; past it a stripe is cleared
+/// rather than grown. Nodes carry `O(reachable²)` bits of simulation
+/// rows, so the cap is tighter than the complement cache's.
+pub const QUOTIENT_CACHE_CAP: usize = 64;
 
 /// Stripe count for [`QuotientCache`]. Selection is
-/// `structural_hash % shards`, so repeat queries for one automaton
+/// `structural_hash % stripes`, so repeat queries for one automaton
 /// serialize through one stripe while distinct automata proceed
 /// concurrently.
 const QUOTIENT_CACHE_SHARDS: usize = 8;
@@ -96,37 +97,20 @@ const QUOTIENT_CACHE_SHARDS: usize = 8;
 /// node and forces a behavior-preserving recomputation.
 pub const QUOTIENT_FAULT_SITE: &str = "buchi.quotient_cache";
 
-/// Counters describing how an [`InternedGraph`] (or a whole
-/// [`QuotientCache`], summed over shards) has been used.
+/// Totals of a [`QuotientCache`]'s [`QuotientCache::advance`] calls;
+/// the memo-table counters are [`QuotientCache::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QuotientCacheStats {
-    /// Lookups answered from an interned node.
-    pub hits: usize,
-    /// Lookups that computed a quotient from scratch and interned it.
-    /// Disjoint from `collisions`: every lookup is exactly one of hit,
-    /// miss, or collision.
-    pub misses: usize,
-    /// Nodes currently interned.
-    pub entries: usize,
-    /// Nodes dropped by fault injection (site
-    /// [`QUOTIENT_FAULT_SITE`]) — each one forced a
-    /// behavior-preserving recomputation.
-    pub invalidations: usize,
-    /// Lookups whose 64-bit structural hash matched an interned node
-    /// for a *different* automaton; the quotient was recomputed
-    /// uncached, so a collision costs time but never correctness.
-    pub collisions: usize,
-    /// Incremental [`InternedGraph::advance`] calls (the
-    /// `define`/`redefine` path).
-    pub advances: usize,
+pub struct AdvanceStats {
+    /// Incremental advances (the `define`/`redefine` path).
+    pub advances: u64,
     /// SCCs whose simulation verdicts an advance had to recompute.
-    pub dirty_sccs: usize,
+    pub dirty_sccs: u64,
     /// SCCs whose verdicts an advance carried over from the previous
     /// version unchanged.
-    pub clean_sccs: usize,
+    pub clean_sccs: u64,
 }
 
-/// What one [`InternedGraph::advance`] did: how much of the new
+/// What one [`QuotientCache::advance`] did: how much of the new
 /// automaton's SCC condensation was re-derived vs. carried over.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdvanceReport {
@@ -137,13 +121,12 @@ pub struct AdvanceReport {
     pub clean_sccs: usize,
 }
 
-/// One interned automaton version: the raw automaton (the equality
-/// check behind the hash key), its reachable part, the greatest-
-/// fixpoint simulation rows over that part, and the quotient.
-#[derive(Debug, Clone)]
+/// One interned automaton version: its reachable part, the greatest-
+/// fixpoint simulation rows over that part, and the quotient. (The
+/// automaton itself is the cache key.)
+#[derive(Debug)]
 pub struct InternedNode {
-    automaton: Buchi,
-    trimmed: Arc<Buchi>,
+    trimmed: Buchi,
     rows: Arc<Vec<Bitset>>,
     quotient: Arc<Buchi>,
 }
@@ -164,30 +147,37 @@ impl InternedNode {
     }
 }
 
-/// The from-scratch quotient pipeline: trim to the reachable part,
-/// compute the simulation fixpoint there, quotient. This is the
-/// function every cached or incremental path must agree with bit for
-/// bit; it is `reduce ∘ trim` with the fixpoint rows exposed.
-fn compute_node(b: &Buchi) -> InternedNode {
+/// The quotient pipeline: trim to the reachable part, compute the
+/// simulation fixpoint there — seeded from `old`'s verdicts where its
+/// SCCs are provably unchanged — and quotient. With no `old` this is
+/// the from-scratch computation every cached or incremental path must
+/// agree with bit for bit (`reduce ∘ trim` with the rows exposed).
+fn compute_node(old: Option<&InternedNode>, b: &Buchi) -> (InternedNode, AdvanceReport) {
     let trimmed = b.trim_unreachable();
     let succ = successor_sets(&trimmed);
     let mut rows = initial_rows(&trimmed);
+    let report = match old {
+        Some(o) if o.trimmed.alphabet() == trimmed.alphabet() => {
+            seed_rows(&o.trimmed, &o.rows, &trimmed, &mut rows)
+        }
+        _ => AdvanceReport::default(),
+    };
     refine_rows(&succ, &mut rows);
     let quotient = quotient_from_rows(&trimmed, &rows);
-    InternedNode {
-        automaton: b.clone(),
-        trimmed: Arc::new(trimmed),
+    let node = InternedNode {
+        trimmed,
         rows: Arc::new(rows),
         quotient: Arc::new(quotient),
-    }
+    };
+    (node, report)
 }
 
 /// The trim-first simulation quotient of `b`, computed from scratch
 /// with no cache involved — the differential reference for
-/// [`InternedGraph::quotient`] and [`InternedGraph::advance`].
+/// [`QuotientCache::quotient`] and [`QuotientCache::advance`].
 #[must_use]
 pub fn scratch_quotient(b: &Buchi) -> Buchi {
-    compute_node(b).quotient.as_ref().clone()
+    compute_node(None, b).0.quotient.as_ref().clone()
 }
 
 /// Seeds `rows` (arriving as `initial_rows(new_t)`) with the old
@@ -262,221 +252,17 @@ fn seed_rows(
     }
 }
 
-/// An arena of interned automaton versions with structural-key lookup
-/// and incremental quotient maintenance. Single-threaded; the sharded
-/// [`QuotientCache`] wraps it for concurrent use.
-#[derive(Debug)]
-pub struct InternedGraph {
-    arena: Vec<InternedNode>,
-    index: HashMap<u64, usize>,
-    cap: usize,
-    plan: FaultPlan,
-    hits: usize,
-    misses: usize,
-    invalidations: usize,
-    collisions: usize,
-    advances: usize,
-    dirty_sccs: usize,
-    clean_sccs: usize,
-    lookups: u64,
-}
-
-impl Default for InternedGraph {
-    fn default() -> Self {
-        Self::with_cap(QUOTIENT_CACHE_CAP)
-    }
-}
-
-impl InternedGraph {
-    /// An empty arena with the default node cap.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty arena clearing itself past `cap` interned nodes,
-    /// under the process-wide fault plan.
-    #[must_use]
-    pub fn with_cap(cap: usize) -> Self {
-        Self::with_cap_and_fault(cap, *fault::global())
-    }
-
-    /// [`InternedGraph::with_cap`] with the fault drill pinned to an
-    /// explicit plan — owners that pin their own plan (the `sld`
-    /// daemon's golden-transcript tests) stay byte-deterministic even
-    /// when the process runs under the environment drill.
-    #[must_use]
-    pub fn with_cap_and_fault(cap: usize, plan: FaultPlan) -> Self {
-        InternedGraph {
-            arena: Vec::new(),
-            index: HashMap::new(),
-            cap: cap.max(1),
-            plan,
-            hits: 0,
-            misses: 0,
-            invalidations: 0,
-            collisions: 0,
-            advances: 0,
-            dirty_sccs: 0,
-            clean_sccs: 0,
-            lookups: 0,
-        }
-    }
-
-    /// The interned node for `b`, if present (hash probe + equality
-    /// check; never counts toward the hit/miss stats).
-    #[must_use]
-    pub fn node(&self, b: &Buchi) -> Option<&InternedNode> {
-        let slot = *self.index.get(&b.structural_hash())?;
-        let node = &self.arena[slot];
-        (node.automaton == *b).then_some(node)
-    }
-
-    fn intern(&mut self, key: u64, node: InternedNode) -> usize {
-        if let Some(&slot) = self.index.get(&key) {
-            // Re-intern under an occupied key (advance over a stale
-            // occupant): replace in place, arena slot count unchanged.
-            self.arena[slot] = node;
-            return slot;
-        }
-        if self.index.len() >= self.cap {
-            self.arena.clear();
-            self.index.clear();
-        }
-        self.arena.push(node);
-        let slot = self.arena.len() - 1;
-        self.index.insert(key, slot);
-        slot
-    }
-
-    /// The simulation quotient of `b` (over its reachable part),
-    /// computed at most once per distinct automaton.
-    ///
-    /// Under a fault drill (the plan pinned at construction, defaulting
-    /// to the process-wide one; site [`QUOTIENT_FAULT_SITE`]), a firing
-    /// lookup drops the interned node and recomputes — a
-    /// behavior-preserving degradation observable via
-    /// [`QuotientCacheStats::invalidations`].
-    pub fn quotient(&mut self, b: &Buchi) -> Arc<Buchi> {
-        let lookup = self.lookups;
-        self.lookups += 1;
-        let key = b.structural_hash();
-        if self.plan.should_fault(QUOTIENT_FAULT_SITE, lookup)
-            && self
-                .index
-                .get(&key)
-                .is_some_and(|&slot| self.arena[slot].automaton == *b)
-        {
-            self.index.remove(&key);
-            self.invalidations += 1;
-        }
-        if let Some(&slot) = self.index.get(&key) {
-            if self.arena[slot].automaton == *b {
-                self.hits += 1;
-                return Arc::clone(&self.arena[slot].quotient);
-            }
-            // Hash collision with a distinct automaton: keep the first
-            // occupant (deterministic) and recompute uncached.
-            self.collisions += 1;
-            return Arc::new(scratch_quotient(b));
-        }
-        self.misses += 1;
-        let node = compute_node(b);
-        let quotient = Arc::clone(&node.quotient);
-        self.intern(key, node);
-        quotient
-    }
-
-    /// Interns `new` as the successor version of `old` (the
-    /// `define`/`redefine` path), seeding its simulation fixpoint from
-    /// `old`'s interned node where their SCCs are provably unchanged.
-    /// Falls back to a full computation when `old` was never interned,
-    /// the alphabets differ, or `new` is already interned (then a pure
-    /// hit). The resulting node is bit-identical to a from-scratch
-    /// [`InternedGraph::quotient`] of `new` in every case.
-    pub fn advance(&mut self, old: &Buchi, new: &Buchi) -> AdvanceReport {
-        let old_node = self.node(old).cloned();
-        self.advance_from(old_node.as_ref(), new)
-    }
-
-    /// [`InternedGraph::advance`] with the old node supplied by the
-    /// caller — the cross-shard form [`QuotientCache::advance`] needs.
-    pub fn advance_from(&mut self, old: Option<&InternedNode>, new: &Buchi) -> AdvanceReport {
-        self.advances += 1;
-        let key = new.structural_hash();
-        if let Some(&slot) = self.index.get(&key) {
-            if self.arena[slot].automaton == *new {
-                // The target version is already interned (e.g. a
-                // redefine toggled back): nothing to recompute.
-                self.hits += 1;
-                return AdvanceReport::default();
-            }
-        }
-        let trimmed = new.trim_unreachable();
-        let succ = successor_sets(&trimmed);
-        let mut rows = initial_rows(&trimmed);
-        let report = match old {
-            Some(o) if o.trimmed.alphabet() == trimmed.alphabet() => {
-                seed_rows(&o.trimmed, &o.rows, &trimmed, &mut rows)
-            }
-            _ => AdvanceReport::default(),
-        };
-        refine_rows(&succ, &mut rows);
-        let quotient = quotient_from_rows(&trimmed, &rows);
-        self.misses += 1;
-        self.dirty_sccs += report.dirty_sccs;
-        self.clean_sccs += report.clean_sccs;
-        self.intern(
-            key,
-            InternedNode {
-                automaton: new.clone(),
-                trimmed: Arc::new(trimmed),
-                rows: Arc::new(rows),
-                quotient: Arc::new(quotient),
-            },
-        );
-        report
-    }
-
-    /// Usage counters.
-    #[must_use]
-    pub fn stats(&self) -> QuotientCacheStats {
-        QuotientCacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            entries: self.index.len(),
-            invalidations: self.invalidations,
-            collisions: self.collisions,
-            advances: self.advances,
-            dirty_sccs: self.dirty_sccs,
-            clean_sccs: self.clean_sccs,
-        }
-    }
-
-    /// Drops all nodes and resets the counters.
-    pub fn reset(&mut self) {
-        self.arena.clear();
-        self.index.clear();
-        self.hits = 0;
-        self.misses = 0;
-        self.invalidations = 0;
-        self.collisions = 0;
-        self.advances = 0;
-        self.dirty_sccs = 0;
-        self.clean_sccs = 0;
-        self.lookups = 0;
-    }
-}
-
-/// A concurrency-safe quotient cache: striped `Mutex`-guarded
-/// [`InternedGraph`] shards selected by structural hash (the
-/// [`crate::incl::ComplementCache`] sharding idiom). The `sld` daemon
-/// owns one instance per service — so its `stats` counters are a
-/// deterministic function of the session — and the plain on-the-fly
-/// entry points share the process-wide [`shared_quotient_cache`].
+/// A concurrency-safe cache of interned nodes: a
+/// [`StripedCache`] keyed by structural hash, plus the totals of its
+/// incremental advances. The `sld` daemon owns one instance per
+/// service — so its `stats` counters are a deterministic function of
+/// the session — and the plain on-the-fly entry points share the
+/// process-wide [`shared_quotient_cache`].
 #[derive(Debug)]
 pub struct QuotientCache {
-    shards: Vec<Mutex<InternedGraph>>,
+    nodes: StripedCache<Buchi, Arc<InternedNode>>,
+    /// Taken only after the node lookup returns (a leaf lock).
+    advanced: Mutex<AdvanceStats>,
 }
 
 impl Default for QuotientCache {
@@ -486,7 +272,7 @@ impl Default for QuotientCache {
 }
 
 impl QuotientCache {
-    /// A cache with the default shard count and node cap, under the
+    /// A cache with the default stripe count and node cap, under the
     /// process-wide fault plan.
     #[must_use]
     pub fn new() -> Self {
@@ -499,71 +285,88 @@ impl QuotientCache {
     /// under the environment drill.
     #[must_use]
     pub fn with_fault(plan: FaultPlan) -> Self {
-        let per_shard = (QUOTIENT_CACHE_CAP / QUOTIENT_CACHE_SHARDS).max(1);
+        Self::build(QUOTIENT_CACHE_CAP, QUOTIENT_CACHE_SHARDS, plan)
+    }
+
+    /// A one-stripe cache of `cap` nodes under the process-wide plan:
+    /// the last node stored stays cached until the cap clears it, so a
+    /// chain of [`QuotientCache::advance`] calls always seeds from the
+    /// previous version.
+    #[must_use]
+    pub fn one_stripe(cap: usize) -> Self {
+        Self::build(cap, 1, *fault::global())
+    }
+
+    fn build(cap: usize, stripes: usize, plan: FaultPlan) -> Self {
         QuotientCache {
-            shards: (0..QUOTIENT_CACHE_SHARDS)
-                .map(|_| Mutex::new(InternedGraph::with_cap_and_fault(per_shard, plan)))
-                .collect(),
+            nodes: StripedCache::with_fault(cap, stripes, QUOTIENT_FAULT_SITE, plan),
+            advanced: Mutex::new(AdvanceStats::default()),
         }
     }
 
-    /// The shard responsible for `key`, locked. Mutex poisoning is
-    /// absorbed: the cache is semantically transparent, so state
-    /// abandoned by a panicking thread is still a valid memo table.
-    fn shard(&self, key: u64) -> MutexGuard<'_, InternedGraph> {
-        let index = (key % self.shards.len() as u64) as usize;
-        self.shards[index]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// The interned node for `b`, if present (no lookup is counted).
+    #[must_use]
+    pub fn node(&self, b: &Buchi) -> Option<Arc<InternedNode>> {
+        let hash = b.structural_hash();
+        self.nodes.peek(hash, hash, b)
     }
 
-    /// The simulation quotient of `b`, computed at most once per
-    /// distinct automaton across all threads sharing this cache.
+    /// The simulation quotient of `b` (over its reachable part),
+    /// computed at most once per distinct automaton across all threads
+    /// sharing this cache.
     #[must_use]
     pub fn quotient(&self, b: &Buchi) -> Arc<Buchi> {
-        self.shard(b.structural_hash()).quotient(b)
+        let hash = b.structural_hash();
+        self.nodes
+            .get_or_insert_with(hash, hash, b, || Arc::new(compute_node(None, b).0))
+            .quotient()
     }
 
-    /// Interns `new` as the successor version of `old`, seeding from
-    /// `old`'s node when it is interned (see
-    /// [`InternedGraph::advance`]). The old shard is released before
-    /// the new shard is taken, so no two stripes are ever held at once.
+    /// Interns `new` as the successor version of `old` (the
+    /// `define`/`redefine` path), seeding its simulation fixpoint from
+    /// `old`'s node where their SCCs are provably unchanged. Falls back
+    /// to a full computation when `old` is not cached or the alphabets
+    /// differ; a `new` that is already cached is a plain hit. The node
+    /// is bit-identical to a from-scratch [`QuotientCache::quotient`]
+    /// of `new` in every case. The old node is read (and its stripe
+    /// released) before `new` is looked up.
     pub fn advance(&self, old: &Buchi, new: &Buchi) -> AdvanceReport {
-        let old_node = self.shard(old.structural_hash()).node(old).cloned();
-        self.shard(new.structural_hash())
-            .advance_from(old_node.as_ref(), new)
+        let old_node = self.node(old);
+        let hash = new.structural_hash();
+        let mut report = AdvanceReport::default();
+        self.nodes.get_or_insert_with(hash, hash, new, || {
+            let (node, computed) = compute_node(old_node.as_deref(), new);
+            report = computed;
+            Arc::new(node)
+        });
+        let mut totals = self.advance_totals();
+        totals.advances += 1;
+        totals.dirty_sccs += report.dirty_sccs as u64;
+        totals.clean_sccs += report.clean_sccs as u64;
+        report
     }
 
-    /// Summed counters across shards (`entries` is the total resident).
+    /// The memo table's counters, summed over stripes.
     #[must_use]
-    pub fn stats(&self) -> QuotientCacheStats {
-        let mut total = QuotientCacheStats::default();
-        for shard in &self.shards {
-            let stats = shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .stats();
-            total.hits += stats.hits;
-            total.misses += stats.misses;
-            total.entries += stats.entries;
-            total.invalidations += stats.invalidations;
-            total.collisions += stats.collisions;
-            total.advances += stats.advances;
-            total.dirty_sccs += stats.dirty_sccs;
-            total.clean_sccs += stats.clean_sccs;
-        }
-        total
+    pub fn stats(&self) -> CacheStats {
+        self.nodes.stats()
     }
 
-    /// Empties every shard and zeroes its counters (bench cold/warm
+    fn advance_totals(&self) -> std::sync::MutexGuard<'_, AdvanceStats> {
+        self.advanced.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Totals over every [`QuotientCache::advance`].
+    #[must_use]
+    pub fn advance_stats(&self) -> AdvanceStats {
+        *self.advance_totals()
+    }
+
+    /// Empties every stripe and zeroes the counters (bench cold/warm
     /// isolation).
     pub fn reset(&self) {
-        for shard in &self.shards {
-            shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .reset();
-        }
+        self.nodes.reset();
+        *self.advance_totals() = AdvanceStats::default();
     }
 }
 
@@ -575,14 +378,7 @@ pub fn shared_quotient_cache() -> &'static QuotientCache {
     SHARED.get_or_init(QuotientCache::new)
 }
 
-/// Summed counters of the shared quotient cache — what
-/// [`crate::incl::engine_stats`] reports under `quotient_cache`.
-#[must_use]
-pub fn shared_quotient_cache_stats() -> QuotientCacheStats {
-    shared_quotient_cache().stats()
-}
-
-/// Empties every shard of the shared quotient cache and zeroes its
+/// Empties every stripe of the shared quotient cache and zeroes its
 /// counters (bench cold/warm isolation).
 pub fn reset_shared_quotient_cache() {
     shared_quotient_cache().reset();
@@ -626,69 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn interned_lookup_hits_on_repeat_and_counts_misses_once() {
-        let mut graph = InternedGraph::new();
-        let b = pool_automaton(3);
-        let first = graph.quotient(&b);
-        let second = graph.quotient(&b);
-        assert_eq!(first, second);
-        let stats = graph.stats();
-        assert_eq!(stats.misses, 1 + stats.invalidations);
-        assert_eq!(stats.hits, 1 - stats.invalidations.min(1));
-        assert_eq!(stats.entries, 1);
-    }
-
-    #[test]
-    fn hash_collisions_recompute_uncached() {
-        let mut graph = InternedGraph::new();
-        let planted = pool_automaton(1);
-        let queried = pool_automaton(2);
-        assert_ne!(planted, queried);
-        // Plant the wrong automaton under the queried key, simulating a
-        // 64-bit structural-hash collision.
-        let mut node = compute_node(&planted);
-        node.automaton = node.automaton.clone();
-        let key = queried.structural_hash();
-        graph.intern(key, node);
-        let out = graph.quotient(&queried);
-        assert_eq!(*out, scratch_quotient(&queried));
-        let stats = graph.stats();
-        assert_eq!(stats.collisions, 1);
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.misses, 0);
-    }
-
-    #[test]
-    fn pinned_fault_plan_governs_invalidations() {
-        let b = pool_automaton(3);
-        // An always-firing pinned plan drills the invalidation path:
-        // each repeat lookup drops the node and recomputes, but the
-        // answers stay bit-identical (behavior-preserving degradation).
-        let mut drilled = InternedGraph::with_cap_and_fault(8, FaultPlan::new(7, 1.0));
-        let first = drilled.quotient(&b);
-        let second = drilled.quotient(&b);
-        assert_eq!(first, second);
-        assert!(drilled.stats().invalidations >= 1, "{:?}", drilled.stats());
-        // A pinned-disabled plan never invalidates, regardless of the
-        // process environment — what keeps the sld golden transcripts
-        // byte-identical under the verify.sh fault drill.
-        let mut quiet = InternedGraph::with_cap_and_fault(8, FaultPlan::disabled());
-        quiet.quotient(&b);
-        quiet.quotient(&b);
-        let stats = quiet.stats();
-        assert_eq!((stats.invalidations, stats.hits, stats.misses), (0, 1, 1));
-    }
-
-    #[test]
-    fn cap_and_clear_bounds_the_arena() {
-        let mut graph = InternedGraph::with_cap(4);
-        for seed in 0..20u64 {
-            graph.quotient(&pool_automaton(seed));
-        }
-        assert!(graph.stats().entries <= 4);
-    }
-
-    #[test]
     fn advance_is_bit_identical_to_scratch() {
         let s = sigma();
         let a_sym = s.symbol("a").unwrap();
@@ -713,8 +446,8 @@ mod tests {
             builder.add_transition(extra, a_sym, extra);
             let new = builder.build(old.initial());
 
-            let mut graph = InternedGraph::new();
-            graph.quotient(&old);
+            let graph = QuotientCache::one_stripe(QUOTIENT_CACHE_CAP);
+            let _ = graph.quotient(&old);
             let report = graph.advance(&old, &new);
             let incremental = graph.node(&new).expect("advance interned the new version");
             assert_eq!(
@@ -724,7 +457,7 @@ mod tests {
             );
             assert_eq!(
                 *incremental.rows(),
-                *compute_node(&new).rows,
+                *compute_node(None, &new).0.rows,
                 "seed {seed}: incremental fixpoint rows differ from scratch"
             );
             assert_eq!(
@@ -739,27 +472,13 @@ mod tests {
     fn advance_without_interned_old_still_lands_on_scratch() {
         let old = pool_automaton(7);
         let new = pool_automaton(8);
-        let mut graph = InternedGraph::new();
+        let graph = QuotientCache::one_stripe(QUOTIENT_CACHE_CAP);
         let report = graph.advance(&old, &new);
         assert_eq!(report, AdvanceReport::default());
         assert_eq!(
             *graph.node(&new).expect("interned").quotient(),
             scratch_quotient(&new)
         );
-    }
-
-    #[test]
-    fn sharded_cache_is_semantically_transparent() {
-        let cache = QuotientCache::new();
-        let b = pool_automaton(11);
-        let first = cache.quotient(&b);
-        let second = cache.quotient(&b);
-        assert_eq!(first, second);
-        assert_eq!(*first, scratch_quotient(&b));
-        let stats = cache.stats();
-        assert!(stats.hits + stats.misses >= 2);
-        cache.reset();
-        assert_eq!(cache.stats(), QuotientCacheStats::default());
     }
 
     #[test]
@@ -794,8 +513,8 @@ mod tests {
         };
         let old = build(false);
         let new = build(true);
-        let mut graph = InternedGraph::new();
-        graph.quotient(&old);
+        let graph = QuotientCache::one_stripe(QUOTIENT_CACHE_CAP);
+        let _ = graph.quotient(&old);
         sabotage::set_break_dirty_tracking(true);
         let drilled = {
             graph.advance(&old, &new);
@@ -804,7 +523,7 @@ mod tests {
         sabotage::set_break_dirty_tracking(false);
         assert_ne!(
             *drilled,
-            *compute_node(&new).rows,
+            *compute_node(None, &new).0.rows,
             "the drill must produce stale fixpoint rows on this fixture"
         );
     }

@@ -79,16 +79,14 @@ pub use complement::{
 pub use decompose::{decompose, BuchiDecomposition};
 pub use empty::{find_accepted_word, is_empty};
 pub use incl::{
-    engine_stats, equivalent, equivalent_budgeted, equivalent_rank, equivalent_rank_with_cache,
-    incl_engine, included, included_budgeted, included_rank, included_rank_budgeted,
-    included_rank_with_cache, included_with_complement, reset_shared_complement_cache,
-    shared_complement_cache_stats, universal, universal_rank, universal_rank_with_cache,
-    ComplementCache, ComplementCacheStats, EngineStats, InclEngine, Inclusion,
+    equivalent, equivalent_budgeted, equivalent_rank, equivalent_rank_with_cache, incl_engine,
+    included, included_budgeted, included_rank, included_rank_budgeted, included_rank_with_cache,
+    included_with_complement, reset_shared_complement_cache, shared_complement_cache, universal,
+    universal_rank, universal_rank_with_cache, ComplementCache, InclEngine, Inclusion,
 };
 pub use interned::{
-    reset_shared_quotient_cache, scratch_quotient, shared_quotient_cache,
-    shared_quotient_cache_stats, AdvanceReport, InternedGraph, InternedNode, QuotientCache,
-    QuotientCacheStats,
+    reset_shared_quotient_cache, scratch_quotient, shared_quotient_cache, AdvanceReport,
+    AdvanceStats, InternedNode, QuotientCache, QUOTIENT_CACHE_CAP,
 };
 pub use member::{accepts, BuchiProperty};
 pub use monitor::{Monitor, SecurityAutomaton, Verdict};

@@ -52,7 +52,7 @@ pub(crate) fn initial_rows(b: &Buchi) -> Vec<Bitset> {
 /// drop pairs that fail against a superset of the fixpoint (so no true
 /// pair is lost), and the stable relation is a post-fixpoint, hence
 /// *the* greatest fixpoint — which is what lets
-/// [`crate::interned::InternedGraph::advance`] seed the loop with stale
+/// [`crate::interned::QuotientCache::advance`] seed the loop with stale
 /// verdicts from a previous automaton version and still land on a
 /// bit-identical result.
 pub(crate) fn refine_rows(succ: &[Vec<Bitset>], rows: &mut [Bitset]) {

@@ -28,7 +28,7 @@ use sl_buchi::{
     included_antichain, included_antichain_budgeted, included_onthefly,
     included_onthefly_budgeted_with_cache, included_rank, live_states, scratch_quotient,
     universal_antichain, universal_onthefly, universal_rank, Buchi, BuchiBuilder, CompiledMonitor,
-    Inclusion, InternedGraph, Monitor, QuotientCache, Verdict,
+    Inclusion, Monitor, QuotientCache, Verdict, QUOTIENT_CACHE_CAP,
 };
 use sl_lattice::{
     classify, decompose, decompose_pair_checked, no_decomposition_exists, theorem5_applies,
@@ -286,7 +286,7 @@ fn mutate_shape(sigma: &Alphabet, shape: &mut Shape, rng: &mut SplitMix) {
 /// Three-engine differential (on-the-fly / eager antichain / rank) on
 /// inclusion, universality, and equivalence, followed by the
 /// incremental-quotient drill: `steps` seeded edits of the left
-/// automaton, each `advance`d through an [`InternedGraph`] and checked
+/// automaton, each `advance`d through a one-stripe [`QuotientCache`] and checked
 /// bit-for-bit against a from-scratch quotient. The dirty-SCC
 /// invalidation sabotage drill must be caught here.
 fn check_incl3(c: &Incl3Case) -> Outcome {
@@ -406,9 +406,9 @@ fn check_incl3(c: &Incl3Case) -> Outcome {
     // quotient must be bit-identical to a from-scratch computation.
     let sigma = a.alphabet().clone();
     let mut rng = SplitMix::new(c.seed);
-    let mut graph = InternedGraph::new();
+    let graph = QuotientCache::one_stripe(QUOTIENT_CACHE_CAP);
     let mut prev = a;
-    graph.quotient(&prev);
+    let _ = graph.quotient(&prev);
     let mut shape = shape_of(&prev);
     for step in 0..c.steps {
         mutate_shape(&sigma, &mut shape, &mut rng);

@@ -1,18 +1,18 @@
-//! Memoization of query results, keyed by `(verb, structural_hash)`.
+//! Memoization of query results, keyed by verb and operands.
 //!
-//! The same policy as `sl-buchi`'s complement cache: a bounded map
-//! that is *cleared* (not evicted entry-by-entry) when it would exceed
-//! its cap — O(1) worst-case bookkeeping, bounded memory on unbounded
-//! corpora — and a stored-operand equality check that turns 64-bit
-//! hash collisions into cache misses instead of wrong answers.
+//! A thin wrapper over [`sl_support::StripedCache`], which supplies the
+//! policy every memo table in the workspace shares: a bounded stripe
+//! *cleared* (not evicted entry-by-entry) when it would exceed its cap,
+//! a stored-operand equality check that turns 64-bit hash collisions
+//! into recomputations instead of wrong answers, and singleflight for
+//! concurrent cold computes.
 //!
-//! Since the daemon serves connections concurrently, the map is
-//! **sharded into striped locks** keyed by the left operand's
-//! structural hash: every session shares one result pool (a cold query
-//! computed for one client is a warm hit for every other), while
-//! probes for distinct automata proceed on distinct stripes without
-//! contending. All methods take `&self`; a shard's lock is held only
-//! for the probe or store itself, never across a compute.
+//! This cache keeps `cache_cap` results over [`QUERY_CACHE_SHARDS`]
+//! stripes chosen by the **left operand's** structural hash: every
+//! session shares one result pool (a cold query computed for one client
+//! is a warm hit for every other), repeat queries about one automaton
+//! serialize through one stripe, and probes for distinct automata
+//! proceed without contending. All methods take `&self`.
 //!
 //! Only successful results are cached: a query that failed on a small
 //! budget must be recomputed when the client retries with a larger
@@ -22,11 +22,13 @@
 
 use crate::json::Json;
 use sl_buchi::Buchi;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use sl_support::{CacheStats, StripedCache};
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
-/// Default stripe count for [`QueryCache::new`]. Shard selection is
-/// `left.structural_hash() % shards`, so repeat queries land on (and
+/// Stripe count for [`QueryCache::new`]. Stripe selection is
+/// `left.structural_hash() % stripes`, so repeat queries land on (and
 /// serialize through) one stripe while distinct operands parallelize.
 pub const QUERY_CACHE_SHARDS: usize = 8;
 
@@ -45,65 +47,36 @@ pub enum QueryKind {
     Universal,
 }
 
-/// The full cache key: verb tag plus the operands' structural hashes
-/// (0 for an absent right operand). Shared with the engine's in-flight
-/// compute deduplication, which tracks pending computes by this key.
-pub(crate) type QueryKey = (QueryKind, u64, u64);
-
-#[derive(Debug)]
-struct Entry {
+/// The full cache key: verb tag plus operands. Equality compares the
+/// automata themselves (pointer-equal `Arc`s short-circuit).
+#[derive(Debug, Clone, PartialEq)]
+struct QueryKey {
+    kind: QueryKind,
     left: Arc<Buchi>,
     right: Option<Arc<Buchi>>,
-    result: Json,
 }
 
-/// Counters describing how the cache has been used (levels and
-/// monotone counts; `entries` is a gauge). For a sharded cache this is
-/// the roll-up; [`QueryCache::shard_stats`] has the per-stripe split.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueryCacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that had to compute.
-    pub misses: u64,
-    /// Results currently stored.
-    pub entries: usize,
-    /// Times a shard hit its cap and was cleared wholesale.
-    pub clears: u64,
-    /// Lookups whose hash matched a stored entry for different
-    /// operands; recomputed uncached, costing time but never
-    /// correctness.
-    pub collisions: u64,
-}
-
-/// One stripe: a bounded map plus its counters, guarded by one lock.
-#[derive(Debug, Default)]
-struct Shard {
-    map: HashMap<QueryKey, Entry>,
-    hits: u64,
-    misses: u64,
-    clears: u64,
-    collisions: u64,
-}
-
-impl Shard {
-    fn stats(&self) -> QueryCacheStats {
-        QueryCacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            entries: self.map.len(),
-            clears: self.clears,
-            collisions: self.collisions,
-        }
+impl QueryKey {
+    /// The key plus its stripe hash (the left operand's structural
+    /// hash) and its slot hash (verb and both operands' hashes).
+    fn hashed(kind: QueryKind, left: &Arc<Buchi>, right: Option<&Arc<Buchi>>) -> (u64, u64, Self) {
+        let left_hash = left.structural_hash();
+        let right_hash = right.map_or(0, |r| r.structural_hash());
+        let mut hasher = DefaultHasher::new();
+        (kind, left_hash, right_hash).hash(&mut hasher);
+        let key = QueryKey {
+            kind,
+            left: Arc::clone(left),
+            right: right.cloned(),
+        };
+        (left_hash, hasher.finish(), key)
     }
 }
 
-/// The bounded, sharded query-result cache.
+/// The bounded, striped query-result cache.
 #[derive(Debug)]
 pub struct QueryCache {
-    shards: Vec<Mutex<Shard>>,
-    /// Per-shard entry cap (the construction cap split evenly).
-    shard_cap: usize,
+    results: StripedCache<QueryKey, Json>,
 }
 
 impl QueryCache {
@@ -111,74 +84,45 @@ impl QueryCache {
     /// [`QUERY_CACHE_SHARDS`] stripes.
     #[must_use]
     pub fn new(cap: usize) -> Self {
-        Self::with_shards(cap, QUERY_CACHE_SHARDS)
-    }
-
-    /// An empty cache with an explicit stripe count (tests pin 1 shard
-    /// to observe the cap-and-clear policy exactly).
-    #[must_use]
-    pub fn with_shards(cap: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
         QueryCache {
-            shard_cap: (cap / shards).max(1),
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
+            results: StripedCache::new(cap, QUERY_CACHE_SHARDS),
         }
     }
 
-    pub(crate) fn key(kind: QueryKind, left: &Buchi, right: Option<&Buchi>) -> QueryKey {
-        (
-            kind,
-            left.structural_hash(),
-            right.map_or(0, Buchi::structural_hash),
-        )
+    /// The cached result, or `compute()`'s: concurrent cold lookups of
+    /// one query share a single compute, and only `Ok` is stored.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `compute` returns.
+    pub fn get_or_compute<E>(
+        &self,
+        kind: QueryKind,
+        left: &Arc<Buchi>,
+        right: Option<&Arc<Buchi>>,
+        compute: impl FnOnce() -> Result<Json, E>,
+    ) -> Result<Json, E> {
+        let (stripe, hash, key) = QueryKey::hashed(kind, left, right);
+        self.results
+            .get_or_try_insert_with(stripe, hash, &key, compute)
     }
 
-    /// The stripe responsible for `key`, locked. Poisoning is absorbed:
-    /// the cache is semantically transparent, so state abandoned by a
-    /// panicking thread is still a valid memo table.
-    fn shard(&self, key: &QueryKey) -> MutexGuard<'_, Shard> {
-        let index = (key.1 % self.shards.len() as u64) as usize;
-        self.shards[index].lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Looks up a result, verifying the stored operands are *equal* to
-    /// the probe's (hash collisions count as misses, tallied
-    /// separately). Updates the hit/miss counters.
+    /// Looks up a result without claiming it (the batch path computes
+    /// misses itself and [`QueryCache::store`]s them): a hit, or `None`
+    /// after counting a miss or a collision.
     pub fn probe(
         &self,
         kind: QueryKind,
         left: &Arc<Buchi>,
         right: Option<&Arc<Buchi>>,
     ) -> Option<Json> {
-        let key = Self::key(kind, left, right.map(Arc::as_ref));
-        let mut shard = self.shard(&key);
-        match shard.map.get(&key) {
-            Some(entry) => {
-                let same = entry.left.as_ref() == left.as_ref()
-                    && match (&entry.right, right) {
-                        (None, None) => true,
-                        (Some(stored), Some(probe)) => stored.as_ref() == probe.as_ref(),
-                        _ => false,
-                    };
-                if same {
-                    let result = entry.result.clone();
-                    shard.hits += 1;
-                    Some(result)
-                } else {
-                    shard.collisions += 1;
-                    shard.misses += 1;
-                    None
-                }
-            }
-            None => {
-                shard.misses += 1;
-                None
-            }
-        }
+        let (stripe, hash, key) = QueryKey::hashed(kind, left, right);
+        self.results.probe(stripe, hash, &key)
     }
 
     /// Stores a computed result, clearing the whole stripe first if it
-    /// is at capacity (cap-and-clear, as the complement cache does).
+    /// is at capacity. A different query already holding the slot
+    /// keeps it.
     pub fn store(
         &self,
         kind: QueryKind,
@@ -186,45 +130,26 @@ impl QueryCache {
         right: Option<Arc<Buchi>>,
         result: Json,
     ) {
-        let key = Self::key(kind, &left, right.as_deref());
-        let mut shard = self.shard(&key);
-        if !shard.map.contains_key(&key) && shard.map.len() >= self.shard_cap {
-            shard.map.clear();
-            shard.clears += 1;
-        }
-        shard.map.insert(key, Entry { left, right, result });
+        let (stripe, hash, key) = QueryKey::hashed(kind, &left, right.as_ref());
+        self.results.store(stripe, hash, key, result);
     }
 
-    /// A roll-up of the counters across every stripe.
+    /// Counters summed over every stripe.
     #[must_use]
-    pub fn stats(&self) -> QueryCacheStats {
-        let mut total = QueryCacheStats::default();
-        for stats in self.shard_stats() {
-            total.hits += stats.hits;
-            total.misses += stats.misses;
-            total.entries += stats.entries;
-            total.clears += stats.clears;
-            total.collisions += stats.collisions;
-        }
-        total
+    pub fn stats(&self) -> CacheStats {
+        self.results.stats()
     }
 
-    /// Per-stripe counters, in shard order — `stats` surfaces these so
+    /// Per-stripe counters, in stripe order — `stats` surfaces these so
     /// a workload thrashing one stripe is visible without a profiler.
     #[must_use]
-    pub fn shard_stats(&self) -> Vec<QueryCacheStats> {
-        self.shards
-            .iter()
-            .map(|shard| shard.lock().unwrap_or_else(PoisonError::into_inner).stats())
-            .collect()
+    pub fn shard_stats(&self) -> Vec<CacheStats> {
+        self.results.stripe_stats()
     }
 
     /// Empties the cache and zeroes the counters (bench isolation).
     pub fn reset(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            *shard = Shard::default();
-        }
+        self.results.reset();
     }
 }
 
@@ -233,115 +158,19 @@ mod tests {
     use super::*;
     use sl_omega::Alphabet;
 
-    fn arc(b: Buchi) -> Arc<Buchi> {
-        Arc::new(b)
-    }
-
     #[test]
     fn probe_miss_store_hit() {
         let cache = QueryCache::new(8);
-        let u = arc(Buchi::universal(Alphabet::ab()));
+        let u = Arc::new(Buchi::universal(Alphabet::ab()));
         assert!(cache.probe(QueryKind::Universal, &u, None).is_none());
         cache.store(QueryKind::Universal, Arc::clone(&u), None, Json::Bool(true));
-        assert_eq!(cache.probe(QueryKind::Universal, &u, None), Some(Json::Bool(true)));
+        assert_eq!(
+            cache.probe(QueryKind::Universal, &u, None),
+            Some(Json::Bool(true))
+        );
         // Same operand under a different verb tag is a distinct key.
         assert!(cache.probe(QueryKind::Classify, &u, None).is_none());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 1));
-    }
-
-    #[test]
-    fn cap_and_clear_bounds_the_map() {
-        // One shard pins the clear policy exactly: the sharded default
-        // would spread the three operands across stripes.
-        let cache = QueryCache::with_shards(2, 1);
-        let sigma = Alphabet::ab();
-        let automata: Vec<Arc<Buchi>> = (0..3)
-            .map(|seed| {
-                arc(sl_buchi::random_buchi(
-                    &sigma,
-                    seed,
-                    sl_buchi::RandomConfig::default(),
-                ))
-            })
-            .collect();
-        for (i, b) in automata.iter().enumerate() {
-            cache.store(QueryKind::Classify, Arc::clone(b), None, Json::Int(i as i64));
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.clears, 1);
-        // The third insert cleared the first two: only it survives.
-        assert_eq!(stats.entries, 1);
-        assert!(cache.probe(QueryKind::Classify, &automata[2], None).is_some());
-        assert!(cache.probe(QueryKind::Classify, &automata[0], None).is_none());
-    }
-
-    #[test]
-    fn rollup_sums_per_shard_counters() {
-        let cache = QueryCache::new(64);
-        let sigma = Alphabet::ab();
-        for seed in 0..16 {
-            let b = arc(sl_buchi::random_buchi(
-                &sigma,
-                seed,
-                sl_buchi::RandomConfig::default(),
-            ));
-            assert!(cache.probe(QueryKind::Classify, &b, None).is_none());
-            cache.store(QueryKind::Classify, Arc::clone(&b), None, Json::Int(seed as i64));
-            assert!(cache.probe(QueryKind::Classify, &b, None).is_some());
-        }
-        let per_shard = cache.shard_stats();
-        assert_eq!(per_shard.len(), QUERY_CACHE_SHARDS);
-        let rollup = cache.stats();
-        assert_eq!(per_shard.iter().map(|s| s.hits).sum::<u64>(), rollup.hits);
-        assert_eq!(per_shard.iter().map(|s| s.misses).sum::<u64>(), rollup.misses);
-        assert_eq!(per_shard.iter().map(|s| s.entries).sum::<usize>(), rollup.entries);
-        assert_eq!((rollup.hits, rollup.misses, rollup.entries), (16, 16, 16));
-        // 16 distinct random automata should not all pile onto one
-        // stripe — the hash actually spreads.
-        assert!(
-            per_shard.iter().filter(|s| s.entries > 0).count() > 1,
-            "{per_shard:?}"
-        );
-    }
-
-    #[test]
-    fn concurrent_probes_and_stores_stay_consistent() {
-        let cache = QueryCache::new(256);
-        let sigma = Alphabet::ab();
-        let automata: Vec<Arc<Buchi>> = (0..8)
-            .map(|seed| {
-                arc(sl_buchi::random_buchi(
-                    &sigma,
-                    seed,
-                    sl_buchi::RandomConfig::default(),
-                ))
-            })
-            .collect();
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let cache = &cache;
-                let automata = &automata;
-                scope.spawn(move || {
-                    for round in 0..50 {
-                        let b = &automata[(t + round) % automata.len()];
-                        match cache.probe(QueryKind::Universal, b, None) {
-                            Some(result) => {
-                                assert_eq!(result, Json::Int(b.num_states() as i64))
-                            }
-                            None => cache.store(
-                                QueryKind::Universal,
-                                Arc::clone(b),
-                                None,
-                                Json::Int(b.num_states() as i64),
-                            ),
-                        }
-                    }
-                });
-            }
-        });
-        let stats = cache.stats();
-        assert_eq!(stats.hits + stats.misses, 200);
-        assert!(stats.entries <= automata.len());
     }
 }

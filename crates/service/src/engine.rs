@@ -11,23 +11,24 @@
 //! * the **registry** sits behind an `RwLock` — queries take read
 //!   locks and run concurrently, `define`/`decompose` take the write
 //!   lock only for the insert itself;
-//! * the **query cache** and the rank engine's complement cache are
-//!   sharded into striped locks keyed by structural hash (see
-//!   [`crate::cache`]); an in-flight table additionally deduplicates
-//!   concurrent computes of the same cold query — the first claimant
-//!   computes, everyone else waits on a condvar and re-probes;
+//! * the **query cache**, the `check` cache, the quotient cache and the
+//!   rank engine's complement cache are [`sl_support::StripedCache`]s:
+//!   striped locks keyed by structural hash, with singleflight — the
+//!   first lookup of a cold key computes, every concurrent lookup of
+//!   it waits on the stripe's condvar and re-probes;
 //! * **monitor sessions and compiled fleets** share one mutex (they
 //!   are one namespace daemon-wide, so a snapshot taken by any
 //!   connection captures every session);
-//! * counters are atomics; engine totals aggregate under their own
+//! * counters are atomics; antichain totals aggregate under their own
 //!   mutex.
 //!
 //! Mutating verbs (`define`, `decompose`, `monitor-step`) serialize
 //! through the **mutation lock** — the persist slot's mutex — so the
 //! journal's append order *is* dispatch order and crash recovery
 //! replays exactly the interleaving that was served. Lock order is
-//! persist → registry → sessions → cache shard → engine totals;
-//! `stats` takes its locks one at a time and never nests them.
+//! persist → registry → sessions → antichain totals; cache stripe locks
+//! are leaves, never held across a compute or while taking another
+//! lock. `stats` takes its locks one at a time and never nests them.
 //!
 //! `shutdown` drains under the mutation lock: it flips the stopped
 //! flag, flushes the journal, writes a final snapshot, and every
@@ -50,11 +51,11 @@
 //!   are computed in parallel, and results are committed sequentially
 //!   in item order — cache counters and contents end up
 //!   schedule-independent;
-//! * engine counters ([`EngineStats`]) are measured per query *on the
-//!   worker thread that ran it* and the deltas are summed in item
-//!   order. Antichain counters are a pure function of the query, so
-//!   the totals reported by `stats` are deterministic under the
-//!   default engine. (The rank engine's complement cache is shared
+//! * antichain counters ([`sl_buchi::AntichainStats`]) are measured per
+//!   query *on the worker thread that ran it* and the deltas are summed
+//!   in item order. They are a pure function of the query, so the
+//!   totals reported by `stats` are deterministic under the default
+//!   engine. (The rank engine's complement cache is shared
 //!   process-wide, so its hit/miss split depends on what else is
 //!   running — transcripts that pin `SL_INCL_ENGINE=rank` should not
 //!   diff a `stats` response.)
@@ -78,7 +79,7 @@
 //! `sl.service.request` site makes request intake itself drillable
 //! under `SL_FAULT_RATE`.
 
-use crate::cache::{QueryCache, QueryCacheStats, QueryKey, QueryKind};
+use crate::cache::{QueryCache, QueryKind};
 use crate::json::Json;
 use crate::persist::{Persist, PersistConfig, PersistError, SessionSnap};
 use crate::proto::{
@@ -86,23 +87,23 @@ use crate::proto::{
 };
 use crate::registry::Registry;
 use sl_buchi::{
-    classify, closure, decompose, engine_stats, equivalent, equivalent_budgeted,
+    antichain_stats, classify, closure, decompose, equivalent, equivalent_budgeted,
     equivalent_onthefly_budgeted_with_cache, equivalent_onthefly_with_cache, hoa, incl_engine,
     included, included_budgeted, included_onthefly_budgeted_with_cache,
-    included_onthefly_with_cache, is_safety, shared_complement_cache_stats, universal,
-    universal_onthefly_with_cache, Buchi, Classification, CompiledMonitor, EngineStats,
+    included_onthefly_with_cache, is_safety, shared_complement_cache, universal,
+    universal_onthefly_with_cache, AntichainStats, Buchi, Classification, CompiledMonitor,
     InclEngine, Inclusion, Monitor, MonitorFleet, QuotientCache, Verdict,
 };
 use sl_omega::Alphabet;
 use sl_pdr::{check_liveness, check_safety, LivenessVerdict, SafetyVerdict};
 use sl_support::par::{try_par_map_with, ItemOutcome};
-use sl_support::{fault, par, Budget, FaultPlan, SlError};
+use sl_support::{fault, par, Budget, CacheStats, FaultPlan, SlError, StripedCache};
 use sl_trees::Kripke;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// The fault-injection site charged once per request (batch items
 /// included), indexed by intake order.
@@ -203,7 +204,7 @@ impl Sessions {
     /// safety is decided once per target automaton, not per session.
     ///
     /// The safety check deliberately bypasses the query cache and the
-    /// engine totals: `monitor-step` has never touched either, and
+    /// antichain totals: `monitor-step` has never touched either, and
     /// keeping it that way preserves every existing golden `stats`
     /// transcript byte-for-byte.
     fn make_backend(&mut self, target: &Arc<Buchi>) -> SessionBackend {
@@ -275,12 +276,10 @@ fn is_journaled(verb: Verb) -> bool {
 /// table. `check` operands are inline Kripke structures, not
 /// registered automata, so the query cache's `Arc<Buchi>`-shaped
 /// entries cannot hold them; this cache is keyed by a 64-bit hash of
-/// the request's canonical text with a stored-text equality check
-/// (hash collisions recompute, never corrupt) and the same
-/// cap-and-clear policy as every other cache in the workspace.
-#[derive(Debug, Default)]
+/// the request's canonical text, in one stripe of `cache_cap` entries.
+#[derive(Debug)]
 struct CheckState {
-    cache: Mutex<CheckCache>,
+    cache: StripedCache<String, Json>,
     /// Frames opened across all computed checks.
     frames: AtomicU64,
     /// Proof obligations discharged.
@@ -289,15 +288,6 @@ struct CheckState {
     generalizations: AtomicU64,
     /// Sum of the k-liveness bounds the sweeps settled at.
     k_reached: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct CheckCache {
-    map: HashMap<u64, (String, Json)>,
-    hits: u64,
-    misses: u64,
-    clears: u64,
-    collisions: u64,
 }
 
 /// The durability attachment: the journal/snapshot manager plus the
@@ -353,13 +343,12 @@ struct Shared {
     cache: QueryCache,
     check: CheckState,
     counters: Counters,
-    engine_totals: Mutex<EngineStats>,
+    /// Antichain counters summed over every computed query.
+    antichain: Mutex<AntichainStats>,
     /// Per-daemon interned-quotient cache: `define`/`redefine` advance
     /// it incrementally, the on-the-fly inclusion engine reads it.
     /// Private to this service (not the process-global cache) so the
-    /// `stats` counters are deterministic under concurrent tests. Its
-    /// shard mutexes are leaf locks — never taken while holding the
-    /// registry, session, or cache locks.
+    /// `stats` counters are deterministic under concurrent tests.
     quotient: QuotientCache,
     next_request_index: AtomicU64,
     /// The mutation lock: journaled verbs append and dispatch under
@@ -370,10 +359,6 @@ struct Shared {
     /// Set by `shutdown` under the mutation lock; every later request
     /// is refused with `shutting_down`.
     stopped: AtomicBool,
-    /// In-flight compute dedup: cache keys currently being computed.
-    /// A probe miss claims its key here or waits for the claimant.
-    pending: Mutex<HashSet<QueryKey>>,
-    pending_done: Condvar,
 }
 
 /// The daemon state: registry, monitor sessions, cache, counters —
@@ -405,18 +390,22 @@ impl Service {
         Service {
             shared: Arc::new(Shared {
                 cache: QueryCache::new(config.cache_cap),
-                check: CheckState::default(),
+                check: CheckState {
+                    cache: StripedCache::new(config.cache_cap, 1),
+                    frames: AtomicU64::new(0),
+                    obligations: AtomicU64::new(0),
+                    generalizations: AtomicU64::new(0),
+                    k_reached: AtomicU64::new(0),
+                },
                 quotient: QuotientCache::with_fault(config.fault),
                 config,
                 registry: RwLock::new(Registry::new()),
                 sessions: Mutex::new(Sessions::default()),
                 counters: Counters::default(),
-                engine_totals: Mutex::new(EngineStats::default()),
+                antichain: Mutex::new(AntichainStats::default()),
                 next_request_index: AtomicU64::new(0),
                 persist: Mutex::new(None),
                 stopped: AtomicBool::new(false),
-                pending: Mutex::new(HashSet::new()),
-                pending_done: Condvar::new(),
             }),
         }
     }
@@ -490,16 +479,9 @@ impl Service {
         relock(self.shared.sessions.lock())
     }
 
-    /// Folds a per-query engine delta into the daemon totals. The
-    /// complement- and quotient-cache halves are dropped: those caches
-    /// are shared beyond the query (process-wide and daemon-wide
-    /// respectively), so `stats` reports them live instead of summing
-    /// deltas that other threads' activity would skew.
-    fn absorb_engine(&self, delta: &EngineStats) {
-        let mut antichain_only = *delta;
-        antichain_only.complement_cache = Default::default();
-        antichain_only.quotient_cache = Default::default();
-        relock(self.shared.engine_totals.lock()).absorb(&antichain_only);
+    /// Folds a per-query antichain delta into the daemon totals.
+    fn absorb_antichain(&self, delta: &AntichainStats) {
+        relock(self.shared.antichain.lock()).absorb(delta);
     }
 
     // ---- lifecycle and session accounting --------------------------
@@ -608,7 +590,7 @@ impl Service {
 
     /// Cache counters (bench reporting).
     #[must_use]
-    pub fn cache_stats(&self) -> QueryCacheStats {
+    pub fn cache_stats(&self) -> CacheStats {
         self.shared.cache.stats()
     }
 
@@ -1005,48 +987,21 @@ impl Service {
         })
     }
 
-    /// Probes the cache, computes on miss (inside a panic boundary,
-    /// with engine counters attributed), stores successful results.
-    ///
-    /// Concurrent cold queries for the same key are **deduplicated**:
-    /// the first connection to claim the key computes it; every other
-    /// connection waits on the condvar and re-probes, so n clients
-    /// asking the same cold question cost one compute, not n. Failed
-    /// computes release the claim without storing — each waiter then
-    /// claims and retries for itself (a budget-limited failure must
-    /// not shadow a retry with a larger budget).
+    /// Answers from the cache, or computes (inside a panic boundary,
+    /// with antichain counters attributed) and stores a successful
+    /// result. Concurrent cold queries for the same key share one
+    /// compute (the cache's singleflight); a failed compute is not
+    /// stored, so each waiter then computes for itself (a
+    /// budget-limited failure must not shadow a retry with a larger
+    /// budget).
     fn run_query(&self, job: &QueryJob) -> Result<Json, ProtoError> {
-        let key = QueryCache::key(job.kind, &job.left, job.right.as_deref());
-        loop {
-            if let Some(result) = self
-                .shared
-                .cache
-                .probe(job.kind, &job.left, job.right.as_ref())
-            {
-                return Ok(result);
-            }
-            let mut pending = relock(self.shared.pending.lock());
-            if pending.insert(key) {
-                break;
-            }
-            let guard = relock(self.shared.pending_done.wait(pending));
-            drop(guard);
-        }
-        let (outcome, delta) = compute_isolated(job, &self.shared.quotient);
-        self.absorb_engine(&delta);
-        if let Ok(result) = &outcome {
-            self.shared.cache.store(
-                job.kind,
-                Arc::clone(&job.left),
-                job.right.clone(),
-                result.clone(),
-            );
-        }
-        let mut pending = relock(self.shared.pending.lock());
-        pending.remove(&key);
-        drop(pending);
-        self.shared.pending_done.notify_all();
-        outcome
+        self.shared
+            .cache
+            .get_or_compute(job.kind, &job.left, job.right.as_ref(), || {
+                let (outcome, delta) = compute_isolated(job, &self.shared.quotient);
+                self.absorb_antichain(&delta);
+                outcome
+            })
     }
 
     // ---- decompose ------------------------------------------------
@@ -1054,13 +1009,13 @@ impl Service {
     fn do_decompose(&self, request: &Request) -> Result<Json, ProtoError> {
         let name = require_str(&request.body, "target")?.to_string();
         let target = resolve_in(&self.read_registry(), &request.body, "target")?;
-        let before = engine_stats();
+        let before = antichain_stats();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let d = decompose(&target);
             let check = d.check_sampled(&target, 2, 2);
             (d, check)
         }));
-        self.absorb_engine(&engine_stats().delta_since(&before));
+        self.absorb_antichain(&antichain_stats().delta_since(&before));
         let (d, check) = outcome.map_err(|payload| {
             ProtoError::new("panic", panic_message(payload.as_ref()))
         })?;
@@ -1224,72 +1179,53 @@ impl Service {
             }
         };
         let (kripke, bad, canon) = parse_check_model(&request.body, liveness)?;
-        let key = {
+        let hash = {
             let mut hasher = std::collections::hash_map::DefaultHasher::new();
             canon.hash(&mut hasher);
             hasher.finish()
         };
-        {
-            let mut cache = relock(self.shared.check.cache.lock());
-            match cache.map.get(&key) {
-                Some((stored, result)) if *stored == canon => {
-                    let result = result.clone();
-                    cache.hits += 1;
-                    return Ok(result);
+        let cache = &self.shared.check.cache;
+        cache.get_or_try_insert_with(hash, hash, &canon, || {
+            let budget = request
+                .budget
+                .map_or_else(Budget::unlimited, BudgetSpec::to_budget);
+            let result = if liveness {
+                let run = check_liveness(&kripke, &bad, &budget)
+                    .map_err(|e| ProtoError::new(kind_of(&e), e.to_string()))?;
+                self.absorb_check(&run.stats, run.k_reached);
+                match run.verdict {
+                    LivenessVerdict::Live { k, invariant } => Json::obj(vec![
+                        ("mode", Json::Str("liveness".to_string())),
+                        ("verdict", Json::Str("live".to_string())),
+                        ("k", Json::Int(k as i64)),
+                        ("invariant", states_json(invariant.iter())),
+                    ]),
+                    LivenessVerdict::Lasso { stem, looping } => Json::obj(vec![
+                        ("mode", Json::Str("liveness".to_string())),
+                        ("verdict", Json::Str("lasso".to_string())),
+                        ("stem", states_json(stem.into_iter())),
+                        ("loop", states_json(looping.into_iter())),
+                    ]),
                 }
-                Some(_) => {
-                    cache.collisions += 1;
-                    cache.misses += 1;
+            } else {
+                let run = check_safety(&kripke, &bad, &budget)
+                    .map_err(|e| ProtoError::new(kind_of(&e), e.to_string()))?;
+                self.absorb_check(&run.stats, 0);
+                match run.verdict {
+                    SafetyVerdict::Safe { invariant } => Json::obj(vec![
+                        ("mode", Json::Str("safety".to_string())),
+                        ("verdict", Json::Str("safe".to_string())),
+                        ("invariant", states_json(invariant.iter())),
+                    ]),
+                    SafetyVerdict::Unsafe { trace } => Json::obj(vec![
+                        ("mode", Json::Str("safety".to_string())),
+                        ("verdict", Json::Str("unsafe".to_string())),
+                        ("trace", states_json(trace.into_iter())),
+                    ]),
                 }
-                None => cache.misses += 1,
-            }
-        }
-        let budget = request
-            .budget
-            .map_or_else(Budget::unlimited, BudgetSpec::to_budget);
-        let result = if liveness {
-            let run = check_liveness(&kripke, &bad, &budget)
-                .map_err(|e| ProtoError::new(kind_of(&e), e.to_string()))?;
-            self.absorb_check(&run.stats, run.k_reached);
-            match run.verdict {
-                LivenessVerdict::Live { k, invariant } => Json::obj(vec![
-                    ("mode", Json::Str("liveness".to_string())),
-                    ("verdict", Json::Str("live".to_string())),
-                    ("k", Json::Int(k as i64)),
-                    ("invariant", states_json(invariant.iter())),
-                ]),
-                LivenessVerdict::Lasso { stem, looping } => Json::obj(vec![
-                    ("mode", Json::Str("liveness".to_string())),
-                    ("verdict", Json::Str("lasso".to_string())),
-                    ("stem", states_json(stem.into_iter())),
-                    ("loop", states_json(looping.into_iter())),
-                ]),
-            }
-        } else {
-            let run = check_safety(&kripke, &bad, &budget)
-                .map_err(|e| ProtoError::new(kind_of(&e), e.to_string()))?;
-            self.absorb_check(&run.stats, 0);
-            match run.verdict {
-                SafetyVerdict::Safe { invariant } => Json::obj(vec![
-                    ("mode", Json::Str("safety".to_string())),
-                    ("verdict", Json::Str("safe".to_string())),
-                    ("invariant", states_json(invariant.iter())),
-                ]),
-                SafetyVerdict::Unsafe { trace } => Json::obj(vec![
-                    ("mode", Json::Str("safety".to_string())),
-                    ("verdict", Json::Str("unsafe".to_string())),
-                    ("trace", states_json(trace.into_iter())),
-                ]),
-            }
-        };
-        let mut cache = relock(self.shared.check.cache.lock());
-        if !cache.map.contains_key(&key) && cache.map.len() >= self.shared.config.cache_cap {
-            cache.map.clear();
-            cache.clears += 1;
-        }
-        cache.map.insert(key, (canon, result.clone()));
-        drop(cache);
-        Ok(result)
+            };
+            Ok(result)
+        })
     }
 
     /// Folds one computed check's engine counters into the daemon
@@ -1333,25 +1269,28 @@ impl Service {
         requests.push(("total".to_string(), Json::Int(total as i64)));
         let automata = self.read_registry().len();
         let monitors = self.lock_sessions().monitors.len();
-        let cache = self.shared.cache.stats();
         let shards: Vec<Json> = self
             .shared
             .cache
             .shard_stats()
             .iter()
-            .map(|s| {
-                Json::obj(vec![
-                    ("hits", Json::Int(s.hits as i64)),
-                    ("misses", Json::Int(s.misses as i64)),
-                    ("entries", Json::Int(s.entries as i64)),
-                    ("clears", Json::Int(s.clears as i64)),
-                    ("collisions", Json::Int(s.collisions as i64)),
-                ])
-            })
+            .map(|s| cache_json(s, vec![]))
             .collect();
-        let complement = shared_complement_cache_stats();
-        let antichain = relock(self.shared.engine_totals.lock()).antichain;
-        let quotient = self.shared.quotient.stats();
+        let cache = cache_json(
+            &self.shared.cache.stats(),
+            vec![("shards", Json::Arr(shards))],
+        );
+        let complement = cache_json(&shared_complement_cache().stats(), vec![]);
+        let antichain = *relock(self.shared.antichain.lock());
+        let advanced = self.shared.quotient.advance_stats();
+        let quotient = cache_json(
+            &self.shared.quotient.stats(),
+            vec![
+                ("advances", Json::Int(advanced.advances as i64)),
+                ("dirty_sccs", Json::Int(advanced.dirty_sccs as i64)),
+                ("clean_sccs", Json::Int(advanced.clean_sccs as i64)),
+            ],
+        );
         let counters = &self.shared.counters;
         let mut doc = vec![
             ("requests", Json::Obj(requests)),
@@ -1378,33 +1317,11 @@ impl Service {
                     ("monitors", Json::Int(monitors as i64)),
                 ]),
             ),
-            (
-                "cache",
-                Json::obj(vec![
-                    ("hits", Json::Int(cache.hits as i64)),
-                    ("misses", Json::Int(cache.misses as i64)),
-                    ("entries", Json::Int(cache.entries as i64)),
-                    ("clears", Json::Int(cache.clears as i64)),
-                    ("collisions", Json::Int(cache.collisions as i64)),
-                    ("shards", Json::Arr(shards)),
-                ]),
-            ),
+            ("cache", cache),
             (
                 "engine",
                 Json::obj(vec![
-                    (
-                        "complement_cache",
-                        Json::obj(vec![
-                            ("hits", Json::Int(complement.hits as i64)),
-                            ("misses", Json::Int(complement.misses as i64)),
-                            ("entries", Json::Int(complement.entries as i64)),
-                            (
-                                "invalidations",
-                                Json::Int(complement.invalidations as i64),
-                            ),
-                            ("collisions", Json::Int(complement.collisions as i64)),
-                        ]),
-                    ),
+                    ("complement_cache", complement),
                     (
                         "antichain",
                         Json::obj(vec![
@@ -1431,36 +1348,11 @@ impl Service {
                             ),
                         ]),
                     ),
-                    (
-                        "quotient_cache",
-                        Json::obj(vec![
-                            ("hits", Json::Int(quotient.hits as i64)),
-                            ("misses", Json::Int(quotient.misses as i64)),
-                            ("entries", Json::Int(quotient.entries as i64)),
-                            (
-                                "invalidations",
-                                Json::Int(quotient.invalidations as i64),
-                            ),
-                            ("collisions", Json::Int(quotient.collisions as i64)),
-                            ("advances", Json::Int(quotient.advances as i64)),
-                            ("dirty_sccs", Json::Int(quotient.dirty_sccs as i64)),
-                            ("clean_sccs", Json::Int(quotient.clean_sccs as i64)),
-                        ]),
-                    ),
+                    ("quotient_cache", quotient),
                 ]),
             ),
         ];
         let check = &self.shared.check;
-        let (c_hits, c_misses, c_entries, c_clears, c_collisions) = {
-            let cache = relock(check.cache.lock());
-            (
-                cache.hits,
-                cache.misses,
-                cache.map.len(),
-                cache.clears,
-                cache.collisions,
-            )
-        };
         doc.push((
             "check",
             Json::obj(vec![
@@ -1480,16 +1372,7 @@ impl Service {
                     "k_reached",
                     Json::Int(check.k_reached.load(Ordering::SeqCst) as i64),
                 ),
-                (
-                    "cache",
-                    Json::obj(vec![
-                        ("hits", Json::Int(c_hits as i64)),
-                        ("misses", Json::Int(c_misses as i64)),
-                        ("entries", Json::Int(c_entries as i64)),
-                        ("clears", Json::Int(c_clears as i64)),
-                        ("collisions", Json::Int(c_collisions as i64)),
-                    ]),
-                ),
+                ("cache", cache_json(&check.cache.stats(), vec![])),
             ]),
         ));
         let persist = self.lock_persist();
@@ -1523,9 +1406,9 @@ impl Service {
     /// sequential intake (fault indices, verb counts, cache probes),
     /// parallel compute of the misses, sequential commit in item
     /// order. One poisoned item degrades to its own typed error.
-    /// Batch items bypass the in-flight dedup table — the sequential
-    /// probe already deduplicates within the batch, and the counters
-    /// it produces are pinned by golden transcripts.
+    /// Batch items bypass singleflight — the sequential probe already
+    /// deduplicates within the batch, and the counters it produces are
+    /// pinned by golden transcripts.
     fn do_batch(&self, request: &Request) -> Result<Json, ProtoError> {
         let items = request
             .body
@@ -1628,7 +1511,7 @@ impl Service {
                     let job = &jobs[job_index];
                     match outcome {
                         ItemOutcome::Ok((Ok(result), delta)) => {
-                            self.absorb_engine(&delta);
+                            self.absorb_antichain(&delta);
                             self.shared.cache.store(
                                 job.kind,
                                 Arc::clone(&job.left),
@@ -1638,7 +1521,7 @@ impl Service {
                             results.push(ok_value(id.as_ref(), result));
                         }
                         ItemOutcome::Ok((Err(error), delta)) => {
-                            self.absorb_engine(&delta);
+                            self.absorb_antichain(&delta);
                             self.shared.counters.errors.fetch_add(1, Ordering::SeqCst);
                             results.push(err_value(id.as_ref(), &error));
                         }
@@ -1660,18 +1543,33 @@ impl Service {
     }
 }
 
+/// One cache block of the `stats` response: the [`CacheStats`] fields
+/// in their fixed order, then the cache's own `extra` fields.
+fn cache_json(stats: &CacheStats, extra: Vec<(&str, Json)>) -> Json {
+    let mut fields = vec![
+        ("hits", Json::Int(stats.hits as i64)),
+        ("misses", Json::Int(stats.misses as i64)),
+        ("entries", Json::Int(stats.entries as i64)),
+        ("clears", Json::Int(stats.clears as i64)),
+        ("invalidations", Json::Int(stats.invalidations as i64)),
+        ("collisions", Json::Int(stats.collisions as i64)),
+    ];
+    fields.extend(extra);
+    Json::obj(fields)
+}
+
 // ---- the pure compute kernel (shared by inline and batch paths) ----
 
-/// Computes one query inside a panic boundary, measuring the engine
+/// Computes one query inside a panic boundary, measuring the antichain
 /// counters it spent on this thread. Returns the typed outcome plus
 /// the counter delta — the caller decides how to fold both in.
 fn compute_isolated(
     job: &QueryJob,
     quotient: &QuotientCache,
-) -> (Result<Json, ProtoError>, EngineStats) {
-    let before = engine_stats();
+) -> (Result<Json, ProtoError>, AntichainStats) {
+    let before = antichain_stats();
     let outcome = catch_unwind(AssertUnwindSafe(|| compute_query(job, quotient)));
-    let delta = engine_stats().delta_since(&before);
+    let delta = antichain_stats().delta_since(&before);
     let outcome = match outcome {
         Ok(Ok(result)) => Ok(result),
         Ok(Err(err)) => Err(ProtoError::new(kind_of(&err), err.to_string())),

@@ -19,9 +19,10 @@
 //! * **`batch`** — fan query verbs through the panic-isolated parallel
 //!   sweep: one poisoned request degrades to a typed error response,
 //!   never a dead daemon;
-//! * **`stats`** — per-verb counters, result-cache effectiveness,
-//!   transport `io_errors`, persistence metrics, and the engines'
-//!   [`sl_buchi::EngineStats`];
+//! * **`stats`** — per-verb counters, one block of
+//!   [`sl_support::CacheStats`] per cache, transport `io_errors`,
+//!   persistence metrics, and the antichain engine's
+//!   [`sl_buchi::AntichainStats`];
 //! * **`shutdown`** — the graceful drain: flush the write-ahead
 //!   journal, snapshot, refuse further requests, close every
 //!   connection (`quit`, by contrast, ends only the issuing
@@ -29,8 +30,8 @@
 //!
 //! The daemon serves **concurrent connections**: [`Service`] is a
 //! cloneable handle over one shared core (registry behind an RwLock,
-//! query cache and complement cache sharded into striped locks,
-//! journaled verbs serialized through the mutation lock), and
+//! memo tables striped by structural hash with singleflight, journaled
+//! verbs serialized through the mutation lock), and
 //! [`serve_tcp`] runs one scoped thread per accepted connection,
 //! bounded by `max_conns` with a typed `overloaded` rejection beyond
 //! the cap. Each client's transcript stays byte-identical to a solo
@@ -79,7 +80,7 @@ pub mod proto;
 pub mod registry;
 pub mod server;
 
-pub use cache::{QueryCache, QueryCacheStats, QueryKind};
+pub use cache::{QueryCache, QueryKind};
 pub use engine::{Reply, Service, ServiceConfig, REQUEST_FAULT_SITE};
 pub use json::Json;
 pub use persist::{

@@ -14,8 +14,9 @@
 //!   catch-and-pinpoint path;
 //! * `"buchi.complement"` — fails a rank-based complementation
 //!   mid-construction with a typed error;
-//! * `"buchi.complement_cache"` — invalidates a memoized complement,
-//!   forcing a (behavior-preserving) recomputation.
+//! * `"buchi.complement_cache"` / `"buchi.quotient_cache"` — invalidate
+//!   a memoized complement or quotient (a [`crate::StripedCache`] fault
+//!   site), forcing a (behavior-preserving) recomputation.
 //!
 //! Environment knobs: `SL_FAULT_SEED` (u64, default 0) and
 //! `SL_FAULT_RATE` (probability in `[0, 1]`, default 0 = disabled),

@@ -27,6 +27,9 @@
 //! * [`fault`] — deterministic seeded fault injection
 //!   ([`fault::FaultPlan`], env-configured via `SL_FAULT_SEED` /
 //!   `SL_FAULT_RATE`) proving the degradation paths.
+//! * [`cache`] — [`StripedCache`], the workspace's one memo table:
+//!   striped locks, collision checks, cap-and-clear, a fault drill,
+//!   one [`CacheStats`] shape, and singleflight.
 //!
 //! Everything here is plain `std`; there are no feature flags and no
 //! transitive dependencies.
@@ -36,6 +39,7 @@
 
 pub mod bench;
 pub mod budget;
+pub mod cache;
 pub mod error;
 pub mod fault;
 pub mod par;
@@ -43,6 +47,7 @@ pub mod prop;
 pub mod rng;
 
 pub use budget::{Budget, BudgetMeter, CancelFlag};
+pub use cache::{CacheStats, StripedCache};
 pub use error::SlError;
 pub use fault::FaultPlan;
 pub use par::{ItemOutcome, SweepReport};

@@ -21,7 +21,9 @@ echo "== build (release, offline) =="
 cargo build --release --offline
 
 echo "== tests (offline) =="
-cargo test -q --offline
+# --workspace: a bare `cargo test` at the root tests only the facade
+# package, skipping every crate's own unit and integration tests.
+cargo test -q --offline --workspace
 
 echo "== experiments E1-E11 =="
 cargo build --release --offline --workspace --bins
@@ -427,7 +429,7 @@ rm -rf "$persist_tmp"
 echo "== fault-injection smoke (SL_FAULT_RATE=0.05, seeded) =="
 # The same tier-1 suite and sweeps must pass *via degradation* while a
 # deterministic fault plan poisons the instrumented sites.
-SL_FAULT_RATE=0.05 SL_FAULT_SEED=2003 cargo test -q --offline
+SL_FAULT_RATE=0.05 SL_FAULT_SEED=2003 cargo test -q --offline --workspace
 for exp in e4_decomposition e9_extremal e10_closure_ablation; do
   echo "-- $exp (fault drill)"
   SL_FAULT_RATE=0.05 SL_FAULT_SEED=2003 "./target/release/$exp"

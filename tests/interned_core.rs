@@ -8,10 +8,12 @@
 
 use safety_liveness::buchi::{
     antichain::antichain_stats, included_onthefly, included_onthefly_with_cache, random_buchi,
-    scratch_quotient, Buchi, BuchiBuilder, Inclusion, InternedGraph, QuotientCache, RandomConfig,
+    scratch_quotient, Buchi, BuchiBuilder, Inclusion, QuotientCache, RandomConfig,
+    QUOTIENT_CACHE_CAP,
 };
 use safety_liveness::omega::Alphabet;
 use sl_support::rng::SplitMix;
+use std::sync::Arc;
 
 /// The editable shape of an automaton: acceptance bits plus the
 /// per-(state, symbol-index) successor lists. Mutations edit this and
@@ -104,7 +106,7 @@ fn incremental_quotient_is_bit_identical_to_scratch_over_mutation_sequences() {
     let sigma = Alphabet::ab();
     for seed in 0..3u64 {
         let mut rng = SplitMix::new(0x1117 + seed);
-        let mut graph = InternedGraph::with_cap(4096);
+        let graph = QuotientCache::one_stripe(4096);
         let mut prev = random_buchi(
             &sigma,
             seed,
@@ -114,7 +116,7 @@ fn incremental_quotient_is_bit_identical_to_scratch_over_mutation_sequences() {
                 accepting_percent: 40,
             },
         );
-        graph.quotient(&prev);
+        let _ = graph.quotient(&prev);
         let mut shape = shape_of(&prev);
         for step in 0..55u32 {
             mutate(&sigma, &mut shape, &mut rng);
@@ -129,8 +131,8 @@ fn incremental_quotient_is_bit_identical_to_scratch_over_mutation_sequences() {
             );
             // The rows themselves — not just the quotient built from
             // them — must land on the unique greatest fixpoint.
-            let mut fresh = InternedGraph::new();
-            fresh.quotient(&next);
+            let fresh = QuotientCache::one_stripe(QUOTIENT_CACHE_CAP);
+            let _ = fresh.quotient(&next);
             assert_eq!(
                 graph.node(&next).expect("still interned").rows(),
                 fresh.node(&next).expect("just interned").rows(),
@@ -138,7 +140,7 @@ fn incremental_quotient_is_bit_identical_to_scratch_over_mutation_sequences() {
             );
             prev = next;
         }
-        let stats = graph.stats();
+        let stats = graph.advance_stats();
         assert_eq!(stats.advances, 55, "seed {seed}: every step advanced");
         assert!(
             stats.clean_sccs > 0,
@@ -146,6 +148,38 @@ fn incremental_quotient_is_bit_identical_to_scratch_over_mutation_sequences() {
              the incremental path was never actually exercised"
         );
     }
+}
+
+/// A fault-invalidated quotient must be freed: an always-firing plan
+/// drops the cached node on every repeat lookup, and the cache may keep
+/// no reference to a dropped quotient, or a daemon under the drill
+/// grows without bound.
+#[test]
+fn fault_invalidated_quotients_are_freed() {
+    let b = random_buchi(
+        &Alphabet::ab(),
+        3,
+        RandomConfig {
+            states: 6,
+            density_percent: 55,
+            accepting_percent: 40,
+        },
+    );
+    let cache = QuotientCache::with_fault(sl_support::FaultPlan::new(7, 1.0));
+    let first = cache.quotient(&b);
+    let mut last = cache.quotient(&b);
+    for _ in 2..1000 {
+        last = cache.quotient(&b);
+    }
+    assert_eq!(*first, *last, "recomputation is behavior-preserving");
+    let stats = cache.stats();
+    assert_eq!((stats.entries, stats.invalidations), (1, 999), "{stats:?}");
+    assert_eq!(
+        Arc::strong_count(&first),
+        1,
+        "the cache still holds the first, invalidated quotient"
+    );
+    assert_eq!(Arc::strong_count(&last), 2, "the live node stays cached");
 }
 
 /// On-the-fly counterexamples are found in the *quotiented* product
