@@ -21,25 +21,82 @@
 //!   variant (`FG !bad` holds at `k = 1`), showing the reduction rides
 //!   the same engine at product-sized cost.
 //!
+//! Those families block a handful of cubes each, so they hardly show
+//! what an image or containment test costs. Two series shaped like
+//! `sld`'s `check` traffic do: a fixed seeded corpus of total
+//! 256-state models (a stem into a randomly wired core plus a detached
+//! part, out-degree 1–3, 1–4 self-looping bad states), timed as one
+//! pass over the corpus:
+//!
+//! * `pdr/random256/safety` — `check_safety` on every model;
+//! * `pdr/random256/liveness` — `check_liveness` on every model, whose
+//!   counter products have 512 and 768 states.
+//!
 //! Correctness gates come first: both engines must agree (Safe) at
-//! every size with the PDR invariant replaying cleanly, and the
-//! liveness verdict must be Live at `k = 1`. `BENCH_pdr.json` records
-//! the medians; `scripts/verify.sh` gates PDR-beats-BMC on the
-//! 12-bit point.
+//! every fenced size with the PDR invariant replaying cleanly, the
+//! liveness verdict must be Live at `k = 1`, and on the random corpus
+//! every safety verdict must match `bmc_safety` and every liveness
+//! verdict `bmc_lasso`. `BENCH_pdr.json` records the medians;
+//! `scripts/verify.sh` gates PDR-beats-BMC on the 12-bit point and
+//! checks that the random series exist.
 
 use sl_bench::{header, Scoreboard};
 use sl_omega::Alphabet;
 use sl_pdr::{
-    bmc_safety_deepening, check_liveness, check_safety, validate_safety_invariant,
-    LivenessVerdict, SafetyVerdict,
+    bmc_lasso, bmc_safety, bmc_safety_deepening, check_liveness, check_safety,
+    validate_safety_invariant, LivenessVerdict, SafetyVerdict,
 };
 use sl_support::bench::{black_box, Bench};
-use sl_support::Budget;
+use sl_support::{Budget, SplitMix};
 use sl_trees::Kripke;
 use std::process::ExitCode;
 
 /// Sweep sizes, as powers of two.
 const BITS: [u32; 5] = [8, 9, 10, 11, 12];
+
+/// Models in the random corpus, and the corpus seed.
+const CORPUS: usize = 24;
+const CORPUS_SEED: u64 = 2003;
+
+/// A total model shaped like `sld`'s check traffic: 256 states, a
+/// forward-only stem from the initial state into a randomly wired core,
+/// a detached part no reachable state enters, out-degree 1–3, and 1–4
+/// bad states in one of the three parts, each looping on itself.
+fn check_model(rng: &mut SplitMix) -> (Kripke, Vec<usize>) {
+    let n = 256;
+    let (stem, core_end) = (n / 8, n - n / 4);
+    let mut succ: Vec<Vec<usize>> = (0..n)
+        .map(|s| {
+            (0..1 + rng.below(3))
+                .map(|_| {
+                    if s + 1 < stem && rng.flip() {
+                        s + 1 + rng.below(stem - s - 1)
+                    } else if s >= core_end && rng.chance(80) {
+                        core_end + rng.below(n - core_end)
+                    } else {
+                        stem + rng.below(core_end - stem)
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let part = rng.below(3);
+    let mut bad: Vec<usize> = (0..1 + rng.below(4))
+        .map(|_| match part {
+            0 => 1 + rng.below(stem - 1),
+            1 => stem + rng.below(core_end - stem),
+            _ => core_end + rng.below(n - core_end),
+        })
+        .collect();
+    bad.sort_unstable();
+    bad.dedup();
+    for &b in &bad {
+        succ[b].push(b);
+    }
+    let sigma = Alphabet::ab();
+    let a = sigma.symbol("a").unwrap();
+    (Kripke::new(sigma, vec![a; n], succ, 0), bad)
+}
 
 /// The fenced-cycle family: states `0 .. n-4` form one big cycle
 /// (every reachable state), states `n-4 .. n` a small cycle reachable
@@ -110,6 +167,28 @@ fn main() -> ExitCode {
             matches!(run.verdict, LivenessVerdict::Live { k: 1, .. }),
         );
     }
+    let mut rng = SplitMix::new(CORPUS_SEED);
+    let corpus: Vec<(Kripke, Vec<usize>)> = (0..CORPUS).map(|_| check_model(&mut rng)).collect();
+    let (mut safe, mut live) = (0, 0);
+    let (mut safety_agree, mut liveness_agree) = (true, true);
+    for (k, bad) in &corpus {
+        let run = check_safety(k, bad, &Budget::unlimited()).expect("unbudgeted");
+        let pdr_safe = matches!(run.verdict, SafetyVerdict::Safe { .. });
+        safety_agree &= pdr_safe == matches!(bmc_safety(k, bad), SafetyVerdict::Safe { .. });
+        let run = check_liveness(k, bad, &Budget::unlimited()).expect("unbudgeted");
+        let pdr_live = matches!(run.verdict, LivenessVerdict::Live { .. });
+        liveness_agree &= pdr_live == bmc_lasso(k, bad).is_none();
+        safe += usize::from(pdr_safe);
+        live += usize::from(pdr_live);
+    }
+    board.claim(
+        &format!("random256: PDR safety agrees with BMC on {CORPUS} models ({safe} safe)"),
+        safety_agree,
+    );
+    board.claim(
+        &format!("random256: PDR liveness agrees with lasso search ({live} live)"),
+        liveness_agree,
+    );
 
     // Measured passes.
     let mut bench = Bench::from_env();
@@ -129,6 +208,16 @@ fn main() -> ExitCode {
         });
         medians.push((bits, pdr, bmc));
     }
+    bench.measure("pdr/random256/safety", || {
+        for (k, bad) in &corpus {
+            black_box(check_safety(k, bad, &Budget::unlimited()).expect("unbudgeted"));
+        }
+    });
+    bench.measure("pdr/random256/liveness", || {
+        for (k, bad) in &corpus {
+            black_box(check_liveness(k, bad, &Budget::unlimited()).expect("unbudgeted"));
+        }
+    });
 
     println!("\nfenced-cycle sweep (median):");
     for &(bits, pdr, bmc) in &medians {

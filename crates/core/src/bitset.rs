@@ -36,11 +36,45 @@ impl Bitset {
     /// The full subset `{0..universe}`.
     #[must_use]
     pub fn full(universe: usize) -> Self {
-        let mut set = Self::empty(universe);
-        for i in 0..universe {
-            set.insert(i);
-        }
+        Self::from_words(universe, vec![u64::MAX; Self::block_count(universe)])
+    }
+
+    /// A subset from its packed 64-bit words, member `i` being bit
+    /// `i % 64` of word `i / 64`. Bits past the universe are cleared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the word count does not fit the universe.
+    #[must_use]
+    pub fn from_words(universe: usize, words: Vec<u64>) -> Self {
+        assert_eq!(
+            words.len(),
+            Self::block_count(universe),
+            "word count mismatch"
+        );
+        let mut set = Bitset {
+            universe,
+            blocks: words,
+        };
+        set.clear_tail();
         set
+    }
+
+    /// The packed 64-bit words, in the layout of [`Bitset::from_words`];
+    /// bits past the universe are always clear.
+    #[must_use]
+    pub fn words(&self) -> &[u64] {
+        &self.blocks
+    }
+
+    /// Clears the bits past the universe in the last block.
+    fn clear_tail(&mut self) {
+        let extra = self.blocks.len() * 64 - self.universe;
+        if extra > 0 {
+            if let Some(last) = self.blocks.last_mut() {
+                *last &= u64::MAX >> extra;
+            }
+        }
     }
 
     /// A subset from explicit member indices.
@@ -196,18 +230,7 @@ impl Bitset {
     /// Complement within the universe.
     #[must_use]
     pub fn complement(&self) -> Bitset {
-        let mut out = Bitset {
-            universe: self.universe,
-            blocks: self.blocks.iter().map(|b| !b).collect(),
-        };
-        // Mask off bits beyond the universe in the last block.
-        let extra = out.blocks.len() * 64 - self.universe;
-        if extra > 0 {
-            if let Some(last) = out.blocks.last_mut() {
-                *last &= u64::MAX >> extra;
-            }
-        }
-        out
+        Self::from_words(self.universe, self.blocks.iter().map(|b| !b).collect())
     }
 
     /// Whether `self` is a subset of `other`.
@@ -328,6 +351,23 @@ mod tests {
         assert_eq!(c.len(), 70);
         assert_eq!(c, Bitset::full(70));
         assert_eq!(c.complement(), s);
+    }
+
+    #[test]
+    fn word_access_keeps_bits_past_the_universe_clear() {
+        for universe in [0, 1, 63, 64, 65, 130] {
+            let full = Bitset::full(universe);
+            assert_eq!(full.len(), universe);
+            assert_eq!(
+                full.iter().collect::<Vec<_>>(),
+                (0..universe).collect::<Vec<_>>()
+            );
+            let raw = Bitset::from_words(universe, vec![u64::MAX; universe.div_ceil(64)]);
+            assert_eq!(raw, full);
+            assert_eq!(Bitset::from_words(universe, full.words().to_vec()), full);
+        }
+        let s = Bitset::from_indices(130, &[0, 64, 129]);
+        assert_eq!(s.words(), &[1, 1, 2]);
     }
 
     #[test]

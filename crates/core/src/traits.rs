@@ -66,6 +66,13 @@ pub trait ComplementedLattice: BoundedLattice {
 pub trait LatticeClosure<L: Lattice + ?Sized> {
     /// Applies the closure to an element.
     fn close(&self, lattice: &L, a: &L::Elem) -> L::Elem;
+
+    /// Whether `close(a) <= b`. The provided default is exactly
+    /// `leq(close(a), b)`; an implementation may answer without
+    /// building the image, but must return the same boolean.
+    fn close_below(&self, lattice: &L, a: &L::Elem, b: &L::Elem) -> bool {
+        lattice.leq(&self.close(lattice, a), b)
+    }
 }
 
 /// Blanket implementation so plain functions and closures can be used as
@@ -257,6 +264,19 @@ mod tests {
         let cl = |_: &Two, _: &bool| true;
         check::closure_laws(&Two, &cl, &[false, true]).unwrap();
         assert!(cl.close(&Two, &false));
+    }
+
+    #[test]
+    fn close_below_defaults_to_leq_of_close() {
+        let cl = |_: &Two, a: &bool| *a;
+        for a in [false, true] {
+            for b in [false, true] {
+                assert_eq!(
+                    cl.close_below(&Two, &a, &b),
+                    Two.leq(&cl.close(&Two, &a), &b)
+                );
+            }
+        }
     }
 
     #[test]

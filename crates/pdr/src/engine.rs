@@ -12,6 +12,15 @@
 //! interface (the blanket impl lets plain `Fn(&L, &L::Elem) -> L::Elem`
 //! closures serve; extensivity/idempotency are not required of them).
 //!
+//! Every image-containment question `post(x) <= y` goes through the
+//! `post` hook's [`LatticeClosure::close_below`]. Its default builds
+//! `post(x)` and tests `leq`; a hook that knows its transition
+//! structure can answer without building the image (the powerset
+//! instantiation in [`crate::kripke`] scans the smaller side of one
+//! edge relation). Either way the answer is the same boolean, so the
+//! search, its counters and its certificates do not depend on which
+//! hook is plugged in.
+//!
 //! Frame invariants maintained throughout (`F[0] = init`, `k` = frontier):
 //!
 //! * `F[i] <= F[i+1]` for all `i < k` (monotone chain);
@@ -59,8 +68,9 @@ pub mod sabotage {
 }
 
 /// The image-containment question `post(x) <= y` — the primitive that
-/// relative induction, propagation, and invariant validation all share
-/// (and the one the sabotage drill breaks).
+/// relative induction, propagation, the generalization guard and
+/// invariant validation all share (and the one the sabotage drill
+/// breaks), answered by the hook's [`LatticeClosure::close_below`].
 fn post_below<L, Post>(lattice: &L, post: &Post, x: &L::Elem, y: &L::Elem) -> bool
 where
     L: ComplementedLattice + ?Sized,
@@ -69,7 +79,7 @@ where
     if sabotage::relative_induction_broken() {
         return true;
     }
-    lattice.leq(&post.close(lattice, x), y)
+    post.close_below(lattice, x, y)
 }
 
 /// Counters reported by one engine run (and summed per-verb by `sld`).

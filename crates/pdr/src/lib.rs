@@ -11,9 +11,9 @@
 //!   with two lattice-theoretic generalization strategies, and
 //!   machine-checked certificates (an inductive invariant on Safe, a
 //!   replayable atom chain on Unsafe).
-//! * [`kripke`] — the powerset instantiation deciding `AG !bad`, with
-//!   concrete trace/invariant certificates replayed against the
-//!   structure.
+//! * [`kripke`] — the powerset instantiation deciding `AG !bad` over
+//!   one compressed edge relation per call, with concrete
+//!   trace/invariant certificates replayed against the structure.
 //! * [`liveness`] — the k-liveness sweep deciding `FG !bad` over all
 //!   paths via [`sl_trees::counter_product`].
 //! * [`bmc`] — the independent explicit-state BFS / lasso-search
@@ -49,7 +49,6 @@ pub use engine::{
     lt_pdr, validate_chain, validate_invariant, Atoms, PdrOutcome, PdrProblem, PdrRun, PdrStats,
 };
 pub use kripke::{
-    check_safety, predecessors, validate_safety_invariant, validate_trace, SafetyRun,
-    SafetyVerdict,
+    check_safety, validate_safety_invariant, validate_trace, SafetyRun, SafetyVerdict,
 };
 pub use liveness::{check_liveness, LivenessRun};

@@ -269,8 +269,10 @@ mod tests {
     #[test]
     fn measure_runs_and_reports() {
         let mut bench = tiny_bench();
+        // The bound is opaque to the optimizer, so the sum cannot fold to
+        // a constant whose per-call time truncates to 0 ns in release.
         let median = bench.measure("test/busy", || {
-            black_box((0u64..100).sum::<u64>());
+            black_box((0..black_box(100u64)).sum::<u64>());
         });
         assert!(median < Duration::from_secs(1));
         assert_eq!(bench.records().len(), 1);

@@ -25,6 +25,11 @@ echo "== tests (offline) =="
 # package, skipping every crate's own unit and integration tests.
 cargo test -q --offline --workspace
 
+echo "== kernel crates under the optimizer (release tests) =="
+# sld ships in release: the bitset, lattice and PDR kernels must also
+# pass their tests with optimizations on.
+cargo test --release -q --offline -p sl-support -p sl-lattice -p sl-pdr
+
 echo "== experiments E1-E11 =="
 cargo build --release --offline --workspace --bins
 for exp in e1_rem_linear e2_figure1 e3_figure2 e4_decomposition \
@@ -328,8 +333,9 @@ for t in 1 8; do
   cmp "$pdr_tmp/check_t$t.out" scripts/check_session.golden
 done
 # E15 smoke: the binary fails itself if PDR and deepening BMC disagree
-# on any sweep size, a certificate fails replay, or PDR loses the
-# 12-bit point; the JSON gate re-checks the medians independently.
+# on any sweep size or on the random 256-state corpus, a certificate
+# fails replay, or PDR loses the 12-bit point; the JSON gate re-checks
+# the medians independently and that the random series were measured.
 echo "-- e15_pdr (smoke)"
 SL_BENCH_SAMPLES=5 SL_BENCH_WARMUP_MS=10 SL_BENCH_JSON_DIR="$pdr_tmp" \
   ./target/release/e15_pdr
@@ -341,6 +347,8 @@ assert doc["suite"] == "pdr", doc
 records = {r["name"]: r for r in doc["records"]}
 for name, r in records.items():
     assert r["median_ns"] > 0 and r["samples"] > 0, (name, r)
+for name in ("pdr/random256/safety", "pdr/random256/liveness"):
+    assert name in records, f"E15 did not measure {name}"
 sizes = sorted(int(n.rsplit("/", 1)[1]) for n in records
                if n.startswith("pdr/fenced/"))
 big = [n for n in sizes if n >= 1 << 12]
@@ -351,7 +359,9 @@ for n in big:
     assert pdr < bmc, f"PDR ({pdr}ns) loses to deepening BMC ({bmc}ns) at n={n}"
 top = max(big)
 speedup = records[f"bmc/fenced/{top}"]["median_ns"] / records[f"pdr/fenced/{top}"]["median_ns"]
-print(f"BENCH_pdr.json ok: PDR beats deepening BMC {speedup:.0f}x at n={top}")
+print(f"BENCH_pdr.json ok: PDR beats deepening BMC {speedup:.0f}x at n={top}, "
+      f"random256 safety {records['pdr/random256/safety']['median_ns'] / 1e6:.2f} ms, "
+      f"liveness {records['pdr/random256/liveness']['median_ns'] / 1e6:.2f} ms per corpus")
 PY
 # The pdr oracle re-runs isolated so a PDR regression is named as such:
 # corpus replay plus a fixed-seed differential sweep against the
