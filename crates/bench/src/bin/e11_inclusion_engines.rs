@@ -1,5 +1,5 @@
-//! E11 (perf) — inclusion engines head-to-head: antichain search vs
-//! the uncached rank-based complement.
+//! E11 (perf) — inclusion engines head-to-head: the on-the-fly
+//! antichain search vs the uncached rank-based complement.
 //!
 //! The antichain engine (`sl_buchi::antichain`) decides
 //! `L(A) ⊆ L(B)` by searching for a counterexample lasso directly over
@@ -8,9 +8,10 @@
 //! Kupferman–Vardi complement before it can even start the emptiness
 //! check. This experiment measures both over the same seeded corpus
 //! (complements recomputed per query — the *uncached* path the antichain
-//! engine replaces), checks verdict agreement, and emits
-//! `BENCH_incl.json`, the repo's first measured perf-trajectory
-//! artifact.
+//! engine replaces; quotients recomputed per corpus pass through a
+//! fresh [`QuotientCache`], so the antichain side pays its simulation
+//! preprocessing too), checks verdict agreement, and emits
+//! `BENCH_incl.json`.
 //!
 //! Expected shape: the antichain engine wins by well over the claimed
 //! 5× on the inclusion corpus (typically 10×+ in release builds), and
@@ -20,8 +21,8 @@
 
 use sl_bench::{header, Scoreboard};
 use sl_buchi::{
-    complement, included_antichain, included_with_complement, is_empty, random_buchi,
-    universal_antichain, Buchi, RandomConfig,
+    complement, included, included_with_complement, is_empty, random_buchi, universal, Buchi,
+    QuotientCache, RandomConfig,
 };
 use sl_omega::Alphabet;
 use sl_support::bench::{black_box, Bench};
@@ -57,7 +58,7 @@ fn corpus(sigma: &Alphabet) -> (Vec<Buchi>, Vec<Buchi>) {
 fn main() -> ExitCode {
     header(
         "E11",
-        "Inclusion engines: antichain search vs uncached rank-based complement",
+        "Inclusion engines: on-the-fly antichain search vs uncached rank-based complement",
     );
     let sigma = Alphabet::ab();
     let (lefts, rights) = corpus(&sigma);
@@ -70,8 +71,9 @@ fn main() -> ExitCode {
     // every corpus query (inclusion over the pairs, universality over
     // the right operands) before any timing is worth reporting.
     let mut disagreements = 0usize;
+    let quotients = QuotientCache::new();
     for &(i, j) in &pairs {
-        let ac = included_antichain(&lefts[i], &rights[j]).expect("antichain budget");
+        let ac = included(&lefts[i], &rights[j], &quotients, None).expect("antichain budget");
         let not_b = complement(&rights[j]).expect("rank complement budget");
         let rk = included_with_complement(&lefts[i], &not_b);
         if ac.holds() != rk.holds() {
@@ -79,7 +81,9 @@ fn main() -> ExitCode {
         }
     }
     for b in &rights {
-        let ac = universal_antichain(b).expect("antichain budget").is_ok();
+        let ac = universal(b, &quotients, None)
+            .expect("antichain budget")
+            .is_ok();
         let rk = is_empty(&complement(b).expect("rank complement budget"));
         if ac != rk {
             disagreements += 1;
@@ -95,10 +99,11 @@ fn main() -> ExitCode {
     board.claim("engines agree on every corpus query", disagreements == 0);
 
     let mut bench = Bench::from_env();
-    let ac_incl = bench.measure("incl/antichain/corpus", || {
+    let ac_incl = bench.measure("incl/onthefly/corpus", || {
+        let quotients = QuotientCache::new();
         for &(i, j) in &pairs {
             black_box(
-                included_antichain(&lefts[i], &rights[j])
+                included(&lefts[i], &rights[j], &quotients, None)
                     .expect("antichain budget")
                     .holds(),
             );
@@ -110,9 +115,14 @@ fn main() -> ExitCode {
             black_box(included_with_complement(&lefts[i], &not_b).holds());
         }
     });
-    let ac_univ = bench.measure("univ/antichain/corpus", || {
+    let ac_univ = bench.measure("univ/onthefly/corpus", || {
+        let quotients = QuotientCache::new();
         for b in &rights {
-            black_box(universal_antichain(b).expect("antichain budget").is_ok());
+            black_box(
+                universal(b, &quotients, None)
+                    .expect("antichain budget")
+                    .is_ok(),
+            );
         }
     });
     let rk_univ = bench.measure("univ/rank_uncached/corpus", || {

@@ -1,49 +1,36 @@
-//! E16 (perf) — the interned, quotient-first core at scale: lazy
-//! on-the-fly inclusion vs the eager engine on padded automata, and
-//! incremental quotient maintenance vs from-scratch recomputation
-//! under a redefine workload.
+//! E16 (perf) — the interned, quotient-first core at scale: on-the-fly
+//! inclusion on padded automata, and incremental quotient maintenance
+//! vs from-scratch recomputation under a redefine workload.
 //!
-//! Three sweeps, one artifact (`BENCH_scale.json`):
+//! Two sweeps, one artifact (`BENCH_scale.json`):
 //!
 //! 1. **Random family** — an 8-state random live core drowned in
-//!    10^3..10^5 dead states on both operands. The lazy engine
-//!    ([`included_onthefly_with_cache`]) trims first, quotients the
-//!    core (6 states), and runs the antichain search over live
-//!    macro-states, so its cost is flat in the padding; the eager
-//!    engine ([`included_antichain`]) refines direct simulation over
-//!    the *raw* operands — every pass scans the full n×n candidate
-//!    relation (dead rows never shrink), an `Ω(n³/64)` bill. Eager is
-//!    sampled at 10^3 only; already at 10^4 a single eager call on
-//!    this family runs ~10 minutes, which is the tentpole's point,
-//!    not a measurement target.
-//! 2. **Structured family** — a 2-state total core (accepting `A`,
-//!    rejecting `B`, every symbol to both) whose refinement converges
-//!    in one changing pass, padded asymmetrically (left `N`, right
-//!    `N/10`). This is the family where the eager point at `N = 10^4`
-//!    is *affordable enough to measure honestly*: one timed call
-//!    ([`Bench::record_single`], minutes of refinement — warmup and
-//!    sampling are off the table). The asymptote gate in verify.sh
-//!    reads these records: lazy must win at 10^4 and the factor must
-//!    grow from 10^3 to 10^4.
-//! 3. **Redefine sweep** — a 1000-state chain of 200 five-state SCC
+//!    10^3..10^5 dead states on both operands. The search
+//!    ([`included`]) trims first, quotients the core (6 states), and
+//!    runs the antichain search over live macro-states, so its work is
+//!    *identical* at every padding — the binary claims that every
+//!    search counter equals the bare core's — and its time grows only
+//!    with the linear structural hash and trim. verify.sh bounds the
+//!    10^5 point at 10× the 10^3 point.
+//! 2. **Redefine sweep** — a 1000-state chain of 200 five-state SCC
 //!    blocks, edited eight times in the *source* block (the one no
 //!    other SCC reaches). From-scratch recomputation pays the full
 //!    simulation fixpoint per edit; the interned graph's
 //!    [`QuotientCache::advance`] re-derives only the dirty SCC and
 //!    must carry the other 199 blocks over unchanged.
 //!
-//! Every sweep asserts exactness (verdict agreement, bit-identical
-//! quotients) before its timings count.
+//! Every sweep asserts exactness (equal verdicts and counters,
+//! bit-identical quotients) before its timings count.
 
 use sl_bench::{header, Scoreboard};
 use sl_buchi::{
-    included_antichain, included_onthefly_with_cache, random_buchi, scratch_quotient, Buchi,
-    BuchiBuilder, QuotientCache, RandomConfig, QUOTIENT_CACHE_CAP,
+    antichain_stats, included, random_buchi, scratch_quotient, AntichainStats, Buchi, BuchiBuilder,
+    QuotientCache, RandomConfig, QUOTIENT_CACHE_CAP,
 };
 use sl_omega::Alphabet;
 use sl_support::bench::{black_box, Bench};
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A live core drowned in `padding` unreachable, successor-free
 /// states — the same family as the memory-regression acceptance test
@@ -79,22 +66,6 @@ fn random_core(sigma: &Alphabet) -> Buchi {
             accepting_percent: 40,
         },
     )
-}
-
-/// The structured core: accepting `A`, rejecting `B`, every symbol
-/// from either to both. Simulation refines in one changing pass
-/// (quotient 2), which is what keeps the eager 10^4 point measurable.
-fn struct_core(sigma: &Alphabet) -> Buchi {
-    let mut builder = BuchiBuilder::new(sigma.clone());
-    let a = builder.add_state(true);
-    let b = builder.add_state(false);
-    for sym in sigma.symbols() {
-        for &src in &[a, b] {
-            builder.add_transition(src, sym, a);
-            builder.add_transition(src, sym, b);
-        }
-    }
-    builder.build(a)
 }
 
 /// A chain of `blocks` strongly connected 5-state cycles, each linked
@@ -134,15 +105,27 @@ fn scc_chain(sigma: &Alphabet, blocks: usize, accepting_mask: u32) -> Buchi {
 fn lazy_holds(a: &Buchi, b: &Buchi) -> bool {
     // A fresh cache per call: the measurement covers the full
     // trim + quotient + search pipeline, not a cache hit.
-    included_onthefly_with_cache(&QuotientCache::new(), a, b)
+    included(a, b, &QuotientCache::new(), None)
         .expect("lazy antichain budget")
         .holds()
+}
+
+/// One search on a fresh thread: its verdict and exact counters
+/// (`peak_macro_states` is a per-thread high-water mark, so only a
+/// fresh thread reads one search's peak).
+fn lazy_stats(a: &Buchi, b: &Buchi) -> (bool, AntichainStats) {
+    std::thread::scope(|scope| {
+        scope
+            .spawn(|| (lazy_holds(a, b), antichain_stats()))
+            .join()
+            .expect("search thread panicked")
+    })
 }
 
 fn main() -> ExitCode {
     header(
         "E16",
-        "Interned core at scale: lazy vs eager inclusion, incremental vs scratch quotients",
+        "Interned core at scale: on-the-fly inclusion under padding, incremental vs scratch quotients",
     );
     let sigma = Alphabet::ab();
     let mut board = Scoreboard::new();
@@ -151,17 +134,29 @@ fn main() -> ExitCode {
 
     // -- Random family ------------------------------------------------
     // Identical cores on both sides (padding differs by one state):
-    // the inclusion HOLDS, so neither engine exits early on a
+    // the inclusion HOLDS, so the search never exits early on a
     // counterexample.
     let rcore = random_core(&sigma);
     let rand_pairs: Vec<(usize, Buchi, Buchi)> = [1_000usize, 10_000, 100_000]
         .into_iter()
         .map(|n| (n, pad(&rcore, n), pad(&rcore, n + 1)))
         .collect();
-    let (_, ra1k, rb1k) = &rand_pairs[0];
+    let (bare_holds, bare) = lazy_stats(&rcore, &rcore);
+    let padded: Vec<(bool, AntichainStats)> = rand_pairs
+        .iter()
+        .map(|(_, a, b)| lazy_stats(a, b))
+        .collect();
+    println!(
+        "random family: {} macro-states committed, {} attempts, {} scans per search",
+        bare.peak_macro_states, bare.insert_attempts, bare.subsumption_scans
+    );
     board.claim(
-        "random family: lazy and eager agree (HOLDS) at 10^3",
-        lazy_holds(ra1k, rb1k) && included_antichain(ra1k, rb1k).expect("eager budget").holds(),
+        "random family: inclusion HOLDS at every padding",
+        bare_holds && padded.iter().all(|&(holds, _)| holds),
+    );
+    board.claim(
+        "random family: search counters at 10^3, 10^4, 10^5 padding equal the bare core's",
+        padded.iter().all(|(_, stats)| *stats == bare),
     );
     let mut rand_lazy = Vec::new();
     for (n, a, b) in &rand_pairs {
@@ -169,58 +164,9 @@ fn main() -> ExitCode {
             black_box(lazy_holds(a, b));
         }));
     }
-    let rand_eager_1k = bench.measure("incl/eager/rand/1000", || {
-        black_box(included_antichain(ra1k, rb1k).expect("eager budget").holds());
-    });
-    board.claim(
-        "random family: lazy at 10^5 raw states beats eager at 10^3",
-        rand_lazy[2] < rand_eager_1k,
-    );
-
-    // -- Structured family --------------------------------------------
-    let score = struct_core(&sigma);
-    let (sa1k, sb1k) = (pad(&score, 1_000), pad(&score, 100));
-    let (sa10k, sb10k) = (pad(&score, 10_000), pad(&score, 1_000));
-    board.claim(
-        "structured family: lazy and eager agree (HOLDS) at 10^3",
-        lazy_holds(&sa1k, &sb1k) && included_antichain(&sa1k, &sb1k).expect("eager budget").holds(),
-    );
-    let struct_lazy_1k = bench.measure("incl/lazy/struct/1000", || {
-        black_box(lazy_holds(&sa1k, &sb1k));
-    });
-    let struct_lazy_10k = bench.measure("incl/lazy/struct/10000", || {
-        black_box(lazy_holds(&sa10k, &sb10k));
-    });
-    let struct_eager_1k = bench.measure("incl/eager/struct/1000", || {
-        black_box(included_antichain(&sa1k, &sb1k).expect("eager budget").holds());
-    });
-    // The one eager call at 10^4 — minutes of refinement over the raw
-    // candidate relation, so warmup + sampling is off the table.
-    let start = Instant::now();
-    let eager_10k_verdict = included_antichain(&sa10k, &sb10k)
-        .expect("eager budget at 10^4")
-        .holds();
-    let struct_eager_10k = start.elapsed();
-    bench.record_single("incl/eager/struct/10000", struct_eager_10k);
-    board.claim(
-        "structured family: lazy and eager agree (HOLDS) at 10^4",
-        lazy_holds(&sa10k, &sb10k) && eager_10k_verdict,
-    );
-
-    let speedup_1k = ratio(struct_eager_1k, struct_lazy_1k);
-    let speedup_10k = ratio(struct_eager_10k, struct_lazy_10k);
-    println!("\nlazy-over-eager speedup (structured family, left-padded):");
-    println!("  10^3 raw states: {speedup_1k:.0}x");
-    println!("  10^4 raw states: {speedup_10k:.0}x (eager timed once: {struct_eager_10k:.1?})");
-    println!("  (random family at 10^5 is lazy-only: a single eager call there");
-    println!("   runs tens of minutes — the bill the interned core retires)");
-    board.claim(
-        "on-the-fly beats eager at the 10^4-state query",
-        struct_lazy_10k < struct_eager_10k,
-    );
-    board.claim(
-        "the lazy advantage grows with size (>=2x from 10^3 to 10^4)",
-        speedup_10k >= 2.0 * speedup_1k,
+    println!(
+        "  10^5 over 10^3 padding: {:.1}x (only the linear hash and trim grow)",
+        ratio(rand_lazy[2], rand_lazy[0])
     );
 
     // -- Redefine sweep -----------------------------------------------

@@ -6,7 +6,7 @@
 //! the semantic oracle on a lasso corpus.
 
 use sl_bench::{header, Scoreboard};
-use sl_buchi::{closure, equivalent, universal, Classification};
+use sl_buchi::{closure, equivalent, shared_quotient_cache, universal, Classification};
 use sl_ltl::{classify_formula, rem_examples, translate};
 use sl_omega::{all_lassos, rem, Alphabet, LinearProperty};
 use std::process::ExitCode;
@@ -55,14 +55,19 @@ fn main() -> ExitCode {
     let automaton = |i: usize| translate(&sigma, &examples[i].formula);
     board.claim(
         "lcl.p3 = p1",
-        equivalent(&closure(&automaton(3)), &automaton(1))
-            .map(|r| r.is_ok())
-            .unwrap_or(false),
+        equivalent(
+            &closure(&automaton(3)),
+            &automaton(1),
+            shared_quotient_cache(),
+            None,
+        )
+        .map(|r| r.is_ok())
+        .unwrap_or(false),
     );
     for i in [4, 5] {
         board.claim(
             &format!("lcl.p{i} = Sigma^w"),
-            universal(&closure(&automaton(i)))
+            universal(&closure(&automaton(i)), shared_quotient_cache(), None)
                 .map(|r| r.is_ok())
                 .unwrap_or(false),
         );

@@ -1,7 +1,7 @@
 //! Antichain-based inclusion, universality, and equivalence — the
-//! complement-free hot path.
+//! complement-free decision procedure behind every inclusion question.
 //!
-//! The rank-based pipeline in [`crate::incl`] decides `L(A) ⊆ L(B)` by
+//! The rank-based oracle in [`crate::incl`] decides `L(A) ⊆ L(B)` by
 //! materializing the Kupferman–Vardi complement of `B` — exponential
 //! even when the answer is an easy "no". This module decides the same
 //! question *without ever constructing `¬B`*, by searching directly for
@@ -28,34 +28,42 @@
 //!   descendants reject, `x`'s reject too — and `x` carries its own
 //!   genuinely `A`-realized witness word. This is the subsumption
 //!   invariant; see DESIGN.md § "Inclusion engines".
-//! * Both operands are first quotiented by direct simulation
-//!   ([`crate::reduce::reduce`]), which preserves the language — so
-//!   counterexamples found on the reduced automata are valid for the
-//!   originals.
+//! * The search runs **on the fly**: both operands are trimmed and
+//!   quotiented by direct simulation through a
+//!   [`QuotientCache`] (language-preserving, so counterexamples found
+//!   on the quotients are valid for the originals), letter graphs are
+//!   built on first use, and macro-states are expanded only from
+//!   `A`-states the search has reached.
 //!
-//! The search is exact: [`included_antichain`] agrees with the
-//! rank-based oracle on every instance (the differential suite in
-//! `tests/inclusion_engines.rs` enforces this). The rank-based path is
-//! still *required* when the caller needs the complement automaton
+//! [`included`], [`equivalent`], and [`universal`] are the only entry
+//! points; each takes the quotient cache and an optional [`Budget`].
+//! `None` caps the search at [`DEFAULT_ANTICHAIN_BUDGET`] insertion
+//! attempts and consults no fault site; `Some` meters attempts and
+//! subsumption scans against the caller's budget and consults the
+//! fault site `"buchi.incl.antichain"`. The search is exact: it agrees
+//! with the rank-based oracle on every instance (the differential
+//! suite in `tests/inclusion_engines.rs` enforces this). The rank path
+//! is still *required* when the caller needs the complement automaton
 //! itself as an artifact (e.g. [`crate::decompose`]'s liveness part) —
 //! this engine only answers queries.
 
 use crate::automaton::{Buchi, StateId};
-use crate::complement::ComplementBudgetExceeded;
 use crate::graph::{tarjan, Graph};
 use crate::incl::Inclusion;
-use crate::interned::{shared_quotient_cache, QuotientCache};
-use crate::reduce::reduce;
+use crate::interned::QuotientCache;
 use sl_lattice::Bitset;
 use sl_omega::{LassoWord, Symbol, Word};
-use sl_support::{fault, Budget, SlError};
+use sl_support::{fault, Budget, FaultPlan, SlError};
 use std::borrow::Cow;
 use std::collections::VecDeque;
 
-/// Default cap on antichain insertion attempts for the unbudgeted
-/// entry points, mirroring
+/// Default cap on antichain insertion attempts for unbudgeted searches
+/// (`budget: None`), mirroring
 /// [`crate::complement::DEFAULT_COMPLEMENT_BUDGET`].
 pub const DEFAULT_ANTICHAIN_BUDGET: usize = 1 << 17;
+
+/// The budget phase and fault site of every inclusion search.
+const PHASE: &str = "buchi.incl.antichain";
 
 /// Test-only engine sabotage, used by the conformance fuzzer to prove
 /// the differential oracles catch a real engine bug. Not part of the
@@ -66,9 +74,9 @@ pub mod sabotage {
 
     static BREAK_SUBSUMPTION: AtomicBool = AtomicBool::new(false);
 
-    /// When enabled, the antichain subsumption check compares only the
-    /// accepting bit and skips the word-graph domination test — so the
-    /// search wrongly discards unsubsumed elements and can report
+    /// When enabled, the on-the-fly search's subsumption check compares
+    /// only the accepting bit and skips the word-graph domination test —
+    /// so the search wrongly discards unsubsumed elements and can report
     /// "Holds" for non-inclusions. The rank engine is untouched, which
     /// is exactly the disagreement `slfuzz --sabotage
     /// antichain-subsumption` must detect and shrink.
@@ -83,8 +91,8 @@ pub mod sabotage {
     }
 }
 
-/// How many subsumption comparisons amortize one budget evaluation in
-/// the budgeted entry points (see `BudgetMeter::tick_every`).
+/// How many subsumption comparisons amortize one budget evaluation
+/// (see `BudgetMeter::tick_every`).
 const SCAN_STRIDE: u64 = 64;
 
 /// Monotone counters describing the antichain engine's work on the
@@ -110,8 +118,8 @@ pub struct AntichainStats {
     /// High-water mark, over this thread's searches, of macro-states
     /// committed past subsumption in one search — a gauge, not a
     /// counter: the memory-regression test in `tests/interned_core.rs`
-    /// pins the on-the-fly engine's peak against the eager engine's
-    /// final antichain through it.
+    /// pins a padded search's peak to the same search on the trimmed
+    /// operands through it.
     pub peak_macro_states: u64,
     /// Live antichain size when the most recent search returned (a
     /// gauge).
@@ -177,9 +185,9 @@ struct SearchGauges {
 }
 
 /// Folds one finished search into the thread counters. Called once per
-/// search (not per step), so the hot loops stay counter-free: the
-/// entry points tally attempts/scans in locals they already own for
-/// budgeting and flush here.
+/// search (not per step), so the hot loops stay counter-free:
+/// [`included`] tallies attempts/scans in locals it already owns for
+/// budgeting and flushes here.
 fn record_search(attempts: u64, scans: u64, found_counterexample: bool, gauges: SearchGauges) {
     STATS.with(|cell| {
         let mut stats = cell.get();
@@ -341,173 +349,13 @@ struct Elem {
 
 /// Work units reported to the charge hook: one per insertion attempt
 /// (the macro-step of the fixpoint loop) and one per subsumption
-/// comparison (the hot inner loop, amortized in budgeted runs).
+/// comparison (the hot inner loop, amortized by `tick_every`).
 enum Step {
     Attempt,
     Scan,
 }
 
 type Charge<'c> = dyn FnMut(Step) -> Result<(), SlError> + 'c;
-
-/// The fixpoint search. Returns a counterexample in
-/// `L(a) \ L(b)` or proves inclusion. `gauges` is updated as elements
-/// commit and evict, so it is meaningful even on an early (budget or
-/// counterexample) exit.
-fn search(
-    a: &Buchi,
-    b: &Buchi,
-    charge: &mut Charge<'_>,
-    gauges: &mut SearchGauges,
-) -> Result<Inclusion, SlError> {
-    assert_eq!(
-        a.alphabet(),
-        b.alphabet(),
-        "inclusion requires a common alphabet"
-    );
-    // Simulation preprocessing: language-preserving, so verdicts and
-    // counterexamples transfer to the original automata.
-    let a = reduce(a);
-    let b = reduce(b);
-    let na = a.num_states();
-    let sigma = a.alphabet().clone();
-    let letters: Vec<WordGraph> = sigma.symbols().map(|s| WordGraph::letter(&b, s)).collect();
-    let identity = WordGraph::identity(&b);
-    let init = a.initial();
-
-    // chains[from * na + to]: the antichain of elements at that pair.
-    let mut chains: Vec<Vec<Elem>> = vec![Vec::new(); na * na];
-    let mut work: VecDeque<(usize, u64)> = VecDeque::new();
-    let mut next_id: u64 = 0;
-
-    // Inserts a candidate element, maintaining the antichain, queuing
-    // it for extension, and running the stem/period lasso tests it
-    // enables. Returns a counterexample the moment one test rejects.
-    let insert = |from: usize,
-                      to: usize,
-                      cand: Elem,
-                      chains: &mut Vec<Vec<Elem>>,
-                      work: &mut VecDeque<(usize, u64)>,
-                      next_id: &mut u64,
-                      gauges: &mut SearchGauges,
-                      charge: &mut Charge<'_>|
-     -> Result<Option<LassoWord>, SlError> {
-        charge(Step::Attempt)?;
-        let key = from * na + to;
-        let broken = sabotage::subsumption_broken();
-        for kept in &chains[key] {
-            charge(Step::Scan)?;
-            if kept.acc >= cand.acc && (broken || kept.g.le(&cand.g)) {
-                return Ok(None); // subsumed: a better element is kept
-            }
-        }
-        // The newcomer may subsume existing elements in turn.
-        let mut i = 0;
-        while i < chains[key].len() {
-            charge(Step::Scan)?;
-            if cand.acc >= chains[key][i].acc && cand.g.le(&chains[key][i].g) {
-                chains[key].swap_remove(i);
-                gauges.live -= 1;
-            } else {
-                i += 1;
-            }
-        }
-        let mut elem = cand;
-        elem.id = *next_id;
-        *next_id += 1;
-        work.push_back((key, elem.id));
-        chains[key].push(elem);
-        gauges.live += 1;
-        gauges.peak += 1;
-        let elem = chains[key].last().expect("just pushed");
-
-        // Lasso tests enabled by this element. As a stem (from == init)
-        // it pairs with every kept period at its target; as a period
-        // (from == to, F_A visited) it pairs with the empty stem (when
-        // anchored at init) and every kept stem reaching its anchor.
-        if from == init {
-            let p = to;
-            // Periods live at (p, p); the element itself is included if
-            // it qualifies (init-anchored accepting self-reach).
-            for period in &chains[p * na + p] {
-                if period.acc && !lasso_in_b(&b, &elem.g, &period.g) {
-                    return Ok(Some(LassoWord::new(
-                        &Word::new(&elem.word),
-                        &Word::new(&period.word),
-                    )));
-                }
-            }
-        }
-        if from == to && elem.acc {
-            let p = from;
-            if p == init && !lasso_in_b(&b, &identity, &elem.g) {
-                return Ok(Some(LassoWord::new(
-                    &Word::empty(),
-                    &Word::new(&elem.word),
-                )));
-            }
-            for stem in &chains[init * na + p] {
-                // Skip self-pairing: handled above when the element was
-                // inserted as a stem (same graphs, same verdict).
-                if stem.id != elem.id && !lasso_in_b(&b, &stem.g, &elem.g) {
-                    return Ok(Some(LassoWord::new(
-                        &Word::new(&stem.word),
-                        &Word::new(&elem.word),
-                    )));
-                }
-            }
-        }
-        Ok(None)
-    };
-
-    // Seed with all single-letter elements of A.
-    for p in 0..na {
-        for sym in sigma.symbols() {
-            for &r in a.successors(p, sym) {
-                let cand = Elem {
-                    id: 0,
-                    acc: a.is_accepting(p) || a.is_accepting(r),
-                    g: letters[sym.index()].clone(),
-                    word: vec![sym],
-                };
-                if let Some(w) =
-                    insert(p, r, cand, &mut chains, &mut work, &mut next_id, gauges, charge)?
-                {
-                    return Ok(Inclusion::CounterExample(w));
-                }
-            }
-        }
-    }
-
-    // Close under right-composition with single letters. Elements
-    // subsumed after queuing are skipped when popped; their subsumer is
-    // queued and regenerates dominating extensions.
-    while let Some((key, id)) = work.pop_front() {
-        let Some(elem) = chains[key].iter().find(|e| e.id == id).cloned() else {
-            continue;
-        };
-        let (from, to) = (key / na, key % na);
-        for sym in sigma.symbols() {
-            for &r in a.successors(to, sym) {
-                let cand = Elem {
-                    id: 0,
-                    acc: elem.acc || a.is_accepting(r),
-                    g: elem.g.compose(&letters[sym.index()]),
-                    word: {
-                        let mut w = elem.word.clone();
-                        w.push(sym);
-                        w
-                    },
-                };
-                if let Some(w) =
-                    insert(from, r, cand, &mut chains, &mut work, &mut next_id, gauges, charge)?
-                {
-                    return Ok(Inclusion::CounterExample(w));
-                }
-            }
-        }
-    }
-    Ok(Inclusion::Holds)
-}
 
 /// Work items of the on-the-fly search: discover a product row (seed
 /// the single-letter elements out of an `A`-state the search has
@@ -517,29 +365,28 @@ enum Task {
     Extend(usize, u32),
 }
 
-/// The on-the-fly fixpoint search: same element semantics and verdicts
-/// as [`search`], different materialization strategy.
+/// The fixpoint search. Returns a counterexample in `L(a) \ L(b)` or
+/// proves inclusion. `gauges` is updated as elements commit and evict,
+/// so it is meaningful even on an early (budget or counterexample)
+/// exit.
 ///
 /// * Operand quotients come from `cache` ([`QuotientCache`]) — trimmed
 ///   first, memoized across queries, incrementally maintained across
-///   `redefine` — instead of a from-scratch [`reduce`] per call.
+///   `redefine` — instead of a from-scratch simulation per call.
 /// * Letter word-graphs of `B` are built on first use, not up front.
 /// * `A`-states are seeded lazily from the initial state's successor
 ///   closure: a `(p, σ, r)` single-letter element exists only once the
 ///   search has discovered `p`, so a counterexample found early exits
-///   before most of the space is touched.
+///   before most of the space is touched. Elements whose source is
+///   unreachable never take part in a lasso verdict (stems are
+///   anchored at the initial state and periods only pair with such
+///   stems), so skipping them loses nothing.
 /// * Elements live in an append-only arena; the chains hold indices,
 ///   and a candidate is composed in scratch and committed only after
 ///   surviving subsumption — `gauges.peak` (the arena length) is
 ///   exactly the number of macro-states ever materialized, which the
-///   memory-regression test pins against the eager engine's final
-///   antichain.
-///
-/// Verdicts agree with [`search`]: the closure of elements is the same
-/// set (every state of a trimmed quotient is reachable, and eager
-/// elements whose source is unreachable never participate in a lasso
-/// verdict — stems are anchored at the initial state and periods only
-/// pair with such stems), though the counterexample *words* may differ.
+///   memory-regression test pins against the same search on the
+///   trimmed operands.
 fn search_lazy(
     a: &Buchi,
     b: &Buchi,
@@ -583,10 +430,11 @@ fn search_lazy(
      -> Result<Option<LassoWord>, SlError> {
         charge(Step::Attempt)?;
         let key = from * na + to;
+        let broken = sabotage::subsumption_broken();
         for &idx in &chains[key] {
             charge(Step::Scan)?;
             let kept = &arena[idx as usize];
-            if kept.acc >= cand.acc && kept.g.le(&cand.g) {
+            if kept.acc >= cand.acc && (broken || kept.g.le(&cand.g)) {
                 return Ok(None); // subsumed: never materialized
             }
         }
@@ -710,97 +558,43 @@ fn search_lazy(
     Ok(Inclusion::Holds)
 }
 
-/// Decides `L(a) ⊆ L(b)` with the on-the-fly antichain engine against
-/// an explicit [`QuotientCache`] — the `sld` daemon passes its private
-/// instance here so cache counters stay a deterministic function of
-/// the session.
+/// Decides `L(a) ⊆ L(b)`, taking both operands' quotients from `cache`
+/// (the `sld` daemon passes its private instance so its counters stay
+/// a deterministic function of the session; library callers pass
+/// [`crate::interned::shared_quotient_cache`]).
+///
+/// With `budget: None` the search is capped at
+/// [`DEFAULT_ANTICHAIN_BUDGET`] insertion attempts and consults no
+/// fault site. With `Some(budget)` every insertion attempt charges the
+/// budget's meter and consults the process-wide fault plan at site
+/// `"buchi.incl.antichain"`; subsumption comparisons — the hot inner
+/// loop — charge through `BudgetMeter::tick_every`, amortizing the
+/// limit evaluation. Both cases run the same search, so verdicts and
+/// counters agree whenever both finish.
 ///
 /// # Errors
 ///
-/// Returns [`ComplementBudgetExceeded`] (the shared blow-up error of
-/// the inclusion API) if the search exceeds
-/// [`DEFAULT_ANTICHAIN_BUDGET`] insertion attempts.
-///
-/// # Panics
-///
-/// Panics if the alphabets differ.
-pub fn included_onthefly_with_cache(
-    cache: &QuotientCache,
-    a: &Buchi,
-    b: &Buchi,
-) -> Result<Inclusion, ComplementBudgetExceeded> {
-    let mut attempts: u64 = 0;
-    let mut scans: u64 = 0;
-    let mut charge = |step: Step| -> Result<(), SlError> {
-        match step {
-            Step::Attempt => {
-                attempts += 1;
-                if attempts > DEFAULT_ANTICHAIN_BUDGET as u64 {
-                    return Err(SlError::BudgetExceeded {
-                        phase: "buchi.incl.antichain",
-                        spent: attempts,
-                    });
-                }
-            }
-            Step::Scan => scans += 1,
-        }
-        Ok(())
-    };
-    let mut gauges = SearchGauges::default();
-    let outcome = search_lazy(a, b, cache, &mut charge, &mut gauges);
-    record_search(
-        attempts,
-        scans,
-        matches!(outcome, Ok(Inclusion::CounterExample(_))),
-        gauges,
-    );
-    outcome.map_err(|_| ComplementBudgetExceeded {
-        budget: DEFAULT_ANTICHAIN_BUDGET,
-    })
-}
-
-/// Decides `L(a) ⊆ L(b)` with the on-the-fly antichain engine (lazy
-/// macro-state expansion over quotients from the process-wide
-/// [`QuotientCache`]). The default engine of the dispatching deciders;
-/// verdict-equivalent to [`included_antichain`] and
-/// [`crate::incl::included_rank`] on every instance (the three-way
-/// differential suite in `tests/inclusion_engines.rs` and the `incl3`
-/// conform oracle enforce this), though counterexample words may
-/// differ.
-///
-/// # Errors
-///
-/// As for [`included_onthefly_with_cache`].
-///
-/// # Panics
-///
-/// Panics if the alphabets differ.
-pub fn included_onthefly(a: &Buchi, b: &Buchi) -> Result<Inclusion, ComplementBudgetExceeded> {
-    included_onthefly_with_cache(shared_quotient_cache(), a, b)
-}
-
-/// Decides `L(a) ⊆ L(b)` with the on-the-fly engine under a cooperative
-/// [`Budget`] against an explicit [`QuotientCache`]: the budget phase
-/// and fault site are `"buchi.incl.antichain"`, identical to the eager
-/// path — both engines are the same search, differently materialized,
-/// so a budget that admits one admits the other.
-///
-/// # Errors
-///
-/// [`SlError::BudgetExceeded`] / [`SlError::Cancelled`] from the
+/// [`SlError::BudgetExceeded`] (phase `"buchi.incl.antichain"`) when
+/// the cap or the budget runs out, [`SlError::Cancelled`] from the
 /// budget, or [`SlError::FaultInjected`] when the fault plan fires.
 ///
 /// # Panics
 ///
 /// Panics if the alphabets differ.
-pub fn included_onthefly_budgeted_with_cache(
-    cache: &QuotientCache,
+pub fn included(
     a: &Buchi,
     b: &Buchi,
-    budget: &Budget,
+    cache: &QuotientCache,
+    budget: Option<&Budget>,
 ) -> Result<Inclusion, SlError> {
-    let mut meter = budget.meter("buchi.incl.antichain");
-    let plan = fault::global();
+    let (mut meter, cap, plan) = match budget {
+        Some(budget) => (budget.meter(PHASE), u64::MAX, *fault::global()),
+        None => (
+            Budget::unlimited().meter(PHASE),
+            DEFAULT_ANTICHAIN_BUDGET as u64,
+            FaultPlan::disabled(),
+        ),
+    };
     let mut attempts: u64 = 0;
     let mut scans: u64 = 0;
     let mut charge = |step: Step| -> Result<(), SlError> {
@@ -808,7 +602,13 @@ pub fn included_onthefly_budgeted_with_cache(
             Step::Attempt => {
                 meter.tick()?;
                 attempts += 1;
-                plan.inject_error("buchi.incl.antichain", attempts)
+                if attempts > cap {
+                    return Err(SlError::BudgetExceeded {
+                        phase: PHASE,
+                        spent: attempts,
+                    });
+                }
+                plan.inject_error(PHASE, attempts)
             }
             Step::Scan => {
                 scans += 1;
@@ -827,269 +627,101 @@ pub fn included_onthefly_budgeted_with_cache(
     outcome
 }
 
-/// [`included_onthefly_budgeted_with_cache`] against the process-wide
-/// quotient cache.
+/// Decides `L(a) = L(b)`, returning a separating word if the languages
+/// differ. Short-circuits: a counterexample to the first inclusion
+/// settles the question before the second direction is searched. Each
+/// direction meters its own steps against `budget`; a deadline or
+/// cancellation flag spans both.
 ///
 /// # Errors
 ///
-/// As for [`included_onthefly_budgeted_with_cache`].
-pub fn included_onthefly_budgeted(
+/// As for [`included`], from either direction.
+///
+/// # Panics
+///
+/// Panics if the alphabets differ.
+pub fn equivalent(
     a: &Buchi,
     b: &Buchi,
-    budget: &Budget,
-) -> Result<Inclusion, SlError> {
-    included_onthefly_budgeted_with_cache(shared_quotient_cache(), a, b, budget)
+    cache: &QuotientCache,
+    budget: Option<&Budget>,
+) -> Result<Result<(), LassoWord>, SlError> {
+    if let Inclusion::CounterExample(w) = included(a, b, cache, budget)? {
+        return Ok(Err(w));
+    }
+    if let Inclusion::CounterExample(w) = included(b, a, cache, budget)? {
+        return Ok(Err(w));
+    }
+    Ok(Ok(()))
 }
 
-/// Decides `L(b) = Σ^ω` with the on-the-fly engine, returning a
+/// Decides `L(b) = Σ^ω` (one search, `Σ^ω ⊆ L(b)`), returning a
 /// rejected word if not.
 ///
 /// # Errors
 ///
-/// As for [`included_onthefly`].
-pub fn universal_onthefly(b: &Buchi) -> Result<Result<(), LassoWord>, ComplementBudgetExceeded> {
-    universal_onthefly_with_cache(shared_quotient_cache(), b)
-}
-
-/// [`universal_onthefly`] against an explicit [`QuotientCache`].
-///
-/// # Errors
-///
-/// As for [`included_onthefly_with_cache`].
-pub fn universal_onthefly_with_cache(
-    cache: &QuotientCache,
+/// As for [`included`].
+pub fn universal(
     b: &Buchi,
-) -> Result<Result<(), LassoWord>, ComplementBudgetExceeded> {
+    cache: &QuotientCache,
+    budget: Option<&Budget>,
+) -> Result<Result<(), LassoWord>, SlError> {
     let all = Buchi::universal(b.alphabet().clone());
-    Ok(match included_onthefly_with_cache(cache, &all, b)? {
+    Ok(match included(&all, b, cache, budget)? {
         Inclusion::Holds => Ok(()),
         Inclusion::CounterExample(w) => Err(w),
     })
 }
 
-/// Decides `L(a) = L(b)` with the on-the-fly engine, returning a
-/// separating word if the languages differ; short-circuits on a
-/// counterexample to the first inclusion like its siblings.
+/// [`included`] without a budget, under its former name. Kept only for
+/// the `sldbench` trace replay, which binds it.
 ///
 /// # Errors
 ///
-/// As for [`included_onthefly`].
-pub fn equivalent_onthefly(
+/// As for [`included`].
+#[doc(hidden)]
+pub fn included_onthefly_with_cache(
+    cache: &QuotientCache,
     a: &Buchi,
     b: &Buchi,
-) -> Result<Result<(), LassoWord>, ComplementBudgetExceeded> {
-    equivalent_onthefly_with_cache(shared_quotient_cache(), a, b)
+) -> Result<Inclusion, SlError> {
+    included(a, b, cache, None)
 }
 
-/// [`equivalent_onthefly`] against an explicit [`QuotientCache`].
+/// [`equivalent`] without a budget, under its former name. Kept only
+/// for the `sldbench` trace replay, which binds it.
 ///
 /// # Errors
 ///
-/// As for [`included_onthefly_with_cache`].
+/// As for [`equivalent`].
+#[doc(hidden)]
 pub fn equivalent_onthefly_with_cache(
     cache: &QuotientCache,
     a: &Buchi,
     b: &Buchi,
-) -> Result<Result<(), LassoWord>, ComplementBudgetExceeded> {
-    if let Inclusion::CounterExample(w) = included_onthefly_with_cache(cache, a, b)? {
-        return Ok(Err(w));
-    }
-    if let Inclusion::CounterExample(w) = included_onthefly_with_cache(cache, b, a)? {
-        return Ok(Err(w));
-    }
-    Ok(Ok(()))
-}
-
-/// Decides `L(a) = L(b)` with the on-the-fly engine under a cooperative
-/// [`Budget`] shared across both inclusion directions.
-///
-/// # Errors
-///
-/// As for [`included_onthefly_budgeted`].
-pub fn equivalent_onthefly_budgeted(
-    a: &Buchi,
-    b: &Buchi,
-    budget: &Budget,
 ) -> Result<Result<(), LassoWord>, SlError> {
-    equivalent_onthefly_budgeted_with_cache(shared_quotient_cache(), a, b, budget)
+    equivalent(a, b, cache, None)
 }
 
-/// [`equivalent_onthefly_budgeted`] against an explicit
-/// [`QuotientCache`].
+/// [`universal`] without a budget, under its former name. Kept only for
+/// the `sldbench` trace replay, which binds it.
 ///
 /// # Errors
 ///
-/// As for [`included_onthefly_budgeted_with_cache`].
-pub fn equivalent_onthefly_budgeted_with_cache(
+/// As for [`universal`].
+#[doc(hidden)]
+pub fn universal_onthefly_with_cache(
     cache: &QuotientCache,
-    a: &Buchi,
     b: &Buchi,
-    budget: &Budget,
 ) -> Result<Result<(), LassoWord>, SlError> {
-    if let Inclusion::CounterExample(w) =
-        included_onthefly_budgeted_with_cache(cache, a, b, budget)?
-    {
-        return Ok(Err(w));
-    }
-    if let Inclusion::CounterExample(w) =
-        included_onthefly_budgeted_with_cache(cache, b, a, budget)?
-    {
-        return Ok(Err(w));
-    }
-    Ok(Ok(()))
-}
-
-/// Decides `L(a) ⊆ L(b)` with the antichain engine — no complement is
-/// ever constructed. Exact: agrees with [`crate::incl::included_rank`]
-/// on every instance.
-///
-/// # Errors
-///
-/// Returns [`ComplementBudgetExceeded`] (the shared blow-up error of
-/// the inclusion API) if the search exceeds
-/// [`DEFAULT_ANTICHAIN_BUDGET`] insertion attempts.
-///
-/// # Panics
-///
-/// Panics if the alphabets differ.
-pub fn included_antichain(a: &Buchi, b: &Buchi) -> Result<Inclusion, ComplementBudgetExceeded> {
-    let mut attempts: u64 = 0;
-    let mut scans: u64 = 0;
-    let mut charge = |step: Step| -> Result<(), SlError> {
-        match step {
-            Step::Attempt => {
-                attempts += 1;
-                if attempts > DEFAULT_ANTICHAIN_BUDGET as u64 {
-                    return Err(SlError::BudgetExceeded {
-                        phase: "buchi.incl.antichain",
-                        spent: attempts,
-                    });
-                }
-            }
-            Step::Scan => scans += 1,
-        }
-        Ok(())
-    };
-    let mut gauges = SearchGauges::default();
-    let outcome = search(a, b, &mut charge, &mut gauges);
-    record_search(
-        attempts,
-        scans,
-        matches!(outcome, Ok(Inclusion::CounterExample(_))),
-        gauges,
-    );
-    outcome.map_err(|_| ComplementBudgetExceeded {
-        budget: DEFAULT_ANTICHAIN_BUDGET,
-    })
-}
-
-/// Decides `L(a) ⊆ L(b)` with the antichain engine under a cooperative
-/// [`Budget`]: every insertion attempt charges one step (phase
-/// `"buchi.incl.antichain"`) and consults the process-wide fault plan
-/// (site `"buchi.incl.antichain"`); subsumption comparisons — the hot
-/// inner loop — charge through `BudgetMeter::tick_every`, amortizing
-/// the limit evaluation.
-///
-/// # Errors
-///
-/// [`SlError::BudgetExceeded`] / [`SlError::Cancelled`] from the
-/// budget, or [`SlError::FaultInjected`] when the fault plan fires.
-///
-/// # Panics
-///
-/// Panics if the alphabets differ.
-pub fn included_antichain_budgeted(
-    a: &Buchi,
-    b: &Buchi,
-    budget: &Budget,
-) -> Result<Inclusion, SlError> {
-    let mut meter = budget.meter("buchi.incl.antichain");
-    let plan = fault::global();
-    let mut attempts: u64 = 0;
-    let mut scans: u64 = 0;
-    let mut charge = |step: Step| -> Result<(), SlError> {
-        match step {
-            Step::Attempt => {
-                meter.tick()?;
-                attempts += 1;
-                plan.inject_error("buchi.incl.antichain", attempts)
-            }
-            Step::Scan => {
-                scans += 1;
-                meter.tick_every(SCAN_STRIDE)
-            }
-        }
-    };
-    let mut gauges = SearchGauges::default();
-    let outcome = search(a, b, &mut charge, &mut gauges);
-    record_search(
-        attempts,
-        scans,
-        matches!(outcome, Ok(Inclusion::CounterExample(_))),
-        gauges,
-    );
-    outcome
-}
-
-/// Decides `L(b) = Σ^ω` with the antichain engine, returning a rejected
-/// word if not.
-///
-/// # Errors
-///
-/// As for [`included_antichain`].
-pub fn universal_antichain(b: &Buchi) -> Result<Result<(), LassoWord>, ComplementBudgetExceeded> {
-    let all = Buchi::universal(b.alphabet().clone());
-    Ok(match included_antichain(&all, b)? {
-        Inclusion::Holds => Ok(()),
-        Inclusion::CounterExample(w) => Err(w),
-    })
-}
-
-/// Decides `L(a) = L(b)` with the antichain engine, returning a
-/// separating word if the languages differ. Short-circuits on a
-/// counterexample to the first inclusion, like its rank-based sibling.
-///
-/// # Errors
-///
-/// As for [`included_antichain`].
-pub fn equivalent_antichain(
-    a: &Buchi,
-    b: &Buchi,
-) -> Result<Result<(), LassoWord>, ComplementBudgetExceeded> {
-    if let Inclusion::CounterExample(w) = included_antichain(a, b)? {
-        return Ok(Err(w));
-    }
-    if let Inclusion::CounterExample(w) = included_antichain(b, a)? {
-        return Ok(Err(w));
-    }
-    Ok(Ok(()))
-}
-
-/// Decides `L(a) = L(b)` with the antichain engine under a cooperative
-/// [`Budget`] shared across both inclusion directions.
-///
-/// # Errors
-///
-/// As for [`included_antichain_budgeted`].
-pub fn equivalent_antichain_budgeted(
-    a: &Buchi,
-    b: &Buchi,
-    budget: &Budget,
-) -> Result<Result<(), LassoWord>, SlError> {
-    if let Inclusion::CounterExample(w) = included_antichain_budgeted(a, b, budget)? {
-        return Ok(Err(w));
-    }
-    if let Inclusion::CounterExample(w) = included_antichain_budgeted(b, a, budget)? {
-        return Ok(Err(w));
-    }
-    Ok(Ok(()))
+    universal(b, cache, None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::automaton::BuchiBuilder;
-    use crate::incl::{included_rank, universal_rank};
+    use crate::incl::{included_rank, shared_complement_cache, universal_rank};
     use crate::random::{random_buchi, RandomConfig};
     use sl_omega::Alphabet;
 
@@ -1158,13 +790,16 @@ mod tests {
     #[test]
     fn inclusion_holds_for_subset() {
         let s = sigma();
-        assert!(included_antichain(&only_a(&s), &inf_a(&s)).unwrap().holds());
+        let cache = QuotientCache::new();
+        assert!(included(&only_a(&s), &inf_a(&s), &cache, None)
+            .unwrap()
+            .holds());
     }
 
     #[test]
     fn counterexample_is_genuine() {
         let s = sigma();
-        match included_antichain(&inf_a(&s), &only_a(&s)).unwrap() {
+        match included(&inf_a(&s), &only_a(&s), &QuotientCache::new(), None).unwrap() {
             Inclusion::CounterExample(w) => {
                 assert!(inf_a(&s).accepts(&w), "accepted by the left operand");
                 assert!(!only_a(&s).accepts(&w), "rejected by the right operand");
@@ -1176,16 +811,17 @@ mod tests {
     #[test]
     fn empty_language_is_included_in_everything() {
         let s = sigma();
+        let cache = QuotientCache::new();
         let empty = Buchi::empty_language(s.clone());
-        assert!(included_antichain(&empty, &only_a(&s)).unwrap().holds());
-        assert!(included_antichain(&empty, &empty).unwrap().holds());
+        assert!(included(&empty, &only_a(&s), &cache, None).unwrap().holds());
+        assert!(included(&empty, &empty, &cache, None).unwrap().holds());
     }
 
     #[test]
     fn nothing_nonempty_is_included_in_empty() {
         let s = sigma();
         let empty = Buchi::empty_language(s.clone());
-        match included_antichain(&inf_a(&s), &empty).unwrap() {
+        match included(&inf_a(&s), &empty, &QuotientCache::new(), None).unwrap() {
             Inclusion::CounterExample(w) => assert!(inf_a(&s).accepts(&w)),
             Inclusion::Holds => panic!("GF a is nonempty"),
         }
@@ -1194,18 +830,22 @@ mod tests {
     #[test]
     fn universality_verdicts() {
         let s = sigma();
-        assert!(universal_antichain(&Buchi::universal(s.clone()))
+        let cache = QuotientCache::new();
+        assert!(universal(&Buchi::universal(s.clone()), &cache, None)
             .unwrap()
             .is_ok());
-        let rejected = universal_antichain(&inf_a(&s)).unwrap().unwrap_err();
+        let rejected = universal(&inf_a(&s), &cache, None).unwrap().unwrap_err();
         assert!(!inf_a(&s).accepts(&rejected));
     }
 
     #[test]
     fn equivalence_and_separation() {
         let s = sigma();
-        assert!(equivalent_antichain(&inf_a(&s), &inf_a(&s)).unwrap().is_ok());
-        let w = equivalent_antichain(&inf_a(&s), &Buchi::universal(s.clone()))
+        let cache = QuotientCache::new();
+        assert!(equivalent(&inf_a(&s), &inf_a(&s), &cache, None)
+            .unwrap()
+            .is_ok());
+        let w = equivalent(&inf_a(&s), &Buchi::universal(s.clone()), &cache, None)
             .unwrap()
             .unwrap_err();
         assert_ne!(
@@ -1217,9 +857,14 @@ mod tests {
     #[test]
     fn budgeted_run_respects_step_limit() {
         let s = sigma();
-        let err =
-            included_antichain_budgeted(&inf_a(&s), &only_a(&s), &Budget::unlimited().with_steps(1))
-                .unwrap_err();
+        let budget = Budget::unlimited().with_steps(1);
+        let err = included(
+            &inf_a(&s),
+            &only_a(&s),
+            &QuotientCache::new(),
+            Some(&budget),
+        )
+        .unwrap_err();
         assert!(
             err.root().is_budget_exceeded() || err.root().is_fault_injected(),
             "{err}"
@@ -1229,82 +874,76 @@ mod tests {
     #[test]
     fn budgeted_run_matches_unbudgeted() {
         let s = sigma();
-        match included_antichain_budgeted(&only_a(&s), &inf_a(&s), &Budget::unlimited()) {
-            Ok(inc) => assert_eq!(inc, included_antichain(&only_a(&s), &inf_a(&s)).unwrap()),
+        let cache = QuotientCache::new();
+        let budget = Budget::unlimited();
+        match included(&only_a(&s), &inf_a(&s), &cache, Some(&budget)) {
+            Ok(inc) => assert_eq!(
+                inc,
+                included(&only_a(&s), &inf_a(&s), &cache, None).unwrap()
+            ),
             Err(err) => assert!(err.root().is_fault_injected(), "{err}"),
         }
     }
 
     #[test]
-    fn onthefly_agrees_with_eager_on_random_corpus() {
+    fn budgeted_equivalence_finds_separator() {
         let s = sigma();
-        let config = RandomConfig {
-            states: 5,
-            density_percent: 55,
-            accepting_percent: 35,
-        };
-        let cache = QuotientCache::new();
-        for seed in 0..40u64 {
-            let a = random_buchi(&s, seed, config);
-            let b = random_buchi(&s, seed + 2000, config);
-            let lazy = included_onthefly_with_cache(&cache, &a, &b).unwrap();
-            let eager = included_antichain(&a, &b).unwrap();
-            assert_eq!(
-                lazy.holds(),
-                eager.holds(),
-                "seed {seed}: lazy and eager disagree on inclusion"
-            );
-            if let Inclusion::CounterExample(w) = &lazy {
-                assert!(a.accepts(w), "seed {seed}: cex not accepted by a");
-                assert!(!b.accepts(w), "seed {seed}: cex not rejected by b");
+        let all = Buchi::universal(s.clone());
+        let budget = Budget::unlimited();
+        match equivalent(&inf_a(&s), &all, &QuotientCache::new(), Some(&budget)) {
+            Ok(verdict) => {
+                let w = verdict.unwrap_err();
+                assert_ne!(inf_a(&s).accepts(&w), all.accepts(&w));
             }
-            assert_eq!(
-                universal_onthefly_with_cache(&cache, &a).unwrap().is_ok(),
-                universal_antichain(&a).unwrap().is_ok(),
-                "seed {seed}: universality differs"
-            );
-        }
-        // Repeat queries went through the cache: far fewer quotient
-        // computations than lookups.
-        let stats = cache.stats();
-        assert!(
-            stats.hits > 0,
-            "repeated operands should hit the quotient cache: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn onthefly_budgeted_respects_step_limit_and_matches_unbudgeted() {
-        let s = sigma();
-        let err = included_onthefly_budgeted(
-            &inf_a(&s),
-            &only_a(&s),
-            &Budget::unlimited().with_steps(1),
-        )
-        .unwrap_err();
-        assert!(
-            err.root().is_budget_exceeded() || err.root().is_fault_injected(),
-            "{err}"
-        );
-        match included_onthefly_budgeted(&only_a(&s), &inf_a(&s), &Budget::unlimited()) {
-            Ok(inc) => assert_eq!(inc, included_onthefly(&only_a(&s), &inf_a(&s)).unwrap()),
             Err(err) => assert!(err.root().is_fault_injected(), "{err}"),
         }
     }
 
     #[test]
-    fn onthefly_equivalence_and_separation() {
+    fn deltas_count_search_work() {
         let s = sigma();
         let cache = QuotientCache::new();
-        assert!(equivalent_onthefly_with_cache(&cache, &inf_a(&s), &inf_a(&s))
+        let before = antichain_stats();
+        assert!(included(&only_a(&s), &inf_a(&s), &cache, None)
             .unwrap()
-            .is_ok());
-        let w = equivalent_onthefly_with_cache(&cache, &inf_a(&s), &Buchi::universal(s.clone()))
+            .holds());
+        let holds_delta = antichain_stats().delta_since(&before);
+        assert_eq!(holds_delta.searches, 1);
+        assert!(holds_delta.insert_attempts > 0);
+        assert_eq!(holds_delta.counterexamples, 0);
+
+        let mid = antichain_stats();
+        assert!(!included(&inf_a(&s), &only_a(&s), &cache, None)
             .unwrap()
-            .unwrap_err();
-        assert_ne!(
-            inf_a(&s).accepts(&w),
-            Buchi::universal(s.clone()).accepts(&w)
+            .holds());
+        let cex_delta = antichain_stats().delta_since(&mid);
+        assert_eq!(cex_delta.searches, 1);
+        assert_eq!(cex_delta.counterexamples, 1);
+    }
+
+    #[test]
+    fn deltas_absorb_into_totals() {
+        let a = AntichainStats {
+            searches: 1,
+            insert_attempts: 10,
+            subsumption_scans: 20,
+            counterexamples: 0,
+            peak_macro_states: 8,
+            final_antichain: 5,
+        };
+        let mut total = AntichainStats::default();
+        total.absorb(&a);
+        total.absorb(&a);
+        assert_eq!(total.insert_attempts, 20);
+        // The macro-state gauges absorb as high-water marks, not sums.
+        assert_eq!(total.peak_macro_states, 8);
+        assert_eq!(
+            a.delta_since(&a),
+            AntichainStats {
+                peak_macro_states: 8,
+                final_antichain: 5,
+                ..Default::default()
+            }
         );
     }
 
@@ -1312,7 +951,11 @@ mod tests {
     fn search_gauges_are_recorded() {
         let s = sigma();
         let before = antichain_stats();
-        assert!(included_onthefly(&only_a(&s), &inf_a(&s)).unwrap().holds());
+        assert!(
+            included(&only_a(&s), &inf_a(&s), &QuotientCache::new(), None)
+                .unwrap()
+                .holds()
+        );
         let after = antichain_stats();
         assert!(
             after.peak_macro_states > 0,
@@ -1333,11 +976,13 @@ mod tests {
             density_percent: 60,
             accepting_percent: 30,
         };
+        let cache = QuotientCache::new();
+        let complements = shared_complement_cache();
         for seed in 0..40u64 {
             let a = random_buchi(&s, seed, config);
             let b = random_buchi(&s, seed + 1000, config);
-            let fast = included_antichain(&a, &b).unwrap();
-            let slow = included_rank(&a, &b).unwrap();
+            let fast = included(&a, &b, &cache, None).unwrap();
+            let slow = included_rank(&a, &b, complements).unwrap();
             assert_eq!(
                 fast.holds(),
                 slow.holds(),
@@ -1347,9 +992,11 @@ mod tests {
                 assert!(a.accepts(w), "seed {seed}: cex not accepted by a");
                 assert!(!b.accepts(w), "seed {seed}: cex not rejected by b");
             }
-            let fast_univ = universal_antichain(&a).unwrap().is_ok();
-            let slow_univ = universal_rank(&a).unwrap().is_ok();
+            let fast_univ = universal(&a, &cache, None).unwrap().is_ok();
+            let slow_univ = universal_rank(&a, complements).unwrap().is_ok();
             assert_eq!(fast_univ, slow_univ, "seed {seed}: universality differs");
         }
+        // Repeat operands went through the quotient cache.
+        assert!(cache.stats().hits > 0, "{:?}", cache.stats());
     }
 }

@@ -5,8 +5,12 @@
 //!
 //! * `L(B)` is a **safety** property iff `L(cl B) = L(B)`, and since
 //!   `L(B) ⊆ L(cl B)` always holds, iff `L(cl B) ⊆ L(B)`.
-//! * `L(B)` is a **liveness** property iff `L(cl B) = Σ^ω`, decided by a
-//!   cheap subset-construction universality check on the closure.
+//! * `L(B)` is a **liveness** property iff `L(cl B) = Σ^ω`.
+//!
+//! Both are inclusion questions, answered by the on-the-fly antichain
+//! engine over the process-wide quotient cache without a budget (so
+//! capped at [`crate::antichain::DEFAULT_ANTICHAIN_BUDGET`] insertion
+//! attempts).
 //!
 //! Exactly the four-way classification of [`sl_lattice::Classification`]
 //! falls out, instantiating the lattice-theoretic trichotomy on the
@@ -16,28 +20,27 @@
 
 use crate::automaton::Buchi;
 use crate::closure::closure;
-use crate::complement::ComplementBudgetExceeded;
 use crate::incl::{included, universal};
+use crate::interned::shared_quotient_cache;
 pub use sl_lattice::Classification;
+use sl_support::SlError;
 
 /// Whether `L(b)` is a safety property (`lcl L = L`).
 ///
 /// # Errors
 ///
-/// Propagates [`ComplementBudgetExceeded`] from the inclusion check.
-pub fn is_safety(b: &Buchi) -> Result<bool, ComplementBudgetExceeded> {
-    Ok(included(&closure(b), b)?.holds())
+/// Propagates [`SlError::BudgetExceeded`] from the inclusion check.
+pub fn is_safety(b: &Buchi) -> Result<bool, SlError> {
+    Ok(included(&closure(b), b, shared_quotient_cache(), None)?.holds())
 }
 
 /// Whether `L(b)` is a liveness property (`lcl L = Σ^ω`).
 ///
 /// # Errors
 ///
-/// Propagates [`ComplementBudgetExceeded`] (the closure is
-/// all-accepting, so in practice this uses the cheap subset complement
-/// and cannot exceed reasonable budgets).
-pub fn is_liveness(b: &Buchi) -> Result<bool, ComplementBudgetExceeded> {
-    Ok(universal(&closure(b))?.is_ok())
+/// Propagates [`SlError::BudgetExceeded`] from the universality check.
+pub fn is_liveness(b: &Buchi) -> Result<bool, SlError> {
+    Ok(universal(&closure(b), shared_quotient_cache(), None)?.is_ok())
 }
 
 /// Classifies `L(b)` into the paper's trichotomy (with "both" for
@@ -45,8 +48,8 @@ pub fn is_liveness(b: &Buchi) -> Result<bool, ComplementBudgetExceeded> {
 ///
 /// # Errors
 ///
-/// Propagates [`ComplementBudgetExceeded`].
-pub fn classify(b: &Buchi) -> Result<Classification, ComplementBudgetExceeded> {
+/// Propagates [`SlError::BudgetExceeded`].
+pub fn classify(b: &Buchi) -> Result<Classification, SlError> {
     let safe = is_safety(b)?;
     let live = is_liveness(b)?;
     Ok(match (safe, live) {

@@ -33,8 +33,9 @@
 //!   cap-and-clear, singleflight, and fault-drill invalidation at site
 //!   `"buchi.quotient_cache"` under a plan pinned per cache. A node
 //!   lives exactly as long as its cache entry and the `Arc`s callers
-//!   hold. One process-wide instance backs the plain
-//!   entry points ([`shared_quotient_cache`]); the `sld` daemon owns a
+//!   hold. Every inclusion query names the cache it quotients through:
+//!   library callers without one of their own pass the process-wide
+//!   instance ([`shared_quotient_cache`]); the `sld` daemon owns a
 //!   private instance so its `stats` counters are a deterministic
 //!   function of the session.
 //!
@@ -256,8 +257,8 @@ fn seed_rows(
 /// [`StripedCache`] keyed by structural hash, plus the totals of its
 /// incremental advances. The `sld` daemon owns one instance per
 /// service — so its `stats` counters are a deterministic function of
-/// the session — and the plain on-the-fly entry points share the
-/// process-wide [`shared_quotient_cache`].
+/// the session — and library callers without a cache of their own
+/// share the process-wide [`shared_quotient_cache`].
 #[derive(Debug)]
 pub struct QuotientCache {
     nodes: StripedCache<Buchi, Arc<InternedNode>>,
@@ -370,9 +371,10 @@ impl QuotientCache {
     }
 }
 
-/// The process-wide quotient cache backing the plain on-the-fly entry
-/// points ([`crate::antichain::included_onthefly`] and the
-/// `SL_INCL_ENGINE` dispatchers).
+/// The process-wide quotient cache: what library callers of
+/// [`crate::antichain::included`] and its siblings pass when they hold
+/// no cache of their own ([`crate::classify()`] and
+/// [`crate::decompose::BuchiDecomposition::verify_exact`] among them).
 pub fn shared_quotient_cache() -> &'static QuotientCache {
     static SHARED: OnceLock<QuotientCache> = OnceLock::new();
     SHARED.get_or_init(QuotientCache::new)

@@ -62,11 +62,7 @@ pub mod random;
 pub mod reduce;
 
 pub use antichain::{
-    antichain_stats, equivalent_antichain, equivalent_antichain_budgeted, equivalent_onthefly,
-    equivalent_onthefly_budgeted, equivalent_onthefly_budgeted_with_cache,
-    equivalent_onthefly_with_cache, included_antichain, included_antichain_budgeted,
-    included_onthefly, included_onthefly_budgeted, included_onthefly_budgeted_with_cache,
-    included_onthefly_with_cache, universal_antichain, universal_onthefly,
+    antichain_stats, equivalent_onthefly_with_cache, included_onthefly_with_cache,
     universal_onthefly_with_cache, AntichainStats, DEFAULT_ANTICHAIN_BUDGET,
 };
 pub use automaton::{Buchi, BuchiBuilder, StateId};
@@ -79,10 +75,9 @@ pub use complement::{
 pub use decompose::{decompose, BuchiDecomposition};
 pub use empty::{find_accepted_word, is_empty};
 pub use incl::{
-    equivalent, equivalent_budgeted, equivalent_rank, equivalent_rank_with_cache, incl_engine,
-    included, included_budgeted, included_rank, included_rank_budgeted, included_rank_with_cache,
-    included_with_complement, reset_shared_complement_cache, shared_complement_cache, universal,
-    universal_rank, universal_rank_with_cache, ComplementCache, InclEngine, Inclusion,
+    equivalent, equivalent_rank, included, included_rank, included_with_complement,
+    reset_shared_complement_cache, shared_complement_cache, universal, universal_rank,
+    ComplementCache, Inclusion,
 };
 pub use interned::{
     reset_shared_quotient_cache, scratch_quotient, shared_quotient_cache, AdvanceReport,

@@ -95,8 +95,8 @@ pub fn gen_incl(rng: &mut SplitMix) -> InclCase {
     }
 }
 
-/// Three-engine inclusion case: bigger automata than [`gen_incl`] (the
-/// on-the-fly and eager antichain engines are polynomial per macro
+/// Two-engine inclusion case: bigger automata than [`gen_incl`] (the
+/// on-the-fly antichain engine is polynomial per macro
 /// state, and the rank oracle skips itself via its complement budget
 /// when a pair is out of reach), plus a seeded mutation sequence for
 /// the incremental-vs-scratch quotient differential.

@@ -10,7 +10,8 @@
 //!
 //! The laws are the paper's universally-quantified theorems plus the
 //! engine-equivalence contracts the workspace already promises:
-//! antichain and rank inclusion agree (with validated witnesses),
+//! on-the-fly antichain and rank inclusion agree (with validated
+//! witnesses, and positive verdicts cross-checked on short lassos),
 //! classify/decompose satisfy Theorems 2/3/5/6/7 on every generated
 //! lattice, `to_hoa ∘ from_hoa` is the identity with stable
 //! diagnostics, monitor verdict prefixes match an independent
@@ -24,11 +25,10 @@ use crate::case::{
     Case, CrashCase, HoaCase, Incl3Case, InclCase, LatticeCase, MonitorCase, PdrCase, SessionCase,
 };
 use sl_buchi::{
-    accepts, closure, equivalent_antichain, equivalent_onthefly, equivalent_rank, hoa,
-    included_antichain, included_antichain_budgeted, included_onthefly,
-    included_onthefly_budgeted_with_cache, included_rank, live_states, scratch_quotient,
-    universal_antichain, universal_onthefly, universal_rank, Buchi, BuchiBuilder, CompiledMonitor,
-    Inclusion, Monitor, QuotientCache, Verdict, QUOTIENT_CACHE_CAP,
+    accepts, closure, equivalent, equivalent_rank, hoa, included, included_rank, live_states,
+    scratch_quotient, shared_complement_cache, shared_quotient_cache, universal, universal_rank,
+    Buchi, BuchiBuilder, CompiledMonitor, Inclusion, Monitor, QuotientCache, Verdict,
+    QUOTIENT_CACHE_CAP,
 };
 use sl_lattice::{
     classify, decompose, decompose_pair_checked, no_decomposition_exists, theorem5_applies,
@@ -36,7 +36,7 @@ use sl_lattice::{
     LatticeError,
 };
 use sl_ltl::classify_formula;
-use sl_omega::{Alphabet, LassoWord, Symbol, Word};
+use sl_omega::{all_lassos, Alphabet, LassoWord, Symbol, Word};
 use sl_pdr::{bmc_lasso, bmc_safety, check_liveness, check_safety, LivenessVerdict, SafetyVerdict};
 use sl_service::{Json, PersistConfig, Service, ServiceConfig, Verb};
 use sl_support::{fault, Budget, FaultPlan, SlError, SplitMix};
@@ -93,7 +93,7 @@ pub fn parse_states(text: &str) -> usize {
 }
 
 // ---------------------------------------------------------------------
-// Oracle 1: antichain vs rank inclusion
+// Oracle 1: on-the-fly antichain vs rank inclusion
 // ---------------------------------------------------------------------
 
 fn parse_pair(left: &str, right: &str) -> Result<(Buchi, Buchi), Outcome> {
@@ -120,41 +120,72 @@ fn valid_cex(a: &Buchi, b: &Buchi, w: &LassoWord) -> Result<(), String> {
     Ok(())
 }
 
+/// A successful budgeted run must agree with the unbudgeted verdict
+/// `unbudgeted` (with a valid witness); exhaustion and injected faults
+/// are accepted, any other error is not.
+fn check_budgeted(
+    a: &Buchi,
+    b: &Buchi,
+    cache: &QuotientCache,
+    steps: u64,
+    unbudgeted: &Inclusion,
+) -> Option<Outcome> {
+    let budget = Budget::unlimited().with_steps(steps);
+    match included(a, b, cache, Some(&budget)) {
+        Ok(bud) => {
+            if bud.holds() != unbudgeted.holds() {
+                return Some(Outcome::Fail(format!(
+                    "budgeted onthefly disagrees with unbudgeted: {bud:?} vs {unbudgeted:?}"
+                )));
+            }
+            if let Inclusion::CounterExample(w) = &bud {
+                if let Err(msg) = valid_cex(a, b, w) {
+                    return Some(Outcome::Fail(format!("budgeted onthefly {msg}")));
+                }
+            }
+            None
+        }
+        Err(e) if e.is_budget_exceeded() || e.is_fault_injected() => {
+            Some(Outcome::Accepted("step budget exhausted"))
+        }
+        Err(e) => Some(Outcome::Fail(format!(
+            "budgeted onthefly returned a non-budget error: {e}"
+        ))),
+    }
+}
+
 fn check_incl(c: &InclCase) -> Outcome {
     let (a, b) = match parse_pair(&c.left, &c.right) {
         Ok(pair) => pair,
         Err(outcome) => return outcome,
     };
+    let (quotients, complements) = (shared_quotient_cache(), shared_complement_cache());
     // Differential: both engines on a ⊆ b.
-    let fast = included_antichain(&a, &b);
-    let slow = included_rank(&a, &b);
-    match (&fast, &slow) {
-        (Ok(fa), Ok(sl)) => {
-            let (fh, sh) = (
-                matches!(fa, Inclusion::Holds),
-                matches!(sl, Inclusion::Holds),
-            );
-            if fh != sh {
-                fail!("engines disagree on inclusion: antichain={fa:?} rank={sl:?}");
-            }
-            if let Inclusion::CounterExample(w) = fa {
-                if let Err(msg) = valid_cex(&a, &b, w) {
-                    fail!("antichain {msg}");
-                }
-            }
-            if let Inclusion::CounterExample(w) = sl {
-                if let Err(msg) = valid_cex(&a, &b, w) {
-                    fail!("rank {msg}");
-                }
+    let (fast, slow) = match (
+        included(&a, &b, quotients, None),
+        included_rank(&a, &b, complements),
+    ) {
+        (Ok(fast), Ok(slow)) => (fast, slow),
+        _ => return Outcome::Accepted("inclusion budget exceeded"),
+    };
+    if fast.holds() != slow.holds() {
+        fail!("engines disagree on inclusion: onthefly={fast:?} rank={slow:?}");
+    }
+    for (engine, verdict) in [("onthefly", &fast), ("rank", &slow)] {
+        if let Inclusion::CounterExample(w) = verdict {
+            if let Err(msg) = valid_cex(&a, &b, w) {
+                fail!("{engine} {msg}");
             }
         }
-        _ => return Outcome::Accepted("complement budget exceeded"),
     }
     // Differential: both engines on universality of a.
-    match (universal_antichain(&a), universal_rank(&a)) {
+    match (
+        universal(&a, quotients, None),
+        universal_rank(&a, complements),
+    ) {
         (Ok(fa), Ok(sl)) => {
             if fa.is_ok() != sl.is_ok() {
-                fail!("engines disagree on universality: antichain={fa:?} rank={sl:?}");
+                fail!("engines disagree on universality: onthefly={fa:?} rank={sl:?}");
             }
             for w in [fa.err(), sl.err()].into_iter().flatten() {
                 if accepts(&a, &w) {
@@ -162,13 +193,16 @@ fn check_incl(c: &InclCase) -> Outcome {
                 }
             }
         }
-        _ => return Outcome::Accepted("complement budget exceeded"),
+        _ => return Outcome::Accepted("inclusion budget exceeded"),
     }
     // Differential: both engines on equivalence.
-    match (equivalent_antichain(&a, &b), equivalent_rank(&a, &b)) {
+    match (
+        equivalent(&a, &b, quotients, None),
+        equivalent_rank(&a, &b, complements),
+    ) {
         (Ok(fa), Ok(sl)) => {
             if fa.is_ok() != sl.is_ok() {
-                fail!("engines disagree on equivalence: antichain={fa:?} rank={sl:?}");
+                fail!("engines disagree on equivalence: onthefly={fa:?} rank={sl:?}");
             }
             for w in [fa.err(), sl.err()].into_iter().flatten() {
                 if accepts(&a, &w) == accepts(&b, &w) {
@@ -176,35 +210,18 @@ fn check_incl(c: &InclCase) -> Outcome {
                 }
             }
         }
-        _ => return Outcome::Accepted("complement budget exceeded"),
+        _ => return Outcome::Accepted("inclusion budget exceeded"),
     }
-    // Budgeted twin: a successful budgeted run must agree with the
-    // unbudgeted engine; exhaustion and injected faults are accepted.
     if let Some(steps) = c.budget {
-        let budget = Budget::unlimited().with_steps(steps);
-        match (included_antichain_budgeted(&a, &b, &budget), &fast) {
-            (Ok(bud), Ok(unb)) => {
-                if matches!(bud, Inclusion::Holds) != matches!(unb, Inclusion::Holds) {
-                    fail!("budgeted antichain disagrees with unbudgeted: {bud:?} vs {unb:?}");
-                }
-                if let Inclusion::CounterExample(w) = &bud {
-                    if let Err(msg) = valid_cex(&a, &b, w) {
-                        fail!("budgeted antichain {msg}");
-                    }
-                }
-            }
-            (Err(e), _) if e.is_budget_exceeded() || e.is_fault_injected() => {
-                return Outcome::Accepted("step budget exhausted");
-            }
-            (Err(e), _) => fail!("budgeted antichain returned a non-budget error: {e}"),
-            (Ok(_), Err(_)) => {}
+        if let Some(outcome) = check_budgeted(&a, &b, quotients, steps, &fast) {
+            return outcome;
         }
     }
     Outcome::Pass
 }
 
 // ---------------------------------------------------------------------
-// Oracle 1b: three-engine inclusion + incremental quotient drill
+// Oracle 1b: two-engine inclusion + incremental quotient drill
 // ---------------------------------------------------------------------
 
 /// The editable shape of an automaton for the seeded mutation drill:
@@ -283,122 +300,109 @@ fn mutate_shape(sigma: &Alphabet, shape: &mut Shape, rng: &mut SplitMix) {
     }
 }
 
-/// Three-engine differential (on-the-fly / eager antichain / rank) on
-/// inclusion, universality, and equivalence, followed by the
-/// incremental-quotient drill: `steps` seeded edits of the left
-/// automaton, each `advance`d through a one-stripe [`QuotientCache`] and checked
-/// bit-for-bit against a from-scratch quotient. The dirty-SCC
-/// invalidation sabotage drill must be caught here.
+/// Two-engine differential (on-the-fly antichain / rank) on inclusion,
+/// universality, and equivalence, followed by the incremental-quotient
+/// drill: `steps` seeded edits of the left automaton, each `advance`d
+/// through a one-stripe [`QuotientCache`] and checked bit-for-bit
+/// against a from-scratch quotient. The dirty-SCC invalidation
+/// sabotage drill must be caught here.
+///
+/// The rank oracle joins only on pairs small enough for its complement
+/// to be cheap (incl3 pairs run bigger than the rank-friendly `incl`
+/// sizes, and even a budget-aborted rank run pays for the exploration
+/// up to the abort). Past its reach, every counterexample is still
+/// validated on the raw operands, and every positive verdict is
+/// cross-checked by raw membership of every lasso with stem and cycle
+/// at most 3 — code the search does not share.
 fn check_incl3(c: &Incl3Case) -> Outcome {
     let (a, b) = match parse_pair(&c.left, &c.right) {
         Ok(pair) => pair,
         Err(outcome) => return outcome,
     };
-    // The two antichain engines are polynomial per macro-state and must
-    // both answer; the rank oracle joins only on pairs small enough for
-    // its complement to be cheap (incl3 pairs run bigger than the
-    // rank-friendly `incl` sizes, and even a budget-aborted rank run
-    // pays for the exploration up to the abort).
     let rank_feasible = a.num_states().max(b.num_states()) <= 4;
-    let of = included_onthefly(&a, &b);
-    let ac = included_antichain(&a, &b);
-    match (&of, &ac) {
-        (Ok(of), Ok(ac)) => {
-            let (oh, ah) = (matches!(of, Inclusion::Holds), matches!(ac, Inclusion::Holds));
-            if oh != ah {
-                fail!("engines disagree on inclusion: onthefly={of:?} antichain={ac:?}");
+    let (quotients, complements) = (shared_quotient_cache(), shared_complement_cache());
+    let lassos = std::cell::OnceCell::new();
+    let lassos = || lassos.get_or_init(|| all_lassos(a.alphabet(), 3, 3));
+    // Inclusion.
+    let Ok(of) = included(&a, &b, quotients, None) else {
+        return Outcome::Accepted("inclusion budget exceeded");
+    };
+    match &of {
+        Inclusion::CounterExample(w) => {
+            if let Err(msg) = valid_cex(&a, &b, w) {
+                fail!("onthefly {msg}");
             }
-            for (engine, verdict) in [("onthefly", of), ("antichain", ac)] {
-                if let Inclusion::CounterExample(w) = verdict {
-                    if let Err(msg) = valid_cex(&a, &b, w) {
-                        fail!("{engine} {msg}");
-                    }
-                }
+        }
+        Inclusion::Holds => {
+            if let Some(w) = lassos().iter().find(|w| accepts(&a, w) && !accepts(&b, w)) {
+                fail!("onthefly says inclusion holds, but lasso {w:?} is in L(left) \\ L(right)");
             }
-            if rank_feasible {
-                if let Ok(rk) = included_rank(&a, &b) {
-                    if matches!(rk, Inclusion::Holds) != ah {
-                        fail!("engines disagree on inclusion: antichain={ac:?} rank={rk:?}");
-                    }
-                    if let Inclusion::CounterExample(w) = &rk {
-                        if let Err(msg) = valid_cex(&a, &b, w) {
-                            fail!("rank {msg}");
-                        }
-                    }
+        }
+    }
+    if rank_feasible {
+        if let Ok(rk) = included_rank(&a, &b, complements) {
+            if rk.holds() != of.holds() {
+                fail!("engines disagree on inclusion: onthefly={of:?} rank={rk:?}");
+            }
+            if let Inclusion::CounterExample(w) = &rk {
+                if let Err(msg) = valid_cex(&a, &b, w) {
+                    fail!("rank {msg}");
                 }
             }
         }
-        _ => return Outcome::Accepted("complement budget exceeded"),
     }
-    // Universality of a, three ways.
-    match (universal_onthefly(&a), universal_antichain(&a)) {
-        (Ok(of), Ok(ac)) => {
-            let ac_ok = ac.is_ok();
-            if of.is_ok() != ac_ok {
-                fail!("engines disagree on universality: onthefly={of:?} antichain={ac:?}");
-            }
-            let mut witnesses = vec![of.err(), ac.err()];
-            if rank_feasible {
-                if let Ok(rk) = universal_rank(&a) {
-                    if rk.is_ok() != ac_ok {
-                        fail!("engines disagree on universality: antichain vs rank={rk:?}");
-                    }
-                    witnesses.push(rk.err());
-                }
-            }
-            for w in witnesses.into_iter().flatten() {
-                if accepts(&a, &w) {
-                    fail!("universality witness {w:?} is accepted (not a rejection)");
-                }
-            }
+    // Universality of a.
+    let Ok(of_univ) = universal(&a, quotients, None) else {
+        return Outcome::Accepted("inclusion budget exceeded");
+    };
+    let univ = of_univ.is_ok();
+    if univ {
+        if let Some(w) = lassos().iter().find(|w| !accepts(&a, w)) {
+            fail!("onthefly says universal, but the left automaton rejects lasso {w:?}");
         }
-        _ => return Outcome::Accepted("complement budget exceeded"),
     }
-    // Equivalence, three ways.
-    match (equivalent_onthefly(&a, &b), equivalent_antichain(&a, &b)) {
-        (Ok(of), Ok(ac)) => {
-            let ac_ok = ac.is_ok();
-            if of.is_ok() != ac_ok {
-                fail!("engines disagree on equivalence: onthefly={of:?} antichain={ac:?}");
+    let mut witnesses = vec![of_univ.err()];
+    if rank_feasible {
+        if let Ok(rk) = universal_rank(&a, complements) {
+            if rk.is_ok() != univ {
+                fail!("engines disagree on universality: onthefly universal={univ} rank={rk:?}");
             }
-            let mut separators = vec![of.err(), ac.err()];
-            if rank_feasible {
-                if let Ok(rk) = equivalent_rank(&a, &b) {
-                    if rk.is_ok() != ac_ok {
-                        fail!("engines disagree on equivalence: antichain vs rank={rk:?}");
-                    }
-                    separators.push(rk.err());
-                }
-            }
-            for w in separators.into_iter().flatten() {
-                if accepts(&a, &w) == accepts(&b, &w) {
-                    fail!("equivalence separator {w:?} does not separate the languages");
-                }
-            }
+            witnesses.push(rk.err());
         }
-        _ => return Outcome::Accepted("complement budget exceeded"),
     }
-    // Budgeted on-the-fly twin through an explicit quotient cache; a
-    // successful run must agree, exhaustion and faults are accepted.
+    for w in witnesses.into_iter().flatten() {
+        if accepts(&a, &w) {
+            fail!("universality witness {w:?} is accepted (not a rejection)");
+        }
+    }
+    // Equivalence.
+    let Ok(of_eq) = equivalent(&a, &b, quotients, None) else {
+        return Outcome::Accepted("inclusion budget exceeded");
+    };
+    let eq = of_eq.is_ok();
+    if eq {
+        if let Some(w) = lassos().iter().find(|w| accepts(&a, w) != accepts(&b, w)) {
+            fail!("onthefly says equivalent, but lasso {w:?} separates the languages");
+        }
+    }
+    let mut separators = vec![of_eq.err()];
+    if rank_feasible {
+        if let Ok(rk) = equivalent_rank(&a, &b, complements) {
+            if rk.is_ok() != eq {
+                fail!("engines disagree on equivalence: onthefly equivalent={eq} rank={rk:?}");
+            }
+            separators.push(rk.err());
+        }
+    }
+    for w in separators.into_iter().flatten() {
+        if accepts(&a, &w) == accepts(&b, &w) {
+            fail!("equivalence separator {w:?} does not separate the languages");
+        }
+    }
+    // Budgeted run through an explicit quotient cache.
     if let Some(steps) = c.budget {
-        let budget = Budget::unlimited().with_steps(steps);
-        let cache = QuotientCache::new();
-        match (included_onthefly_budgeted_with_cache(&cache, &a, &b, &budget), &of) {
-            (Ok(bud), Ok(unb)) => {
-                if matches!(bud, Inclusion::Holds) != matches!(unb, Inclusion::Holds) {
-                    fail!("budgeted onthefly disagrees with unbudgeted: {bud:?} vs {unb:?}");
-                }
-                if let Inclusion::CounterExample(w) = &bud {
-                    if let Err(msg) = valid_cex(&a, &b, w) {
-                        fail!("budgeted onthefly {msg}");
-                    }
-                }
-            }
-            (Err(e), _) if e.is_budget_exceeded() || e.is_fault_injected() => {
-                return Outcome::Accepted("step budget exhausted");
-            }
-            (Err(e), _) => fail!("budgeted onthefly returned a non-budget error: {e}"),
-            (Ok(_), Err(_)) => {}
+        if let Some(outcome) = check_budgeted(&a, &b, &QuotientCache::new(), steps, &of) {
+            return outcome;
         }
     }
     // Incremental-vs-scratch quotient drill: the greatest simulation

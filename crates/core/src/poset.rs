@@ -392,7 +392,7 @@ mod tests {
     }
 
     #[test]
-    fn meet_missing_in_antichain() {
+    fn meet_missing_between_incomparables() {
         let p = Poset::antichain(2).unwrap();
         assert_eq!(p.meet(0, 1), None);
         assert_eq!(p.join(0, 1), None);

@@ -64,7 +64,7 @@ mod tests {
     use crate::eval::eval;
     use crate::translate::translate;
     use sl_buchi::classify::{classify, Classification};
-    use sl_buchi::{closure, equivalent};
+    use sl_buchi::{closure, equivalent, shared_quotient_cache};
     use sl_omega::{all_lassos, LinearProperty};
 
     #[test]
@@ -123,7 +123,11 @@ mod tests {
         let ex = examples(&s);
         let p3 = translate(&s, &ex[3].formula);
         let p1 = translate(&s, &ex[1].formula);
-        assert!(equivalent(&closure(&p3), &p1).unwrap().is_ok());
+        assert!(
+            equivalent(&closure(&p3), &p1, shared_quotient_cache(), None)
+                .unwrap()
+                .is_ok()
+        );
     }
 
     #[test]
@@ -134,7 +138,9 @@ mod tests {
         for i in [4, 5] {
             let m = translate(&s, &ex[i].formula);
             assert!(
-                sl_buchi::universal(&closure(&m)).unwrap().is_ok(),
+                sl_buchi::universal(&closure(&m), shared_quotient_cache(), None)
+                    .unwrap()
+                    .is_ok(),
                 "closure of {} should be universal",
                 ex[i].name
             );

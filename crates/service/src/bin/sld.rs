@@ -14,8 +14,8 @@
 //!
 //! stdout carries protocol lines only (golden transcripts diff it
 //! byte-for-byte); the banner and diagnostics go to stderr. Knobs via
-//! environment: `SL_THREADS` (batch fan-out width), `SL_INCL_ENGINE`
-//! (antichain/rank), `SL_FAULT_SEED`/`SL_FAULT_RATE` (seeded fault
+//! environment: `SL_THREADS` (batch fan-out width),
+//! `SL_FAULT_SEED`/`SL_FAULT_RATE` (seeded fault
 //! drill of the `sl.service.request` site and the engines' sites),
 //! `SL_SNAPSHOT_EVERY` (journal records between automatic snapshots
 //! under `--persist`; default 256, 0 disables automatic snapshots).

@@ -38,11 +38,10 @@
 //!
 //! # Determinism contract
 //!
-//! For a fixed request script served over a *single* connection (and
-//! the default antichain engine), the response byte stream is
-//! identical at any `SL_THREADS` — the golden transcripts in
-//! `tests/service_protocol.rs` and the verify.sh `service` stage hold
-//! the daemon to this. The load-bearing choices:
+//! For a fixed request script served over a *single* connection, the
+//! response byte stream is identical at any `SL_THREADS` — the golden
+//! transcripts in `tests/service_protocol.rs` and the verify.sh
+//! `service` stage hold the daemon to this. The load-bearing choices:
 //!
 //! * requests — and the items of a `batch` — are assigned fault-site
 //!   indices sequentially at intake, so whether `sl.service.request`
@@ -54,11 +53,11 @@
 //! * antichain counters ([`sl_buchi::AntichainStats`]) are measured per
 //!   query *on the worker thread that ran it* and the deltas are summed
 //!   in item order. They are a pure function of the query, so the
-//!   totals reported by `stats` are deterministic under the default
-//!   engine. (The rank engine's complement cache is shared
+//!   totals reported by `stats` are deterministic. (The rank engine's
+//!   complement cache, also reported by `stats`, is shared
 //!   process-wide, so its hit/miss split depends on what else is
-//!   running — transcripts that pin `SL_INCL_ENGINE=rank` should not
-//!   diff a `stats` response.)
+//!   running in the process; the daemon itself never calls the rank
+//!   engine.)
 //!
 //! With multiple connections, the guarantee each client keeps is
 //! *transcript independence*: for sessions that touch disjoint names
@@ -87,12 +86,9 @@ use crate::proto::{
 };
 use crate::registry::Registry;
 use sl_buchi::{
-    antichain_stats, classify, closure, decompose, equivalent, equivalent_budgeted,
-    equivalent_onthefly_budgeted_with_cache, equivalent_onthefly_with_cache, hoa, incl_engine,
-    included, included_budgeted, included_onthefly_budgeted_with_cache,
-    included_onthefly_with_cache, is_safety, shared_complement_cache, universal,
-    universal_onthefly_with_cache, AntichainStats, Buchi, Classification, CompiledMonitor,
-    InclEngine, Inclusion, Monitor, MonitorFleet, QuotientCache, Verdict,
+    antichain_stats, closure, decompose, equivalent, hoa, included, is_safety,
+    shared_complement_cache, shared_quotient_cache, universal, AntichainStats, Buchi,
+    Classification, CompiledMonitor, Inclusion, Monitor, MonitorFleet, QuotientCache, Verdict,
 };
 use sl_omega::Alphabet;
 use sl_pdr::{check_liveness, check_safety, LivenessVerdict, SafetyVerdict};
@@ -480,7 +476,7 @@ impl Service {
     }
 
     /// Folds a per-query antichain delta into the daemon totals.
-    fn absorb_antichain(&self, delta: &AntichainStats) {
+    fn absorb_search_stats(&self, delta: &AntichainStats) {
         relock(self.shared.antichain.lock()).absorb(delta);
     }
 
@@ -999,7 +995,7 @@ impl Service {
             .cache
             .get_or_compute(job.kind, &job.left, job.right.as_ref(), || {
                 let (outcome, delta) = compute_isolated(job, &self.shared.quotient);
-                self.absorb_antichain(&delta);
+                self.absorb_search_stats(&delta);
                 outcome
             })
     }
@@ -1015,7 +1011,7 @@ impl Service {
             let check = d.check_sampled(&target, 2, 2);
             (d, check)
         }));
-        self.absorb_antichain(&antichain_stats().delta_since(&before));
+        self.absorb_search_stats(&antichain_stats().delta_since(&before));
         let (d, check) = outcome.map_err(|payload| {
             ProtoError::new("panic", panic_message(payload.as_ref()))
         })?;
@@ -1511,7 +1507,7 @@ impl Service {
                     let job = &jobs[job_index];
                     match outcome {
                         ItemOutcome::Ok((Ok(result), delta)) => {
-                            self.absorb_antichain(&delta);
+                            self.absorb_search_stats(&delta);
                             self.shared.cache.store(
                                 job.kind,
                                 Arc::clone(&job.left),
@@ -1521,7 +1517,7 @@ impl Service {
                             results.push(ok_value(id.as_ref(), result));
                         }
                         ItemOutcome::Ok((Err(error), delta)) => {
-                            self.absorb_antichain(&delta);
+                            self.absorb_search_stats(&delta);
                             self.shared.counters.errors.fetch_add(1, Ordering::SeqCst);
                             results.push(err_value(id.as_ref(), &error));
                         }
@@ -1578,38 +1574,29 @@ fn compute_isolated(
     (outcome, delta)
 }
 
-/// The verb semantics proper. Unbudgeted requests go through the plain
-/// engine entry points (no extra fault sites, so fault drills only
-/// fire where a budgeted path opted in); budgeted requests use the
-/// budgeted twins. When the selected engine is the default on-the-fly
-/// one, `include`/`equivalent`/`universal` route through the
-/// `_with_cache` twins against the daemon's [`QuotientCache`], so
-/// repeated queries over the same operands reuse interned quotients
-/// instead of recomputing the simulation per query.
+/// The verb semantics proper. Every verb asks the on-the-fly antichain
+/// engine one or two inclusion questions under the request's budget:
+/// none means the engine's default attempt cap and no fault site, so
+/// fault drills only fire where a request opted into a budget.
+/// `include`/`equivalent`/`universal` quotient through the daemon's
+/// [`QuotientCache`], so repeated queries over the same operands reuse
+/// interned quotients instead of recomputing the simulation per query;
+/// `classify` still quotients through the process-wide cache.
 fn compute_query(job: &QueryJob, quotient: &QuotientCache) -> Result<Json, SlError> {
     let budget = job.budget.map(BudgetSpec::to_budget);
-    let onthefly = incl_engine() == InclEngine::OnTheFly;
+    let budget = budget.as_ref();
     match job.kind {
         QueryKind::Classify => {
             let b = job.left.as_ref();
-            let class = match &budget {
-                None => classify(b)?,
-                Some(budget) => {
-                    let cl = closure(b);
-                    let safe = included_budgeted(&cl, b, budget)?.holds();
-                    let live = included_budgeted(
-                        &Buchi::universal(b.alphabet().clone()),
-                        &cl,
-                        budget,
-                    )?
-                    .holds();
-                    match (safe, live) {
-                        (true, true) => Classification::Both,
-                        (true, false) => Classification::Safety,
-                        (false, true) => Classification::Liveness,
-                        (false, false) => Classification::Neither,
-                    }
-                }
+            let cl = closure(b);
+            let shared = shared_quotient_cache();
+            let safe = included(&cl, b, shared, budget)?.holds();
+            let live = universal(&cl, shared, budget)?.is_ok();
+            let class = match (safe, live) {
+                (true, true) => Classification::Both,
+                (true, false) => Classification::Safety,
+                (false, true) => Classification::Liveness,
+                (false, false) => Classification::Neither,
             };
             Ok(Json::obj(vec![(
                 "class",
@@ -1618,15 +1605,7 @@ fn compute_query(job: &QueryJob, quotient: &QuotientCache) -> Result<Json, SlErr
         }
         QueryKind::Include => {
             let (a, b) = (job.left.as_ref(), job.right.as_ref().expect("binary").as_ref());
-            let inclusion = match &budget {
-                None if onthefly => included_onthefly_with_cache(quotient, a, b)?,
-                None => included(a, b)?,
-                Some(budget) if onthefly => {
-                    included_onthefly_budgeted_with_cache(quotient, a, b, budget)?
-                }
-                Some(budget) => included_budgeted(a, b, budget)?,
-            };
-            Ok(match inclusion {
+            Ok(match included(a, b, quotient, budget)? {
                 Inclusion::Holds => Json::obj(vec![("holds", Json::Bool(true))]),
                 Inclusion::CounterExample(w) => Json::obj(vec![
                     ("holds", Json::Bool(false)),
@@ -1636,15 +1615,7 @@ fn compute_query(job: &QueryJob, quotient: &QuotientCache) -> Result<Json, SlErr
         }
         QueryKind::Equivalent => {
             let (a, b) = (job.left.as_ref(), job.right.as_ref().expect("binary").as_ref());
-            let verdict = match &budget {
-                None if onthefly => equivalent_onthefly_with_cache(quotient, a, b)?,
-                None => equivalent(a, b)?,
-                Some(budget) if onthefly => {
-                    equivalent_onthefly_budgeted_with_cache(quotient, a, b, budget)?
-                }
-                Some(budget) => equivalent_budgeted(a, b, budget)?,
-            };
-            Ok(match verdict {
+            Ok(match equivalent(a, b, quotient, budget)? {
                 Ok(()) => Json::obj(vec![("equivalent", Json::Bool(true))]),
                 Err(w) => Json::obj(vec![
                     ("equivalent", Json::Bool(false)),
@@ -1654,23 +1625,7 @@ fn compute_query(job: &QueryJob, quotient: &QuotientCache) -> Result<Json, SlErr
         }
         QueryKind::Universal => {
             let b = job.left.as_ref();
-            let verdict = match &budget {
-                None if onthefly => universal_onthefly_with_cache(quotient, b)?,
-                None => universal(b)?,
-                Some(budget) => {
-                    let all = Buchi::universal(b.alphabet().clone());
-                    let inclusion = if onthefly {
-                        included_onthefly_budgeted_with_cache(quotient, &all, b, budget)?
-                    } else {
-                        included_budgeted(&all, b, budget)?
-                    };
-                    match inclusion {
-                        Inclusion::Holds => Ok(()),
-                        Inclusion::CounterExample(w) => Err(w),
-                    }
-                }
-            };
-            Ok(match verdict {
+            Ok(match universal(b, quotient, budget)? {
                 Ok(()) => Json::obj(vec![("universal", Json::Bool(true))]),
                 Err(w) => Json::obj(vec![
                     ("universal", Json::Bool(false)),

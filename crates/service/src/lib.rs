@@ -12,8 +12,8 @@
 //!   a name;
 //! * **`classify` / `decompose`** — the paper's trichotomy and the
 //!   Theorem 2 decomposition `B = B_S ∩ B_L`;
-//! * **`include` / `equivalent` / `universal`** — the antichain
-//!   inclusion engine (or rank-based, per `SL_INCL_ENGINE`);
+//! * **`include` / `equivalent` / `universal`** — the on-the-fly
+//!   antichain inclusion engine over the daemon's quotient cache;
 //! * **`monitor-step`** — incremental [`sl_buchi::Monitor`] sessions
 //!   with sticky `Unknown`;
 //! * **`batch`** — fan query verbs through the panic-isolated parallel

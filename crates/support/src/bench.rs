@@ -146,31 +146,6 @@ impl Bench {
         median
     }
 
-    /// Records one externally-timed call as a single-sample
-    /// measurement and prints the standard report line.
-    ///
-    /// For calls too expensive to warm up, batch and sample — the
-    /// minutes-per-call regime — time the call once with
-    /// [`Instant`] and report it here: median, p95 and min all equal
-    /// the one observation, and `samples`/`batch` are recorded as 1
-    /// so readers of the JSON can tell it apart from a sampled run.
-    pub fn record_single(&mut self, name: &str, elapsed: Duration) {
-        println!(
-            "bench  {name:<44} median {:>12}  p95 {:>12}  min {:>12}  (1 sample x 1 call)",
-            format_duration(elapsed),
-            format_duration(elapsed),
-            format_duration(elapsed),
-        );
-        self.records.push(BenchRecord {
-            name: name.to_string(),
-            median_ns: elapsed.as_nanos(),
-            p95_ns: elapsed.as_nanos(),
-            min_ns: elapsed.as_nanos(),
-            samples: 1,
-            batch: 1,
-        });
-    }
-
     /// The measurements recorded so far, in execution order.
     #[must_use]
     pub fn records(&self) -> &[BenchRecord] {
@@ -278,18 +253,6 @@ mod tests {
         assert_eq!(bench.records().len(), 1);
         assert_eq!(bench.records()[0].name, "test/busy");
         assert!(bench.records()[0].median_ns > 0);
-    }
-
-    #[test]
-    fn record_single_reports_one_observation() {
-        let mut bench = tiny_bench();
-        bench.record_single("test/slow", Duration::from_millis(1500));
-        let r = &bench.records()[0];
-        assert_eq!(r.name, "test/slow");
-        assert_eq!(r.median_ns, 1_500_000_000);
-        assert_eq!(r.p95_ns, r.median_ns);
-        assert_eq!(r.min_ns, r.median_ns);
-        assert_eq!((r.samples, r.batch), (1, 1));
     }
 
     #[test]

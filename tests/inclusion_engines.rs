@@ -1,30 +1,33 @@
-//! Differential verification of the three inclusion engines: the
-//! on-the-fly antichain search (quotient-cached, lazily expanded), the
-//! eager antichain search, and the rank-based oracle.
+//! Differential verification of the inclusion engine: the on-the-fly
+//! antichain search (quotient-cached, lazily expanded) against the
+//! rank-based oracle, an independent algorithm (complement, then check
+//! emptiness).
 //!
-//! All three engines are exact, so on every query they must return the
-//! same verdict, and every counterexample any of them produces must be
-//! *genuine* (accepted by the left operand, rejected by the right —
-//! checked on the *raw* operands, so the on-the-fly engine's internal
-//! quotienting cannot mask a bad witness). The sweep compares the
-//! engines over 500+ random automaton pairs drawn from a pool of 120
-//! distinct machines; rank-side complement-budget blowups are skipped
-//! (and bounded), never treated as disagreements.
+//! Both engines are exact, so on every query they must return the same
+//! verdict, and every counterexample either produces must be *genuine*
+//! (accepted by the left operand, rejected by the right — checked on
+//! the *raw* operands, so the on-the-fly engine's internal quotienting
+//! cannot mask a bad witness). The sweep compares the engines over
+//! 500+ random automaton pairs drawn from a pool of 120 distinct
+//! machines; rank-side complement-budget blowups are skipped (and
+//! bounded), never treated as disagreements.
 //!
 //! The tests stay green under an environment fault drill
-//! (`SL_FAULT_RATE` > 0): the unbudgeted entry points consult no
-//! error-injection site, and the rank engine's complement-cache site
-//! (`"buchi.complement_cache"`) only forces behavior-preserving
-//! recomputations.
+//! (`SL_FAULT_RATE` > 0): unbudgeted searches consult no
+//! error-injection site, and the cache sites
+//! (`"buchi.quotient_cache"`, `"buchi.complement_cache"`) only force
+//! behavior-preserving recomputations.
 
 use safety_liveness::buchi::{
-    equivalent_antichain, equivalent_onthefly, equivalent_rank, included_antichain,
-    included_onthefly, included_rank, random_buchi, universal_antichain, universal_onthefly,
-    universal_rank, Buchi, Inclusion, RandomConfig,
+    equivalent, equivalent_rank, hoa, included, included_rank, random_buchi,
+    shared_complement_cache, shared_quotient_cache, universal, universal_rank, Buchi, BuchiBuilder,
+    Inclusion, QuotientCache, RandomConfig, DEFAULT_ANTICHAIN_BUDGET,
 };
 use safety_liveness::omega::Alphabet;
+use safety_liveness::service::{Json, Service, ServiceConfig};
 use sl_support::prop;
 use sl_support::prop_assert_eq;
+use sl_support::{FaultPlan, SlError};
 
 /// A pool of 120 structurally diverse automata: three shape classes
 /// (sparse 3-state, mid-density 4-state, dense 5-state) with 40
@@ -84,26 +87,18 @@ fn engines_agree_on_inclusion_over_500_pairs() {
         let i = (k.wrapping_mul(7919).wrapping_add(3) % n) as usize;
         let j = (k.wrapping_mul(104_729).wrapping_add(11) % n) as usize;
         let (a, b) = (&machines[i], &machines[j]);
-        let ac = included_antichain(a, b)
-            .expect("antichain budget must not blow on a ≤5-state pair");
-        let of = included_onthefly(a, b)
+        let of = included(a, b, shared_quotient_cache(), None)
             .expect("on-the-fly budget must not blow on a ≤5-state pair");
-        assert_eq!(
-            ac.holds(),
-            of.holds(),
-            "engines disagree on pair ({i}, {j}): antichain {ac:?} vs onthefly {of:?}"
-        );
         assert_genuine("onthefly", &of, a, b, (i, j));
-        let Ok(rk) = included_rank(a, b) else {
+        let Ok(rk) = included_rank(a, b, shared_complement_cache()) else {
             rank_skips += 1;
             continue;
         };
         assert_eq!(
-            ac.holds(),
+            of.holds(),
             rk.holds(),
-            "engines disagree on pair ({i}, {j}): antichain {ac:?} vs rank {rk:?}"
+            "engines disagree on pair ({i}, {j}): onthefly {of:?} vs rank {rk:?}"
         );
-        assert_genuine("antichain", &ac, a, b, (i, j));
         assert_genuine("rank", &rk, a, b, (i, j));
         compared += 1;
     }
@@ -118,28 +113,20 @@ fn engines_agree_on_universality() {
     let machines = pool();
     let mut rank_skips = 0usize;
     for (i, b) in machines.iter().enumerate() {
-        let ac = universal_antichain(b).expect("antichain universality budget");
-        let of = universal_onthefly(b).expect("on-the-fly universality budget");
-        assert_eq!(
-            ac.is_ok(),
-            of.is_ok(),
-            "universality verdicts disagree on pool[{i}]: antichain vs onthefly"
-        );
+        let of =
+            universal(b, shared_quotient_cache(), None).expect("on-the-fly universality budget");
         if let Err(w) = &of {
             assert!(!b.accepts(w), "onthefly non-universality witness {w} accepted");
         }
-        let Ok(rk) = universal_rank(b) else {
+        let Ok(rk) = universal_rank(b, shared_complement_cache()) else {
             rank_skips += 1;
             continue;
         };
         assert_eq!(
-            ac.is_ok(),
+            of.is_ok(),
             rk.is_ok(),
             "universality verdicts disagree on pool[{i}]"
         );
-        if let Err(w) = &ac {
-            assert!(!b.accepts(w), "antichain non-universality witness {w} accepted");
-        }
         if let Err(w) = &rk {
             assert!(!b.accepts(w), "rank non-universality witness {w} accepted");
         }
@@ -155,28 +142,20 @@ fn engines_agree_on_equivalence() {
         let i = (k * 13 + 1) % n;
         let j = (k * 29 + 7) % n;
         let (a, b) = (&machines[i], &machines[j]);
-        let ac = equivalent_antichain(a, b).expect("antichain equivalence budget");
-        let of = equivalent_onthefly(a, b).expect("on-the-fly equivalence budget");
-        assert_eq!(
-            ac.is_ok(),
-            of.is_ok(),
-            "equivalence verdicts disagree on pair ({i}, {j}): antichain vs onthefly"
-        );
+        let of =
+            equivalent(a, b, shared_quotient_cache(), None).expect("on-the-fly equivalence budget");
+        // A separating word must lie in the symmetric difference.
         if let Err(w) = &of {
             assert_ne!(a.accepts(w), b.accepts(w), "onthefly separator {w} separates nothing");
         }
-        let Ok(rk) = equivalent_rank(a, b) else {
+        let Ok(rk) = equivalent_rank(a, b, shared_complement_cache()) else {
             continue;
         };
         assert_eq!(
-            ac.is_ok(),
+            of.is_ok(),
             rk.is_ok(),
             "equivalence verdicts disagree on pair ({i}, {j})"
         );
-        // A separating word must lie in the symmetric difference.
-        if let Err(w) = &ac {
-            assert_ne!(a.accepts(w), b.accepts(w), "antichain separator {w} separates nothing");
-        }
         if let Err(w) = &rk {
             assert_ne!(a.accepts(w), b.accepts(w), "rank separator {w} separates nothing");
         }
@@ -197,23 +176,77 @@ fn prop_engines_agree_on_random_pairs() {
             };
             let a = random_buchi(&sigma, seed1, cfg);
             let b = random_buchi(&sigma, seed2, cfg);
-            let ac = included_antichain(&a, &b)
-                .map_err(|e| format!("antichain budget: {e}"))?;
-            let of = included_onthefly(&a, &b)
+            let of = included(&a, &b, shared_quotient_cache(), None)
                 .map_err(|e| format!("onthefly budget: {e}"))?;
-            prop_assert_eq!(ac.holds(), of.holds());
             if let Inclusion::CounterExample(w) = &of {
                 prop_assert_eq!(a.accepts(w), true);
                 prop_assert_eq!(b.accepts(w), false);
             }
-            if let Ok(rk) = included_rank(&a, &b) {
-                prop_assert_eq!(ac.holds(), rk.holds());
-                if let Inclusion::CounterExample(w) = &ac {
-                    prop_assert_eq!(a.accepts(w), true);
-                    prop_assert_eq!(b.accepts(w), false);
-                }
+            if let Ok(rk) = included_rank(&a, &b, shared_complement_cache()) {
+                prop_assert_eq!(of.holds(), rk.holds());
             }
             Ok(())
         },
+    );
+}
+
+/// A ring of `n` states over {a, b}: `a: i → i+1`, `b: i → 2i+1 mod n`,
+/// only state 0 accepting. No state simulates another, so the quotient
+/// keeps all `n` states, and deciding `L(ring) ⊆ Σ^ω` commits up to one
+/// macro-state per (state, state, accepting bit) in about `4n²`
+/// insertion attempts: inside the default cap of 2^17 at `n = 128`,
+/// past it at `n = 256`.
+fn ring(n: usize) -> Buchi {
+    let sigma = Alphabet::ab();
+    let (a, b) = (sigma.symbol("a").unwrap(), sigma.symbol("b").unwrap());
+    let mut builder = BuchiBuilder::new(sigma);
+    let states: Vec<usize> = (0..n).map(|i| builder.add_state(i == 0)).collect();
+    for i in 0..n {
+        builder.add_transition(states[i], a, states[(i + 1) % n]);
+        builder.add_transition(states[i], b, states[(2 * i + 1) % n]);
+    }
+    builder.build(states[0])
+}
+
+/// An unbudgeted search that runs into the default attempt cap reports
+/// the phase that ran out — the antichain search — both from the
+/// library and on the wire. (It once surfaced as
+/// `buchi.complement`, although no complement is ever built.)
+#[test]
+fn unbudgeted_exhaustion_names_the_antichain_phase() {
+    let all = Buchi::universal(Alphabet::ab());
+    assert!(included(&ring(128), &all, &QuotientCache::new(), None)
+        .expect("the 128-state ring fits the default cap")
+        .holds());
+    let err = included(&ring(256), &all, &QuotientCache::new(), None)
+        .expect_err("the 256-state ring exhausts the default cap");
+    assert_eq!(
+        err,
+        SlError::BudgetExceeded {
+            phase: "buchi.incl.antichain",
+            spent: DEFAULT_ANTICHAIN_BUDGET as u64 + 1,
+        }
+    );
+
+    let service = Service::new(ServiceConfig {
+        fault: FaultPlan::disabled(),
+        threads: 1,
+        ..ServiceConfig::default()
+    });
+    for (name, automaton) in [("ring", ring(256)), ("top", all)] {
+        let define = Json::obj(vec![
+            ("verb", Json::Str("define".into())),
+            ("name", Json::Str(name.into())),
+            ("hoa", Json::Str(hoa::to_hoa(&automaton, name))),
+        ]);
+        let reply = service.handle_line(&define.render()).line;
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+    }
+    let reply = service
+        .handle_line(r#"{"id":1,"verb":"include","left":"ring","right":"top"}"#)
+        .line;
+    assert!(
+        reply.contains("budget exceeded in buchi.incl.antichain after 131073 steps"),
+        "{reply}"
     );
 }
