@@ -11,9 +11,10 @@
 //!   states: an arc `q → q'` iff `B` can go from `q` to `q'` reading
 //!   `w`, flagged *accepting* iff some such path visits `F_B`
 //!   (endpoints included). Word-graphs compose exactly
-//!   (`g_{w1·w2} = g_{w1} ∘ g_{w2}`) and are backed by
-//!   [`sl_lattice::Bitset`] rows, so composition and comparison are
-//!   word-parallel `u64` operations.
+//!   (`g_{w1·w2} = g_{w1} ∘ g_{w2}`). A graph is one flat `u64` slice —
+//!   its `n` `reach` rows, then its `n` `acc` rows, `⌈n/64⌉` words per
+//!   row — so composition ORs row words into a caller-owned buffer and
+//!   the comparison below is one pass of `x & !y == 0`.
 //! * The search enumerates elements `(p, q, f, g_w)` — "`A` can go from
 //!   `p` to `q` on `w` (visiting `F_A` iff `f`), and `w` acts on `B` as
 //!   `g_w`" — closing the set under right-composition with single
@@ -34,6 +35,14 @@
 //!   on the quotients are valid for the originals), letter graphs are
 //!   built on first use, and macro-states are expanded only from
 //!   `A`-states the search has reached.
+//! * Committed elements live in a structure-of-arrays arena: every
+//!   graph in one `Vec<u64>` at a fixed stride, with parallel vectors
+//!   for the accepting bit, liveness, and a witness link (parent index
+//!   and last letter). A candidate is composed into one reused scratch
+//!   buffer and copied into the arena only if it survives subsumption;
+//!   witness words are spelled out from the links only when a
+//!   counterexample is returned, and the lasso test reuses its Tarjan
+//!   buffers for the whole search.
 //!
 //! [`included`], [`equivalent`], and [`universal`] are the only entry
 //! points; each takes the quotient cache and an optional [`Budget`].
@@ -44,17 +53,15 @@
 //! with the rank-based oracle on every instance (the differential
 //! suite in `tests/inclusion_engines.rs` enforces this). The rank path
 //! is still *required* when the caller needs the complement automaton
-//! itself as an artifact (e.g. [`crate::decompose`]'s liveness part) —
-//! this engine only answers queries.
+//! itself as an artifact (e.g. the liveness part of
+//! [`crate::decompose`](mod@crate::decompose)) — this engine only
+//! answers queries.
 
-use crate::automaton::{Buchi, StateId};
-use crate::graph::{tarjan, Graph};
+use crate::automaton::Buchi;
 use crate::incl::Inclusion;
 use crate::interned::QuotientCache;
-use sl_lattice::Bitset;
 use sl_omega::{LassoWord, Symbol, Word};
 use sl_support::{fault, Budget, FaultPlan, SlError};
-use std::borrow::Cow;
 use std::collections::VecDeque;
 
 /// Default cap on antichain insertion attempts for unbudgeted searches
@@ -136,7 +143,9 @@ impl AntichainStats {
         AntichainStats {
             searches: self.searches.saturating_sub(earlier.searches),
             insert_attempts: self.insert_attempts.saturating_sub(earlier.insert_attempts),
-            subsumption_scans: self.subsumption_scans.saturating_sub(earlier.subsumption_scans),
+            subsumption_scans: self
+                .subsumption_scans
+                .saturating_sub(earlier.subsumption_scans),
             counterexamples: self.counterexamples.saturating_sub(earlier.counterexamples),
             peak_macro_states: self.peak_macro_states,
             final_antichain: self.final_antichain,
@@ -201,150 +210,323 @@ fn record_search(attempts: u64, scans: u64, found_counterexample: bool, gauges: 
     });
 }
 
-/// The word-graph of a finite word over `B`'s state set: `reach[q]` is
-/// the set of states reachable from `q` reading the word, `acc[q]` the
-/// subset reachable via a path that visits `F_B` (endpoints included).
-/// `acc[q] ⊆ reach[q]` by construction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct WordGraph {
-    reach: Vec<Bitset>,
-    acc: Vec<Bitset>,
+/// The layout of the word-graphs over `B`'s `n` states. A graph is one
+/// slice of [`Shape::len`] words: the `reach` rows, then the `acc` rows,
+/// `w = ⌈n/64⌉` words per row. `reach` row `q` is the set of states
+/// reachable from `q` reading the word, `acc` row `q` the subset
+/// reachable via a path that visits `F_B` (endpoints included), so
+/// `acc[q] ⊆ reach[q]`. Bits past `n` in a row's last word stay clear.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    n: usize,
+    w: usize,
 }
 
-impl WordGraph {
-    /// The graph of the empty word: identity arcs, accepting at
-    /// accepting states.
-    fn identity(b: &Buchi) -> WordGraph {
-        let n = b.num_states();
-        let mut reach = Vec::with_capacity(n);
-        let mut acc = Vec::with_capacity(n);
-        for q in 0..n {
-            let mut row = Bitset::empty(n);
-            row.insert(q);
-            acc.push(if b.is_accepting(q) {
-                row.clone()
-            } else {
-                Bitset::empty(n)
-            });
-            reach.push(row);
+impl Shape {
+    fn new(n: usize) -> Shape {
+        Shape {
+            n,
+            w: n.div_ceil(64),
         }
-        WordGraph { reach, acc }
     }
 
-    /// The graph of a single letter.
-    fn letter(b: &Buchi, sym: Symbol) -> WordGraph {
-        let n = b.num_states();
-        let mut reach = Vec::with_capacity(n);
-        let mut acc = Vec::with_capacity(n);
-        for q in 0..n {
-            let succs = b.successors(q, sym);
-            let row = Bitset::from_indices(n, succs);
-            let acc_row = if b.is_accepting(q) {
-                row.clone()
-            } else {
-                let flagged: Vec<StateId> = succs
-                    .iter()
-                    .copied()
-                    .filter(|&s| b.is_accepting(s))
-                    .collect();
-                Bitset::from_indices(n, &flagged)
-            };
-            reach.push(row);
-            acc.push(acc_row);
-        }
-        WordGraph { reach, acc }
+    /// Words per graph.
+    fn len(self) -> usize {
+        2 * self.n * self.w
     }
 
-    /// Exact composition: `self` then `other`. A composite path visits
-    /// `F_B` iff one of its halves does, which is exactly the union
-    /// below — so word-graphs of concatenations are computed, not
-    /// approximated.
-    fn compose(&self, other: &WordGraph) -> WordGraph {
-        let n = self.reach.len();
-        let mut reach = Vec::with_capacity(n);
-        let mut acc = Vec::with_capacity(n);
-        for q in 0..n {
-            let mut out_reach = Bitset::empty(n);
-            let mut out_acc = Bitset::empty(n);
-            for m in self.reach[q].iter() {
-                out_reach.union_in_place(&other.reach[m]);
-                out_acc.union_in_place(&other.acc[m]);
+    fn reach(self, g: &[u64], q: usize) -> &[u64] {
+        &g[q * self.w..(q + 1) * self.w]
+    }
+
+    fn acc(self, g: &[u64], q: usize) -> &[u64] {
+        &g[(self.n + q) * self.w..(self.n + q + 1) * self.w]
+    }
+
+    /// Sets bit `s` of row `row` (counting `reach` rows `0..n`, then
+    /// `acc` rows `n..2n`).
+    fn set(self, g: &mut [u64], row: usize, s: usize) {
+        g[row * self.w + s / 64] |= 1 << (s % 64);
+    }
+
+    /// Writes the graph of the empty word into `out`: identity arcs,
+    /// accepting at accepting states.
+    fn identity(self, b: &Buchi, out: &mut [u64]) {
+        out.fill(0);
+        for q in 0..self.n {
+            self.set(out, q, q);
+            if b.is_accepting(q) {
+                self.set(out, self.n + q, q);
             }
-            for m in self.acc[q].iter() {
-                out_acc.union_in_place(&other.reach[m]);
-            }
-            reach.push(out_reach);
-            acc.push(out_acc);
         }
-        WordGraph { reach, acc }
     }
 
-    /// Pointwise arc inclusion: `self` has at most the arcs of `other`.
-    /// A smaller graph admits fewer `B`-runs, hence rejects at least as
-    /// many lassos — the heart of the subsumption order.
-    fn le(&self, other: &WordGraph) -> bool {
-        self.reach
+    /// Writes the graph of the single letter `sym` into `out`.
+    fn letter(self, b: &Buchi, sym: Symbol, out: &mut [u64]) {
+        out.fill(0);
+        for q in 0..self.n {
+            for &s in b.successors(q, sym) {
+                self.set(out, q, s);
+                if b.is_accepting(q) || b.is_accepting(s) {
+                    self.set(out, self.n + q, s);
+                }
+            }
+        }
+    }
+
+    /// Exact composition, `x` then `y`, written into `out`. A composite
+    /// path visits `F_B` iff one of its halves does, which is exactly
+    /// the union below — so word-graphs of concatenations are computed,
+    /// not approximated. Each output word is ORed together in registers
+    /// from the `y` words that the set bits of `x`'s row select, then
+    /// stored once.
+    fn compose(self, x: &[u64], y: &[u64], out: &mut [u64]) {
+        let Shape { n, w } = self;
+        let half = n * w;
+        let (x_reach, x_acc) = x.split_at(half);
+        // Halves of equal length let one bounds check cover both loads.
+        let (y_reach, y_acc) = (&y[..half], &y[half..2 * half]);
+        let (out_reach, out_acc) = out.split_at_mut(half);
+        let rows = x_reach.chunks_exact(w).zip(x_acc.chunks_exact(w));
+        let outs = out_reach
+            .chunks_exact_mut(w)
+            .zip(out_acc.chunks_exact_mut(w));
+        for ((x_row, x_acc_row), (reach_out, acc_out)) in rows.zip(outs) {
+            for k in 0..w {
+                let (mut reach, mut acc) = (0, 0);
+                // Word `k` of `y`'s row `m` sits at `m·w + k`; `base` is
+                // that index for `m` = the first state of each `x` word.
+                let mut base = k;
+                for (&r, &a) in x_row.iter().zip(x_acc_row) {
+                    let mut bits = r;
+                    while bits != 0 {
+                        let at = base + bits.trailing_zeros() as usize * w;
+                        reach |= y_reach[at];
+                        acc |= y_acc[at];
+                        bits &= bits - 1;
+                    }
+                    let mut bits = a;
+                    while bits != 0 {
+                        acc |= y_reach[base + bits.trailing_zeros() as usize * w];
+                        bits &= bits - 1;
+                    }
+                    base += 64 * w;
+                }
+                reach_out[k] = reach;
+                acc_out[k] = acc;
+            }
+        }
+    }
+}
+
+/// Pointwise arc inclusion: `x` has at most the arcs (and accepting
+/// flags) of `y`. A smaller graph admits fewer `B`-runs, hence rejects
+/// at least as many lassos — the heart of the subsumption order.
+fn le(x: &[u64], y: &[u64]) -> bool {
+    x.iter().zip(y).all(|(a, b)| a & !b == 0)
+}
+
+/// One pending node of the iterative Tarjan walk: the node, the index
+/// of the row word being scanned, and that word's unvisited successors.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    q: usize,
+    word: usize,
+    bits: u64,
+}
+
+/// The exact lasso test with buffers reused across calls: one per
+/// search, so the test allocates nothing once they have grown.
+#[derive(Debug, Default)]
+struct LassoTest {
+    /// DFS number, counted from 1; 0 = unvisited.
+    index: Vec<usize>,
+    low: Vec<usize>,
+    on_stack: Vec<bool>,
+    stack: Vec<usize>,
+    calls: Vec<Frame>,
+    /// The component being popped, as a bitset row.
+    members: Vec<u64>,
+}
+
+impl LassoTest {
+    /// Whether `u·v^ω ∈ L(B)`, where `g_u`, `g_v` are the word-graphs
+    /// of `u` and `v` over `B` and `init` is `B`'s initial state.
+    ///
+    /// `B` accepts iff from some state in `g_u.reach[init]` a
+    /// `g_v`-path leads into a strongly connected component of the
+    /// `g_v.reach` digraph that contains an internal accepting arc —
+    /// such a component yields a `v`-segment cycle visiting `F_B`,
+    /// traversed forever; conversely an accepting run, sampled every
+    /// `|v|` letters, eventually settles into exactly such a
+    /// component. Tarjan's walk from the states after `u` pops exactly
+    /// the components reachable from them, so each popped component is
+    /// tested as it closes: `O(n + arcs)` per call.
+    fn accepts(&mut self, shape: Shape, init: usize, g_u: &[u64], g_v: &[u64]) -> bool {
+        let Shape { n, w } = shape;
+        self.index.clear();
+        self.index.resize(n, 0);
+        self.low.resize(n, 0);
+        self.on_stack.clear();
+        self.on_stack.resize(n, false);
+        self.stack.clear();
+        self.calls.clear();
+        self.members.resize(w, 0);
+        let mut counter = 0;
+        for k in 0..w {
+            let mut roots = shape.reach(g_u, init)[k];
+            while roots != 0 {
+                let root = k * 64 + roots.trailing_zeros() as usize;
+                roots &= roots - 1;
+                if self.index[root] == 0 && self.good_component_from(shape, root, &mut counter, g_v)
+                {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// Runs Tarjan's walk from the unvisited `root`, returning `true`
+    /// as soon as a popped component has an internal accepting arc.
+    fn good_component_from(
+        &mut self,
+        shape: Shape,
+        root: usize,
+        counter: &mut usize,
+        g_v: &[u64],
+    ) -> bool {
+        let w = shape.w;
+        self.open(shape, root, counter, g_v);
+        while let Some(top) = self.calls.last_mut() {
+            while top.bits == 0 && top.word + 1 < w {
+                top.word += 1;
+                top.bits = shape.reach(g_v, top.q)[top.word];
+            }
+            let q = top.q;
+            if top.bits != 0 {
+                let next = top.word * 64 + top.bits.trailing_zeros() as usize;
+                top.bits &= top.bits - 1;
+                if self.index[next] == 0 {
+                    self.open(shape, next, counter, g_v);
+                } else if self.on_stack[next] {
+                    self.low[q] = self.low[q].min(self.index[next]);
+                }
+                continue;
+            }
+            self.calls.pop();
+            if let Some(parent) = self.calls.last() {
+                self.low[parent.q] = self.low[parent.q].min(self.low[q]);
+            }
+            if self.low[q] == self.index[q] && self.pop_component(shape, q, g_v) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Numbers `q` and pushes it on both stacks.
+    fn open(&mut self, shape: Shape, q: usize, counter: &mut usize, g_v: &[u64]) {
+        *counter += 1;
+        self.index[q] = *counter;
+        self.low[q] = *counter;
+        self.stack.push(q);
+        self.on_stack[q] = true;
+        self.calls.push(Frame {
+            q,
+            word: 0,
+            bits: shape.reach(g_v, q)[0],
+        });
+    }
+
+    /// Pops the component rooted at `q` off the Tarjan stack and reports
+    /// whether one of its `acc` arcs stays inside it.
+    fn pop_component(&mut self, shape: Shape, q: usize, g_v: &[u64]) -> bool {
+        let start = self
+            .stack
             .iter()
-            .zip(&other.reach)
-            .all(|(a, b)| a.is_subset(b))
-            && self.acc.iter().zip(&other.acc).all(|(a, b)| a.is_subset(b))
+            .rposition(|&s| s == q)
+            .expect("an open component root is on the stack");
+        self.members.fill(0);
+        for &s in &self.stack[start..] {
+            self.on_stack[s] = false;
+            self.members[s / 64] |= 1 << (s % 64);
+        }
+        let good = self.stack[start..].iter().any(|&s| {
+            shape
+                .acc(g_v, s)
+                .iter()
+                .zip(&self.members)
+                .any(|(a, m)| a & m != 0)
+        });
+        self.stack.truncate(start);
+        good
     }
 }
 
-/// Exact lasso membership from word-graphs: whether `u·v^ω ∈ L(B)`,
-/// where `g_u`, `g_v` are the word-graphs of `u` and `v` over `B`.
-///
-/// `B` accepts iff from some state in `g_u.reach[init_B]` a `g_v`-path
-/// leads into a strongly connected component of the `g_v.reach` digraph
-/// that contains an internal accepting arc — such a component yields a
-/// `v`-segment cycle visiting `F_B`, traversed forever; conversely an
-/// accepting run, sampled every `|v|` letters, eventually settles into
-/// exactly such a component.
-fn lasso_in_b(b: &Buchi, g_u: &WordGraph, g_v: &WordGraph) -> bool {
-    let n = b.num_states();
-    let graph = Graph {
-        n,
-        succ: Box::new(|q| Cow::Owned(g_v.reach[q].iter().collect())),
-    };
-    let scc = tarjan(&graph);
-    let mut good = vec![false; scc.count];
-    for x in 0..n {
-        for y in g_v.acc[x].iter() {
-            if scc.component[x] == scc.component[y] {
-                good[scc.component[x]] = true;
-            }
-        }
-    }
-    // Forward reachability (zero or more g_v arcs) from the states B
-    // can be in after reading u.
-    let mut seen = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    for q in g_u.reach[b.initial()].iter() {
-        seen[q] = true;
-        stack.push(q);
-    }
-    while let Some(q) = stack.pop() {
-        if good[scc.component[q]] {
-            return true;
-        }
-        for s in g_v.reach[q].iter() {
-            if !seen[s] {
-                seen[s] = true;
-                stack.push(s);
-            }
-        }
-    }
-    false
+/// Marks an element with no parent: a single-letter seed.
+const ROOT: u32 = u32::MAX;
+
+/// The committed macro-states of one search, structure-of-arrays:
+/// element `i`'s graph is `graphs[i·stride..(i+1)·stride]`, and its
+/// accepting bit, liveness, and witness link (parent element, last
+/// letter) sit at index `i` of the parallel vectors. Elements are never
+/// removed — eviction only clears `alive` — so witness links stay valid
+/// for the whole search.
+#[derive(Debug)]
+struct Arena {
+    stride: usize,
+    graphs: Vec<u64>,
+    acc: Vec<bool>,
+    alive: Vec<bool>,
+    parent: Vec<u32>,
+    last: Vec<Symbol>,
 }
 
-/// A search element: `A` goes `from → to` on `word` (some path visits
-/// `F_A` iff `acc`), and `word` acts on `B` as `g`.
-#[derive(Debug, Clone)]
-struct Elem {
-    id: u64,
-    acc: bool,
-    g: WordGraph,
-    word: Vec<Symbol>,
+impl Arena {
+    fn new(stride: usize) -> Arena {
+        Arena {
+            stride,
+            graphs: Vec::new(),
+            acc: Vec::new(),
+            alive: Vec::new(),
+            parent: Vec::new(),
+            last: Vec::new(),
+        }
+    }
+
+    fn graph(&self, i: u32) -> &[u64] {
+        let at = i as usize * self.stride;
+        &self.graphs[at..at + self.stride]
+    }
+
+    /// Appends an element, returning its index.
+    fn push(&mut self, graph: &[u64], acc: bool, parent: u32, last: Symbol) -> u32 {
+        let idx = u32::try_from(self.acc.len())
+            .ok()
+            .filter(|&i| i != ROOT)
+            .expect("arena outgrew u32 indices");
+        self.graphs.extend_from_slice(graph);
+        self.acc.push(acc);
+        self.alive.push(true);
+        self.parent.push(parent);
+        self.last.push(last);
+        idx
+    }
+
+    /// The witness word of element `i`, spelled out along its links.
+    fn word(&self, mut i: u32) -> Word {
+        let mut symbols = Vec::new();
+        loop {
+            symbols.push(self.last[i as usize]);
+            i = self.parent[i as usize];
+            if i == ROOT {
+                break;
+            }
+        }
+        symbols.reverse();
+        Word::new(&symbols)
+    }
 }
 
 /// Work units reported to the charge hook: one per insertion attempt
@@ -355,14 +537,123 @@ enum Step {
     Scan,
 }
 
-type Charge<'c> = dyn FnMut(Step) -> Result<(), SlError> + 'c;
-
 /// Work items of the on-the-fly search: discover a product row (seed
 /// the single-letter elements out of an `A`-state the search has
 /// actually reached) or right-extend a committed arena element.
 enum Task {
     Seed(usize),
     Extend(usize, u32),
+}
+
+/// The state of one search that insertions update: the arena, the
+/// per-`(from, to)` chains of live arena indices, the work queue, the
+/// lasso test's buffers, and the gauges.
+struct Antichain<'g> {
+    shape: Shape,
+    /// `A`'s initial state and `A`'s state count (chains are keyed by
+    /// `from · na + to`).
+    init: usize,
+    na: usize,
+    /// `B`'s initial state and the graph of the empty word.
+    b_init: usize,
+    identity: Vec<u64>,
+    arena: Arena,
+    chains: Vec<Vec<u32>>,
+    work: VecDeque<Task>,
+    lasso: LassoTest,
+    gauges: &'g mut SearchGauges,
+}
+
+impl Antichain<'_> {
+    /// Tries to add the candidate `(from, to, acc, graph)`, whose
+    /// witness is `parent`'s word followed by `last`. A candidate that
+    /// survives subsumption is copied into the arena, evicts the chain
+    /// members it subsumes, queues its extension, and runs the
+    /// stem/period lasso tests it enables; a counterexample found there
+    /// is returned.
+    fn insert(
+        &mut self,
+        (from, to): (usize, usize),
+        acc: bool,
+        graph: &[u64],
+        (parent, last): (u32, Symbol),
+        charge: &mut impl FnMut(Step) -> Result<(), SlError>,
+    ) -> Result<Option<LassoWord>, SlError> {
+        charge(Step::Attempt)?;
+        let key = from * self.na + to;
+        let broken = sabotage::subsumption_broken();
+        for &kept in &self.chains[key] {
+            charge(Step::Scan)?;
+            if self.arena.acc[kept as usize] >= acc && (broken || le(self.arena.graph(kept), graph))
+            {
+                return Ok(None); // subsumed: never materialized
+            }
+        }
+        let chain = &mut self.chains[key];
+        let mut i = 0;
+        while i < chain.len() {
+            charge(Step::Scan)?;
+            let old = chain[i];
+            if acc >= self.arena.acc[old as usize] && le(graph, self.arena.graph(old)) {
+                self.arena.alive[old as usize] = false;
+                chain.swap_remove(i);
+                self.gauges.live -= 1;
+            } else {
+                i += 1;
+            }
+        }
+        let idx = self.arena.push(graph, acc, parent, last);
+        chain.push(idx);
+        self.gauges.live += 1;
+        self.gauges.peak += 1;
+        self.work.push_back(Task::Extend(key, idx));
+
+        let (na, init, shape, b_init) = (self.na, self.init, self.shape, self.b_init);
+        let arena = &self.arena;
+        if from == init {
+            let p = to;
+            for &period in &self.chains[p * na + p] {
+                if arena.acc[period as usize]
+                    && !self
+                        .lasso
+                        .accepts(shape, b_init, arena.graph(idx), arena.graph(period))
+                {
+                    return Ok(Some(LassoWord::new(&arena.word(idx), &arena.word(period))));
+                }
+            }
+        }
+        if from == to && acc {
+            let p = from;
+            if p == init
+                && !self
+                    .lasso
+                    .accepts(shape, b_init, &self.identity, arena.graph(idx))
+            {
+                return Ok(Some(LassoWord::new(&Word::empty(), &arena.word(idx))));
+            }
+            for &stem in &self.chains[init * na + p] {
+                if stem != idx
+                    && !self
+                        .lasso
+                        .accepts(shape, b_init, arena.graph(stem), arena.graph(idx))
+                {
+                    return Ok(Some(LassoWord::new(&arena.word(stem), &arena.word(idx))));
+                }
+            }
+        }
+        Ok(None)
+    }
+}
+
+/// The graph of letter `sym`, built into its slot of `letters` on
+/// first use (an empty slot is unbuilt).
+fn letter<'l>(letters: &'l mut [Vec<u64>], shape: Shape, b: &Buchi, sym: Symbol) -> &'l [u64] {
+    let graph = &mut letters[sym.index()];
+    if graph.is_empty() {
+        graph.resize(shape.len(), 0);
+        shape.letter(b, sym, graph);
+    }
+    graph
 }
 
 /// The fixpoint search. Returns a counterexample in `L(a) \ L(b)` or
@@ -381,17 +672,18 @@ enum Task {
 ///   unreachable never take part in a lasso verdict (stems are
 ///   anchored at the initial state and periods only pair with such
 ///   stems), so skipping them loses nothing.
-/// * Elements live in an append-only arena; the chains hold indices,
-///   and a candidate is composed in scratch and committed only after
-///   surviving subsumption — `gauges.peak` (the arena length) is
-///   exactly the number of macro-states ever materialized, which the
+/// * An extension composes its parent's graph with each letter once,
+///   into one scratch buffer, and offers that graph for every
+///   `A`-successor on the letter; the arena copies it only if it
+///   survives subsumption — `gauges.peak` (the arena length) is exactly
+///   the number of macro-states ever materialized, which the
 ///   memory-regression test pins against the same search on the
 ///   trimmed operands.
 fn search_lazy(
     a: &Buchi,
     b: &Buchi,
     cache: &QuotientCache,
-    charge: &mut Charge<'_>,
+    charge: &mut impl FnMut(Step) -> Result<(), SlError>,
     gauges: &mut SearchGauges,
 ) -> Result<Inclusion, SlError> {
     assert_eq!(
@@ -402,152 +694,69 @@ fn search_lazy(
     let a = cache.quotient(a);
     let b = cache.quotient(b);
     let na = a.num_states();
-    let sigma = a.alphabet().clone();
-    let mut letters: Vec<Option<WordGraph>> = vec![None; sigma.len()];
-    let identity = WordGraph::identity(&b);
+    let sigma = a.alphabet();
+    let shape = Shape::new(b.num_states());
+    let mut letters: Vec<Vec<u64>> = vec![Vec::new(); sigma.len()];
+    let mut scratch = vec![0u64; shape.len()];
+    let mut identity = vec![0u64; shape.len()];
+    shape.identity(&b, &mut identity);
     let init = a.initial();
-
-    let mut arena: Vec<Elem> = Vec::new();
-    let mut alive: Vec<bool> = Vec::new();
-    let mut chains: Vec<Vec<u32>> = vec![Vec::new(); na * na];
-    let mut work: VecDeque<Task> = VecDeque::new();
+    let mut search = Antichain {
+        shape,
+        init,
+        na,
+        b_init: b.initial(),
+        identity,
+        arena: Arena::new(shape.len()),
+        chains: vec![Vec::new(); na * na],
+        work: VecDeque::new(),
+        lasso: LassoTest::default(),
+        gauges,
+    };
     let mut discovered = vec![false; na];
     discovered[init] = true;
-    work.push_back(Task::Seed(init));
+    search.work.push_back(Task::Seed(init));
 
-    // Commits a candidate that survives subsumption into the arena,
-    // maintaining the index chains, queueing the extension, and running
-    // the stem/period lasso tests it enables.
-    let insert = |from: usize,
-                  to: usize,
-                  cand: Elem,
-                  arena: &mut Vec<Elem>,
-                  alive: &mut Vec<bool>,
-                  chains: &mut Vec<Vec<u32>>,
-                  work: &mut VecDeque<Task>,
-                  gauges: &mut SearchGauges,
-                  charge: &mut Charge<'_>|
-     -> Result<Option<LassoWord>, SlError> {
-        charge(Step::Attempt)?;
-        let key = from * na + to;
-        let broken = sabotage::subsumption_broken();
-        for &idx in &chains[key] {
-            charge(Step::Scan)?;
-            let kept = &arena[idx as usize];
-            if kept.acc >= cand.acc && (broken || kept.g.le(&cand.g)) {
-                return Ok(None); // subsumed: never materialized
-            }
-        }
-        let mut i = 0;
-        while i < chains[key].len() {
-            charge(Step::Scan)?;
-            let old = chains[key][i] as usize;
-            if cand.acc >= arena[old].acc && cand.g.le(&arena[old].g) {
-                alive[old] = false;
-                chains[key].swap_remove(i);
-                gauges.live -= 1;
-            } else {
-                i += 1;
-            }
-        }
-        let idx = u32::try_from(arena.len()).expect("arena outgrew u32 indices");
-        let mut elem = cand;
-        elem.id = u64::from(idx);
-        arena.push(elem);
-        alive.push(true);
-        chains[key].push(idx);
-        gauges.live += 1;
-        gauges.peak += 1;
-        work.push_back(Task::Extend(key, idx));
-        let elem = &arena[idx as usize];
-
-        if from == init {
-            let p = to;
-            for &pid in &chains[p * na + p] {
-                let period = &arena[pid as usize];
-                if period.acc && !lasso_in_b(&b, &elem.g, &period.g) {
-                    return Ok(Some(LassoWord::new(
-                        &Word::new(&elem.word),
-                        &Word::new(&period.word),
-                    )));
-                }
-            }
-        }
-        if from == to && elem.acc {
-            let p = from;
-            if p == init && !lasso_in_b(&b, &identity, &elem.g) {
-                return Ok(Some(LassoWord::new(
-                    &Word::empty(),
-                    &Word::new(&elem.word),
-                )));
-            }
-            for &sid in &chains[init * na + p] {
-                let stem = &arena[sid as usize];
-                if stem.id != elem.id && !lasso_in_b(&b, &stem.g, &elem.g) {
-                    return Ok(Some(LassoWord::new(
-                        &Word::new(&stem.word),
-                        &Word::new(&elem.word),
-                    )));
-                }
-            }
-        }
-        Ok(None)
-    };
-
-    while let Some(task) = work.pop_front() {
+    while let Some(task) = search.work.pop_front() {
         match task {
             Task::Seed(p) => {
                 for sym in sigma.symbols() {
-                    let si = sym.index();
-                    if letters[si].is_none() {
-                        letters[si] = Some(WordGraph::letter(&b, sym));
-                    }
                     for &r in a.successors(p, sym) {
-                        let cand = Elem {
-                            id: 0,
-                            acc: a.is_accepting(p) || a.is_accepting(r),
-                            g: letters[si].as_ref().expect("just built").clone(),
-                            word: vec![sym],
-                        };
-                        if let Some(w) = insert(
-                            p, r, cand, &mut arena, &mut alive, &mut chains, &mut work,
-                            gauges, charge,
+                        let acc = a.is_accepting(p) || a.is_accepting(r);
+                        if let Some(w) = search.insert(
+                            (p, r),
+                            acc,
+                            letter(&mut letters, shape, &b, sym),
+                            (ROOT, sym),
+                            charge,
                         )? {
                             return Ok(Inclusion::CounterExample(w));
                         }
                         if !discovered[r] {
                             discovered[r] = true;
-                            work.push_back(Task::Seed(r));
+                            search.work.push_back(Task::Seed(r));
                         }
                     }
                 }
             }
             Task::Extend(key, idx) => {
-                if !alive[idx as usize] {
+                if !search.arena.alive[idx as usize] {
                     continue; // evicted after queueing; its subsumer regenerates
                 }
-                let elem = arena[idx as usize].clone();
                 let (from, to) = (key / na, key % na);
+                let parent_acc = search.arena.acc[idx as usize];
                 for sym in sigma.symbols() {
-                    let si = sym.index();
-                    if letters[si].is_none() {
-                        letters[si] = Some(WordGraph::letter(&b, sym));
+                    let succs = a.successors(to, sym);
+                    if succs.is_empty() {
+                        continue;
                     }
-                    for &r in a.successors(to, sym) {
-                        let cand = Elem {
-                            id: 0,
-                            acc: elem.acc || a.is_accepting(r),
-                            g: elem.g.compose(letters[si].as_ref().expect("just built")),
-                            word: {
-                                let mut w = elem.word.clone();
-                                w.push(sym);
-                                w
-                            },
-                        };
-                        if let Some(w) = insert(
-                            from, r, cand, &mut arena, &mut alive, &mut chains, &mut work,
-                            gauges, charge,
-                        )? {
+                    let g = letter(&mut letters, shape, &b, sym);
+                    shape.compose(search.arena.graph(idx), g, &mut scratch);
+                    for &r in succs {
+                        let acc = parent_acc || a.is_accepting(r);
+                        if let Some(w) =
+                            search.insert((from, r), acc, &scratch, (idx, sym), charge)?
+                        {
                             return Ok(Inclusion::CounterExample(w));
                         }
                     }
@@ -724,6 +933,151 @@ mod tests {
     use crate::incl::{included_rank, shared_complement_cache, universal_rank};
     use crate::random::{random_buchi, RandomConfig};
     use sl_omega::Alphabet;
+    use sl_support::SplitMix;
+
+    /// The word-graph kernel this module used before the flat layout —
+    /// one [`Bitset`] per row, and a lasso test through the generic
+    /// [`Graph`] and [`tarjan`] — kept as the reference the flat kernel
+    /// is checked against.
+    mod reference {
+        use crate::automaton::{Buchi, StateId};
+        use crate::graph::{tarjan, Graph};
+        use sl_lattice::Bitset;
+        use sl_omega::Symbol;
+        use std::borrow::Cow;
+
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub struct WordGraph {
+            pub reach: Vec<Bitset>,
+            pub acc: Vec<Bitset>,
+        }
+
+        impl WordGraph {
+            pub fn identity(b: &Buchi) -> WordGraph {
+                let n = b.num_states();
+                let mut reach = Vec::with_capacity(n);
+                let mut acc = Vec::with_capacity(n);
+                for q in 0..n {
+                    let mut row = Bitset::empty(n);
+                    row.insert(q);
+                    acc.push(if b.is_accepting(q) {
+                        row.clone()
+                    } else {
+                        Bitset::empty(n)
+                    });
+                    reach.push(row);
+                }
+                WordGraph { reach, acc }
+            }
+
+            pub fn letter(b: &Buchi, sym: Symbol) -> WordGraph {
+                let n = b.num_states();
+                let mut reach = Vec::with_capacity(n);
+                let mut acc = Vec::with_capacity(n);
+                for q in 0..n {
+                    let succs = b.successors(q, sym);
+                    let row = Bitset::from_indices(n, succs);
+                    let acc_row = if b.is_accepting(q) {
+                        row.clone()
+                    } else {
+                        let flagged: Vec<StateId> = succs
+                            .iter()
+                            .copied()
+                            .filter(|&s| b.is_accepting(s))
+                            .collect();
+                        Bitset::from_indices(n, &flagged)
+                    };
+                    reach.push(row);
+                    acc.push(acc_row);
+                }
+                WordGraph { reach, acc }
+            }
+
+            pub fn compose(&self, other: &WordGraph) -> WordGraph {
+                let n = self.reach.len();
+                let mut reach = Vec::with_capacity(n);
+                let mut acc = Vec::with_capacity(n);
+                for q in 0..n {
+                    let mut out_reach = Bitset::empty(n);
+                    let mut out_acc = Bitset::empty(n);
+                    for m in self.reach[q].iter() {
+                        out_reach.union_in_place(&other.reach[m]);
+                        out_acc.union_in_place(&other.acc[m]);
+                    }
+                    for m in self.acc[q].iter() {
+                        out_acc.union_in_place(&other.reach[m]);
+                    }
+                    reach.push(out_reach);
+                    acc.push(out_acc);
+                }
+                WordGraph { reach, acc }
+            }
+
+            pub fn union(&self, other: &WordGraph) -> WordGraph {
+                let zip = |x: &[Bitset], y: &[Bitset]| -> Vec<Bitset> {
+                    x.iter().zip(y).map(|(a, b)| a.union(b)).collect()
+                };
+                WordGraph {
+                    reach: zip(&self.reach, &other.reach),
+                    acc: zip(&self.acc, &other.acc),
+                }
+            }
+
+            pub fn le(&self, other: &WordGraph) -> bool {
+                self.reach
+                    .iter()
+                    .zip(&other.reach)
+                    .all(|(a, b)| a.is_subset(b))
+                    && self.acc.iter().zip(&other.acc).all(|(a, b)| a.is_subset(b))
+            }
+
+            /// The flat layout of this graph.
+            pub fn flat(&self) -> Vec<u64> {
+                self.reach
+                    .iter()
+                    .chain(&self.acc)
+                    .flat_map(|row| row.words().iter().copied())
+                    .collect()
+            }
+        }
+
+        pub fn lasso_in_b(b: &Buchi, g_u: &WordGraph, g_v: &WordGraph) -> bool {
+            let n = b.num_states();
+            let graph = Graph {
+                n,
+                succ: Box::new(|q| Cow::Owned(g_v.reach[q].iter().collect())),
+            };
+            let scc = tarjan(&graph);
+            let mut good = vec![false; scc.count];
+            for x in 0..n {
+                for y in g_v.acc[x].iter() {
+                    if scc.component[x] == scc.component[y] {
+                        good[scc.component[x]] = true;
+                    }
+                }
+            }
+            let mut seen = vec![false; n];
+            let mut stack: Vec<usize> = Vec::new();
+            for q in g_u.reach[b.initial()].iter() {
+                seen[q] = true;
+                stack.push(q);
+            }
+            while let Some(q) = stack.pop() {
+                if good[scc.component[q]] {
+                    return true;
+                }
+                for s in g_v.reach[q].iter() {
+                    if !seen[s] {
+                        seen[s] = true;
+                        stack.push(s);
+                    }
+                }
+            }
+            false
+        }
+    }
+
+    use reference::WordGraph;
 
     fn sigma() -> Alphabet {
         Alphabet::ab()
@@ -750,41 +1104,170 @@ mod tests {
         builder.build(q0)
     }
 
+    fn flat_letter(b: &Buchi, sym: Symbol) -> Vec<u64> {
+        let shape = Shape::new(b.num_states());
+        let mut g = vec![0; shape.len()];
+        shape.letter(b, sym, &mut g);
+        g
+    }
+
+    fn flat_compose(shape: Shape, x: &[u64], y: &[u64]) -> Vec<u64> {
+        let mut out = vec![u64::MAX; shape.len()];
+        shape.compose(x, y, &mut out);
+        out
+    }
+
+    /// A nondeterministic automaton with `n` states over {a, b}: each
+    /// state accepting with probability 1/4, each (state, letter) with
+    /// 0–2 random successors, and a random initial state.
+    fn random_nba(n: usize, seed: u64) -> Buchi {
+        let s = sigma();
+        let mut rng = SplitMix::new(seed);
+        let mut builder = BuchiBuilder::new(s.clone());
+        let states: Vec<usize> = (0..n)
+            .map(|_| builder.add_state(rng.percent() < 25))
+            .collect();
+        for &q in &states {
+            for sym in s.symbols() {
+                let fan = match rng.percent() {
+                    0..=24 => 0,
+                    25..=79 => 1,
+                    _ => 2,
+                };
+                for _ in 0..fan {
+                    builder.add_transition(q, sym, states[rng.below(n)]);
+                }
+            }
+        }
+        builder.build(states[rng.below(n)])
+    }
+
+    /// Bits past `n` in the last word of every row are clear.
+    fn padding_is_clear(shape: Shape, g: &[u64]) -> bool {
+        let tail = shape.n % 64;
+        tail == 0 || (0..2 * shape.n).all(|row| g[(row + 1) * shape.w - 1] >> tail == 0)
+    }
+
+    #[test]
+    fn flat_kernel_matches_the_bitset_reference() {
+        let s = sigma();
+        let mut verdicts = [0usize; 2];
+        for n in [1usize, 7, 63, 64, 65, 130, 200] {
+            let shape = Shape::new(n);
+            for seed in 0..4u64 {
+                let b = random_nba(n, seed * 1_000 + n as u64);
+                let mut rng = SplitMix::new(seed ^ 0x5eed);
+                // Graphs of random words of length 0–5, in both kernels.
+                let mut graphs: Vec<(WordGraph, Vec<u64>)> = Vec::new();
+                let mut id = vec![0; shape.len()];
+                shape.identity(&b, &mut id);
+                let reference_id = WordGraph::identity(&b);
+                assert_eq!(id, reference_id.flat(), "identity, n = {n}");
+                graphs.push((reference_id, id));
+                for _ in 0..10 {
+                    let (mut reference, mut flat) = graphs[0].clone();
+                    for _ in 0..rng.below(6) {
+                        let sym = s.symbols().nth(rng.below(2)).unwrap();
+                        let letter = flat_letter(&b, sym);
+                        let reference_letter = WordGraph::letter(&b, sym);
+                        assert_eq!(letter, reference_letter.flat(), "letter, n = {n}");
+                        flat = flat_compose(shape, &flat, &letter);
+                        reference = reference.compose(&reference_letter);
+                        assert_eq!(flat, reference.flat(), "compose, n = {n}, seed {seed}");
+                        assert!(padding_is_clear(shape, &flat), "padding, n = {n}");
+                    }
+                    graphs.push((reference, flat));
+                }
+                for (x, fx) in &graphs {
+                    for (y, fy) in &graphs {
+                        assert_eq!(le(fx, fy), x.le(y), "le, n = {n}, seed {seed}");
+                        let joined = x.union(y);
+                        assert!(le(fx, &joined.flat()) && x.le(&joined));
+                        let accepts = LassoTest::default().accepts(shape, b.initial(), fx, fy);
+                        assert_eq!(
+                            accepts,
+                            reference::lasso_in_b(&b, x, y),
+                            "lasso, n = {n}, seed {seed}"
+                        );
+                        verdicts[usize::from(accepts)] += 1;
+                    }
+                }
+            }
+        }
+        assert!(verdicts[0] > 0 && verdicts[1] > 0, "{verdicts:?}");
+    }
+
+    #[test]
+    fn lasso_test_reuses_its_buffers_across_sizes() {
+        // One LassoTest serves every call of a search; shrinking and
+        // growing the state count between calls must not leak state.
+        let mut lasso = LassoTest::default();
+        for (n, seed) in [(130, 1), (7, 2), (65, 3), (1, 4), (200, 5), (64, 6)] {
+            let b = random_nba(n, seed);
+            let shape = Shape::new(n);
+            for sym in sigma().symbols() {
+                let g = flat_letter(&b, sym);
+                let reference_g = WordGraph::letter(&b, sym);
+                let mut id = vec![0; shape.len()];
+                shape.identity(&b, &mut id);
+                assert_eq!(
+                    lasso.accepts(shape, b.initial(), &id, &g),
+                    reference::lasso_in_b(&b, &WordGraph::identity(&b), &reference_g),
+                    "n = {n}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn word_graphs_compose_exactly() {
         let s = sigma();
         let m = inf_a(&s);
-        let a = s.symbol("a").unwrap();
-        let b = s.symbol("b").unwrap();
-        let ga = WordGraph::letter(&m, a);
-        let gb = WordGraph::letter(&m, b);
+        let shape = Shape::new(m.num_states());
+        let ga = flat_letter(&m, s.symbol("a").unwrap());
+        let gb = flat_letter(&m, s.symbol("b").unwrap());
         // (g_a ∘ g_b) ∘ g_a == g_a ∘ (g_b ∘ g_a): associativity on a
         // concrete instance.
-        let left = ga.compose(&gb).compose(&ga);
-        let right = ga.compose(&gb.compose(&ga));
+        let left = flat_compose(shape, &flat_compose(shape, &ga, &gb), &ga);
+        let right = flat_compose(shape, &ga, &flat_compose(shape, &gb, &ga));
         assert_eq!(left, right);
         // Identity is neutral.
-        let id = WordGraph::identity(&m);
-        assert_eq!(id.compose(&ga), ga);
-        assert_eq!(ga.compose(&id), ga);
+        let mut id = vec![0; shape.len()];
+        shape.identity(&m, &mut id);
+        assert_eq!(flat_compose(shape, &id, &ga), ga);
+        assert_eq!(flat_compose(shape, &ga, &id), ga);
     }
 
     #[test]
     fn lasso_test_matches_membership() {
         let s = sigma();
         let m = inf_a(&s);
-        let a = s.symbol("a").unwrap();
-        let b = s.symbol("b").unwrap();
-        let ga = WordGraph::letter(&m, a);
-        let gb = WordGraph::letter(&m, b);
+        let shape = Shape::new(m.num_states());
+        let ga = flat_letter(&m, s.symbol("a").unwrap());
+        let gb = flat_letter(&m, s.symbol("b").unwrap());
+        let mut lasso = LassoTest::default();
         // b (a b)^ω ∈ GF a; b b^ω ∉ GF a.
-        let gab = ga.compose(&gb);
-        assert!(lasso_in_b(&m, &gb, &gab));
-        assert!(!lasso_in_b(&m, &gb, &gb));
+        let gab = flat_compose(shape, &ga, &gb);
+        assert!(lasso.accepts(shape, m.initial(), &gb, &gab));
+        assert!(!lasso.accepts(shape, m.initial(), &gb, &gb));
         // ε stem: (a)^ω ∈, (b)^ω ∉.
-        let id = WordGraph::identity(&m);
-        assert!(lasso_in_b(&m, &id, &ga));
-        assert!(!lasso_in_b(&m, &id, &gb));
+        let mut id = vec![0; shape.len()];
+        shape.identity(&m, &mut id);
+        assert!(lasso.accepts(shape, m.initial(), &id, &ga));
+        assert!(!lasso.accepts(shape, m.initial(), &id, &gb));
+    }
+
+    #[test]
+    fn witness_words_follow_parent_links() {
+        let s = sigma();
+        let (a, b) = (s.symbol("a").unwrap(), s.symbol("b").unwrap());
+        let mut arena = Arena::new(2);
+        let seed = arena.push(&[1, 0], false, ROOT, a);
+        let child = arena.push(&[1, 1], true, seed, b);
+        let grandchild = arena.push(&[0, 0], false, child, b);
+        assert_eq!(arena.word(seed), Word::new(&[a]));
+        assert_eq!(arena.word(grandchild), Word::new(&[a, b, b]));
+        assert_eq!(arena.graph(child), &[1, 1]);
     }
 
     #[test]

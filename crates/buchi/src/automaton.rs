@@ -5,7 +5,6 @@
 //! infinitely often. [`Buchi`] stores the transition relation densely by
 //! `(state, symbol)` and is built through [`BuchiBuilder`].
 
-use sl_lattice::Bitset;
 use sl_omega::{Alphabet, Symbol};
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -47,9 +46,6 @@ pub struct Buchi {
     /// precomputed once in [`BuchiBuilder::build`] so the graph
     /// algorithms never re-sort on the hot path.
     all_succ: Vec<Vec<StateId>>,
-    /// The same successor sets as packed bitsets, for word-parallel
-    /// membership and intersection tests.
-    succ_sets: Vec<Bitset>,
 }
 
 // Equality, like hashing, is over the defining 5-tuple only; the
@@ -127,12 +123,10 @@ impl BuchiBuilder {
         assert!(initial < self.accepting.len(), "initial out of range");
         let n = self.accepting.len();
         let mut all_succ = Vec::with_capacity(n);
-        let mut succ_sets = Vec::with_capacity(n);
         for row in &self.delta {
             let mut merged: Vec<StateId> = row.iter().flatten().copied().collect();
             merged.sort_unstable();
             merged.dedup();
-            succ_sets.push(Bitset::from_indices(n, &merged));
             all_succ.push(merged);
         }
         Buchi {
@@ -141,7 +135,6 @@ impl BuchiBuilder {
             delta: self.delta,
             initial,
             all_succ,
-            succ_sets,
         }
     }
 }
@@ -218,14 +211,6 @@ impl Buchi {
     #[must_use]
     pub fn all_successors(&self, q: StateId) -> &[StateId] {
         &self.all_succ[q]
-    }
-
-    /// The successors of `q` over any symbol as a packed bitset over
-    /// `{0..num_states}`, for word-parallel membership and intersection
-    /// tests. Precomputed at build time.
-    #[must_use]
-    pub fn successor_bitset(&self, q: StateId) -> &Bitset {
-        &self.succ_sets[q]
     }
 
     /// A deterministic 64-bit hash of the defining 5-tuple (alphabet,
@@ -479,20 +464,6 @@ mod tests {
         let text = m.to_string();
         assert!(text.contains("2 states"));
         assert!(text.contains("--a-->"));
-    }
-
-    #[test]
-    fn successor_bitset_matches_list() {
-        let (_, m) = gfa();
-        for q in 0..m.num_states() {
-            let set = m.successor_bitset(q);
-            assert_eq!(set.universe(), m.num_states());
-            assert_eq!(
-                set.iter().collect::<Vec<_>>(),
-                m.all_successors(q).to_vec(),
-                "state {q}"
-            );
-        }
     }
 
     #[test]

@@ -26,9 +26,9 @@ echo "== tests (offline) =="
 cargo test -q --offline --workspace
 
 echo "== kernel crates under the optimizer (release tests) =="
-# sld ships in release: the bitset, lattice and PDR kernels must also
-# pass their tests with optimizations on.
-cargo test --release -q --offline -p sl-support -p sl-lattice -p sl-pdr
+# sld ships in release: the bitset, lattice, antichain and PDR kernels
+# must also pass their tests with optimizations on.
+cargo test --release -q --offline -p sl-support -p sl-lattice -p sl-buchi -p sl-pdr
 
 echo "== experiments E1-E11 =="
 cargo build --release --offline --workspace --bins
@@ -48,6 +48,8 @@ SL_BENCH_SAMPLES=5 SL_BENCH_WARMUP_MS=10 SL_BENCH_JSON_DIR="$incl_tmp" \
   ./target/release/e11_inclusion_engines
 # The JSON artifact must exist, parse as the flat BENCH shape, and show
 # the on-the-fly engine no worse than 2x the rank-based median anywhere.
+# The warmed-cache search series must exist and cost no more than their
+# corpus twins, which also pay for the simulation quotients.
 python3 - "$incl_tmp/BENCH_incl.json" <<'PY'
 import json, sys
 with open(sys.argv[1]) as f:
@@ -60,10 +62,15 @@ for suite in ("incl", "univ"):
     fly = records[f"{suite}/onthefly/corpus"]["median_ns"]
     rank = records[f"{suite}/rank_uncached/corpus"]["median_ns"]
     assert fly <= 2 * rank, f"{suite}: onthefly {fly}ns loses >2x to rank {rank}ns"
+    search = records[f"{suite}/onthefly/search"]["median_ns"]
+    assert search <= fly, f"{suite}: warmed search {search}ns costs more than corpus {fly}ns"
 print(f"BENCH_incl.json ok: incl speedup "
       f"{records['incl/rank_uncached/corpus']['median_ns'] / records['incl/onthefly/corpus']['median_ns']:.1f}x, "
       f"univ speedup "
-      f"{records['univ/rank_uncached/corpus']['median_ns'] / records['univ/onthefly/corpus']['median_ns']:.1f}x")
+      f"{records['univ/rank_uncached/corpus']['median_ns'] / records['univ/onthefly/corpus']['median_ns']:.1f}x, "
+      f"search share of corpus: incl "
+      f"{records['incl/onthefly/search']['median_ns'] / records['incl/onthefly/corpus']['median_ns']:.2f}, univ "
+      f"{records['univ/onthefly/search']['median_ns'] / records['univ/onthefly/corpus']['median_ns']:.2f}")
 PY
 rm -rf "$incl_tmp"
 

@@ -19,11 +19,11 @@
 //! behavior-preserving recomputations.
 
 use safety_liveness::buchi::{
-    equivalent, equivalent_rank, hoa, included, included_rank, random_buchi,
+    antichain_stats, equivalent, equivalent_rank, hoa, included, included_rank, random_buchi,
     shared_complement_cache, shared_quotient_cache, universal, universal_rank, Buchi, BuchiBuilder,
     Inclusion, QuotientCache, RandomConfig, DEFAULT_ANTICHAIN_BUDGET,
 };
-use safety_liveness::omega::Alphabet;
+use safety_liveness::omega::{Alphabet, LassoWord};
 use safety_liveness::service::{Json, Service, ServiceConfig};
 use sl_support::prop;
 use sl_support::prop_assert_eq;
@@ -248,5 +248,106 @@ fn unbudgeted_exhaustion_names_the_antichain_phase() {
     assert!(
         reply.contains("budget exceeded in buchi.incl.antichain after 131073 steps"),
         "{reply}"
+    );
+}
+
+/// 64-bit FNV-1a, folding `bytes` into `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The search's observable output, pinned: the verdict and displayed
+/// counterexample of every question in a seeded corpus, and the summed
+/// work counters. The constants were computed with the `Vec<Bitset>`
+/// word-graph kernel; a kernel that changes the search order, the
+/// subsumption rule, the witness words or a charge point moves at least
+/// one of them. The corpus: 540 random questions over 3–10 states, 52
+/// over 16–40 states shaped like `sldbench`'s `solve-cold` automata,
+/// and ring questions over 64–130 states, whose word-graph rows span
+/// two and three `u64` words.
+#[test]
+fn search_output_is_pinned_on_a_seeded_corpus() {
+    let sigma = Alphabet::ab();
+    let cache = QuotientCache::new();
+    let small = |k: u64| {
+        let cfg = RandomConfig {
+            states: 3 + (k % 8) as usize,
+            density_percent: 40 + (k * 7 % 50) as u32,
+            accepting_percent: 20 + (k * 13 % 40) as u32,
+        };
+        random_buchi(&sigma, 7_001 + k, cfg)
+    };
+    let wide = |k: u64| {
+        let cfg = RandomConfig {
+            states: 16 + (k % 25) as usize,
+            density_percent: 65,
+            accepting_percent: 30,
+        };
+        random_buchi(&sigma, 9_001 + k, cfg)
+    };
+    let all = Buchi::universal(sigma.clone());
+    let inclusion = |verdict: Inclusion| match verdict {
+        Inclusion::Holds => Ok(()),
+        Inclusion::CounterExample(w) => Err(w),
+    };
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut questions = 0usize;
+    let before = antichain_stats();
+    let mut ask = |kind: &str, verdict: Result<(), LassoWord>| {
+        let line = match verdict {
+            Ok(()) => format!("{questions} {kind} holds\n"),
+            Err(w) => format!("{questions} {kind} {w}\n"),
+        };
+        digest = fnv1a(digest, line.as_bytes());
+        questions += 1;
+    };
+    for k in 0..420u64 {
+        let verdict = included(&small(k), &small(k * 31 + 5), &cache, None).unwrap();
+        ask("incl", inclusion(verdict));
+    }
+    for k in 0..60u64 {
+        let (a, b) = (small(k * 3 + 1), small(k * 17 + 2));
+        ask("equiv", equivalent(&a, &b, &cache, None).unwrap());
+    }
+    for k in 0..60u64 {
+        ask("univ", universal(&small(k * 11 + 4), &cache, None).unwrap());
+    }
+    for k in 0..40u64 {
+        let verdict = included(&wide(k), &wide(k * 7 + 3), &cache, None).unwrap();
+        ask("incl-wide", inclusion(verdict));
+    }
+    for k in 0..12u64 {
+        let a = wide(k * 5 + 1);
+        ask("equiv-self", equivalent(&a, &a, &cache, None).unwrap());
+    }
+    for n in [64, 65, 70, 100, 130] {
+        ask("univ-ring", universal(&ring(n), &cache, None).unwrap());
+    }
+    for (m, n) in [(65, 130), (66, 65), (64, 128)] {
+        let verdict = included(&ring(m), &ring(n), &cache, None).unwrap();
+        ask("incl-ring", inclusion(verdict));
+    }
+    ask(
+        "equiv-ring",
+        equivalent(&ring(66), &ring(65), &cache, None).unwrap(),
+    );
+    let verdict = included(&ring(128), &all, &cache, None).unwrap();
+    ask("incl-top", inclusion(verdict));
+    let work = antichain_stats().delta_since(&before);
+    let summary = format!(
+        "{questions} questions, digest {digest:#018x}, {} searches, {} attempts, {} scans, \
+         {} counterexamples, peak {} macro-states",
+        work.searches,
+        work.insert_attempts,
+        work.subsumption_scans,
+        work.counterexamples,
+        work.peak_macro_states
+    );
+    assert_eq!(
+        summary,
+        "602 questions, digest 0xbd9554c1dbf1f43c, 635 searches, 94805 attempts, 258665 scans, \
+         440 counterexamples, peak 32239 macro-states"
     );
 }
