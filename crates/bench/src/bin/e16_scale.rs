@@ -2,7 +2,7 @@
 //! inclusion on padded automata, and incremental quotient maintenance
 //! vs from-scratch recomputation under a redefine workload.
 //!
-//! Two sweeps, one artifact (`BENCH_scale.json`):
+//! Three sweeps, one artifact (`BENCH_scale.json`):
 //!
 //! 1. **Random family** — an 8-state random live core drowned in
 //!    10^3..10^5 dead states on both operands. The search
@@ -18,6 +18,13 @@
 //!    simulation fixpoint per edit; the interned graph's
 //!    [`QuotientCache::advance`] re-derives only the dirty SCC and
 //!    must carry the other 199 blocks over unchanged.
+//! 3. **Quotient kernel** — the `sld` corpus shape: 64 seeded
+//!    deterministic random automata of 16–40 states, looked up through
+//!    a fresh [`QuotientCache`] per pass (`quotient/miss/rand16-40`:
+//!    trim, simulation refinement, quotient build and key copy) and
+//!    again against the warmed cache (`quotient/hit/rand16-40`:
+//!    structural hash, stripe lock, key comparison). verify.sh requires
+//!    a hit to cost less than a miss.
 //!
 //! Every sweep asserts exactness (equal verdicts and counters,
 //! bit-identical quotients) before its timings count.
@@ -66,6 +73,25 @@ fn random_core(sigma: &Alphabet) -> Buchi {
             accepting_percent: 40,
         },
     )
+}
+
+/// The quotient-kernel corpus: deterministic random automata of 16–40
+/// states, each (state, symbol) pair with one successor at 65%, about
+/// 30% accepting — the shape of the `sld` benchmark's corpus.
+fn quotient_corpus(sigma: &Alphabet) -> Vec<Buchi> {
+    (0..64u64)
+        .map(|i| {
+            random_buchi(
+                sigma,
+                0x16_0000 + i,
+                RandomConfig {
+                    states: 16 + (i as usize % 25),
+                    density_percent: 65,
+                    accepting_percent: 30,
+                },
+            )
+        })
+        .collect()
 }
 
 /// A chain of `blocks` strongly connected 5-state cycles, each linked
@@ -212,6 +238,40 @@ fn main() -> ExitCode {
         "incremental redefines beat from-scratch recomputation",
         incremental < scratch,
     );
+
+    // -- Quotient kernel ----------------------------------------------
+    // A one-stripe cache of QUOTIENT_CACHE_CAP holds all 64 nodes, so
+    // the warmed pass is hits only.
+    let corpus = quotient_corpus(&sigma);
+    let lookup_all = |cache: &QuotientCache| {
+        for b in &corpus {
+            black_box(cache.quotient(b).num_states());
+        }
+    };
+    let warmed = QuotientCache::one_stripe(QUOTIENT_CACHE_CAP);
+    lookup_all(&warmed);
+    lookup_all(&warmed);
+    let stats = warmed.stats();
+    board.claim(
+        "quotient kernel: the warmed pass over 64 automata is all hits",
+        stats.misses == 64 && stats.hits == 64 && stats.clears == 0,
+    );
+    board.claim(
+        "quotient kernel: cached quotients equal scratch quotients",
+        corpus
+            .iter()
+            .all(|b| *warmed.quotient(b) == scratch_quotient(b)),
+    );
+    let miss = bench.measure("quotient/miss/rand16-40", || {
+        lookup_all(&QuotientCache::one_stripe(QUOTIENT_CACHE_CAP));
+    });
+    let hit = bench.measure("quotient/hit/rand16-40", || lookup_all(&warmed));
+    println!(
+        "\nquotient kernel (64 automata of 16-40 states): miss {:.2} us, hit {:.2} us per lookup",
+        miss.as_nanos() as f64 / 64e3,
+        hit.as_nanos() as f64 / 64e3
+    );
+    board.claim("quotient kernel: a cache hit beats a miss", hit < miss);
 
     bench.finish("scale");
     board.finish()

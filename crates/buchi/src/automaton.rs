@@ -39,24 +39,31 @@ pub type StateId = usize;
 pub struct Buchi {
     alphabet: Alphabet,
     accepting: Vec<bool>,
-    /// `delta[state][symbol]` is the sorted list of successors.
-    delta: Vec<Vec<Vec<StateId>>>,
+    /// Transition rows in CSR form: the sorted successors of state `q`
+    /// on symbol `s` are `targets[offsets[q·|Σ|+s]..offsets[q·|Σ|+s+1]]`
+    /// (`offsets` has `n·|Σ|+1` entries).
+    offsets: Vec<usize>,
+    targets: Vec<StateId>,
     initial: StateId,
-    /// Per-state successors over any symbol, sorted and deduplicated —
-    /// precomputed once in [`BuchiBuilder::build`] so the graph
-    /// algorithms never re-sort on the hot path.
-    all_succ: Vec<Vec<StateId>>,
+    /// Per-state successors over any symbol, sorted and deduplicated,
+    /// in the same CSR form (`n+1` offsets) — derived once when the
+    /// automaton is assembled so the graph algorithms never re-sort on
+    /// the hot path.
+    all_offsets: Vec<usize>,
+    all_targets: Vec<StateId>,
 }
 
 // Equality, like hashing, is over the defining 5-tuple only; the
-// derived successor caches are a function of `delta` and must not
-// (and structurally cannot meaningfully) participate.
+// derived successor index is a function of the transition rows. The
+// CSR arrays are canonical (rows sorted and deduplicated), so comparing
+// them flat is comparing the transition relation.
 impl PartialEq for Buchi {
     fn eq(&self, other: &Self) -> bool {
-        self.alphabet == other.alphabet
+        self.initial == other.initial
             && self.accepting == other.accepting
-            && self.delta == other.delta
-            && self.initial == other.initial
+            && self.offsets == other.offsets
+            && self.targets == other.targets
+            && self.alphabet == other.alphabet
     }
 }
 
@@ -66,7 +73,8 @@ impl Hash for Buchi {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.alphabet.hash(state);
         self.accepting.hash(state);
-        self.delta.hash(state);
+        self.offsets.hash(state);
+        self.targets.hash(state);
         self.initial.hash(state);
     }
 }
@@ -76,7 +84,8 @@ impl Hash for Buchi {
 pub struct BuchiBuilder {
     alphabet: Alphabet,
     accepting: Vec<bool>,
-    delta: Vec<Vec<Vec<StateId>>>,
+    /// `rows[q·|Σ| + s]` is the sorted successor list of `q` on `s`.
+    rows: Vec<Vec<StateId>>,
 }
 
 impl BuchiBuilder {
@@ -86,14 +95,15 @@ impl BuchiBuilder {
         BuchiBuilder {
             alphabet,
             accepting: Vec::new(),
-            delta: Vec::new(),
+            rows: Vec::new(),
         }
     }
 
     /// Adds a state, returning its id.
     pub fn add_state(&mut self, accepting: bool) -> StateId {
         self.accepting.push(accepting);
-        self.delta.push(vec![Vec::new(); self.alphabet.len()]);
+        self.rows
+            .resize_with(self.rows.len() + self.alphabet.len(), Vec::new);
         self.accepting.len() - 1
     }
 
@@ -103,16 +113,18 @@ impl BuchiBuilder {
     ///
     /// Panics if a state id or symbol is out of range.
     pub fn add_transition(&mut self, from: StateId, sym: Symbol, to: StateId) {
-        assert!(from < self.delta.len(), "from-state out of range");
-        assert!(to < self.delta.len(), "to-state out of range");
+        let n = self.accepting.len();
+        assert!(from < n, "from-state out of range");
+        assert!(to < n, "to-state out of range");
         assert!(sym.index() < self.alphabet.len(), "symbol out of range");
-        let succs = &mut self.delta[from][sym.index()];
+        let succs = &mut self.rows[from * self.alphabet.len() + sym.index()];
         if let Err(pos) = succs.binary_search(&to) {
             succs.insert(pos, to);
         }
     }
 
-    /// Finishes the automaton with the given initial state.
+    /// Finishes the automaton with the given initial state, flattening
+    /// the rows into CSR arrays once.
     ///
     /// # Panics
     ///
@@ -121,25 +133,57 @@ impl BuchiBuilder {
     pub fn build(self, initial: StateId) -> Buchi {
         assert!(!self.accepting.is_empty(), "automaton needs states");
         assert!(initial < self.accepting.len(), "initial out of range");
-        let n = self.accepting.len();
-        let mut all_succ = Vec::with_capacity(n);
-        for row in &self.delta {
-            let mut merged: Vec<StateId> = row.iter().flatten().copied().collect();
-            merged.sort_unstable();
-            merged.dedup();
-            all_succ.push(merged);
+        let mut offsets = Vec::with_capacity(self.rows.len() + 1);
+        let mut targets = Vec::with_capacity(self.rows.iter().map(Vec::len).sum());
+        offsets.push(0);
+        for row in &self.rows {
+            targets.extend_from_slice(row);
+            offsets.push(targets.len());
         }
-        Buchi {
-            alphabet: self.alphabet,
-            accepting: self.accepting,
-            delta: self.delta,
-            initial,
-            all_succ,
-        }
+        Buchi::from_rows(self.alphabet, self.accepting, offsets, targets, initial)
     }
 }
 
 impl Buchi {
+    /// Assembles an automaton from CSR transition rows (see the field
+    /// docs), each row already sorted and deduplicated, and derives the
+    /// per-state successor index.
+    pub(crate) fn from_rows(
+        alphabet: Alphabet,
+        accepting: Vec<bool>,
+        offsets: Vec<usize>,
+        targets: Vec<StateId>,
+        initial: StateId,
+    ) -> Buchi {
+        let n = accepting.len();
+        let k = alphabet.len();
+        debug_assert_eq!(offsets.len(), n * k + 1, "one offset per row plus one");
+        debug_assert!(offsets
+            .windows(2)
+            .all(|w| targets[w[0]..w[1]].windows(2).all(|p| p[0] < p[1])));
+        let mut all_offsets = Vec::with_capacity(n + 1);
+        let mut all_targets = Vec::with_capacity(targets.len());
+        all_offsets.push(0);
+        let mut merged = Vec::new();
+        for q in 0..n {
+            merged.clear();
+            merged.extend_from_slice(&targets[offsets[q * k]..offsets[q * k + k]]);
+            merged.sort_unstable();
+            merged.dedup();
+            all_targets.extend_from_slice(&merged);
+            all_offsets.push(all_targets.len());
+        }
+        Buchi {
+            alphabet,
+            accepting,
+            offsets,
+            targets,
+            initial,
+            all_offsets,
+            all_targets,
+        }
+    }
+
     /// An automaton with the empty language over the alphabet.
     #[must_use]
     pub fn empty_language(alphabet: Alphabet) -> Buchi {
@@ -174,10 +218,7 @@ impl Buchi {
     /// Total number of transitions.
     #[must_use]
     pub fn num_transitions(&self) -> usize {
-        self.delta
-            .iter()
-            .map(|row| row.iter().map(Vec::len).sum::<usize>())
-            .sum()
+        self.targets.len()
     }
 
     /// The initial state.
@@ -203,14 +244,17 @@ impl Buchi {
     /// Successors of `q` on `sym`.
     #[must_use]
     pub fn successors(&self, q: StateId, sym: Symbol) -> &[StateId] {
-        &self.delta[q][sym.index()]
+        let k = self.alphabet.len();
+        assert!(sym.index() < k, "symbol out of range");
+        let row = q * k + sym.index();
+        &self.targets[self.offsets[row]..self.offsets[row + 1]]
     }
 
     /// All successors of `q` over any symbol (deduplicated, sorted).
     /// Precomputed at build time — calling this in a loop is free.
     #[must_use]
     pub fn all_successors(&self, q: StateId) -> &[StateId] {
-        &self.all_succ[q]
+        &self.all_targets[self.all_offsets[q]..self.all_offsets[q + 1]]
     }
 
     /// A deterministic 64-bit hash of the defining 5-tuple (alphabet,
@@ -240,12 +284,10 @@ impl Buchi {
         for (q, &acc) in self.accepting.iter().enumerate() {
             h = mix(h, (q as u64) << 1 | u64::from(acc));
         }
-        for row in &self.delta {
-            for succs in row {
-                h = mix(h, succs.len() as u64);
-                for &t in succs {
-                    h = mix(h, t as u64);
-                }
+        for row in self.offsets.windows(2) {
+            h = mix(h, (row[1] - row[0]) as u64);
+            for &t in &self.targets[row[0]..row[1]] {
+                h = mix(h, t as u64);
             }
         }
         h
@@ -271,32 +313,54 @@ impl Buchi {
     /// Restricts the automaton to the states where `keep` is true,
     /// preserving the language *of the kept part*. If the initial state
     /// is dropped, the result has the empty language.
+    ///
+    /// Kept states are renumbered in order, so the remap is monotone and
+    /// every filtered row — including the all-symbol index — stays
+    /// sorted: the CSR arrays are written directly, with no re-sort.
     #[must_use]
     pub fn restrict(&self, keep: &[bool]) -> Buchi {
-        assert_eq!(keep.len(), self.num_states(), "keep mask size mismatch");
+        let n = self.num_states();
+        assert_eq!(keep.len(), n, "keep mask size mismatch");
         if !keep[self.initial] {
             return Buchi::empty_language(self.alphabet.clone());
         }
-        let mut remap = vec![usize::MAX; self.num_states()];
-        let mut builder = BuchiBuilder::new(self.alphabet.clone());
-        for q in 0..self.num_states() {
-            if keep[q] {
-                remap[q] = builder.add_state(self.accepting[q]);
-            }
+        if keep.iter().all(|&k| k) {
+            return self.clone();
         }
-        for q in 0..self.num_states() {
-            if !keep[q] {
-                continue;
-            }
-            for sym in self.alphabet.symbols() {
-                for &succ in self.successors(q, sym) {
-                    if keep[succ] {
-                        builder.add_transition(remap[q], sym, remap[succ]);
-                    }
+        let mut remap = vec![usize::MAX; n];
+        let mut accepting = Vec::new();
+        for q in (0..n).filter(|&q| keep[q]) {
+            remap[q] = accepting.len();
+            accepting.push(self.accepting[q]);
+        }
+        let filter = |offsets: &[usize], targets: &[StateId], width: usize| {
+            let mut new_offsets = Vec::with_capacity(accepting.len() * width + 1);
+            let mut new_targets = Vec::with_capacity(targets.len());
+            new_offsets.push(0);
+            for q in (0..n).filter(|&q| keep[q]) {
+                for row in offsets[q * width..=q * width + width].windows(2) {
+                    new_targets.extend(
+                        targets[row[0]..row[1]]
+                            .iter()
+                            .filter(|&&t| keep[t])
+                            .map(|&t| remap[t]),
+                    );
+                    new_offsets.push(new_targets.len());
                 }
             }
+            (new_offsets, new_targets)
+        };
+        let (offsets, targets) = filter(&self.offsets, &self.targets, self.alphabet.len());
+        let (all_offsets, all_targets) = filter(&self.all_offsets, &self.all_targets, 1);
+        Buchi {
+            alphabet: self.alphabet.clone(),
+            accepting,
+            offsets,
+            targets,
+            initial: remap[self.initial],
+            all_offsets,
+            all_targets,
         }
-        builder.build(remap[self.initial])
     }
 
     /// Drops unreachable states.
@@ -371,6 +435,64 @@ mod tests {
         (sigma, builder.build(q0))
     }
 
+    /// Three symbols; state 1 has no successors, state 0 a
+    /// nondeterministic `x` row, and one transition is added twice.
+    fn edge_fixture() -> Buchi {
+        let sigma = Alphabet::new(&["x", "y", "z"]);
+        let x = sigma.symbol("x").unwrap();
+        let y = sigma.symbol("y").unwrap();
+        let z = sigma.symbol("z").unwrap();
+        let mut b = BuchiBuilder::new(sigma);
+        let q0 = b.add_state(false);
+        let sink = b.add_state(true);
+        let q2 = b.add_state(true);
+        b.add_transition(q0, x, q2);
+        b.add_transition(q0, x, sink);
+        b.add_transition(q0, x, q0);
+        b.add_transition(q0, z, q2);
+        b.add_transition(q2, y, q0);
+        b.add_transition(q2, y, q0);
+        b.add_transition(q2, z, q2);
+        b.build(q0)
+    }
+
+    /// `gfa` with an unreachable junk state wedged in at index 1 and,
+    /// with `copy`, a reachable simulation-equivalent copy of `qa`
+    /// appended. Restricting away the extras, trimming the copy-free
+    /// version, or quotienting all land back on `gfa`.
+    fn bloated_gfa(copy: bool) -> Buchi {
+        let sigma = Alphabet::ab();
+        let a = sigma.symbol("a").unwrap();
+        let b_sym = sigma.symbol("b").unwrap();
+        let mut b = BuchiBuilder::new(sigma);
+        let q0 = b.add_state(false);
+        let junk = b.add_state(true);
+        let qa = b.add_state(true);
+        let mut edges = vec![
+            (q0, b_sym, q0),
+            (q0, a, qa),
+            (qa, b_sym, q0),
+            (qa, a, qa),
+            (junk, a, junk),
+            (junk, b_sym, q0),
+            (junk, a, qa),
+        ];
+        if copy {
+            let copy = b.add_state(true);
+            edges.extend([(q0, a, copy), (copy, a, copy), (copy, b_sym, q0)]);
+        }
+        for (from, sym, to) in edges {
+            b.add_transition(from, sym, to);
+        }
+        b.build(q0)
+    }
+
+    fn std_hash(b: &Buchi) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        b.hash(&mut h);
+        h.finish()
+    }
+
     #[test]
     fn builder_basics() {
         let (_, m) = gfa();
@@ -386,11 +508,96 @@ mod tests {
     fn duplicate_transitions_ignored() {
         let sigma = Alphabet::ab();
         let a = sigma.symbol("a").unwrap();
-        let mut b = BuchiBuilder::new(sigma);
+        let mut b = BuchiBuilder::new(sigma.clone());
         let q = b.add_state(true);
         b.add_transition(q, a, q);
         b.add_transition(q, a, q);
-        assert_eq!(b.build(q).num_transitions(), 1);
+        let twice = b.build(q);
+        assert_eq!(twice.num_transitions(), 1);
+        assert_eq!(twice.successors(q, a), &[q]);
+        let mut b = BuchiBuilder::new(sigma);
+        let q = b.add_state(true);
+        b.add_transition(q, a, q);
+        assert_eq!(twice, b.build(q), "a duplicate leaves no trace in the rows");
+    }
+
+    #[test]
+    fn structural_hash_values_are_pinned() {
+        // The value picks a cache stripe, so the golden `stats` counters
+        // depend on it: these literals were computed before the CSR
+        // layout and must never move.
+        let (sigma, m) = gfa();
+        assert_eq!(m.structural_hash(), 0x0d38_de73_792f_943f);
+        assert_eq!(
+            Buchi::universal(sigma.clone()).structural_hash(),
+            0x0ca8_f24e_9534_0500
+        );
+        assert_eq!(
+            Buchi::empty_language(sigma).structural_hash(),
+            0xc01b_77bf_4906_9883
+        );
+        assert_eq!(edge_fixture().structural_hash(), 0xd254_3b2c_00ca_fee4);
+        assert_eq!(
+            edge_fixture().with_all_accepting().structural_hash(),
+            0x8c93_c1e8_018e_8fc9
+        );
+    }
+
+    #[test]
+    fn every_route_to_one_automaton_agrees() {
+        let (_, built) = gfa();
+        let routes = [
+            (
+                "restrict",
+                bloated_gfa(true).restrict(&[true, false, true, false]),
+            ),
+            ("trim_unreachable", bloated_gfa(false).trim_unreachable()),
+            (
+                "reduce",
+                crate::reduce::reduce(&bloated_gfa(true).trim_unreachable()),
+            ),
+            (
+                "scratch_quotient",
+                crate::interned::scratch_quotient(&bloated_gfa(true)),
+            ),
+        ];
+        for (route, b) in routes {
+            assert_eq!(b, built, "{route}");
+            assert_eq!(std_hash(&b), std_hash(&built), "{route}");
+            assert_eq!(b.structural_hash(), built.structural_hash(), "{route}");
+            assert_eq!(b.to_string(), built.to_string(), "{route}");
+            for q in 0..b.num_states() {
+                assert_eq!(b.all_successors(q), built.all_successors(q), "{route}");
+            }
+        }
+        // Keeping every state is a plain copy.
+        let edge = edge_fixture();
+        assert_eq!(edge.restrict(&[true; 3]), edge);
+        assert_eq!(edge.trim_unreachable(), edge);
+    }
+
+    #[test]
+    fn state_without_successors() {
+        let m = edge_fixture();
+        let sink = 1;
+        for sym in m.alphabet().symbols() {
+            assert!(m.successors(sink, sym).is_empty());
+        }
+        assert!(m.all_successors(sink).is_empty());
+        assert_eq!(m.all_successors(0), &[0, 1, 2]);
+        assert_eq!(m.all_successors(2), &[0, 2]);
+        assert_eq!(m.num_transitions(), 6);
+        assert_eq!(
+            m.to_string(),
+            "Buchi(3 states, 6 transitions, initial 0)\n   0 --x--> 0\n   0 --x--> 1\n   \
+             0 --x--> 2\n   0 --z--> 2\n  *2 --y--> 0\n  *2 --z--> 2\n"
+        );
+        // Dropping the sink keeps every row sorted under the remap.
+        let kept = m.restrict(&[true, false, true]);
+        let x = m.alphabet().symbol("x").unwrap();
+        assert_eq!(kept.successors(0, x), &[0, 1]);
+        assert_eq!(kept.all_successors(0), &[0, 1]);
+        assert_eq!(kept.num_transitions(), 5);
     }
 
     #[test]
@@ -427,10 +634,11 @@ mod tests {
 
     #[test]
     fn restrict_dropping_initial_empties() {
-        let (_, m) = gfa();
+        let (sigma, m) = gfa();
         let out = m.restrict(&[false, true]);
         assert_eq!(out.num_states(), 1);
         assert_eq!(out.num_transitions(), 0);
+        assert_eq!(out, Buchi::empty_language(sigma));
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! fix has three parts:
 //!
 //! * **[`InternedNode`]** — one automaton version: its reachable part,
-//!   its greatest-fixpoint simulation rows, and the resulting quotient,
-//!   so repeat queries are an 8-byte hash probe instead of an `O(n²)`
-//!   refinement.
+//!   its greatest-fixpoint simulation rows (one flat `u64` slice), and
+//!   the resulting quotient, so a repeat query costs the structural
+//!   hash, a stripe probe and a comparison of the stored key's flat
+//!   transition arrays instead of an `O(n²)` refinement.
 //! * **Incremental maintenance** — [`QuotientCache::advance`] interns a
 //!   *successor version* of an automaton (the `redefine` path) by
 //!   recomputing simulation only where the edit can matter. States are
@@ -21,9 +22,9 @@
 //!   same sub-automaton) and *dirty*. Clean × clean pairs are seeded
 //!   with the old fixpoint's verdicts; every pair involving a dirty
 //!   state restarts from the optimistic acceptance-consistent top. The
-//!   standard refinement then runs — and because any start between the
-//!   greatest fixpoint and top converges to exactly that fixpoint (the
-//!   loop never drops a true pair, and its stable point is a
+//!   worklist refinement then runs — and because any start between the
+//!   greatest fixpoint and top converges to exactly that fixpoint (a
+//!   cut never drops a true pair, and the stable point is a
 //!   post-fixpoint), the incremental quotient is **bit-identical** to a
 //!   from-scratch one; `tests/interned_core.rs` holds that bar over
 //!   seeded 50+-mutation histories.
@@ -46,7 +47,7 @@
 
 use crate::automaton::Buchi;
 use crate::graph::{tarjan, Graph};
-use crate::reduce::{initial_rows, quotient_from_rows, refine_rows, successor_sets};
+use crate::reduce::{quotient, refine, row_words, top_rows};
 use sl_lattice::Bitset;
 use sl_support::fault::{self, FaultPlan};
 use sl_support::{CacheStats, StripedCache};
@@ -128,7 +129,9 @@ pub struct AdvanceReport {
 #[derive(Debug)]
 pub struct InternedNode {
     trimmed: Buchi,
-    rows: Arc<Vec<Bitset>>,
+    /// The fixpoint as flat rows: `rows[q·w..(q+1)·w]` is
+    /// `{ r | q ≤ r }`, `w = ⌈n/64⌉` words per row.
+    rows: Vec<u64>,
     quotient: Arc<Buchi>,
 }
 
@@ -143,8 +146,12 @@ impl InternedNode {
     /// (`rows[q] = { r | q ≤ r }`), exposed so differential tests can
     /// compare incremental and from-scratch fixpoints bit for bit.
     #[must_use]
-    pub fn rows(&self) -> Arc<Vec<Bitset>> {
-        Arc::clone(&self.rows)
+    pub fn rows(&self) -> Vec<Bitset> {
+        let n = self.trimmed.num_states();
+        let w = row_words(n);
+        (0..n)
+            .map(|q| Bitset::from_words(n, self.rows[q * w..(q + 1) * w].to_vec()))
+            .collect()
     }
 }
 
@@ -155,20 +162,19 @@ impl InternedNode {
 /// agree with bit for bit (`reduce ∘ trim` with the rows exposed).
 fn compute_node(old: Option<&InternedNode>, b: &Buchi) -> (InternedNode, AdvanceReport) {
     let trimmed = b.trim_unreachable();
-    let succ = successor_sets(&trimmed);
-    let mut rows = initial_rows(&trimmed);
+    let mut rows = top_rows(&trimmed);
     let report = match old {
         Some(o) if o.trimmed.alphabet() == trimmed.alphabet() => {
             seed_rows(&o.trimmed, &o.rows, &trimmed, &mut rows)
         }
         _ => AdvanceReport::default(),
     };
-    refine_rows(&succ, &mut rows);
-    let quotient = quotient_from_rows(&trimmed, &rows);
+    refine(&trimmed, &mut rows);
+    let quotient = Arc::new(quotient(&trimmed, &rows));
     let node = InternedNode {
         trimmed,
-        rows: Arc::new(rows),
-        quotient: Arc::new(quotient),
+        rows,
+        quotient,
     };
     (node, report)
 }
@@ -181,15 +187,10 @@ pub fn scratch_quotient(b: &Buchi) -> Buchi {
     compute_node(None, b).0.quotient.as_ref().clone()
 }
 
-/// Seeds `rows` (arriving as `initial_rows(new_t)`) with the old
-/// fixpoint's verdicts on clean × clean pairs. See the module docs for
-/// the clean/dirty definition and the convergence argument.
-fn seed_rows(
-    old_t: &Buchi,
-    old_rows: &[Bitset],
-    new_t: &Buchi,
-    rows: &mut [Bitset],
-) -> AdvanceReport {
+/// Seeds `rows` (arriving as `top_rows(new_t)`) with the old
+/// fixpoint's verdicts on clean × clean pairs, in place. See the module
+/// docs for the clean/dirty definition and the convergence argument.
+fn seed_rows(old_t: &Buchi, old_rows: &[u64], new_t: &Buchi, rows: &mut [u64]) -> AdvanceReport {
     let n_new = new_t.num_states();
     let n_old = old_t.num_states();
     // A state is locally unchanged when its index, acceptance bit, and
@@ -236,15 +237,21 @@ fn seed_rows(
     // A clean state's reachable cone is bit-identical to the old
     // version's, and a simulation verdict depends only on the two
     // cones — so on clean × clean pairs the old fixpoint bit *is* the
-    // new fixpoint bit. Keep the optimistic top everywhere else.
-    let clean_states: Vec<usize> = (0..n_new)
-        .filter(|&q| !dirty[scc.component[q]])
-        .collect();
+    // new fixpoint bit. Keep the optimistic top everywhere else. A
+    // clean state is locally unchanged, so its index is below both
+    // state counts: its old row sits at the same index.
+    let clean_states: Vec<usize> = (0..n_new).filter(|&q| !dirty[scc.component[q]]).collect();
+    let (w_new, w_old) = (row_words(n_new), row_words(n_old));
+    let mut clean = vec![0u64; w_new];
     for &q in &clean_states {
-        for &r in &clean_states {
-            if !old_rows[q].contains(r) {
-                rows[q].remove(r);
-            }
+        clean[q / 64] |= 1 << (q % 64);
+    }
+    for &q in &clean_states {
+        let old_row = &old_rows[q * w_old..(q + 1) * w_old];
+        let row = &mut rows[q * w_new..(q + 1) * w_new];
+        for (i, cell) in row.iter_mut().enumerate() {
+            let old = old_row.get(i).copied().unwrap_or(0);
+            *cell &= !(clean[i] & !old);
         }
     }
     AdvanceReport {
@@ -458,8 +465,8 @@ mod tests {
                 "seed {seed}: incremental quotient differs from scratch"
             );
             assert_eq!(
-                *incremental.rows(),
-                *compute_node(None, &new).0.rows,
+                incremental.rows(),
+                compute_node(None, &new).0.rows(),
                 "seed {seed}: incremental fixpoint rows differ from scratch"
             );
             assert_eq!(
@@ -524,8 +531,8 @@ mod tests {
         };
         sabotage::set_break_dirty_tracking(false);
         assert_ne!(
-            *drilled,
-            *compute_node(None, &new).0.rows,
+            drilled,
+            compute_node(None, &new).0.rows(),
             "the drill must produce stale fixpoint rows on this fixture"
         );
     }

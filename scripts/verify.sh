@@ -20,6 +20,12 @@ cd "$(dirname "$0")/.."
 echo "== build (release, offline) =="
 cargo build --release --offline
 
+echo "== format (files kept rustfmt-clean) =="
+# The workspace as a whole is not rustfmt-clean yet; these files are,
+# and must stay so.
+rustfmt --edition 2021 --check \
+  crates/buchi/src/automaton.rs crates/buchi/src/reduce.rs crates/buchi/src/interned.rs
+
 echo "== tests (offline) =="
 # --workspace: a bare `cargo test` at the root tests only the facade
 # package, skipping every crate's own unit and integration tests.
@@ -101,8 +107,10 @@ fi
 echo "sld drill: $drill_lines/$req_lines responses, exit 0"
 # E12 smoke: the binary fails itself if any scripted response errors,
 # the cache is not transparent, or cache hits lose to recomputation.
+# Cold includes are cheap enough now that warm/cold sit within about
+# 2x, so the medians take 11 samples rather than 5.
 echo "-- e12_service_throughput (smoke)"
-SL_BENCH_SAMPLES=5 SL_BENCH_WARMUP_MS=10 SL_BENCH_JSON_DIR="$svc_tmp" \
+SL_BENCH_SAMPLES=11 SL_BENCH_WARMUP_MS=10 SL_BENCH_JSON_DIR="$svc_tmp" \
   ./target/release/e12_service_throughput
 python3 - "$svc_tmp/BENCH_svc.json" <<'PY'
 import json, sys
@@ -128,7 +136,8 @@ mc8 = records["svc/mc/clients8"]["median_ns"]
 assert 8 * mc1 >= 3 * mc8, \
     f"8-client aggregate throughput only {8 * mc1 / mc8:.1f}x of 1-client (need >=3x)"
 queries = 28  # the e12 query script: 24 inclusion pairs + 4 universality probes
-print(f"BENCH_svc.json ok: cache-hit speedup {cold / warm:.1f}x, "
+print(f"BENCH_svc.json ok: include cold {cold / 1e3:.1f} us, warm {warm / 1e3:.1f} us, "
+      f"cache-hit speedup {cold / warm:.1f}x, "
       f"warm {queries / (warm / 1e9):,.0f} requests/sec, "
       f"multi-client scaling {8 * mc1 / mc8:.1f}x at 8 clients")
 PY
@@ -265,9 +274,10 @@ for t in 1 8; do
 done
 # E16: the scale sweep. The binary fails itself if a padded search's
 # verdict or counters differ from the bare core's, an advance diverges
-# from a scratch quotient, or incremental redefines lose to scratch;
-# the JSON gate re-checks the medians independently.
-echo "-- e16_scale (padding + redefine-reuse gate)"
+# from a scratch quotient, incremental redefines lose to scratch, or a
+# quotient-cache hit loses to a miss; the JSON gate re-checks the
+# medians independently.
+echo "-- e16_scale (padding + redefine-reuse + quotient-kernel gate)"
 SL_BENCH_SAMPLES=3 SL_BENCH_WARMUP_MS=10 SL_BENCH_JSON_DIR="$scale_tmp" \
   ./target/release/e16_scale
 python3 - "$scale_tmp/BENCH_scale.json" <<'PY'
@@ -288,8 +298,16 @@ assert large <= 10 * small, \
 scratch = records["redefine/scratch/chain1000"]["median_ns"]
 incr = records["redefine/incremental/chain1000"]["median_ns"]
 assert incr < scratch, f"incremental ({incr}ns) loses to scratch ({scratch}ns)"
+# The quotient kernel: both series measured, and a cache hit must beat
+# a miss.
+for name in ("quotient/miss/rand16-40", "quotient/hit/rand16-40"):
+    assert name in records, f"E16 did not measure {name}"
+miss = records["quotient/miss/rand16-40"]["median_ns"]
+hit = records["quotient/hit/rand16-40"]["median_ns"]
+assert hit < miss, f"quotient hit ({hit}ns) loses to miss ({miss}ns)"
 print(f"BENCH_scale.json ok: lazy 10^5 over 10^3 padding {large / small:.1f}x, "
-      f"redefine reuse {scratch / incr:.1f}x")
+      f"redefine reuse {scratch / incr:.1f}x, "
+      f"quotient miss {miss / 64e3:.2f} us / hit {hit / 64e3:.2f} us per lookup")
 PY
 # Sabotage drill: with per-SCC dirty tracking deliberately broken the
 # incl3 oracle's incremental-vs-scratch quotient drill must catch the
