@@ -148,11 +148,11 @@ fn mc_script() -> Vec<String> {
 /// The same queries folded into a single `batch` request, for the
 /// parallel fan-out measurement.
 fn batch_line() -> String {
-    let items: Vec<String> = query_script()
-        .iter()
-        .map(|line| line.clone())
-        .collect();
-    format!(r#"{{"id":"fan","verb":"batch","requests":[{}]}}"#, items.join(","))
+    let items: Vec<String> = query_script().iter().map(|line| line.clone()).collect();
+    format!(
+        r#"{{"id":"fan","verb":"batch","requests":[{}]}}"#,
+        items.join(",")
+    )
 }
 
 fn run_script(svc: &mut Service, lines: &[String]) -> Vec<String> {
@@ -188,7 +188,9 @@ fn mc_round(svc: &Service, addr: SocketAddr, clients: usize, queries: &[String])
                     reader.read_line(&mut reply).unwrap();
                     black_box(reply.len());
                 }
-                stream.write_all(b"{\"id\":\"bye\",\"verb\":\"quit\"}\n").unwrap();
+                stream
+                    .write_all(b"{\"id\":\"bye\",\"verb\":\"quit\"}\n")
+                    .unwrap();
                 reply.clear();
                 let _ = reader.read_line(&mut reply);
             });
@@ -279,7 +281,11 @@ fn main() -> ExitCode {
     let mc_queries = mc_script();
     for line in defines.iter().chain(&heavy_define_script(&sigma)) {
         let reply = mc_svc.handle_line(line);
-        assert!(reply.line.contains("\"ok\":true"), "mc ingest failed: {}", reply.line);
+        assert!(
+            reply.line.contains("\"ok\":true"),
+            "mc ingest failed: {}",
+            reply.line
+        );
     }
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
@@ -298,7 +304,10 @@ fn main() -> ExitCode {
             .unwrap();
         let mut reply = String::new();
         let _ = BufReader::new(&stream).read_line(&mut reply);
-        supervisor.join().expect("supervisor thread").expect("serve_tcp");
+        supervisor
+            .join()
+            .expect("supervisor thread")
+            .expect("serve_tcp");
     });
 
     let rps = |n: usize, d: std::time::Duration| n as f64 / d.as_secs_f64().max(1e-12);
@@ -335,8 +344,7 @@ fn main() -> ExitCode {
     }
     let t1 = mc_medians.first().map(|&(_, d)| d).unwrap_or_default();
     let t8 = mc_medians.last().map(|&(_, d)| d).unwrap_or_default();
-    let scaling =
-        (8.0 * t1.as_nanos() as f64) / (t8.as_nanos() as f64).max(1.0);
+    let scaling = (8.0 * t1.as_nanos() as f64) / (t8.as_nanos() as f64).max(1.0);
     println!("aggregate scaling, 8 clients over 1: {scaling:.1}x");
     board.claim(
         "8 concurrent clients deliver >=3x the aggregate throughput of 1",

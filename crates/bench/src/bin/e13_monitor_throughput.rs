@@ -25,7 +25,9 @@
 //! the compiled-over-NFA ratio at ≥10x.
 
 use sl_bench::{header, Scoreboard};
-use sl_buchi::{closure, live_states, Buchi, BuchiBuilder, CompiledMonitor, Monitor, MonitorFleet, Verdict};
+use sl_buchi::{
+    closure, live_states, Buchi, BuchiBuilder, CompiledMonitor, Monitor, MonitorFleet, Verdict,
+};
 use sl_omega::{Alphabet, Symbol, Word};
 use sl_support::bench::{black_box, Bench};
 use std::process::ExitCode;
@@ -114,11 +116,12 @@ impl NfaSetStepper {
 
     fn reset(&mut self) {
         self.unknown = false;
-        self.current = if self.cls.num_states() > 0 && self.live.get(self.cls.initial()) == Some(&true) {
-            vec![self.cls.initial()]
-        } else {
-            Vec::new()
-        };
+        self.current =
+            if self.cls.num_states() > 0 && self.live.get(self.cls.initial()) == Some(&true) {
+                vec![self.cls.initial()]
+            } else {
+                Vec::new()
+            };
     }
 
     fn step(&mut self, sym: Symbol) -> Verdict {
@@ -239,9 +242,18 @@ fn main() -> ExitCode {
 
     let sps = |steps: usize, d: std::time::Duration| steps as f64 / d.as_secs_f64().max(1e-12);
     println!("\nthroughput (median):");
-    println!("  nfa_set  : {:>13.0} steps/sec", sps(symbols.len(), nfa_med));
-    println!("  subset   : {:>13.0} steps/sec", sps(symbols.len(), subset_med));
-    println!("  compiled : {:>13.0} steps/sec", sps(symbols.len(), compiled_med));
+    println!(
+        "  nfa_set  : {:>13.0} steps/sec",
+        sps(symbols.len(), nfa_med)
+    );
+    println!(
+        "  subset   : {:>13.0} steps/sec",
+        sps(symbols.len(), subset_med)
+    );
+    println!(
+        "  compiled : {:>13.0} steps/sec",
+        sps(symbols.len(), compiled_med)
+    );
     println!(
         "  fleet    : {:>13.0} session-steps/sec ({FLEET} sessions)",
         sps(FLEET * fleet_word.len(), fleet_med)
@@ -249,8 +261,14 @@ fn main() -> ExitCode {
     let vs_nfa = nfa_med.as_nanos() as f64 / compiled_med.as_nanos().max(1) as f64;
     let vs_subset = subset_med.as_nanos() as f64 / compiled_med.as_nanos().max(1) as f64;
     println!("compiled speedup: {vs_nfa:.1}x over nfa_set, {vs_subset:.1}x over subset");
-    board.claim("compiled beats the NFA-set baseline by >= 10x", vs_nfa >= 10.0);
-    board.claim("compiled beats the subset stepper (>1x median)", vs_subset > 1.0);
+    board.claim(
+        "compiled beats the NFA-set baseline by >= 10x",
+        vs_nfa >= 10.0,
+    );
+    board.claim(
+        "compiled beats the subset stepper (>1x median)",
+        vs_subset > 1.0,
+    );
     bench.finish("monitor");
     board.finish()
 }

@@ -232,7 +232,10 @@ fn main() -> ExitCode {
         "snap512 replays fewer records than journal_only",
         replayed[2] < replayed[0],
     );
-    board.claim("journal_only replays every journaled request", replayed[0] > 900);
+    board.claim(
+        "journal_only replays every journaled request",
+        replayed[0] > 900,
+    );
 
     // Measured passes: a full recovery per call. Recovery does not
     // mutate a clean directory, so repeated recoveries are identical

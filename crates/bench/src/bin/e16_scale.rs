@@ -46,7 +46,9 @@ fn pad(core: &Buchi, padding: usize) -> Buchi {
     let sigma = core.alphabet().clone();
     let mut builder = BuchiBuilder::new(sigma.clone());
     let n = core.num_states();
-    let ids: Vec<usize> = (0..n).map(|q| builder.add_state(core.is_accepting(q))).collect();
+    let ids: Vec<usize> = (0..n)
+        .map(|q| builder.add_state(core.is_accepting(q)))
+        .collect();
     for q in 0..n {
         for sym in sigma.symbols() {
             for &r in core.successors(q, sym) {
@@ -212,7 +214,10 @@ fn main() -> ExitCode {
         let node = graph.node(&w[1]).expect("advance interns the new version");
         exact &= *node.quotient() == scratch_quotient(&w[1]);
     }
-    board.claim("every advance is bit-identical to a scratch quotient", exact);
+    board.claim(
+        "every advance is bit-identical to a scratch quotient",
+        exact,
+    );
     board.claim(
         "edits in the source block carry downstream SCCs over clean",
         clean_total > 0,

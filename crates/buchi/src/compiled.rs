@@ -170,7 +170,11 @@ impl CompiledMonitor {
             }
         }
         let dead_class = class_of[dead_idx];
-        let init_class = class_of[if monitor.initial == DEAD { dead_idx } else { monitor.initial }];
+        let init_class = class_of[if monitor.initial == DEAD {
+            dead_idx
+        } else {
+            monitor.initial
+        }];
         // BFS renumbering from the initial class gives a canonical
         // layout and drops anything unreachable; the dead class maps to
         // the sentinel row instead of a table row.
@@ -203,7 +207,11 @@ impl CompiledMonitor {
             let s = rep[class];
             for c in 0..stride {
                 let t = class_of[delta[s * stride + c]];
-                cells[i * stride + c] = if t == dead_class { dead } else { rank[t] as u16 };
+                cells[i * stride + c] = if t == dead_class {
+                    dead
+                } else {
+                    rank[t] as u16
+                };
             }
         }
         for c in 0..stride {
@@ -257,7 +265,11 @@ impl CompiledMonitor {
     ///
     /// Propagates [`SlError::BudgetExceeded`] / [`SlError::Cancelled`]
     /// from the meter.
-    pub fn step_checked(&mut self, sym: Symbol, meter: &mut BudgetMeter) -> Result<Verdict, SlError> {
+    pub fn step_checked(
+        &mut self,
+        sym: Symbol,
+        meter: &mut BudgetMeter,
+    ) -> Result<Verdict, SlError> {
         meter.charge(1)?;
         Ok(self.step(sym))
     }
@@ -660,7 +672,10 @@ mod tests {
                 minimized.num_states(),
                 raw.num_states()
             );
-            assert!(minimized.agrees_with(&raw), "seed {seed}: languages diverge");
+            assert!(
+                minimized.agrees_with(&raw),
+                "seed {seed}: languages diverge"
+            );
             assert!(raw.agrees_with(&minimized), "agreement must be symmetric");
         }
     }
@@ -722,7 +737,9 @@ mod tests {
         let policy = first_a(&s);
         let trace = Word::parse(&s, "a b a b a b");
         let mut compiled = CompiledMonitor::new(&policy).unwrap();
-        let (v, consumed) = compiled.run_with_budget(&trace, &Budget::unlimited()).unwrap();
+        let (v, consumed) = compiled
+            .run_with_budget(&trace, &Budget::unlimited())
+            .unwrap();
         assert_eq!((v, consumed), (Verdict::Ok, 6));
         let err = compiled
             .run_with_budget(&trace, &Budget::unlimited().with_steps(3))

@@ -127,7 +127,10 @@ fn parse_ap_names(tail: &str, line_no: usize) -> Result<Vec<String>, SlError> {
     let mut rest = names_text.trim();
     while !rest.is_empty() {
         let Some(stripped) = rest.strip_prefix('"') else {
-            return Err(bad(line_no, format!("expected a quoted AP name at `{rest}`")));
+            return Err(bad(
+                line_no,
+                format!("expected a quoted AP name at `{rest}`"),
+            ));
         };
         let Some(end) = stripped.find('"') else {
             return Err(bad(line_no, "unterminated AP name quote"));
@@ -138,7 +141,10 @@ fn parse_ap_names(tail: &str, line_no: usize) -> Result<Vec<String>, SlError> {
     if names.len() != count {
         return Err(bad(
             line_no,
-            format!("AP header declares {count} propositions but lists {}", names.len()),
+            format!(
+                "AP header declares {count} propositions but lists {}",
+                names.len()
+            ),
         ));
     }
     if names.is_empty() {
@@ -147,7 +153,10 @@ fn parse_ap_names(tail: &str, line_no: usize) -> Result<Vec<String>, SlError> {
     let mut seen = std::collections::HashSet::new();
     for name in &names {
         if !seen.insert(name.as_str()) {
-            return Err(bad(line_no, format!("duplicate proposition name \"{name}\"")));
+            return Err(bad(
+                line_no,
+                format!("duplicate proposition name \"{name}\""),
+            ));
         }
     }
     Ok(names)
@@ -165,7 +174,10 @@ fn parse_one_hot(label: &str, ap_count: usize, line_no: usize) -> Result<usize, 
             None => (false, literal),
         };
         let index: usize = index_text.parse().map_err(|_| {
-            bad(line_no, format!("label literal `{literal}` is not an AP index"))
+            bad(
+                line_no,
+                format!("label literal `{literal}` is not an AP index"),
+            )
         })?;
         if index >= ap_count {
             return Err(bad(
@@ -185,7 +197,10 @@ fn parse_one_hot(label: &str, ap_count: usize, line_no: usize) -> Result<usize, 
         }
     }
     positive.ok_or_else(|| {
-        bad(line_no, "label has no positive proposition; one-hot symbol labels need exactly one")
+        bad(
+            line_no,
+            "label has no positive proposition; one-hot symbol labels need exactly one",
+        )
     })
 }
 
@@ -225,7 +240,10 @@ pub fn from_hoa(text: &str) -> Result<Buchi, SlError> {
                 .strip_prefix("HOA:")
                 .ok_or_else(|| bad(line_no, "expected the `HOA: v1` preamble"))?;
             if version.trim() != "v1" {
-                return Err(bad(line_no, format!("unsupported HOA version `{}`", version.trim())));
+                return Err(bad(
+                    line_no,
+                    format!("unsupported HOA version `{}`", version.trim()),
+                ));
             }
             saw_preamble = true;
             continue;
@@ -254,17 +272,16 @@ pub fn from_hoa(text: &str) -> Result<Buchi, SlError> {
                 if n > total_lines {
                     return Err(bad(
                         line_no,
-                        format!(
-                            "state count {n} exceeds the {total_lines} lines of input"
-                        ),
+                        format!("state count {n} exceeds the {total_lines} lines of input"),
                     ));
                 }
                 states = Some(n);
             }
             "Start" => {
-                start = Some(tail.parse().map_err(|_| {
-                    bad(line_no, format!("start state `{tail}` is not a number"))
-                })?);
+                start =
+                    Some(tail.parse().map_err(|_| {
+                        bad(line_no, format!("start state `{tail}` is not a number"))
+                    })?);
             }
             "AP" => ap_names = Some(parse_ap_names(tail, line_no)?),
             "Acceptance" => {
@@ -296,7 +313,10 @@ pub fn from_hoa(text: &str) -> Result<Buchi, SlError> {
         return Err(bad(body_line, "missing Acceptance header"));
     }
     if start >= n {
-        return Err(bad(body_line, format!("start state {start} out of range (States: {n})")));
+        return Err(bad(
+            body_line,
+            format!("start state {start} out of range (States: {n})"),
+        ));
     }
 
     let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
@@ -329,7 +349,10 @@ pub fn from_hoa(text: &str) -> Result<Buchi, SlError> {
                 .parse()
                 .map_err(|_| bad(line_no, format!("state id `{index_text}` is not a number")))?;
             if q >= n {
-                return Err(bad(line_no, format!("state {q} out of range (States: {n})")));
+                return Err(bad(
+                    line_no,
+                    format!("state {q} out of range (States: {n})"),
+                ));
             }
             match marker {
                 "" => {}
@@ -337,7 +360,9 @@ pub fn from_hoa(text: &str) -> Result<Buchi, SlError> {
                 other => {
                     return Err(bad(
                         line_no,
-                        format!("unsupported state annotation `{other}`; only `{{0}}` is recognized"),
+                        format!(
+                            "unsupported state annotation `{other}`; only `{{0}}` is recognized"
+                        ),
                     ))
                 }
             }
@@ -345,17 +370,23 @@ pub fn from_hoa(text: &str) -> Result<Buchi, SlError> {
             continue;
         }
         if let Some(tail) = line.strip_prefix('[') {
-            let from = current
-                .ok_or_else(|| bad(line_no, "edge before the first State: header"))?;
+            let from =
+                current.ok_or_else(|| bad(line_no, "edge before the first State: header"))?;
             let (label, succ_text) = tail
                 .split_once(']')
                 .ok_or_else(|| bad(line_no, "unterminated edge label"))?;
             let sym_index = parse_one_hot(label, sigma.len(), line_no)?;
             let succ: usize = succ_text.trim().parse().map_err(|_| {
-                bad(line_no, format!("edge target `{}` is not a state id", succ_text.trim()))
+                bad(
+                    line_no,
+                    format!("edge target `{}` is not a state id", succ_text.trim()),
+                )
             })?;
             if succ >= n {
-                return Err(bad(line_no, format!("edge target {succ} out of range (States: {n})")));
+                return Err(bad(
+                    line_no,
+                    format!("edge target {succ} out of range (States: {n})"),
+                ));
             }
             edges.push((from, sym_index, succ));
             continue;

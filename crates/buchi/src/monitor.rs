@@ -180,7 +180,11 @@ impl Monitor {
     ///
     /// Propagates [`SlError::BudgetExceeded`] / [`SlError::Cancelled`]
     /// from the meter.
-    pub fn step_checked(&mut self, sym: Symbol, meter: &mut BudgetMeter) -> Result<Verdict, SlError> {
+    pub fn step_checked(
+        &mut self,
+        sym: Symbol,
+        meter: &mut BudgetMeter,
+    ) -> Result<Verdict, SlError> {
         meter.charge(1)?;
         Ok(self.step(sym))
     }
@@ -538,12 +542,20 @@ mod tests {
     fn peek_matches_step_without_moving() {
         let s = sigma();
         let mut m = Monitor::new(&first_a(&s));
-        for sym in [s.symbol("a").unwrap(), s.symbol("b").unwrap(), sl_omega::Symbol(99)] {
+        for sym in [
+            s.symbol("a").unwrap(),
+            s.symbol("b").unwrap(),
+            sl_omega::Symbol(99),
+        ] {
             let peeked = m.peek(sym);
             let before = m.verdict();
             assert_eq!(m.verdict(), before, "peek must not move the monitor");
             let mut probe = m.clone();
-            assert_eq!(probe.step(sym), peeked, "peek disagrees with step on {sym:?}");
+            assert_eq!(
+                probe.step(sym),
+                peeked,
+                "peek disagrees with step on {sym:?}"
+            );
         }
         // After a violation, peek keeps reporting Violation.
         m.run(&Word::parse(&s, "b"));
@@ -619,7 +631,11 @@ mod tests {
         let mut fresh = Monitor::new(&policy);
         assert!(fresh.load_state(saved));
         assert_eq!(fresh.verdict(), Verdict::Ok);
-        assert_eq!(fresh.step(a), m.step(a), "restored monitor steps identically");
+        assert_eq!(
+            fresh.step(a),
+            m.step(a),
+            "restored monitor steps identically"
+        );
         // Sentinels survive too.
         let mut dead = Monitor::new(&policy);
         dead.step(b);

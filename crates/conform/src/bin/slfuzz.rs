@@ -104,8 +104,9 @@ fn parse_args() -> Result<Cli, String> {
             }
             "--stats" => cli.stats = Some(PathBuf::from(value(&mut args, "--stats")?)),
             "--stats-dir" => {
-                cli.stats =
-                    Some(PathBuf::from(value(&mut args, "--stats-dir")?).join("BENCH_conform.json"));
+                cli.stats = Some(
+                    PathBuf::from(value(&mut args, "--stats-dir")?).join("BENCH_conform.json"),
+                );
             }
             "--stable" => cli.stable = true,
             "--max-seconds" => {
@@ -267,7 +268,10 @@ fn main() -> ExitCode {
         if !findings.is_empty() {
             let cases: Vec<Case> = findings.iter().map(|f| f.shrunk.clone()).collect();
             match corpus::append(path, &cases) {
-                Ok(added) => println!("corpus: appended {added} new reproducers to {}", path.display()),
+                Ok(added) => println!(
+                    "corpus: appended {added} new reproducers to {}",
+                    path.display()
+                ),
                 Err(message) => {
                     eprintln!("slfuzz: {message}");
                     failed = true;

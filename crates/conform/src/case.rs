@@ -440,7 +440,11 @@ impl Case {
                 .and_then(Json::as_arr)
                 .ok_or(format!("missing array field `{key}`"))?
                 .iter()
-                .map(|v| v.as_str().map(str::to_string).ok_or(format!("non-string in `{key}`")))
+                .map(|v| {
+                    v.as_str()
+                        .map(str::to_string)
+                        .ok_or(format!("non-string in `{key}`"))
+                })
                 .collect()
         };
         let nums_field = |key: &str| -> Result<Vec<usize>, String> {
@@ -572,9 +576,7 @@ impl Case {
             Case::Monitor(c) | Case::Compiled(c) => states(&c.policy) + c.trace.len(),
             Case::Session(c) => c.lines.len(),
             Case::Crash(c) => c.lines.len(),
-            Case::Pdr(c) => {
-                c.succ.len() + c.succ.iter().map(Vec::len).sum::<usize>() + c.bad.len()
-            }
+            Case::Pdr(c) => c.succ.len() + c.succ.iter().map(Vec::len).sum::<usize>() + c.bad.len(),
         }
     }
 }
@@ -673,7 +675,10 @@ mod tests {
         assert_eq!(lattice.len(), 20);
         assert!(lattice.is_modular());
         assert!(lattice.is_complemented());
-        assert!(cl1.pointwise_leq(&lattice, &cl2), "cl1 <= cl2 by construction");
+        assert!(
+            cl1.pointwise_leq(&lattice, &cl2),
+            "cl1 <= cl2 by construction"
+        );
     }
 
     #[test]

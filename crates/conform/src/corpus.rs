@@ -45,7 +45,8 @@ pub fn load(path: &Path) -> Result<Vec<(usize, Result<Case, String>)>, String> {
     if !path.exists() {
         return Ok(Vec::new());
     }
-    let text = fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let text =
+        fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     Ok(text
         .lines()
         .enumerate()
@@ -63,9 +64,10 @@ pub fn replay(path: &Path) -> Result<CorpusReport, String> {
     let mut report = CorpusReport::default();
     for (line_number, parsed) in load(path)? {
         match parsed {
-            Err(msg) => report
-                .failures
-                .push(format!("{}:{line_number}: malformed corpus entry: {msg}", path.display())),
+            Err(msg) => report.failures.push(format!(
+                "{}:{line_number}: malformed corpus entry: {msg}",
+                path.display()
+            )),
             Ok(case) => {
                 report.replayed += 1;
                 match oracles::check(&case) {

@@ -56,13 +56,25 @@ pub fn gen_ltl(rng: &mut SplitMix, alphabet: &Alphabet, depth: usize) -> Ltl {
     }
     match rng.below(8) {
         0 => Ltl::not(gen_ltl(rng, alphabet, depth - 1)),
-        1 => Ltl::and(gen_ltl(rng, alphabet, depth - 1), gen_ltl(rng, alphabet, depth - 1)),
-        2 => Ltl::or(gen_ltl(rng, alphabet, depth - 1), gen_ltl(rng, alphabet, depth - 1)),
+        1 => Ltl::and(
+            gen_ltl(rng, alphabet, depth - 1),
+            gen_ltl(rng, alphabet, depth - 1),
+        ),
+        2 => Ltl::or(
+            gen_ltl(rng, alphabet, depth - 1),
+            gen_ltl(rng, alphabet, depth - 1),
+        ),
         3 => Ltl::next(gen_ltl(rng, alphabet, depth - 1)),
         4 => Ltl::finally(gen_ltl(rng, alphabet, depth - 1)),
         5 => Ltl::globally(gen_ltl(rng, alphabet, depth - 1)),
-        6 => Ltl::until(gen_ltl(rng, alphabet, depth - 1), gen_ltl(rng, alphabet, depth - 1)),
-        _ => Ltl::release(gen_ltl(rng, alphabet, depth - 1), gen_ltl(rng, alphabet, depth - 1)),
+        6 => Ltl::until(
+            gen_ltl(rng, alphabet, depth - 1),
+            gen_ltl(rng, alphabet, depth - 1),
+        ),
+        _ => Ltl::release(
+            gen_ltl(rng, alphabet, depth - 1),
+            gen_ltl(rng, alphabet, depth - 1),
+        ),
     }
 }
 
@@ -364,7 +376,10 @@ pub fn gen_session(rng: &mut SplitMix) -> SessionCase {
             ),
             1 => next_id(
                 &mut lines,
-                format!("\"verb\":\"universal\",\"target\":\"{}\"{budget}", pick(rng)),
+                format!(
+                    "\"verb\":\"universal\",\"target\":\"{}\"{budget}",
+                    pick(rng)
+                ),
             ),
             2 => next_id(
                 &mut lines,
@@ -384,7 +399,10 @@ pub fn gen_session(rng: &mut SplitMix) -> SessionCase {
             ),
             4 => next_id(
                 &mut lines,
-                format!("\"verb\":\"decompose\",\"target\":\"{}\"{budget}", pick(rng)),
+                format!(
+                    "\"verb\":\"decompose\",\"target\":\"{}\"{budget}",
+                    pick(rng)
+                ),
             ),
             5 => {
                 let symbols: Vec<String> = (0..1 + rng.below(4))
@@ -409,12 +427,7 @@ pub fn gen_session(rng: &mut SplitMix) -> SessionCase {
             }
             6 => {
                 let items: Vec<String> = (0..2 + rng.below(2))
-                    .map(|_| {
-                        format!(
-                            "{{\"verb\":\"classify\",\"target\":\"{}\"}}",
-                            pick(rng)
-                        )
-                    })
+                    .map(|_| format!("{{\"verb\":\"classify\",\"target\":\"{}\"}}", pick(rng)))
                     .collect();
                 next_id(
                     &mut lines,
@@ -458,10 +471,18 @@ pub fn gen_crash(rng: &mut SplitMix) -> CrashCase {
     // Multi-client sessions are kept shorter per client: the drill is
     // O(records²) in the *interleaved* length.
     let defines = 1 + rng.below(2);
-    let ops = if clients == 1 { 3 + rng.below(6) } else { 2 + rng.below(3) };
+    let ops = if clients == 1 {
+        3 + rng.below(6)
+    } else {
+        2 + rng.below(3)
+    };
     let sessions: Vec<Vec<String>> = (0..clients)
         .map(|j| {
-            let ns = if clients == 1 { String::new() } else { format!("c{j}_") };
+            let ns = if clients == 1 {
+                String::new()
+            } else {
+                format!("c{j}_")
+            };
             gen_crash_session(rng, &ns, defines, ops)
         })
         .collect();

@@ -112,10 +112,14 @@ fn parse_pair(left: &str, right: &str) -> Result<(Buchi, Buchi), Outcome> {
 /// can launder a bogus witness.
 fn valid_cex(a: &Buchi, b: &Buchi, w: &LassoWord) -> Result<(), String> {
     if !accepts(a, w) {
-        return Err(format!("counterexample {w:?} is not accepted by the left automaton"));
+        return Err(format!(
+            "counterexample {w:?} is not accepted by the left automaton"
+        ));
     }
     if accepts(b, w) {
-        return Err(format!("counterexample {w:?} is accepted by the right automaton"));
+        return Err(format!(
+            "counterexample {w:?} is accepted by the right automaton"
+        ));
     }
     Ok(())
 }
@@ -249,7 +253,11 @@ fn shape_of(b: &Buchi) -> Shape {
 
 fn build_shape(sigma: &Alphabet, shape: &Shape) -> Buchi {
     let mut builder = BuchiBuilder::new(sigma.clone());
-    let ids: Vec<usize> = shape.accepting.iter().map(|&acc| builder.add_state(acc)).collect();
+    let ids: Vec<usize> = shape
+        .accepting
+        .iter()
+        .map(|&acc| builder.add_state(acc))
+        .collect();
     for (q, by_sym) in shape.succ.iter().enumerate() {
         for (s, sym) in sigma.symbols().enumerate() {
             for &r in &by_sym[s] {
@@ -474,7 +482,9 @@ fn check_lattice(c: &LatticeCase) -> Outcome {
                 }
                 d
             }
-            Err(e) => fail!("Theorem 3 decomposition of {a} failed on a modular complemented lattice: {e:?}"),
+            Err(e) => fail!(
+                "Theorem 3 decomposition of {a} failed on a modular complemented lattice: {e:?}"
+            ),
         };
         // Classification is definitional — check it agrees with the
         // closure's own fixpoint structure.
@@ -488,7 +498,10 @@ fn check_lattice(c: &LatticeCase) -> Outcome {
             sl_lattice::decompose::Classification::Neither => !is_safe && !is_live,
         };
         if !matches_def {
-            fail!("classify({a}) = {class:?} contradicts cl2.{a} = {}", cl2.apply(a));
+            fail!(
+                "classify({a}) = {class:?} contradicts cl2.{a} = {}",
+                cl2.apply(a)
+            );
         }
         // Theorem 5: when cl2.a = 1 and cl1.a < 1, no decomposition
         // into a cl2-safety and cl1-liveness element exists.
@@ -501,10 +514,16 @@ fn check_lattice(c: &LatticeCase) -> Outcome {
         match theorem6_strongest_safety(&lattice, &cl1, &cl2, a) {
             Ok(s) => {
                 if s != cl1.apply(a) {
-                    fail!("Theorem 6 returned {s}, expected cl1.{a} = {}", cl1.apply(a));
+                    fail!(
+                        "Theorem 6 returned {s}, expected cl1.{a} = {}",
+                        cl1.apply(a)
+                    );
                 }
                 if s != pair.safety {
-                    fail!("Theorem 6 strongest safety {s} differs from the Theorem 3 part {}", pair.safety);
+                    fail!(
+                        "Theorem 6 strongest safety {s} differs from the Theorem 3 part {}",
+                        pair.safety
+                    );
                 }
             }
             Err(e) => fail!("Theorem 6 failed at {a}: {e:?}"),
@@ -518,7 +537,10 @@ fn check_lattice(c: &LatticeCase) -> Outcome {
                     fail!("Theorem 7 accepted a non-distributive lattice at {a}");
                 }
                 if !lattice.leq(pair.liveness, w) {
-                    fail!("Theorem 7 weakest liveness {w} is not above the Theorem 3 part {}", pair.liveness);
+                    fail!(
+                        "Theorem 7 weakest liveness {w} is not above the Theorem 3 part {}",
+                        pair.liveness
+                    );
                 }
                 if lattice.meet(cl1.apply(a), w) != a {
                     fail!("Theorem 7 weakest part {w} does not re-decompose {a}");
@@ -664,7 +686,10 @@ fn check_monitor(c: &MonitorCase) -> Outcome {
             );
         }
         if got != monitor.verdict() {
-            fail!("step() return and verdict() disagree at step {i}: {got:?} vs {:?}", monitor.verdict());
+            fail!(
+                "step() return and verdict() disagree at step {i}: {got:?} vs {:?}",
+                monitor.verdict()
+            );
         }
         verdicts.push(got);
     }
@@ -686,7 +711,10 @@ fn check_monitor(c: &MonitorCase) -> Outcome {
         fail!("run() verdict {final_verdict:?} disagrees with stepped prefix {expected_final:?}");
     }
     if consumed > symbols.len() {
-        fail!("run() consumed {consumed} symbols of a {}-symbol trace", symbols.len());
+        fail!(
+            "run() consumed {consumed} symbols of a {}-symbol trace",
+            symbols.len()
+        );
     }
     // Budgeted twin: enough budget must agree; exhaustion is accepted.
     if let Some(steps) = c.budget {
@@ -723,7 +751,10 @@ fn check_compiled(c: &MonitorCase) -> Outcome {
         .collect();
     let mut compiled = match CompiledMonitor::new(&policy) {
         Ok(m) => m,
-        Err(e) => fail!("compile failed on a {}-state policy: {e}", policy.num_states()),
+        Err(e) => fail!(
+            "compile failed on a {}-state policy: {e}",
+            policy.num_states()
+        ),
     };
     // Minimization correctness: the minimized table is no larger than
     // the raw subset-construction DFA and language-equivalent to it.
@@ -765,7 +796,10 @@ fn check_compiled(c: &MonitorCase) -> Outcome {
             );
         }
         if got != compiled.verdict() {
-            fail!("step() return and verdict() disagree at step {i}: {got:?} vs {:?}", compiled.verdict());
+            fail!(
+                "step() return and verdict() disagree at step {i}: {got:?} vs {:?}",
+                compiled.verdict()
+            );
         }
         verdicts.push(got);
     }
@@ -784,13 +818,18 @@ fn check_compiled(c: &MonitorCase) -> Outcome {
         );
     }
     let expected_final = verdicts.last().copied().unwrap_or_else(|| {
-        CompiledMonitor::new(&policy).expect("compiled above").verdict()
+        CompiledMonitor::new(&policy)
+            .expect("compiled above")
+            .verdict()
     });
     if !symbols.is_empty() && final_verdict != expected_final {
         fail!("run() verdict {final_verdict:?} disagrees with stepped prefix {expected_final:?}");
     }
     if consumed > symbols.len() {
-        fail!("run() consumed {consumed} symbols of a {}-symbol trace", symbols.len());
+        fail!(
+            "run() consumed {consumed} symbols of a {}-symbol trace",
+            symbols.len()
+        );
     }
     // Budgeted twin: both implementations under the same budget either
     // agree on the result or both exhaust.
@@ -1020,10 +1059,7 @@ fn fresh_dir(tag: &str) -> Result<std::path::PathBuf, String> {
     use std::sync::atomic::{AtomicU64, Ordering};
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "sl-crash-{tag}-{}-{n}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("sl-crash-{tag}-{}-{n}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     Ok(dir)
 }
@@ -1096,7 +1132,11 @@ pub fn crash_drill(lines: &[String], snapshot_every: u64) -> Result<(), String> 
     // Pass 1: kill at every record boundary (k journal records on
     // disk, the journal file otherwise intact).
     for k in 0..=muts.len() {
-        let cut = if k == muts.len() { lines.len() } else { muts[k] };
+        let cut = if k == muts.len() {
+            lines.len()
+        } else {
+            muts[k]
+        };
         let dir = fresh_dir("boundary")?;
         let persist = PersistConfig {
             dir: dir.clone(),
@@ -1196,8 +1236,7 @@ fn check_crash(c: &CrashCase) -> Outcome {
             ..ServiceConfig::default()
         };
         let shared = Service::new(config());
-        let interleaved: Vec<String> =
-            c.lines.iter().map(|l| shared.handle_line(l).line).collect();
+        let interleaved: Vec<String> = c.lines.iter().map(|l| shared.handle_line(l).line).collect();
         for j in 0..clients {
             let solo = Service::new(config());
             for (i, line) in c.lines.iter().enumerate() {
@@ -1365,7 +1404,13 @@ fn check_pdr(c: &PdrCase) -> Outcome {
     let a_sym = sigma.symbol("a").expect("in alphabet");
     let b_sym = sigma.symbol("b").expect("in alphabet");
     let labels: Vec<Symbol> = (0..n)
-        .map(|s| if bad.binary_search(&s).is_ok() { b_sym } else { a_sym })
+        .map(|s| {
+            if bad.binary_search(&s).is_ok() {
+                b_sym
+            } else {
+                a_sym
+            }
+        })
         .collect();
     let kripke = Kripke::new(sigma, labels, succ.clone(), initial);
     let budget = c.budget.map_or_else(Budget::unlimited, |steps| {
@@ -1396,12 +1441,9 @@ fn check_pdr(c: &PdrCase) -> Outcome {
                 let psucc: Vec<Vec<usize>> = (0..product.kripke.len())
                     .map(|s| product.kripke.successors(s).to_vec())
                     .collect();
-                if let Err(msg) = pdr_replay_invariant(
-                    &psucc,
-                    product.kripke.initial(),
-                    &product.bad,
-                    &invariant,
-                ) {
+                if let Err(msg) =
+                    pdr_replay_invariant(&psucc, product.kripke.initial(), &product.bad, &invariant)
+                {
                     fail!("Live certificate fails product replay at k={k}: {msg}");
                 }
             }
@@ -1465,7 +1507,10 @@ mod tests {
                 let c = gen::gen_case(oracle, &mut case_rng(2003, oracle, case));
                 match check(&c) {
                     Outcome::Fail(msg) => {
-                        panic!("oracle {oracle} rejected its own case {case}: {msg}\n{}", c.to_line())
+                        panic!(
+                            "oracle {oracle} rejected its own case {case}: {msg}\n{}",
+                            c.to_line()
+                        )
                     }
                     Outcome::Pass | Outcome::Accepted(_) => {}
                 }

@@ -7,7 +7,7 @@ use crate::gen;
 use crate::oracles::{self, Outcome};
 use crate::shrink::CaseStrategy;
 use sl_service::Json;
-use sl_support::prop::{case_seed, case_rng, minimize};
+use sl_support::prop::{case_rng, case_seed, minimize};
 use std::time::Instant;
 
 /// What to run. `seed` and `cases` mirror the `slfuzz` CLI flags.
@@ -147,7 +147,10 @@ impl RunReport {
         Json::obj(vec![
             ("suite", Json::Str("conform".into())),
             ("seed", Json::Int(self.seed as i64)),
-            ("cases_per_oracle", Json::Int(i64::from(self.cases_requested))),
+            (
+                "cases_per_oracle",
+                Json::Int(i64::from(self.cases_requested)),
+            ),
             ("truncated", Json::Bool(self.truncated)),
             ("oracles", Json::Arr(oracles)),
             ("findings", Json::Arr(findings)),

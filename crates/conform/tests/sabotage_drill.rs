@@ -39,7 +39,9 @@ fn broken_subsumption_is_caught_and_shrunk_small() {
     );
     for finding in &findings {
         assert!(
-            finding.repro.starts_with("slfuzz --seed 2003 --oracle incl --case "),
+            finding
+                .repro
+                .starts_with("slfuzz --seed 2003 --oracle incl --case "),
             "repro command malformed: {}",
             finding.repro
         );
@@ -89,7 +91,9 @@ fn broken_relative_induction_is_caught_and_shrunk_small() {
     );
     for finding in &findings {
         assert!(
-            finding.repro.starts_with("slfuzz --seed 2003 --oracle pdr --case "),
+            finding
+                .repro
+                .starts_with("slfuzz --seed 2003 --oracle pdr --case "),
             "repro command malformed: {}",
             finding.repro
         );

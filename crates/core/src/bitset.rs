@@ -146,17 +146,14 @@ impl Bitset {
     /// the universe size.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.blocks.iter().enumerate().flat_map(|(bi, &block)| {
-            std::iter::successors(
-                if block == 0 { None } else { Some(block) },
-                |&rest| {
-                    let next = rest & (rest - 1); // clear lowest set bit
-                    if next == 0 {
-                        None
-                    } else {
-                        Some(next)
-                    }
-                },
-            )
+            std::iter::successors(if block == 0 { None } else { Some(block) }, |&rest| {
+                let next = rest & (rest - 1); // clear lowest set bit
+                if next == 0 {
+                    None
+                } else {
+                    Some(next)
+                }
+            })
             .map(move |rest| bi * 64 + rest.trailing_zeros() as usize)
         })
     }

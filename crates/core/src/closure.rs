@@ -465,8 +465,8 @@ mod tests {
         let all = enumerate_closures_with_budget(&l, &Budget::unlimited()).unwrap();
         assert_eq!(all, enumerate_closures(&l));
         // 2^4 = 16 candidate subsets; a budget of 5 steps stops early.
-        let err = enumerate_closures_with_budget(&l, &Budget::unlimited().with_steps(5))
-            .unwrap_err();
+        let err =
+            enumerate_closures_with_budget(&l, &Budget::unlimited().with_steps(5)).unwrap_err();
         assert!(err.is_budget_exceeded());
         assert_eq!(err.spent(), Some(6));
     }

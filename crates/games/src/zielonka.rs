@@ -86,7 +86,13 @@ fn solve_rec(
     }
     let mut sub_winner = vec![Player::Even; game.len()];
     let mut sub_strategy: Vec<Option<usize>> = vec![None; game.len()];
-    solve_rec(game, rest.clone(), &mut sub_winner, &mut sub_strategy, meter)?;
+    solve_rec(
+        game,
+        rest.clone(),
+        &mut sub_winner,
+        &mut sub_strategy,
+        meter,
+    )?;
 
     let opponent = favored.opponent();
     let opponent_pocket: Vec<usize> = (0..game.len())

@@ -166,18 +166,13 @@ pub enum LivenessVerdict {
 #[must_use]
 pub fn bmc_lasso(kripke: &Kripke, bad: &[usize]) -> Option<(Vec<usize>, Vec<usize>)> {
     let reachable = kripke.reachable();
-    let mut candidates: Vec<usize> = bad
-        .iter()
-        .copied()
-        .filter(|&b| reachable[b])
-        .collect();
+    let mut candidates: Vec<usize> = bad.iter().copied().filter(|&b| reachable[b]).collect();
     candidates.sort_unstable();
     candidates.dedup();
     for b in candidates {
         // A cycle through b: BFS from b's successors back to b.
         if let Some(looping) = path_bfs_from_successors(kripke, b, b) {
-            let stem = path_bfs(kripke, kripke.initial(), b)
-                .expect("b is reachable");
+            let stem = path_bfs(kripke, kripke.initial(), b).expect("b is reachable");
             return Some((stem, looping));
         }
     }

@@ -241,10 +241,7 @@ where
         // Clear the frontier of !safe atoms.
         loop {
             let k = engine.frames.len() - 1;
-            let frontier_bad = lattice.meet(
-                &engine.frames[k],
-                &lattice.complement(&problem.safe),
-            );
+            let frontier_bad = lattice.meet(&engine.frames[k], &lattice.complement(&problem.safe));
             let Some(atom) = problem.atoms.atom_below(lattice, &frontier_bad) else {
                 break;
             };
@@ -333,8 +330,7 @@ where
             let lvl = arena[idx].level;
             // An obligation touching init is a completed refutation:
             // the parent chain is a path from init into !safe.
-            let at_init = !lattice
-                .leq(&lattice.meet(&cube, &self.problem.init), &lattice.bottom());
+            let at_init = !lattice.leq(&lattice.meet(&cube, &self.problem.init), &lattice.bottom());
             if lvl == 0 || at_init {
                 let mut chain = Vec::new();
                 let mut cursor = Some(idx);
@@ -425,8 +421,7 @@ where
             frontier = lattice.meet(&step, &lattice.complement(&cone));
             cone = expanded;
         }
-        let init_hit = !lattice
-            .leq(&lattice.meet(&cone, &self.problem.init), &lattice.bottom());
+        let init_hit = !lattice.leq(&lattice.meet(&cone, &self.problem.init), &lattice.bottom());
         if !init_hit {
             // `!cone` must be post-closed for consistent pre/post; the
             // cheap re-check guards against inconsistent hooks.
@@ -442,10 +437,10 @@ where
         for _ in 0..FORWARD_GENERALIZE_ROUNDS {
             meter.charge(1)?;
             let not_current = lattice.complement(&current);
-            let reach = self
-                .problem
-                .post
-                .close(lattice, &lattice.meet(&self.frames[level - 1], &not_current));
+            let reach = self.problem.post.close(
+                lattice,
+                &lattice.meet(&self.frames[level - 1], &not_current),
+            );
             // Joining the original cube back in is a no-op when the
             // relative-induction premise holds (the tightened cube
             // always contains it) but keeps the frontier shrinking
@@ -488,7 +483,8 @@ where
     /// under `post` and is the Safe witness.
     fn converged(&self) -> Option<L::Elem> {
         let k = self.frames.len() - 1;
-        (1..k).find(|&i| self.frames[i] == self.frames[i + 1])
+        (1..k)
+            .find(|&i| self.frames[i] == self.frames[i + 1])
             .map(|i| self.frames[i].clone())
     }
 
@@ -639,8 +635,7 @@ mod tests {
         let run = lt_pdr(&problem, &Budget::unlimited()).unwrap();
         match run.outcome {
             PdrOutcome::Unsafe { chain } => {
-                let states: Vec<usize> =
-                    chain.iter().map(|c| c.iter().next().unwrap()).collect();
+                let states: Vec<usize> = chain.iter().map(|c| c.iter().next().unwrap()).collect();
                 assert_eq!(states, vec![0, 1, 2, 3]);
             }
             PdrOutcome::Safe { .. } => panic!("line reaches state 3"),
@@ -684,14 +679,8 @@ mod tests {
         let run = lt_pdr(&problem, &Budget::unlimited()).unwrap();
         match run.outcome {
             PdrOutcome::Safe { invariant } => {
-                validate_invariant(
-                    &algebra,
-                    &post,
-                    &problem.init,
-                    &problem.safe,
-                    &invariant,
-                )
-                .unwrap();
+                validate_invariant(&algebra, &post, &problem.init, &problem.safe, &invariant)
+                    .unwrap();
             }
             PdrOutcome::Unsafe { .. } => panic!("state 3 is unreachable"),
         }

@@ -227,11 +227,7 @@ fn lowest_atom(_lattice: &BitsetAlgebra, x: &Bitset) -> Option<Bitset> {
 ///
 /// Panics if a bad index is out of range (callers validate input), or
 /// if replay validation fails (an engine bug).
-pub fn check_safety(
-    kripke: &Kripke,
-    bad: &[usize],
-    budget: &Budget,
-) -> Result<SafetyRun, SlError> {
+pub fn check_safety(kripke: &Kripke, bad: &[usize], budget: &Budget) -> Result<SafetyRun, SlError> {
     let n = kripke.len();
     for &b in bad {
         assert!(b < n, "bad state out of range");
@@ -257,9 +253,7 @@ pub fn check_safety(
         },
     };
     let replay = match &verdict {
-        SafetyVerdict::Safe { invariant } => {
-            validate_safety_invariant(kripke, bad, invariant)
-        }
+        SafetyVerdict::Safe { invariant } => validate_safety_invariant(kripke, bad, invariant),
         SafetyVerdict::Unsafe { trace } => validate_trace(kripke, bad, trace),
     };
     if !crate::engine::sabotage::relative_induction_broken() {

@@ -63,8 +63,7 @@ pub fn check_liveness(
                 });
             }
             SafetyVerdict::Unsafe { trace } => {
-                let original: Vec<usize> =
-                    trace.iter().map(|&id| product.original(id).0).collect();
+                let original: Vec<usize> = trace.iter().map(|&id| product.original(id).0).collect();
                 if let Some((stem, looping)) = extract_lasso(&original, bad) {
                     validate_lasso(kripke, bad, &stem, &looping)
                         .unwrap_or_else(|e| panic!("k-liveness lasso failed replay: {e}"));
@@ -114,11 +113,7 @@ mod tests {
     #[test]
     fn transient_bad_is_live() {
         // 0 -> 1(bad) -> 2 -> 2: bad visited exactly once.
-        let k = build(
-            &[false, true, false],
-            vec![vec![1], vec![2], vec![2]],
-            0,
-        );
+        let k = build(&[false, true, false], vec![vec![1], vec![2], vec![2]], 0);
         let run = check_liveness(&k, &[1], &Budget::unlimited()).unwrap();
         match run.verdict {
             LivenessVerdict::Live { k: bound, .. } => assert!(bound >= 1),

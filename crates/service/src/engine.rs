@@ -510,7 +510,10 @@ impl Service {
     /// Counts a session in (serving loops bracket every session with
     /// [`Service::begin_session`]/[`Service::end_session`]).
     pub(crate) fn begin_session(&self) {
-        self.shared.counters.connections.fetch_add(1, Ordering::SeqCst);
+        self.shared
+            .counters
+            .connections
+            .fetch_add(1, Ordering::SeqCst);
         self.shared
             .counters
             .active_sessions
@@ -550,7 +553,10 @@ impl Service {
     /// Counts one dropped-connection (or otherwise failed) transport
     /// I/O error; surfaced by `stats` as `io_errors`.
     pub fn note_io_error(&self) {
-        self.shared.counters.io_errors.fetch_add(1, Ordering::SeqCst);
+        self.shared
+            .counters
+            .io_errors
+            .fetch_add(1, Ordering::SeqCst);
     }
 
     /// Flushes the journal to stable storage and writes a final
@@ -717,8 +723,12 @@ impl Service {
     /// plausible. Outcomes are discarded: a line that failed when
     /// first served fails identically here, which is the point.
     fn replay_line(&self, line: &str) {
-        let Ok(doc) = crate::json::parse(line) else { return };
-        let Ok(request) = request_from_value(doc) else { return };
+        let Ok(doc) = crate::json::parse(line) else {
+            return;
+        };
+        let Ok(request) = request_from_value(doc) else {
+            return;
+        };
         if !is_journaled(request.verb) {
             return;
         }
@@ -808,8 +818,8 @@ impl Service {
         let mut by_hoa: HashMap<&str, Arc<Buchi>> = HashMap::new();
         let mut registry = self.write_registry();
         for (name, text) in &snapshot.registry {
-            let automaton = hoa::from_hoa(text)
-                .map_err(|e| bad(format!("registry entry `{name}`: {e}")))?;
+            let automaton =
+                hoa::from_hoa(text).map_err(|e| bad(format!("registry entry `{name}`: {e}")))?;
             let stored = registry.insert(name, automaton);
             by_hoa.entry(text.as_str()).or_insert(stored);
         }
@@ -863,7 +873,9 @@ impl Service {
     }
 
     fn take_index(&self) -> u64 {
-        self.shared.next_request_index.fetch_add(1, Ordering::SeqCst)
+        self.shared
+            .next_request_index
+            .fetch_add(1, Ordering::SeqCst)
     }
 
     fn count_verb(&self, verb: Verb) {
@@ -1012,9 +1024,8 @@ impl Service {
             (d, check)
         }));
         self.absorb_search_stats(&antichain_stats().delta_since(&before));
-        let (d, check) = outcome.map_err(|payload| {
-            ProtoError::new("panic", panic_message(payload.as_ref()))
-        })?;
+        let (d, check) =
+            outcome.map_err(|payload| ProtoError::new("panic", panic_message(payload.as_ref())))?;
         let safety_name = format!("{name}.safety");
         let liveness_name = format!("{name}.liveness");
         let mut registry = self.write_registry();
@@ -1041,10 +1052,7 @@ impl Service {
                 "check_sampled",
                 match check {
                     None => Json::Str("ok".to_string()),
-                    Some(w) => Json::Str(format!(
-                        "mismatch at {}",
-                        w.display(target.alphabet())
-                    )),
+                    Some(w) => Json::Str(format!("mismatch at {}", w.display(target.alphabet()))),
                 },
             ),
         ]))
@@ -1152,7 +1160,10 @@ impl Service {
             ("monitor", Json::Str(session_name.to_string())),
             ("target", Json::Str(session.target.clone())),
             ("verdicts", Json::Arr(verdicts)),
-            ("verdict", Json::Str(verdict_name(final_verdict).to_string())),
+            (
+                "verdict",
+                Json::Str(verdict_name(final_verdict).to_string()),
+            ),
         ]))
     }
 
@@ -1229,7 +1240,9 @@ impl Service {
     fn absorb_check(&self, stats: &sl_pdr::PdrStats, k_reached: u64) {
         let check = &self.shared.check;
         check.frames.fetch_add(stats.frames, Ordering::SeqCst);
-        check.obligations.fetch_add(stats.obligations, Ordering::SeqCst);
+        check
+            .obligations
+            .fetch_add(stats.obligations, Ordering::SeqCst);
         check
             .generalizations
             .fetch_add(stats.generalizations, Ordering::SeqCst);
@@ -1604,7 +1617,10 @@ fn compute_query(job: &QueryJob, quotient: &QuotientCache) -> Result<Json, SlErr
             )]))
         }
         QueryKind::Include => {
-            let (a, b) = (job.left.as_ref(), job.right.as_ref().expect("binary").as_ref());
+            let (a, b) = (
+                job.left.as_ref(),
+                job.right.as_ref().expect("binary").as_ref(),
+            );
             Ok(match included(a, b, quotient, budget)? {
                 Inclusion::Holds => Json::obj(vec![("holds", Json::Bool(true))]),
                 Inclusion::CounterExample(w) => Json::obj(vec![
@@ -1614,7 +1630,10 @@ fn compute_query(job: &QueryJob, quotient: &QuotientCache) -> Result<Json, SlErr
             })
         }
         QueryKind::Equivalent => {
-            let (a, b) = (job.left.as_ref(), job.right.as_ref().expect("binary").as_ref());
+            let (a, b) = (
+                job.left.as_ref(),
+                job.right.as_ref().expect("binary").as_ref(),
+            );
             Ok(match equivalent(a, b, quotient, budget)? {
                 Ok(()) => Json::obj(vec![("equivalent", Json::Bool(true))]),
                 Err(w) => Json::obj(vec![
@@ -1668,7 +1687,10 @@ fn parse_check_model(
         }
     };
     let succ_json = model.get("succ").and_then(Json::as_arr).ok_or_else(|| {
-        ProtoError::new("parse", "model needs a `succ` array of arrays of state indices")
+        ProtoError::new(
+            "parse",
+            "model needs a `succ` array of arrays of state indices",
+        )
     })?;
     let n = succ_json.len();
     if n == 0 {
@@ -1686,7 +1708,10 @@ fn parse_check_model(
     let mut succ: Vec<Vec<usize>> = Vec::with_capacity(n);
     for (s, outs) in succ_json.iter().enumerate() {
         let outs = outs.as_arr().ok_or_else(|| {
-            ProtoError::new("parse", format!("succ[{s}] must be an array of state indices"))
+            ProtoError::new(
+                "parse",
+                format!("succ[{s}] must be an array of state indices"),
+            )
         })?;
         if outs.is_empty() {
             return Err(ProtoError::new(
@@ -1802,14 +1827,17 @@ fn require_str<'a>(body: &'a Json, key: &str) -> Result<&'a str, ProtoError> {
 }
 
 fn alphabet_operand(body: &Json) -> Result<Vec<String>, ProtoError> {
-    let items = body
-        .get("alphabet")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| {
-            ProtoError::new("parse", "define from `ltl` needs an `alphabet` array of strings")
-        })?;
+    let items = body.get("alphabet").and_then(Json::as_arr).ok_or_else(|| {
+        ProtoError::new(
+            "parse",
+            "define from `ltl` needs an `alphabet` array of strings",
+        )
+    })?;
     if items.is_empty() {
-        return Err(ProtoError::new("invalid_input", "alphabet must be nonempty"));
+        return Err(ProtoError::new(
+            "invalid_input",
+            "alphabet must be nonempty",
+        ));
     }
     // `Alphabet::new` asserts these invariants; the request crosses a
     // trust boundary, so they must be typed rejections here, not

@@ -112,7 +112,11 @@ impl fmt::Display for PersistError {
             PersistError::Io { path, detail } => {
                 write!(f, "i/o error at {}: {detail}", path.display())
             }
-            PersistError::Corrupt { path, offset, detail } => {
+            PersistError::Corrupt {
+                path,
+                offset,
+                detail,
+            } => {
                 write!(f, "corrupt {} at byte {offset}: {detail}", path.display())
             }
             PersistError::State { detail } => write!(f, "snapshot rejected: {detail}"),
@@ -437,7 +441,10 @@ fn load_snapshot(path: &Path) -> Result<Snapshot, PersistError> {
 }
 
 fn epoch_of(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
-    name.strip_prefix(prefix)?.strip_suffix(suffix)?.parse().ok()
+    name.strip_prefix(prefix)?
+        .strip_suffix(suffix)?
+        .parse()
+        .ok()
 }
 
 fn sync_dir(dir: &Path) -> Result<(), PersistError> {
@@ -556,8 +563,10 @@ impl Persist {
                     .map_err(|e| io_err(&journal_path, &e))?;
                 valid_len = JOURNAL_MAGIC.len() as u64;
             } else {
-                f.set_len(valid_len).map_err(|e| io_err(&journal_path, &e))?;
-                f.seek(SeekFrom::End(0)).map_err(|e| io_err(&journal_path, &e))?;
+                f.set_len(valid_len)
+                    .map_err(|e| io_err(&journal_path, &e))?;
+                f.seek(SeekFrom::End(0))
+                    .map_err(|e| io_err(&journal_path, &e))?;
             }
             f
         } else {
@@ -647,7 +656,8 @@ impl Persist {
         let tmp_path = self.dir.join(format!(".snap-{next}.tmp"));
         {
             let mut f = File::create(&tmp_path).map_err(|e| io_err(&tmp_path, &e))?;
-            f.write_all(SNAPSHOT_MAGIC).map_err(|e| io_err(&tmp_path, &e))?;
+            f.write_all(SNAPSHOT_MAGIC)
+                .map_err(|e| io_err(&tmp_path, &e))?;
             f.write_all(&(payload.len() as u64).to_le_bytes())
                 .map_err(|e| io_err(&tmp_path, &e))?;
             f.write_all(&fnv64(0, &payload).to_le_bytes())
@@ -680,12 +690,14 @@ impl Persist {
     /// Removes epoch files older than `keep_from`. Best-effort: a
     /// file that refuses to die only wastes disk, never correctness.
     fn prune(&self, keep_from: u64) {
-        let Ok(entries) = fs::read_dir(&self.dir) else { return };
+        let Ok(entries) = fs::read_dir(&self.dir) else {
+            return;
+        };
         for entry in entries.flatten() {
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            let epoch = epoch_of(name, "snap-", ".slsnap")
-                .or_else(|| epoch_of(name, "journal-", ".slj"));
+            let epoch =
+                epoch_of(name, "snap-", ".slsnap").or_else(|| epoch_of(name, "journal-", ".slj"));
             if let Some(g) = epoch {
                 if g < keep_from {
                     let _ = fs::remove_file(entry.path());
@@ -731,10 +743,7 @@ mod tests {
     use super::*;
 
     fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "sl-persist-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("sl-persist-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -808,7 +817,9 @@ mod tests {
         fs::write(&journal, &bytes).unwrap();
         let err = Persist::open(&config(&dir)).unwrap_err();
         match err {
-            PersistError::Corrupt { offset, ref detail, .. } => {
+            PersistError::Corrupt {
+                offset, ref detail, ..
+            } => {
                 assert_eq!(offset, JOURNAL_MAGIC.len() as u64);
                 assert!(detail.contains("checksum"), "{detail}");
             }

@@ -352,9 +352,10 @@ mod tests {
 
     #[test]
     fn requests_parse_with_id_budget_and_verb() {
-        let req =
-            parse_request(r#"{"id":7,"verb":"include","left":"a","right":"b","budget":{"steps":10}}"#)
-                .unwrap();
+        let req = parse_request(
+            r#"{"id":7,"verb":"include","left":"a","right":"b","budget":{"steps":10}}"#,
+        )
+        .unwrap();
         assert_eq!(req.id, Some(Json::Int(7)));
         assert_eq!(req.verb, Verb::Include);
         assert_eq!(req.body.get("left").and_then(Json::as_str), Some("a"));
@@ -396,7 +397,10 @@ mod tests {
             Frame::Line(l) => assert_eq!(l, "short"),
             other => panic!("{other:?}"),
         }
-        assert!(matches!(read_frame(&mut reader, 16).unwrap(), Frame::Oversized));
+        assert!(matches!(
+            read_frame(&mut reader, 16).unwrap(),
+            Frame::Oversized
+        ));
         match read_frame(&mut reader, 16).unwrap() {
             Frame::Line(l) => assert_eq!(l, "after"),
             other => panic!("{other:?}"),

@@ -288,7 +288,11 @@ mod tests {
         let text = String::from_utf8(output).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2, "{text}");
-        assert!(lines[0].starts_with("{\"id\":1,\"ok\":true"), "{}", lines[0]);
+        assert!(
+            lines[0].starts_with("{\"id\":1,\"ok\":true"),
+            "{}",
+            lines[0]
+        );
         assert!(lines[1].contains("\"bye\":true"), "{}", lines[1]);
     }
 
@@ -343,6 +347,10 @@ mod tests {
         let text = String::from_utf8(output).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert!(lines[0].contains("\"oversized_frame\""), "{}", lines[0]);
-        assert!(lines[1].starts_with("{\"id\":2,\"ok\":true"), "{}", lines[1]);
+        assert!(
+            lines[1].starts_with("{\"id\":2,\"ok\":true"),
+            "{}",
+            lines[1]
+        );
     }
 }

@@ -90,8 +90,7 @@ fn sigkill_with_three_live_connections_recovers_every_acknowledged_mutation() {
 
     // One reply counter per client: the kill waits until *every*
     // connection is past its define and several steps deep.
-    let progress: Arc<Vec<AtomicU64>> =
-        Arc::new((0..CLIENTS).map(|_| AtomicU64::new(0)).collect());
+    let progress: Arc<Vec<AtomicU64>> = Arc::new((0..CLIENTS).map(|_| AtomicU64::new(0)).collect());
     let transcripts: Vec<Vec<String>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|j| {

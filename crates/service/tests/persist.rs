@@ -53,7 +53,11 @@ fn restart_resumes_monitor_sessions_with_sticky_verdicts() {
     let twin = Service::new(quiet());
     let twin_replies: Vec<String> = lines.iter().map(|l| twin.handle_line(l).line).collect();
     assert!(twin_replies[2].contains("violation"), "{}", twin_replies[2]);
-    assert!(twin_replies[3].contains("violation"), "sticky: {}", twin_replies[3]);
+    assert!(
+        twin_replies[3].contains("violation"),
+        "sticky: {}",
+        twin_replies[3]
+    );
 
     // Crash after the violation landed in the journal; the restarted
     // daemon must keep the verdict sticky without re-seeing line 3.
@@ -103,7 +107,11 @@ fn shutdown_drains_snapshots_and_refuses_further_work() {
     assert!(reply.quit, "shutdown ends the session");
     assert!(reply.line.contains("\"bye\":true"), "{}", reply.line);
     assert!(reply.line.contains("\"drained\":true"), "{}", reply.line);
-    assert!(reply.line.contains("\"snapshotted\":true"), "{}", reply.line);
+    assert!(
+        reply.line.contains("\"snapshotted\":true"),
+        "{}",
+        reply.line
+    );
     // The drained daemon sheds anything that still arrives.
     let late = svc.handle_line(r#"{"id":3,"verb":"classify","target":"p0"}"#);
     assert!(late.line.contains("\"shutting_down\""), "{}", late.line);
@@ -113,8 +121,15 @@ fn shutdown_drains_snapshots_and_refuses_further_work() {
     let svc = open(&dir, 0);
     let stats = svc.handle_line(r#"{"id":4,"verb":"stats"}"#).line;
     let doc = sl_service::json::parse(&stats).unwrap();
-    let persist = doc.get("result").and_then(|r| r.get("persist")).expect("persist metrics");
-    assert_eq!(persist.get("replayed_records").and_then(Json::as_u64), Some(0), "{stats}");
+    let persist = doc
+        .get("result")
+        .and_then(|r| r.get("persist"))
+        .expect("persist metrics");
+    assert_eq!(
+        persist.get("replayed_records").and_then(Json::as_u64),
+        Some(0),
+        "{stats}"
+    );
     assert!(
         svc.handle_line(r#"{"id":5,"verb":"classify","target":"p0"}"#)
             .line
@@ -177,7 +192,10 @@ fn io_errors_are_counted_and_reported_by_stats() {
     struct FailingReader;
     impl Read for FailingReader {
         fn read(&mut self, _buf: &mut [u8]) -> std::io::Result<usize> {
-            Err(std::io::Error::new(std::io::ErrorKind::ConnectionReset, "peer reset"))
+            Err(std::io::Error::new(
+                std::io::ErrorKind::ConnectionReset,
+                "peer reset",
+            ))
         }
     }
     let mut svc = Service::new(quiet());
@@ -188,7 +206,9 @@ fn io_errors_are_counted_and_reported_by_stats() {
     let stats = svc.handle_line(r#"{"id":1,"verb":"stats"}"#).line;
     let doc = sl_service::json::parse(&stats).unwrap();
     assert_eq!(
-        doc.get("result").and_then(|r| r.get("io_errors")).and_then(Json::as_u64),
+        doc.get("result")
+            .and_then(|r| r.get("io_errors"))
+            .and_then(Json::as_u64),
         Some(1),
         "{stats}"
     );
@@ -246,9 +266,15 @@ fn stats_reports_persistence_metrics() {
         "last_recovery_ms",
         "replayed_records",
     ] {
-        assert!(persist.get(key).and_then(Json::as_u64).is_some(), "missing {key}: {stats}");
+        assert!(
+            persist.get(key).and_then(Json::as_u64).is_some(),
+            "missing {key}: {stats}"
+        );
     }
-    assert_eq!(persist.get("records_since_snapshot").and_then(Json::as_u64), Some(1));
+    assert_eq!(
+        persist.get("records_since_snapshot").and_then(Json::as_u64),
+        Some(1)
+    );
     // A transient daemon reports no persist block at all.
     let transient = Service::new(quiet());
     let stats = transient.handle_line(r#"{"id":1,"verb":"stats"}"#).line;

@@ -112,8 +112,8 @@ impl Bench {
         let batch = if per_call_estimate.is_zero() {
             1024
         } else {
-            (TARGET_SAMPLE.as_nanos() / per_call_estimate.as_nanos().max(1))
-                .clamp(1, 1 << 20) as u32
+            (TARGET_SAMPLE.as_nanos() / per_call_estimate.as_nanos().max(1)).clamp(1, 1 << 20)
+                as u32
         };
         let mut per_call: Vec<Duration> = (0..self.samples)
             .map(|_| {

@@ -169,7 +169,10 @@ mod tests {
     fn source_walks_the_chain() {
         let err = SlError::InvalidInput("symbol 9 out of alphabet".into()).context("monitor step");
         let source = err.source().expect("context has a source");
-        assert_eq!(source.to_string(), "invalid input: symbol 9 out of alphabet");
+        assert_eq!(
+            source.to_string(),
+            "invalid input: symbol 9 out of alphabet"
+        );
         assert!(source.source().is_none());
     }
 

@@ -79,11 +79,8 @@ impl FaultPlan {
         if self.rate <= 0.0 {
             return false;
         }
-        let mut rng = SplitMix::new(
-            self.seed
-                ^ fnv1a(site.as_bytes())
-                ^ index.wrapping_mul(GOLDEN_GAMMA),
-        );
+        let mut rng =
+            SplitMix::new(self.seed ^ fnv1a(site.as_bytes()) ^ index.wrapping_mul(GOLDEN_GAMMA));
         // 53 uniform mantissa bits -> [0, 1).
         let draw = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
         draw < self.rate
@@ -190,10 +187,7 @@ mod tests {
     fn inject_panic_fires_with_marker() {
         let plan = FaultPlan::new(1, 1.0);
         let caught = std::panic::catch_unwind(|| plan.inject_panic("drill", 0)).unwrap_err();
-        let message = caught
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
+        let message = caught.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(message.starts_with("sl-fault:"), "{message}");
     }
 

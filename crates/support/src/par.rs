@@ -455,7 +455,11 @@ mod tests {
                     assert!(x != 37, "poisoned item");
                     x + 1
                 });
-                assert_eq!(report.failure_indices(), expected_failures, "threads = {threads}");
+                assert_eq!(
+                    report.failure_indices(),
+                    expected_failures,
+                    "threads = {threads}"
+                );
                 assert_eq!(report.panicked_count(), expected_failures.len());
                 assert_eq!(report.ok_count(), items.len() - expected_failures.len());
                 // Sibling results are bit-identical to the clean run.

@@ -138,7 +138,11 @@ where
         // most recently generated or proposed one with that image.
         let input = {
             let memory = self.memory.borrow();
-            match memory.iter().rev().find(|i| (self.f)((*i).clone()) == *value) {
+            match memory
+                .iter()
+                .rev()
+                .find(|i| (self.f)((*i).clone()) == *value)
+            {
                 Some(input) => input.clone(),
                 None => return Vec::new(), // not generated here
             }
@@ -482,8 +486,7 @@ pub fn check_with_repro<S: Strategy>(
         let mut rng = case_rng(config.seed, name, case);
         let value = strategy.generate(&mut rng);
         if let Err(message) = property(&value) {
-            let (shrunk, shrunk_message, steps) =
-                minimize(strategy, &property, &value, &message);
+            let (shrunk, shrunk_message, steps) = minimize(strategy, &property, &value, &message);
             let repro = repro_command(Repro {
                 name,
                 seed: config.seed,

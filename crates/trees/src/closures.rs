@@ -52,8 +52,15 @@ pub fn fcl_contains_bounded(
     continuations: &[RegularTree],
     width: usize,
 ) -> Result<(), Refutation> {
-    try_fcl_contains_bounded(y, property, max_depth, continuations, width, &Budget::unlimited())
-        .expect("unlimited budget cannot be exceeded")
+    try_fcl_contains_bounded(
+        y,
+        property,
+        max_depth,
+        continuations,
+        width,
+        &Budget::unlimited(),
+    )
+    .expect("unlimited budget cannot be exceeded")
 }
 
 /// [`fcl_contains_bounded`] under a cooperative [`Budget`]: each
@@ -190,8 +197,15 @@ pub fn ncl_contains_bounded(
     continuations: &[RegularTree],
     width: usize,
 ) -> Result<(), Refutation> {
-    try_ncl_contains_bounded(y, property, max_depth, continuations, width, &Budget::unlimited())
-        .expect("unlimited budget cannot be exceeded")
+    try_ncl_contains_bounded(
+        y,
+        property,
+        max_depth,
+        continuations,
+        width,
+        &Budget::unlimited(),
+    )
+    .expect("unlimited budget cannot be exceeded")
 }
 
 /// [`ncl_contains_bounded`] under a cooperative [`Budget`]: the prefix
@@ -401,12 +415,16 @@ mod tests {
         let q3a = parse_ctl(&sigma(), "a & AF !a").unwrap();
         let y = const_a();
         let budget = Budget::unlimited();
-        assert!(try_fcl_contains_bounded(&y, &q3a, 3, &[const_b()], 1, &budget)
-            .unwrap()
-            .is_ok());
-        assert!(try_ncl_contains_bounded(&y, &q3a, 3, &[const_b()], 1, &budget)
-            .unwrap()
-            .is_ok());
+        assert!(
+            try_fcl_contains_bounded(&y, &q3a, 3, &[const_b()], 1, &budget)
+                .unwrap()
+                .is_ok()
+        );
+        assert!(
+            try_ncl_contains_bounded(&y, &q3a, 3, &[const_b()], 1, &budget)
+                .unwrap()
+                .is_ok()
+        );
         let prefixes = try_nontotal_prefixes(&const_a(), 2, &budget).unwrap();
         assert_eq!(prefixes.len(), nontotal_prefixes(&const_a(), 2).len());
     }
@@ -416,11 +434,11 @@ mod tests {
         let q3a = parse_ctl(&sigma(), "a & AF !a").unwrap();
         let y = const_a();
         let tight = Budget::unlimited().with_steps(2);
-        let err = try_fcl_contains_bounded(&y, &q3a, 5, &[const_b(), const_a()], 1, &tight)
-            .unwrap_err();
+        let err =
+            try_fcl_contains_bounded(&y, &q3a, 5, &[const_b(), const_a()], 1, &tight).unwrap_err();
         assert!(err.is_budget_exceeded());
-        let err = try_ncl_contains_bounded(&two_branch(), &q3a, 2, &[const_b()], 1, &tight)
-            .unwrap_err();
+        let err =
+            try_ncl_contains_bounded(&two_branch(), &q3a, 2, &[const_b()], 1, &tight).unwrap_err();
         assert!(err.root().is_budget_exceeded());
     }
 

@@ -118,12 +118,8 @@ mod tests {
     #[test]
     fn redundant_representation_collapses() {
         // Two nodes both denoting the constant-a tree.
-        let bloated = RegularTree::new(
-            sigma(),
-            vec![sym("a"), sym("a")],
-            vec![vec![1], vec![0]],
-            0,
-        );
+        let bloated =
+            RegularTree::new(sigma(), vec![sym("a"), sym("a")], vec![vec![1], vec![0]], 0);
         let minimal = minimize(&bloated);
         assert_eq!(minimal.num_graph_nodes(), 1);
         assert!(minimal.denotes_same_tree(&bloated));
@@ -161,12 +157,7 @@ mod tests {
     fn minimization_is_canonical_for_equal_trees() {
         // Two different representations of a (ab)^ω spine: minimal
         // forms have the same size and denote the same tree.
-        let one = RegularTree::new(
-            sigma(),
-            vec![sym("a"), sym("b")],
-            vec![vec![1], vec![0]],
-            0,
-        );
+        let one = RegularTree::new(sigma(), vec![sym("a"), sym("b")], vec![vec![1], vec![0]], 0);
         let two = RegularTree::new(
             sigma(),
             vec![sym("a"), sym("b"), sym("a"), sym("b")],

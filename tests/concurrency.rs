@@ -112,12 +112,28 @@ fn stats_counters_sum_exactly_across_concurrent_sessions() {
     assert_eq!(count("stats"), 1, "{stats}");
     assert_eq!(count("total"), 8 * n + 1, "{stats}");
     // One undefined-target classify per session.
-    assert_eq!(result.get("errors").and_then(Json::as_u64), Some(n), "{stats}");
-    assert_eq!(result.get("io_errors").and_then(Json::as_u64), Some(0), "{stats}");
+    assert_eq!(
+        result.get("errors").and_then(Json::as_u64),
+        Some(n),
+        "{stats}"
+    );
+    assert_eq!(
+        result.get("io_errors").and_then(Json::as_u64),
+        Some(0),
+        "{stats}"
+    );
     // Every session bracketed the gauges; none is live now (the stats
     // line above went through handle_line, not a serving loop).
-    assert_eq!(result.get("connections").and_then(Json::as_u64), Some(n), "{stats}");
-    assert_eq!(result.get("active_sessions").and_then(Json::as_u64), Some(0), "{stats}");
+    assert_eq!(
+        result.get("connections").and_then(Json::as_u64),
+        Some(n),
+        "{stats}"
+    );
+    assert_eq!(
+        result.get("active_sessions").and_then(Json::as_u64),
+        Some(0),
+        "{stats}"
+    );
     // The query cache saw every query exactly once per session —
     // disjoint names mean no cross-session hits, and the per-shard
     // counters roll up to the totals.
@@ -197,7 +213,7 @@ fn connections_beyond_max_conns_get_one_typed_overloaded_line() {
         let mut a_reader = BufReader::new(a.try_clone().unwrap());
         let mut line = String::new();
         a_reader.read_line(&mut line).unwrap(); // A is admitted and live
-        // B is over the cap: one typed line, then EOF.
+                                                // B is over the cap: one typed line, then EOF.
         let b = TcpStream::connect(addr).unwrap();
         let mut b_text = String::new();
         BufReader::new(&b).read_to_string(&mut b_text).unwrap();
@@ -213,7 +229,10 @@ fn connections_beyond_max_conns_get_one_typed_overloaded_line() {
         c.write_all(b"{\"id\":1,\"verb\":\"shutdown\"}\n").unwrap();
         let mut c_text = String::new();
         BufReader::new(&c).read_to_string(&mut c_text).unwrap();
-        assert!(c_text.contains("\"bye\":true"), "admitted after the slot freed: {c_text}");
+        assert!(
+            c_text.contains("\"bye\":true"),
+            "admitted after the slot freed: {c_text}"
+        );
         supervisor.join().unwrap().unwrap();
     });
 }

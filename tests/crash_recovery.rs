@@ -38,7 +38,11 @@ fn define(lines: &mut Vec<String>, id: &mut u64, rng: &mut SplitMix, name: &str)
         .replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n");
-    push(lines, id, format!("\"verb\":\"define\",\"name\":\"{name}\",\"hoa\":\"{hoa}\""));
+    push(
+        lines,
+        id,
+        format!("\"verb\":\"define\",\"name\":\"{name}\",\"hoa\":\"{hoa}\""),
+    );
 }
 
 fn seeded_session(seed: u64, total: usize) -> Vec<String> {
@@ -78,12 +82,18 @@ fn seeded_session(seed: u64, total: usize) -> Vec<String> {
             7 => push(
                 &mut lines,
                 &mut id,
-                format!("\"verb\":\"decompose\",\"target\":\"{}\"", names[rng.below(names.len())]),
+                format!(
+                    "\"verb\":\"decompose\",\"target\":\"{}\"",
+                    names[rng.below(names.len())]
+                ),
             ),
             8 => push(
                 &mut lines,
                 &mut id,
-                format!("\"verb\":\"classify\",\"target\":\"{}\"", names[rng.below(names.len())]),
+                format!(
+                    "\"verb\":\"classify\",\"target\":\"{}\"",
+                    names[rng.below(names.len())]
+                ),
             ),
             _ => {
                 if rng.percent() < 15 {
@@ -108,7 +118,10 @@ fn seeded_session(seed: u64, total: usize) -> Vec<String> {
 #[test]
 fn long_seeded_session_survives_a_kill_at_every_record_boundary() {
     let lines = seeded_session(2003, 208);
-    assert!(lines.len() >= 200, "the acceptance drill needs a 200+-request session");
+    assert!(
+        lines.len() >= 200,
+        "the acceptance drill needs a 200+-request session"
+    );
     crash_drill(&lines, 0).unwrap();
 }
 

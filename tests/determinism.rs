@@ -59,7 +59,10 @@ fn par_sweep_matches_sequential_ordering() {
         let mut rng = SplitMix::new(seed as u64);
         (seed, rng.next_u64())
     };
-    assert_eq!(par::par_sweep_with(1, 257, f), par::par_sweep_with(4, 257, f));
+    assert_eq!(
+        par::par_sweep_with(1, 257, f),
+        par::par_sweep_with(4, 257, f)
+    );
 }
 
 /// Bit-for-bit copy of the SplitMix64 generator that used to live as a

@@ -116,7 +116,10 @@ fn engines_agree_on_universality() {
         let of =
             universal(b, shared_quotient_cache(), None).expect("on-the-fly universality budget");
         if let Err(w) = &of {
-            assert!(!b.accepts(w), "onthefly non-universality witness {w} accepted");
+            assert!(
+                !b.accepts(w),
+                "onthefly non-universality witness {w} accepted"
+            );
         }
         let Ok(rk) = universal_rank(b, shared_complement_cache()) else {
             rank_skips += 1;
@@ -146,7 +149,11 @@ fn engines_agree_on_equivalence() {
             equivalent(a, b, shared_quotient_cache(), None).expect("on-the-fly equivalence budget");
         // A separating word must lie in the symmetric difference.
         if let Err(w) = &of {
-            assert_ne!(a.accepts(w), b.accepts(w), "onthefly separator {w} separates nothing");
+            assert_ne!(
+                a.accepts(w),
+                b.accepts(w),
+                "onthefly separator {w} separates nothing"
+            );
         }
         let Ok(rk) = equivalent_rank(a, b, shared_complement_cache()) else {
             continue;
@@ -157,7 +164,11 @@ fn engines_agree_on_equivalence() {
             "equivalence verdicts disagree on pair ({i}, {j})"
         );
         if let Err(w) = &rk {
-            assert_ne!(a.accepts(w), b.accepts(w), "rank separator {w} separates nothing");
+            assert_ne!(
+                a.accepts(w),
+                b.accepts(w),
+                "rank separator {w} separates nothing"
+            );
         }
     }
 }

@@ -40,7 +40,11 @@ fn shape_of(b: &Buchi) -> Shape {
 
 fn build(sigma: &Alphabet, shape: &Shape) -> Buchi {
     let mut builder = BuchiBuilder::new(sigma.clone());
-    let ids: Vec<usize> = shape.accepting.iter().map(|&acc| builder.add_state(acc)).collect();
+    let ids: Vec<usize> = shape
+        .accepting
+        .iter()
+        .map(|&acc| builder.add_state(acc))
+        .collect();
     for (q, by_sym) in shape.succ.iter().enumerate() {
         for (s, sym) in sigma.symbols().enumerate() {
             for &r in &by_sym[s] {
@@ -204,12 +208,21 @@ fn onthefly_counterexamples_replay_on_raw_automata() {
             Inclusion::Holds => {}
             Inclusion::CounterExample(w) => {
                 counterexamples += 1;
-                assert!(a.accepts(&w), "seed {seed}: witness {w} not accepted by the raw left");
-                assert!(!b.accepts(&w), "seed {seed}: witness {w} accepted by the raw right");
+                assert!(
+                    a.accepts(&w),
+                    "seed {seed}: witness {w} not accepted by the raw left"
+                );
+                assert!(
+                    !b.accepts(&w),
+                    "seed {seed}: witness {w} accepted by the raw right"
+                );
             }
         }
     }
-    assert!(counterexamples >= 10, "only {counterexamples} counterexamples in the sweep");
+    assert!(
+        counterexamples >= 10,
+        "only {counterexamples} counterexamples in the sweep"
+    );
 }
 
 /// A small live core drowned in `padding` unreachable, successor-free

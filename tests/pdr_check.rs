@@ -138,7 +138,10 @@ fn k_liveness_agrees_with_direct_lasso_search_on_small_structures() {
     }
     // The 25% bad rate makes both verdicts common; a one-sided sample
     // would mean the generator (not the checker) regressed.
-    assert!(live > 20 && lassos > 20, "one-sided sample: {live} live, {lassos} lassos");
+    assert!(
+        live > 20 && lassos > 20,
+        "one-sided sample: {live} live, {lassos} lassos"
+    );
 }
 
 #[test]
@@ -216,7 +219,8 @@ fn check_counters_sum_exactly_across_concurrent_clients() {
     // Expected totals: the same engines run directly on the same
     // models, summed over every *computed* request (the per-client
     // repeat is a cache hit and must contribute nothing).
-    let (mut frames, mut obligations, mut generalizations, mut k_reached) = (0u64, 0u64, 0u64, 0u64);
+    let (mut frames, mut obligations, mut generalizations, mut k_reached) =
+        (0u64, 0u64, 0u64, 0u64);
     for j in 0..N {
         let (succ, bad) = safety_model(j);
         let kripke = build(succ, 0, &[bad]);

@@ -54,9 +54,8 @@ fn error_kind(response: &Json) -> Option<&str> {
 /// the engine paths carry no fault sites of their own.
 fn batch_heavy_script() -> String {
     let mut script = String::new();
-    script.push_str(
-        r#"{"id":"d1","verb":"define","name":"gfa","ltl":"G F a","alphabet":["a","b"]}"#,
-    );
+    script
+        .push_str(r#"{"id":"d1","verb":"define","name":"gfa","ltl":"G F a","alphabet":["a","b"]}"#);
     script.push('\n');
     script.push_str(r#"{"id":"d2","verb":"define","name":"ga","ltl":"G a","alphabet":["a","b"]}"#);
     script.push('\n');
@@ -103,7 +102,10 @@ fn golden_transcript_reproduces_byte_for_byte() {
 fn quotient_cache_golden_session_pins_reuse_and_advance_counters() {
     for threads in [1, 8] {
         let out = run_script(&mut quiet_service(threads), QUOTIENT_SCRIPT);
-        assert_eq!(out, QUOTIENT_GOLDEN, "quotient golden drifted at threads={threads}");
+        assert_eq!(
+            out, QUOTIENT_GOLDEN,
+            "quotient golden drifted at threads={threads}"
+        );
     }
     let responses = response_lines(QUOTIENT_GOLDEN);
     let stats = &responses[responses.len() - 2];
@@ -124,7 +126,11 @@ fn quotient_cache_golden_session_pins_reuse_and_advance_counters() {
     // G F a -> G F b flip actually re-derived an SCC (the redefine
     // back to G F a lands on the still-interned original).
     assert_eq!(field("advances"), 2);
-    assert!(field("dirty_sccs") >= 1, "dirty_sccs {}", field("dirty_sccs"));
+    assert!(
+        field("dirty_sccs") >= 1,
+        "dirty_sccs {}",
+        field("dirty_sccs")
+    );
     assert_eq!(field("invalidations"), 0);
     assert_eq!(field("collisions"), 0);
     // And the on-the-fly engine's gauges are live in the same stats.
@@ -141,7 +147,10 @@ fn quotient_cache_golden_session_pins_reuse_and_advance_counters() {
         .get("final_antichain")
         .and_then(Json::as_u64)
         .expect("final_antichain");
-    assert!(peak > 0 && fin > 0 && fin <= peak, "peak {peak} final {fin}");
+    assert!(
+        peak > 0 && fin > 0 && fin <= peak,
+        "peak {peak} final {fin}"
+    );
 }
 
 #[test]
@@ -200,7 +209,12 @@ fn malformed_frames_get_typed_rejections_and_the_daemon_survives() {
     ];
     for (response, expected) in responses.iter().zip(expected_kinds) {
         assert!(!is_ok(response), "{}", response.render());
-        assert_eq!(error_kind(response), Some(expected), "{}", response.render());
+        assert_eq!(
+            error_kind(response),
+            Some(expected),
+            "{}",
+            response.render()
+        );
     }
     // The daemon kept serving: the final stats succeeds and counted
     // every error.
@@ -334,7 +348,11 @@ fn seeded_fault_drill_degrades_exactly_the_predicted_requests() {
     let mut faulted = 0;
     for (index, response) in responses.iter().enumerate() {
         if plan.should_fault(REQUEST_FAULT_SITE, index as u64) {
-            assert_eq!(error_kind(response), Some("fault_injected"), "request {index}");
+            assert_eq!(
+                error_kind(response),
+                Some("fault_injected"),
+                "request {index}"
+            );
             faulted += 1;
         } else {
             assert!(is_ok(response), "request {index}: {}", response.render());
