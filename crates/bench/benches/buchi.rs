@@ -46,7 +46,7 @@ fn main() {
         let ms = machines(states);
         bench.measure(&format!("buchi/complement_rank/{states}"), || {
             for m in &ms {
-                let _ = black_box(complement(m));
+                let _ = black_box(complement(m, None));
             }
         });
     }

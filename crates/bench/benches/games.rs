@@ -40,7 +40,7 @@ fn main() {
         let games: Vec<ParityGame> = (0..4).map(|s| random_parity(n, s)).collect();
         bench.measure(&format!("games/zielonka/{n}"), || {
             for g in &games {
-                black_box(solve(g));
+                black_box(solve(g, None).unwrap());
             }
         });
     }

@@ -76,7 +76,7 @@ fn main() -> ExitCode {
     let quotients = QuotientCache::new();
     for &(i, j) in &pairs {
         let ac = included(&lefts[i], &rights[j], &quotients, None).expect("antichain budget");
-        let not_b = complement(&rights[j]).expect("rank complement budget");
+        let not_b = complement(&rights[j], None).expect("rank complement budget");
         let rk = included_with_complement(&lefts[i], &not_b);
         if ac.holds() != rk.holds() {
             disagreements += 1;
@@ -86,7 +86,7 @@ fn main() -> ExitCode {
         let ac = universal(b, &quotients, None)
             .expect("antichain budget")
             .is_ok();
-        let rk = is_empty(&complement(b).expect("rank complement budget"));
+        let rk = is_empty(&complement(b, None).expect("rank complement budget"));
         if ac != rk {
             disagreements += 1;
         }
@@ -113,7 +113,7 @@ fn main() -> ExitCode {
     });
     let rk_incl = bench.measure("incl/rank_uncached/corpus", || {
         for &(i, j) in &pairs {
-            let not_b = complement(&rights[j]).expect("rank complement budget");
+            let not_b = complement(&rights[j], None).expect("rank complement budget");
             black_box(included_with_complement(&lefts[i], &not_b).holds());
         }
     });
@@ -129,7 +129,9 @@ fn main() -> ExitCode {
     });
     let rk_univ = bench.measure("univ/rank_uncached/corpus", || {
         for b in &rights {
-            black_box(is_empty(&complement(b).expect("rank complement budget")));
+            black_box(is_empty(
+                &complement(b, None).expect("rank complement budget"),
+            ));
         }
     });
     // The same queries against a quotient cache warmed before timing:

@@ -224,10 +224,10 @@ fn main() -> ExitCode {
         }
     });
     let subset_med = bench.measure("monitor/subset/safety", || {
-        black_box(subset.run(&word));
+        black_box(subset.run(&word, None).unwrap());
     });
     let compiled_med = bench.measure("monitor/compiled/safety", || {
-        black_box(compiled.run(&word));
+        black_box(compiled.run(&word, None).unwrap());
     });
     // The fleet pass steps every session once per symbol; report the
     // per-session-step cost over a shorter word so one call stays in

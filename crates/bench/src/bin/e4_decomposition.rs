@@ -39,7 +39,7 @@ fn main() -> ExitCode {
 
     for (name, lattice) in generators::modular_complemented_corpus() {
         let closures = if lattice.len() <= 10 {
-            enumerate_closures(&lattice)
+            enumerate_closures(&lattice, None).expect("corpus lattices have at most 16 elements")
         } else {
             (0..40).map(|seed| random_closure(&lattice, seed)).collect()
         };
@@ -85,7 +85,8 @@ fn main() -> ExitCode {
     // Theorem 3 (two closures) on B3, exhaustively over ordered pairs —
     // parallel in the outer closure, folded in order.
     let lattice = generators::boolean(3);
-    let closures = enumerate_closures(&lattice);
+    let closures =
+        enumerate_closures(&lattice, None).expect("corpus lattices have at most 16 elements");
     let report = par::par_map_isolated(&closures, |cl1| {
         let mut pairs_tested = 0usize;
         let mut pairs_ok = true;

@@ -15,7 +15,7 @@ use sl_ltl::parse;
 use sl_omega::Alphabet;
 use sl_trees::{
     enumerate_regular_trees, fcl_contains_bounded, ncl_contains_bounded, ncl_refuted_by_path,
-    q_examples, two_path_witness, RegularTree,
+    q_examples, two_path_witness, Ctl, RegularTree,
 };
 use std::process::ExitCode;
 
@@ -39,15 +39,27 @@ fn main() -> ExitCode {
         continuations.len()
     );
 
+    // Bounded membership with the experiment's continuations and width
+    // 1, unmetered.
+    let in_fcl = |y: &RegularTree, q: &Ctl, depth: usize| {
+        fcl_contains_bounded(y, q, depth, &continuations, 1, None)
+            .expect("an unmetered fcl check has no error path")
+            .is_ok()
+    };
+    let in_ncl = |y: &RegularTree, q: &Ctl| {
+        ncl_contains_bounded(y, q, 2, &continuations, 1, None)
+            .expect("a depth-2 unrolling has at most 16 paths")
+            .is_ok()
+    };
+
     let mut board = Scoreboard::new();
 
     // Universally safe examples.
     for name in ["q1", "q2", "q6"] {
         let q = by_name(name);
-        let ok = universe.iter().all(|y| {
-            y.satisfies(&q.formula)
-                == fcl_contains_bounded(y, &q.formula, 2, &continuations, 1).is_ok()
-        });
+        let ok = universe
+            .iter()
+            .all(|y| y.satisfies(&q.formula) == in_fcl(y, &q.formula, 2));
         board.claim(
             &format!("{name} universally safe (q = fcl.q on universe)"),
             ok,
@@ -56,9 +68,7 @@ fn main() -> ExitCode {
     let q0 = by_name("q0");
     board.claim(
         "q0 = false: fcl.q0 = q0 (empty) on universe",
-        universe
-            .iter()
-            .all(|y| fcl_contains_bounded(y, &q0.formula, 1, &continuations, 1).is_err()),
+        universe.iter().all(|y| !in_fcl(y, &q0.formula, 1)),
     );
 
     // q3a.
@@ -66,10 +76,9 @@ fn main() -> ExitCode {
     let q1 = by_name("q1");
     board.claim(
         "fcl.q3a = q1 on universe",
-        universe.iter().all(|y| {
-            fcl_contains_bounded(y, &q3a.formula, 2, &continuations, 1).is_ok()
-                == y.satisfies(&q1.formula)
-        }),
+        universe
+            .iter()
+            .all(|y| in_fcl(y, &q3a.formula, 2) == y.satisfies(&q1.formula)),
     );
     let witness = two_path_witness(&sigma);
     let q3a_path = parse(&sigma, "a & F !a").unwrap();
@@ -80,8 +89,7 @@ fn main() -> ExitCode {
     let a_seq = RegularTree::constant(sigma.clone(), sigma.symbol("a").unwrap(), 1);
     board.claim(
         "ncl.q3a != q3a: a^w in ncl.q3a \\ q3a (trees can be sequences)",
-        !a_seq.satisfies(&q3a.formula)
-            && ncl_contains_bounded(&a_seq, &q3a.formula, 2, &continuations, 1).is_ok(),
+        !a_seq.satisfies(&q3a.formula) && in_ncl(&a_seq, &q3a.formula),
     );
 
     // q3b.
@@ -90,8 +98,7 @@ fn main() -> ExitCode {
         "ncl.q3b = fcl.q3b = q1 on universe",
         universe.iter().all(|y| {
             let want = y.satisfies(&q1.formula);
-            fcl_contains_bounded(y, &q3b.formula, 2, &continuations, 1).is_ok() == want
-                && ncl_contains_bounded(y, &q3b.formula, 2, &continuations, 1).is_ok() == want
+            in_fcl(y, &q3b.formula, 2) == want && in_ncl(y, &q3b.formula) == want
         }),
     );
 
@@ -100,9 +107,7 @@ fn main() -> ExitCode {
         let q = by_name(a_name);
         board.claim(
             &format!("fcl.{a_name} = A_tot on universe"),
-            universe
-                .iter()
-                .all(|y| fcl_contains_bounded(y, &q.formula, 2, &continuations, 1).is_ok()),
+            universe.iter().all(|y| in_fcl(y, &q.formula, 2)),
         );
         let path = parse(&sigma, path_text).unwrap();
         board.claim(
@@ -114,9 +119,7 @@ fn main() -> ExitCode {
         let q = by_name(b_name);
         board.claim(
             &format!("ncl.{b_name} = A_tot on universe"),
-            universe
-                .iter()
-                .all(|y| ncl_contains_bounded(y, &q.formula, 2, &continuations, 1).is_ok()),
+            universe.iter().all(|y| in_ncl(y, &q.formula)),
         );
     }
 
@@ -125,9 +128,7 @@ fn main() -> ExitCode {
     for name in ["q3a", "q3b", "q4a", "q5a"] {
         let q = by_name(name);
         for y in &universe {
-            let in_ncl = ncl_contains_bounded(y, &q.formula, 2, &continuations, 1).is_ok();
-            let in_fcl = fcl_contains_bounded(y, &q.formula, 2, &continuations, 1).is_ok();
-            if in_ncl && !in_fcl {
+            if in_ncl(y, &q.formula) && !in_fcl(y, &q.formula, 2) {
                 pointwise = false;
             }
         }

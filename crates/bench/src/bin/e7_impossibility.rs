@@ -29,7 +29,8 @@ fn main() -> ExitCode {
         if lattice.len() > 8 {
             continue;
         }
-        let closures = enumerate_closures(&lattice);
+        let closures =
+            enumerate_closures(&lattice, None).expect("corpus lattices have at most 16 elements");
         let mut applicable = 0usize;
         let mut confirmed = true;
         for cl1 in &closures {
@@ -66,9 +67,11 @@ fn main() -> ExitCode {
     ];
     board.claim(
         "hypothesis fcl(AF a) = A_tot on universe",
-        universe
-            .iter()
-            .all(|y| fcl_contains_bounded(y, &af_a, 2, &continuations, 1).is_ok()),
+        universe.iter().all(|y| {
+            fcl_contains_bounded(y, &af_a, 2, &continuations, 1, None)
+                .expect("an unmetered fcl check has no error path")
+                .is_ok()
+        }),
     );
     // ncl(AF a) < A_tot: the all-b-path witness refuted absolutely.
     let a = sigma.symbol("a").unwrap();

@@ -117,7 +117,10 @@ fn main() -> ExitCode {
         RegularTree::constant(sigma.clone(), sigma.symbol("b").unwrap(), 2),
     ];
     let matches = samples.iter().all(|t| {
-        accepts(&closure, t) == fcl_contains_bounded(t, &af_b_ctl, 2, &continuations, 2).is_ok()
+        accepts(&closure, t)
+            == fcl_contains_bounded(t, &af_b_ctl, 2, &continuations, 2, None)
+                .expect("an unmetered fcl check has no error path")
+                .is_ok()
     });
     board.claim(
         "L(rfcl B_AFb) = fcl(L(B_AFb)) vs bounded tree oracle",

@@ -40,7 +40,8 @@ fn main() -> ExitCode {
         // decomposition) only applies where cl.a has a complement, so
         // those cases are counted separately. One parallel record per
         // closure operator.
-        let closures = enumerate_closures(&lattice);
+        let closures =
+            enumerate_closures(&lattice, None).expect("corpus lattices have at most 16 elements");
         let report = par::par_map_isolated(&closures, |cl| {
             let mut t6_cases = 0usize;
             let mut t7_cases = 0usize;

@@ -28,7 +28,7 @@
 use crate::automaton::Buchi;
 use crate::monitor::{Monitor, Verdict, DEAD};
 use sl_omega::{Symbol, Word};
-use sl_support::{Budget, BudgetMeter, SlError};
+use sl_support::{Budget, SlError};
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
@@ -258,32 +258,39 @@ impl CompiledMonitor {
         self.table.verdict_of(self.current)
     }
 
-    /// [`CompiledMonitor::step`] under a budget meter, charging one
-    /// step first; the state is unchanged when the charge fails.
+    /// Runs a whole finite trace from the initial state, returning the
+    /// final verdict and the settle position — mirrors [`Monitor::run`]
+    /// exactly, budget included (phase `"buchi.monitor"`, one step per
+    /// symbol, charged before the symbol is consumed).
+    ///
+    /// With `budget: None` the loop hoists the table's hot scalars into
+    /// locals so each in-alphabet symbol costs one table load plus two
+    /// predictable compares (the sentinel rows are the two largest
+    /// indices, so "settled?" is a single `>=`). This is the
+    /// single-trace fast path; [`MonitorFleet::step_all`] is the
+    /// many-session one.
     ///
     /// # Errors
     ///
-    /// Propagates [`SlError::BudgetExceeded`] / [`SlError::Cancelled`]
-    /// from the meter.
-    pub fn step_checked(
+    /// [`SlError::BudgetExceeded`] / [`SlError::Cancelled`] when the
+    /// budget runs out mid-trace. Never with `budget: None`.
+    pub fn run(
         &mut self,
-        sym: Symbol,
-        meter: &mut BudgetMeter,
-    ) -> Result<Verdict, SlError> {
-        meter.charge(1)?;
-        Ok(self.step(sym))
-    }
-
-    /// Runs a whole finite trace from the initial state, returning the
-    /// final verdict and the settle position — mirrors [`Monitor::run`]
-    /// exactly.
-    ///
-    /// The loop hoists the table's hot scalars into locals so each
-    /// in-alphabet symbol costs one table load plus two predictable
-    /// compares (the sentinel rows are the two largest indices, so
-    /// "settled?" is a single `>=`). This is the single-trace fast
-    /// path; [`MonitorFleet::step_all`] is the many-session one.
-    pub fn run(&mut self, trace: &Word) -> (Verdict, usize) {
+        trace: &Word,
+        budget: Option<&Budget>,
+    ) -> Result<(Verdict, usize), SlError> {
+        if let Some(budget) = budget {
+            self.reset();
+            let mut meter = budget.meter("buchi.monitor");
+            for (i, &sym) in trace.as_slice().iter().enumerate() {
+                meter.charge(1)?;
+                match self.step(sym) {
+                    Verdict::Ok => {}
+                    settled => return Ok((settled, i + 1)),
+                }
+            }
+            return Ok((Verdict::Ok, trace.len()));
+        }
         let table = &*self.table;
         let (stride, dead, unknown) = (table.stride, table.dead, table.unknown);
         let cells = table.cells.as_slice();
@@ -304,33 +311,10 @@ impl CompiledMonitor {
                 } else {
                     Verdict::Unknown
                 };
-                return (settled, i + 1);
+                return Ok((settled, i + 1));
             }
         }
         self.current = cur;
-        (Verdict::Ok, trace.len())
-    }
-
-    /// [`CompiledMonitor::run`] with a per-trace step budget — mirrors
-    /// [`Monitor::run_with_budget`].
-    ///
-    /// # Errors
-    ///
-    /// [`SlError::BudgetExceeded`] / [`SlError::Cancelled`] when the
-    /// budget runs out mid-trace.
-    pub fn run_with_budget(
-        &mut self,
-        trace: &Word,
-        budget: &Budget,
-    ) -> Result<(Verdict, usize), SlError> {
-        self.reset();
-        let mut meter = budget.meter("buchi.monitor");
-        for (i, &sym) in trace.as_slice().iter().enumerate() {
-            match self.step_checked(sym, &mut meter)? {
-                Verdict::Ok => {}
-                settled => return Ok((settled, i + 1)),
-            }
-        }
         Ok((Verdict::Ok, trace.len()))
     }
 
@@ -622,8 +606,8 @@ mod tests {
         let monitor = Monitor::new(&policy);
         let compiled = CompiledMonitor::new(&policy).unwrap();
         for trace in all_words(&s, 5) {
-            let (v1, c1) = monitor.clone().run(&trace);
-            let (v2, c2) = compiled.clone().run(&trace);
+            let (v1, c1) = monitor.clone().run(&trace, None).unwrap();
+            let (v2, c2) = compiled.clone().run(&trace, None).unwrap();
             assert_eq!((v1, c1), (v2, c2), "on {}", trace.display(&s));
         }
     }
@@ -644,8 +628,8 @@ mod tests {
             let monitor = Monitor::new(&policy);
             let compiled = CompiledMonitor::new(&policy).unwrap();
             for trace in all_words(&s, 4) {
-                let (v1, c1) = monitor.clone().run(&trace);
-                let (v2, c2) = compiled.clone().run(&trace);
+                let (v1, c1) = monitor.clone().run(&trace, None).unwrap();
+                let (v2, c2) = compiled.clone().run(&trace, None).unwrap();
                 assert_eq!((v1, c1), (v2, c2), "seed {seed} on {}", trace.display(&s));
             }
         }
@@ -715,7 +699,7 @@ mod tests {
         m.reset();
         assert_eq!(m.verdict(), Verdict::Ok);
         // Violation beats Unknown once dead.
-        m.run(&Word::parse(&s, "b"));
+        m.run(&Word::parse(&s, "b"), None).unwrap();
         assert_eq!(m.verdict(), Verdict::Violation);
         assert_eq!(m.step(Symbol(500)), Verdict::Violation);
     }
@@ -726,23 +710,22 @@ mod tests {
         let mut m = CompiledMonitor::new(&Buchi::empty_language(s.clone())).unwrap();
         assert_eq!(m.num_states(), 0);
         assert_eq!(m.verdict(), Verdict::Violation);
-        let (v, consumed) = m.run(&Word::parse(&s, "a"));
+        let (v, consumed) = m.run(&Word::parse(&s, "a"), None).unwrap();
         assert_eq!((v, consumed), (Verdict::Violation, 1));
         assert_eq!(m.step(Symbol(77)), Verdict::Violation, "still a violation");
     }
 
     #[test]
-    fn budgeted_twin_matches_monitor_semantics() {
+    fn budgeted_run_matches_monitor_semantics() {
         let s = sigma();
         let policy = first_a(&s);
         let trace = Word::parse(&s, "a b a b a b");
         let mut compiled = CompiledMonitor::new(&policy).unwrap();
-        let (v, consumed) = compiled
-            .run_with_budget(&trace, &Budget::unlimited())
-            .unwrap();
+        let (v, consumed) = compiled.run(&trace, Some(&Budget::unlimited())).unwrap();
         assert_eq!((v, consumed), (Verdict::Ok, 6));
+        assert_eq!(compiled.run(&trace, None).unwrap(), (v, consumed));
         let err = compiled
-            .run_with_budget(&trace, &Budget::unlimited().with_steps(3))
+            .run(&trace, Some(&Budget::unlimited().with_steps(3)))
             .unwrap_err();
         assert!(err.is_budget_exceeded());
         assert_eq!(err.spent(), Some(4), "same charge pattern as Monitor");

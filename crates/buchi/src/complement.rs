@@ -15,33 +15,8 @@
 //!   state budget guards against blow-ups.
 
 use crate::automaton::{Buchi, BuchiBuilder, StateId};
-use sl_support::{fault, Budget, SlError};
+use sl_support::{fault, Budget, FaultPlan, SlError};
 use std::collections::HashMap;
-use std::fmt;
-
-/// Error for complementation blow-ups.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ComplementBudgetExceeded {
-    /// The state budget that was exceeded.
-    pub budget: usize,
-}
-
-impl fmt::Display for ComplementBudgetExceeded {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "complement construction exceeded {} states", self.budget)
-    }
-}
-
-impl std::error::Error for ComplementBudgetExceeded {}
-
-impl From<ComplementBudgetExceeded> for SlError {
-    fn from(err: ComplementBudgetExceeded) -> Self {
-        SlError::BudgetExceeded {
-            phase: "buchi.complement",
-            spent: err.budget as u64,
-        }
-    }
-}
 
 /// Complements an all-accepting ("closure-shaped") automaton via the
 /// subset construction.
@@ -95,76 +70,58 @@ pub fn complement_safety(b: &Buchi) -> Buchi {
 /// absent) plus the obligation set as a bitmask.
 type RankState = (Vec<i8>, u64);
 
-/// Default state budget for [`complement`].
+/// Default state cap for [`complement`].
 pub const DEFAULT_COMPLEMENT_BUDGET: usize = 1 << 17;
 
+/// The budget phase and fault-injection site of [`complement`].
+const PHASE: &str = "buchi.complement";
+
 /// Complements an arbitrary Büchi automaton (Kupferman–Vardi rank-based
-/// construction) with the default state budget.
+/// construction).
+///
+/// With `budget: None` the construction is capped at
+/// [`DEFAULT_COMPLEMENT_BUDGET`] states and consults no fault site.
+/// With `Some(budget)` every created state also charges the budget's
+/// meter (phase `"buchi.complement"`), so a step limit, wall-clock
+/// deadline, or cancellation flag aborts the construction mid-flight,
+/// and consults the process-wide fault plan ([`fault::global`], site
+/// `"buchi.complement"`) — the drill point for error-propagation fault
+/// injection. The state cap applies in both cases.
 ///
 /// # Errors
 ///
-/// Returns [`ComplementBudgetExceeded`] if the construction grows past
-/// [`DEFAULT_COMPLEMENT_BUDGET`] states.
-pub fn complement(b: &Buchi) -> Result<Buchi, ComplementBudgetExceeded> {
-    complement_with_budget(b, DEFAULT_COMPLEMENT_BUDGET)
-}
-
-/// Complements with an explicit state budget.
-///
-/// # Errors
-///
-/// Returns [`ComplementBudgetExceeded`] if more than `budget` states are
-/// created.
-///
-/// # Panics
-///
-/// Panics if the automaton has more than 64 states (the obligation set
-/// is a `u64` bitmask).
-pub fn complement_with_budget(b: &Buchi, budget: usize) -> Result<Buchi, ComplementBudgetExceeded> {
-    complement_rank_core(b, budget, &mut |_| Ok(()))
-        .map_err(|_| ComplementBudgetExceeded { budget })
-}
-
-/// Complements under a cooperative [`Budget`]: every created state
-/// charges the budget's meter (phase `"buchi.complement"`), so a step
-/// limit, wall-clock deadline, or cancellation flag aborts the
-/// construction mid-flight with a typed error instead of running to the
-/// state cap. This entry also consults the process-wide fault plan
-/// ([`fault::global`], site `"buchi.complement"`), making it the drill
-/// point for error-propagation fault injection.
-///
-/// # Errors
-///
-/// * [`SlError::BudgetExceeded`] / [`SlError::Cancelled`] from the
-///   budget (or from hitting [`DEFAULT_COMPLEMENT_BUDGET`] states);
-/// * [`SlError::FaultInjected`] when the global fault plan fires;
-/// * [`SlError::InvalidInput`] if the automaton has more than 64 states.
-pub fn complement_budgeted(b: &Buchi, budget: &Budget) -> Result<Buchi, SlError> {
+/// * [`SlError::BudgetExceeded`] (phase `"buchi.complement"`) when the
+///   state cap or the budget runs out, [`SlError::Cancelled`] from the
+///   budget;
+/// * [`SlError::FaultInjected`] when the fault plan fires;
+/// * [`SlError::InvalidInput`] if the automaton has more than 64 states
+///   (the obligation set is a `u64` bitmask).
+pub fn complement(b: &Buchi, budget: Option<&Budget>) -> Result<Buchi, SlError> {
     if b.num_states() > 64 {
         return Err(SlError::InvalidInput(format!(
             "rank-based complement limited to 64 states, got {}",
             b.num_states()
         )));
     }
-    let mut meter = budget.meter("buchi.complement");
-    let plan = fault::global();
-    complement_rank_core(b, DEFAULT_COMPLEMENT_BUDGET, &mut |created| {
+    let (mut meter, plan) = match budget {
+        Some(budget) => (budget.meter(PHASE), *fault::global()),
+        None => (Budget::unlimited().meter(PHASE), FaultPlan::disabled()),
+    };
+    complement_rank_core(b, &mut |created| {
         meter.charge(1)?;
-        plan.inject_error("buchi.complement", created as u64)?;
-        Ok(())
+        plan.inject_error(PHASE, created as u64)
     })
 }
 
-/// The shared Kupferman–Vardi construction. `on_state(k)` runs before
-/// the `k`-th state is admitted; any error it returns aborts the
-/// construction (that is how budgets and fault drills hook in).
+/// The Kupferman–Vardi construction behind [`complement`], for at most
+/// 64 states. `on_state(k)` runs before the `k`-th state is admitted;
+/// any error it returns aborts the construction (that is how budgets
+/// and fault drills hook in).
 fn complement_rank_core(
     b: &Buchi,
-    state_cap: usize,
     on_state: &mut dyn FnMut(usize) -> Result<(), SlError>,
 ) -> Result<Buchi, SlError> {
     let n = b.num_states();
-    assert!(n <= 64, "rank-based complement limited to 64 states");
     // Fast path: all-accepting automata complement by subset construction.
     if (0..n).all(|q| b.is_accepting(q)) {
         return Ok(complement_safety(b));
@@ -246,10 +203,10 @@ fn complement_rank_core(
                 let to = match ids.get(&key) {
                     Some(&id) => id,
                     None => {
-                        if ids.len() >= state_cap {
+                        if ids.len() >= DEFAULT_COMPLEMENT_BUDGET {
                             return Err(SlError::BudgetExceeded {
-                                phase: "buchi.complement",
-                                spent: state_cap as u64,
+                                phase: PHASE,
+                                spent: DEFAULT_COMPLEMENT_BUDGET as u64,
                             });
                         }
                         on_state(ids.len())?;
@@ -327,7 +284,7 @@ mod tests {
         let s = sigma();
         let a = s.symbol("a").unwrap();
         let m = inf_a(&s);
-        let c = complement(&m).unwrap();
+        let c = complement(&m, None).unwrap();
         for w in all_lassos(&s, 3, 3) {
             assert_eq!(c.accepts(&w), w.finitely_often(a), "{w}");
         }
@@ -337,7 +294,7 @@ mod tests {
     fn rank_complement_roundtrip_on_samples() {
         let s = sigma();
         let m = inf_a(&s);
-        let cc = complement(&complement(&m).unwrap());
+        let cc = complement(&complement(&m, None).unwrap(), None);
         // The double complement can be large; fall back to sampling only
         // if it fits the budget.
         if let Ok(cc) = cc {
@@ -350,7 +307,7 @@ mod tests {
     #[test]
     fn rank_complement_of_empty_is_universal() {
         let s = sigma();
-        let c = complement(&Buchi::empty_language(s.clone())).unwrap();
+        let c = complement(&Buchi::empty_language(s.clone()), None).unwrap();
         for w in all_lassos(&s, 2, 2) {
             assert!(c.accepts(&w), "{w}");
         }
@@ -361,7 +318,7 @@ mod tests {
         let s = sigma();
         let m = closure(&inf_a(&s)); // universal, all-accepting
         let c1 = complement_safety(&m);
-        let c2 = complement(&m).unwrap();
+        let c2 = complement(&m, None).unwrap();
         for w in all_lassos(&s, 2, 3) {
             assert_eq!(c1.accepts(&w), c2.accepts(&w), "{w}");
         }
@@ -386,7 +343,7 @@ mod tests {
         builder.add_transition(qf, a, qa);
         builder.add_transition(qf, b, q0);
         let m = builder.build(q0);
-        let c = complement(&m).unwrap();
+        let c = complement(&m, None).unwrap();
         for w in all_lassos(&s, 2, 4) {
             assert_ne!(m.accepts(&w), c.accepts(&w), "{w}");
         }
@@ -396,9 +353,21 @@ mod tests {
     fn budget_is_enforced() {
         let s = sigma();
         let m = inf_a(&s);
-        let err = complement_with_budget(&m, 1).unwrap_err();
-        assert_eq!(err.budget, 1);
-        assert!(err.to_string().contains("exceeded 1 states"));
+        let err = complement(&m, Some(&Budget::unlimited().with_steps(1))).unwrap_err();
+        assert!(
+            err.root().is_budget_exceeded() || err.root().is_fault_injected(),
+            "{err}"
+        );
+        if err.root().is_budget_exceeded() {
+            assert_eq!(
+                err,
+                SlError::BudgetExceeded {
+                    phase: "buchi.complement",
+                    spent: 2
+                }
+            );
+            assert!(err.to_string().contains("buchi.complement after 2 steps"));
+        }
     }
 
     #[test]
@@ -412,16 +381,18 @@ mod tests {
     fn budgeted_complement_matches_unbudgeted() {
         let s = sigma();
         let m = inf_a(&s);
-        match complement_budgeted(&m, &Budget::unlimited()) {
+        // `None` consults no fault site, so it succeeds even under a
+        // process-wide fault drill (SL_FAULT_RATE > 0).
+        let reference = complement(&m, None).unwrap();
+        match complement(&m, Some(&Budget::unlimited())) {
             Ok(c) => {
-                let reference = complement(&m).unwrap();
                 for w in all_lassos(&s, 3, 3) {
                     assert_eq!(c.accepts(&w), reference.accepts(&w), "{w}");
                 }
             }
-            // Under a process-wide fault drill (SL_FAULT_RATE > 0) the
-            // injection site may fire; degrading with a typed error is
-            // the contract, not a failure.
+            // Under a fault drill the injection site may fire;
+            // degrading with a typed error is the contract, not a
+            // failure.
             Err(err) => assert!(err.root().is_fault_injected(), "{err}"),
         }
     }
@@ -430,7 +401,7 @@ mod tests {
     fn budgeted_complement_stops_on_step_limit() {
         let s = sigma();
         let m = inf_a(&s);
-        let err = complement_budgeted(&m, &Budget::unlimited().with_steps(2)).unwrap_err();
+        let err = complement(&m, Some(&Budget::unlimited().with_steps(2))).unwrap_err();
         assert!(
             err.root().is_budget_exceeded() || err.root().is_fault_injected(),
             "{err}"
@@ -441,7 +412,7 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_complement_rejects_oversized_automata() {
+    fn oversized_automata_are_invalid_input_with_or_without_a_budget() {
         let s = sigma();
         let a = s.symbol("a").unwrap();
         let mut builder = BuchiBuilder::new(s.clone());
@@ -450,14 +421,9 @@ mod tests {
             builder.add_transition(pair[0], a, pair[1]);
         }
         let big = builder.build(states[0]);
-        let err = complement_budgeted(&big, &Budget::unlimited()).unwrap_err();
-        assert!(matches!(err, SlError::InvalidInput(_)), "{err}");
-    }
-
-    #[test]
-    fn legacy_error_converts_into_sl_error() {
-        let err: SlError = ComplementBudgetExceeded { budget: 9 }.into();
-        assert!(err.is_budget_exceeded());
-        assert_eq!(err.spent(), Some(9));
+        for budget in [None, Some(&Budget::unlimited())] {
+            let err = complement(&big, budget).unwrap_err();
+            assert!(matches!(err, SlError::InvalidInput(_)), "{err}");
+        }
     }
 }

@@ -30,11 +30,11 @@
 
 pub use crate::antichain::{equivalent, included, universal};
 use crate::automaton::Buchi;
-use crate::complement::{complement, ComplementBudgetExceeded};
+use crate::complement::complement;
 use crate::empty::find_accepted_word;
 use crate::ops::intersection;
 use sl_omega::LassoWord;
-use sl_support::{fault, CacheStats, StripedCache};
+use sl_support::{fault, CacheStats, SlError, StripedCache};
 use std::sync::OnceLock;
 
 /// Entry cap for a [`ComplementCache`]; past it a stripe is cleared
@@ -55,15 +55,17 @@ const COMPLEMENT_FAULT_SITE: &str = "buchi.complement_cache";
 /// A memoizing cache for rank-based complements, keyed by
 /// [`Buchi::structural_hash`] with the stored automaton
 /// equality-checked to rule out collisions. The whole `Result` is
-/// stored: budget errors are cached too, since retrying an automaton
-/// that blew the budget would blow it again. The rank-based deciders
+/// stored: errors are cached too, since retrying an automaton that hit
+/// the state cap (or has too many states) would fail again. Complements
+/// are computed with `budget: None`, so no deadline, cancellation, or
+/// injected fault is ever memoized. The rank-based deciders
 /// [`included_rank`], [`equivalent_rank`], and [`universal_rank`] take
 /// one as a parameter: usually the process-wide
 /// [`shared_complement_cache`], or an explicit instance to measure one
 /// decider in isolation.
 #[derive(Debug)]
 pub struct ComplementCache {
-    complements: StripedCache<Buchi, Result<Buchi, ComplementBudgetExceeded>>,
+    complements: StripedCache<Buchi, Result<Buchi, SlError>>,
 }
 
 impl Default for ComplementCache {
@@ -93,12 +95,11 @@ impl ComplementCache {
     ///
     /// # Errors
     ///
-    /// Propagates [`ComplementBudgetExceeded`] from the underlying
-    /// construction.
-    pub fn complement(&self, b: &Buchi) -> Result<Buchi, ComplementBudgetExceeded> {
+    /// Propagates the errors of [`complement`] with `budget: None`.
+    pub fn complement(&self, b: &Buchi) -> Result<Buchi, SlError> {
         let hash = b.structural_hash();
         self.complements
-            .get_or_insert_with(hash, hash, b, || complement(b))
+            .get_or_insert_with(hash, hash, b, || complement(b, None))
     }
 
     /// Usage counters, summed over stripes.
@@ -153,13 +154,9 @@ impl Inclusion {
 ///
 /// # Errors
 ///
-/// Propagates [`ComplementBudgetExceeded`] if complementing `b` blows
+/// Propagates the errors of [`complement`] if complementing `b` blows
 /// up.
-pub fn included_rank(
-    a: &Buchi,
-    b: &Buchi,
-    cache: &ComplementCache,
-) -> Result<Inclusion, ComplementBudgetExceeded> {
+pub fn included_rank(a: &Buchi, b: &Buchi, cache: &ComplementCache) -> Result<Inclusion, SlError> {
     let not_b = cache.complement(b)?;
     Ok(included_with_complement(a, &not_b))
 }
@@ -185,12 +182,12 @@ pub fn included_with_complement(a: &Buchi, not_b: &Buchi) -> Inclusion {
 ///
 /// # Errors
 ///
-/// Propagates [`ComplementBudgetExceeded`].
+/// As for [`included_rank`], from either direction.
 pub fn equivalent_rank(
     a: &Buchi,
     b: &Buchi,
     cache: &ComplementCache,
-) -> Result<Result<(), LassoWord>, ComplementBudgetExceeded> {
+) -> Result<Result<(), LassoWord>, SlError> {
     if let Inclusion::CounterExample(w) = included_rank(a, b, cache)? {
         return Ok(Err(w));
     }
@@ -205,11 +202,11 @@ pub fn equivalent_rank(
 ///
 /// # Errors
 ///
-/// Propagates [`ComplementBudgetExceeded`].
+/// As for [`included_rank`].
 pub fn universal_rank(
     b: &Buchi,
     cache: &ComplementCache,
-) -> Result<Result<(), LassoWord>, ComplementBudgetExceeded> {
+) -> Result<Result<(), LassoWord>, SlError> {
     let not_b = cache.complement(b)?;
     Ok(match find_accepted_word(&not_b) {
         None => Ok(()),

@@ -69,9 +69,7 @@ pub use automaton::{Buchi, BuchiBuilder, StateId};
 pub use classify::{classify, is_liveness, is_safety, Classification};
 pub use closure::{closure, is_closure_shaped, live_states};
 pub use compiled::{CompileError, CompiledMonitor, MonitorFleet};
-pub use complement::{
-    complement, complement_budgeted, complement_safety, ComplementBudgetExceeded,
-};
+pub use complement::{complement, complement_safety};
 pub use decompose::{decompose, BuchiDecomposition};
 pub use empty::{find_accepted_word, is_empty};
 pub use incl::{

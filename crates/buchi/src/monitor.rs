@@ -17,15 +17,15 @@
 //! therefore never panics on malformed input — a symbol outside the
 //! policy's alphabet moves it to the sticky [`Verdict::Unknown`] state
 //! (the trace can no longer be interpreted against the policy; only
-//! [`Monitor::reset`] recovers), and [`Monitor::run_with_budget`] /
-//! [`Monitor::step_checked`] bound the work spent on any one trace with
-//! an [`sl_support::Budget`], in the spirit of quantitative/approximate
+//! [`Monitor::reset`] recovers), and [`Monitor::run`] with
+//! `Some(budget)` bounds the work spent on any one trace with an
+//! [`sl_support::Budget`], in the spirit of quantitative/approximate
 //! runtime monitoring (Henzinger–Mazzocchi–Saraç 2023).
 
 use crate::automaton::{Buchi, StateId};
 use crate::closure::{closure, live_states};
 use sl_omega::{Symbol, Word};
-use sl_support::{Budget, BudgetMeter, SlError};
+use sl_support::{Budget, SlError};
 use std::collections::HashMap;
 
 /// The state of a monitored trace.
@@ -171,24 +171,6 @@ impl Monitor {
         }
     }
 
-    /// [`Monitor::step`] under a budget meter: charges one step first,
-    /// so a hostile (or merely enormous) trace cannot consume unbounded
-    /// monitor time. The monitor state is unchanged when the charge
-    /// fails.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SlError::BudgetExceeded`] / [`SlError::Cancelled`]
-    /// from the meter.
-    pub fn step_checked(
-        &mut self,
-        sym: Symbol,
-        meter: &mut BudgetMeter,
-    ) -> Result<Verdict, SlError> {
-        meter.charge(1)?;
-        Ok(self.step(sym))
-    }
-
     /// The current verdict.
     #[must_use]
     pub fn verdict(&self) -> Verdict {
@@ -238,34 +220,30 @@ impl Monitor {
     /// final verdict and the number of symbols consumed before the run
     /// settled (violation or unknown), or the trace length if it stayed
     /// [`Verdict::Ok`]. Never panics, whatever the trace contains.
-    pub fn run(&mut self, trace: &Word) -> (Verdict, usize) {
-        self.reset();
-        for (i, &sym) in trace.as_slice().iter().enumerate() {
-            match self.step(sym) {
-                Verdict::Ok => {}
-                settled => return (settled, i + 1),
-            }
-        }
-        (Verdict::Ok, trace.len())
-    }
-
-    /// [`Monitor::run`] with a per-trace step budget: each symbol
-    /// charges one step against a fresh meter for `budget`.
+    ///
+    /// With `Some(budget)` each symbol first charges one step against a
+    /// fresh meter (phase `"buchi.monitor"`), so a hostile (or merely
+    /// enormous) trace cannot consume unbounded monitor time; the
+    /// monitor stays on the last symbol it consumed when a charge
+    /// fails. With `None` nothing is metered.
     ///
     /// # Errors
     ///
     /// [`SlError::BudgetExceeded`] / [`SlError::Cancelled`] when the
     /// budget runs out mid-trace; the error's `spent` reports how many
-    /// symbols were consumed first.
-    pub fn run_with_budget(
+    /// symbols were consumed first. Never with `budget: None`.
+    pub fn run(
         &mut self,
         trace: &Word,
-        budget: &Budget,
+        budget: Option<&Budget>,
     ) -> Result<(Verdict, usize), SlError> {
         self.reset();
-        let mut meter = budget.meter("buchi.monitor");
+        let mut meter = budget.map(|budget| budget.meter("buchi.monitor"));
         for (i, &sym) in trace.as_slice().iter().enumerate() {
-            match self.step_checked(sym, &mut meter)? {
+            if let Some(meter) = &mut meter {
+                meter.charge(1)?;
+            }
+            match self.step(sym) {
                 Verdict::Ok => {}
                 settled => return Ok((settled, i + 1)),
             }
@@ -394,7 +372,7 @@ mod tests {
     fn monitor_accepts_good_traces() {
         let s = sigma();
         let mut m = Monitor::new(&first_a(&s));
-        let (v, consumed) = m.run(&Word::parse(&s, "a b a b"));
+        let (v, consumed) = m.run(&Word::parse(&s, "a b a b"), None).unwrap();
         assert_eq!(v, Verdict::Ok);
         assert_eq!(consumed, 4);
     }
@@ -403,7 +381,7 @@ mod tests {
     fn monitor_flags_bad_prefix_at_first_step() {
         let s = sigma();
         let mut m = Monitor::new(&first_a(&s));
-        let (v, consumed) = m.run(&Word::parse(&s, "b a a"));
+        let (v, consumed) = m.run(&Word::parse(&s, "b a a"), None).unwrap();
         assert_eq!(v, Verdict::Violation);
         assert_eq!(consumed, 1);
     }
@@ -412,7 +390,7 @@ mod tests {
     fn violations_are_irremediable() {
         let s = sigma();
         let mut m = Monitor::new(&first_a(&s));
-        m.run(&Word::parse(&s, "b"));
+        m.run(&Word::parse(&s, "b"), None).unwrap();
         // Feeding more symbols never recovers.
         assert_eq!(m.step(s.symbol("a").unwrap()), Verdict::Violation);
         // But a reset does.
@@ -427,7 +405,7 @@ mod tests {
         // Schneider's point that liveness is unenforceable.
         let s = sigma();
         let mut m = Monitor::new(&inf_a(&s));
-        let (v, _) = m.run(&Word::parse(&s, "b b b b b b"));
+        let (v, _) = m.run(&Word::parse(&s, "b b b b b b"), None).unwrap();
         assert_eq!(v, Verdict::Ok);
     }
 
@@ -436,7 +414,7 @@ mod tests {
         let s = sigma();
         let mut m = Monitor::new(&Buchi::empty_language(s.clone()));
         assert_eq!(m.verdict(), Verdict::Violation);
-        let (v, consumed) = m.run(&Word::parse(&s, "a"));
+        let (v, consumed) = m.run(&Word::parse(&s, "a"), None).unwrap();
         assert_eq!(v, Verdict::Violation);
         assert_eq!(consumed, 1);
     }
@@ -489,7 +467,7 @@ mod tests {
             sl_omega::Symbol(7),
             s.symbol("a").unwrap(),
         ]);
-        let (v, consumed) = m.run(&trace);
+        let (v, consumed) = m.run(&trace, None).unwrap();
         assert_eq!(v, Verdict::Unknown);
         assert_eq!(consumed, 2, "the malformed symbol is counted");
     }
@@ -500,22 +478,22 @@ mod tests {
         // verdicts are irremediable and take precedence.
         let s = sigma();
         let mut m = Monitor::new(&first_a(&s));
-        m.run(&Word::parse(&s, "b"));
+        m.run(&Word::parse(&s, "b"), None).unwrap();
         assert_eq!(m.step(sl_omega::Symbol(500)), Verdict::Violation);
     }
 
     #[test]
-    fn run_with_budget_bounds_trace_work() {
-        use sl_support::Budget;
+    fn budgeted_run_bounds_trace_work() {
         let s = sigma();
         let mut m = Monitor::new(&first_a(&s));
         let trace = Word::parse(&s, "a b a b a b");
         // Enough budget: same answer as the unbudgeted run.
-        let (v, consumed) = m.run_with_budget(&trace, &Budget::unlimited()).unwrap();
+        let (v, consumed) = m.run(&trace, Some(&Budget::unlimited())).unwrap();
         assert_eq!((v, consumed), (Verdict::Ok, 6));
+        assert_eq!(m.run(&trace, None).unwrap(), (v, consumed));
         // Too little budget: typed error with the spent count.
         let err = m
-            .run_with_budget(&trace, &Budget::unlimited().with_steps(3))
+            .run(&trace, Some(&Budget::unlimited().with_steps(3)))
             .unwrap_err();
         assert!(err.is_budget_exceeded());
         assert_eq!(err.spent(), Some(4));
@@ -558,7 +536,7 @@ mod tests {
             );
         }
         // After a violation, peek keeps reporting Violation.
-        m.run(&Word::parse(&s, "b"));
+        m.run(&Word::parse(&s, "b"), None).unwrap();
         assert_eq!(m.peek(s.symbol("a").unwrap()), Verdict::Violation);
         assert_eq!(m.peek(sl_omega::Symbol(7)), Verdict::Violation);
     }

@@ -1,7 +1,9 @@
 //! Seeded pseudo-random automata for property tests and benchmarks.
 //!
 //! Deterministic in the seed (SplitMix64), with a density knob so tests
-//! can sweep from sparse near-deterministic machines to dense tangles.
+//! can sweep from sparse partial machines to complete ones. Every
+//! automaton [`random_buchi`] draws is deterministic: each (state,
+//! symbol) pair gets at most one successor, whatever the density.
 
 use crate::automaton::{Buchi, BuchiBuilder};
 use sl_omega::Alphabet;
@@ -12,8 +14,10 @@ use sl_support::SplitMix;
 pub struct RandomConfig {
     /// Number of states (must be at least 1).
     pub states: usize,
-    /// Expected transitions per (state, symbol) pair, in percent
-    /// (100 means on average one successor per pair).
+    /// Chance, in percent, that a (state, symbol) pair gets a successor.
+    /// A pair never gets more than one, so values of 100 or more mean
+    /// exactly one successor per pair (a complete deterministic
+    /// automaton).
     pub density_percent: u32,
     /// Probability of each state being accepting, in percent.
     pub accepting_percent: u32,
@@ -29,9 +33,10 @@ impl Default for RandomConfig {
     }
 }
 
-/// Generates a pseudo-random Büchi automaton. Every state gets at least
-/// one outgoing transition so runs do not die trivially; beyond that,
-/// transitions are sampled independently at the configured density.
+/// Generates a pseudo-random deterministic Büchi automaton. Each
+/// (state, symbol) pair independently gets one successor with the
+/// configured density, and a state left with none gets one transition
+/// on a random symbol, so runs do not die trivially.
 ///
 /// # Panics
 ///

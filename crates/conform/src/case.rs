@@ -63,7 +63,7 @@ impl Factor {
 }
 
 /// Inclusion-oracle case: two automata (HOA text) and an optional step
-/// budget for the budgeted-twin check.
+/// budget for the budgeted-run check.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InclCase {
     /// HOA text of the left automaton (`L(left) ⊆ L(right)?`).
@@ -90,7 +90,7 @@ pub struct Incl3Case {
     /// Seed for the mutation stream (kept within `u32` range so the
     /// JSON codec round-trips it exactly).
     pub seed: u64,
-    /// Step budget for the budgeted on-the-fly twin, if any.
+    /// Step budget for a budgeted on-the-fly run, if any.
     pub budget: Option<u64>,
 }
 
@@ -192,7 +192,7 @@ pub struct MonitorCase {
     pub policy: String,
     /// The trace, as symbol names.
     pub trace: Vec<String>,
-    /// Step budget for `run_with_budget`, if any.
+    /// Step budget for a budgeted `run` of the monitors, if any.
     pub budget: Option<u64>,
 }
 

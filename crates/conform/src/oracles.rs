@@ -701,7 +701,10 @@ fn check_monitor(c: &MonitorCase) -> Outcome {
     }
     // run() over the whole word agrees with the final stepped verdict.
     let word = Word::new(&symbols);
-    let (final_verdict, consumed) = monitor.run(&word);
+    let (final_verdict, consumed) = match monitor.run(&word, None) {
+        Ok(run) => run,
+        Err(e) => fail!("unbudgeted run() failed: {e}"),
+    };
     let expected_final = verdicts.last().copied().unwrap_or_else(|| {
         let mut fresh = Monitor::new(&policy);
         fresh.reset();
@@ -716,10 +719,10 @@ fn check_monitor(c: &MonitorCase) -> Outcome {
             symbols.len()
         );
     }
-    // Budgeted twin: enough budget must agree; exhaustion is accepted.
+    // Budgeted run: enough budget must agree; exhaustion is accepted.
     if let Some(steps) = c.budget {
         let budget = Budget::unlimited().with_steps(steps);
-        match monitor.run_with_budget(&word, &budget) {
+        match monitor.run(&word, Some(&budget)) {
             Ok((v, n)) => {
                 if (v, n) != (final_verdict, consumed) {
                     fail!("budgeted run ({v:?}, {n}) disagrees with unbudgeted ({final_verdict:?}, {consumed})");
@@ -808,10 +811,13 @@ fn check_compiled(c: &MonitorCase) -> Outcome {
             fail!("settled verdict {:?} drifted to {:?}", pair[0], pair[1]);
         }
     }
-    // run() twins: same verdict AND same settle position as Monitor.
+    // run(): same verdict AND same settle position as Monitor.
     let word = Word::new(&symbols);
-    let (final_verdict, consumed) = compiled.run(&word);
-    let (monitor_verdict, monitor_consumed) = monitor.run(&word);
+    let (final_verdict, consumed, monitor_verdict, monitor_consumed) =
+        match (compiled.run(&word, None), monitor.run(&word, None)) {
+            (Ok((v, n)), Ok((mv, mn))) => (v, n, mv, mn),
+            (a, b) => fail!("unbudgeted run() failed: compiled={a:?} monitor={b:?}"),
+        };
     if (final_verdict, consumed) != (monitor_verdict, monitor_consumed) {
         fail!(
             "compiled run ({final_verdict:?}, {consumed}) disagrees with Monitor run ({monitor_verdict:?}, {monitor_consumed})"
@@ -831,12 +837,13 @@ fn check_compiled(c: &MonitorCase) -> Outcome {
             symbols.len()
         );
     }
-    // Budgeted twin: both implementations under the same budget either
-    // agree on the result or both exhaust.
+    // Budgeted run: both implementations under the same budget either
+    // agree on the result or both exhaust; enough budget agrees with
+    // the unbudgeted (hoisted-table) loop.
     if let Some(steps) = c.budget {
         let budget = Budget::unlimited().with_steps(steps);
-        let ours = compiled.run_with_budget(&word, &budget);
-        let theirs = monitor.run_with_budget(&word, &budget);
+        let ours = compiled.run(&word, Some(&budget));
+        let theirs = monitor.run(&word, Some(&budget));
         match (ours, theirs) {
             (Ok(a), Ok(b)) => {
                 if a != b {

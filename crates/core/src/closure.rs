@@ -240,33 +240,20 @@ impl LatticeClosure<FiniteLattice> for Closure {
 /// Enumerates *all* closure operators on the lattice, via the bijection
 /// with meet-closed subsets containing the top element.
 ///
-/// # Panics
-///
-/// Panics if the lattice has more than 16 elements (the enumeration is
-/// exponential in the size).
-#[must_use]
-pub fn enumerate_closures(lattice: &FiniteLattice) -> Vec<Closure> {
-    match enumerate_closures_with_budget(lattice, &sl_support::Budget::unlimited()) {
-        Ok(closures) => closures,
-        Err(err) => panic!("{err}"),
-    }
-}
-
-/// [`enumerate_closures`] under a cooperative [`sl_support::Budget`]:
-/// each candidate subset charges one step (phase `"core.closures"`),
-/// so a deadline or step limit bounds the `2^n` sweep, and the 16-element
-/// cap surfaces as a typed error instead of a panic.
+/// With `Some(budget)` each candidate subset charges one step (phase
+/// `"core.closures"`), so a deadline or step limit bounds the `2^n`
+/// sweep. With `None` nothing is metered.
 ///
 /// # Errors
 ///
 /// * [`SlError`](sl_support::SlError)`::InvalidInput` for lattices with
-///   more than 16 elements;
+///   more than 16 elements (the enumeration is exponential in the size);
 /// * `BudgetExceeded` / `Cancelled` from the budget;
 /// * `Domain` if a meet-closed base unexpectedly fails validation (an
 ///   internal-invariant breach, surfaced instead of panicking).
-pub fn enumerate_closures_with_budget(
+pub fn enumerate_closures(
     lattice: &FiniteLattice,
-    budget: &sl_support::Budget,
+    budget: Option<&sl_support::Budget>,
 ) -> std::result::Result<Vec<Closure>, sl_support::SlError> {
     let n = lattice.len();
     if n > 16 {
@@ -274,7 +261,9 @@ pub fn enumerate_closures_with_budget(
             "closure enumeration limited to 16 elements, got {n}"
         )));
     }
-    let mut meter = budget.meter("core.closures");
+    let mut meter = budget
+        .unwrap_or(&sl_support::Budget::unlimited())
+        .meter("core.closures");
     let top = lattice.top();
     let mut out = Vec::new();
     'subset: for mask in 0u32..(1u32 << n) {
@@ -432,10 +421,10 @@ mod tests {
         // On the chain 0 < 1, meet-closed sets containing top {1}:
         // {1}, {0,1} -> exactly 2 closures.
         let l = chain(2);
-        assert_eq!(enumerate_closures(&l).len(), 2);
+        assert_eq!(enumerate_closures(&l, None).unwrap().len(), 2);
         // On the diamond: subsets containing 3 closed under meet.
         let l = diamond();
-        let all = enumerate_closures(&l);
+        let all = enumerate_closures(&l, None).unwrap();
         // {3}, {0,3}, {1,3}, {2,3}, {0,1,3}, {0,2,3}, {0,1,2,3}; the set
         // {1,2,3} is excluded since 1 /\ 2 = 0 is missing. Total 7.
         for cl in &all {
@@ -453,7 +442,7 @@ mod tests {
     #[test]
     fn every_enumerated_closure_satisfies_lemma3() {
         let l = diamond();
-        for cl in enumerate_closures(&l) {
+        for cl in enumerate_closures(&l, None).unwrap() {
             assert!(cl.lemma3_holds(&l));
         }
     }
@@ -462,13 +451,22 @@ mod tests {
     fn budgeted_enumeration_matches_and_stops() {
         use sl_support::Budget;
         let l = diamond();
-        let all = enumerate_closures_with_budget(&l, &Budget::unlimited()).unwrap();
-        assert_eq!(all, enumerate_closures(&l));
+        let all = enumerate_closures(&l, Some(&Budget::unlimited())).unwrap();
+        assert_eq!(all, enumerate_closures(&l, None).unwrap());
         // 2^4 = 16 candidate subsets; a budget of 5 steps stops early.
-        let err =
-            enumerate_closures_with_budget(&l, &Budget::unlimited().with_steps(5)).unwrap_err();
+        let err = enumerate_closures(&l, Some(&Budget::unlimited().with_steps(5))).unwrap_err();
         assert!(err.is_budget_exceeded());
         assert_eq!(err.spent(), Some(6));
+    }
+
+    #[test]
+    fn oversized_lattices_are_invalid_input_with_or_without_a_budget() {
+        use sl_support::{Budget, SlError};
+        let big = chain(17);
+        for budget in [None, Some(&Budget::unlimited())] {
+            let err = enumerate_closures(&big, budget).unwrap_err();
+            assert!(matches!(err, SlError::InvalidInput(_)), "{err}");
+        }
     }
 
     #[test]

@@ -371,7 +371,7 @@ mod tests {
     #[test]
     fn theorem2_on_all_closures_of_diamond() {
         let l = diamond();
-        for cl in enumerate_closures(&l) {
+        for cl in enumerate_closures(&l, None).unwrap() {
             for a in 0..l.len() {
                 let d = decompose(&l, &cl, a).unwrap();
                 assert!(verify_decomposition(&l, &cl, &cl, &a, &d));
@@ -383,7 +383,7 @@ mod tests {
     #[test]
     fn theorem2_on_all_closures_of_b3() {
         let l = b3();
-        for cl in enumerate_closures(&l) {
+        for cl in enumerate_closures(&l, None).unwrap() {
             for a in 0..l.len() {
                 let d = decompose(&l, &cl, a).unwrap();
                 assert!(verify_decomposition(&l, &cl, &cl, &a, &d));
@@ -394,7 +394,7 @@ mod tests {
     #[test]
     fn theorem3_two_closures() {
         let l = b3();
-        let closures = enumerate_closures(&l);
+        let closures = enumerate_closures(&l, None).unwrap();
         let mut tested = 0usize;
         for cl1 in &closures {
             for cl2 in &closures {
@@ -469,7 +469,7 @@ mod tests {
     #[test]
     fn theorem6_strongest_safety_on_b3() {
         let l = b3();
-        for cl in enumerate_closures(&l) {
+        for cl in enumerate_closures(&l, None).unwrap() {
             for a in 0..l.len() {
                 let strongest = theorem6_strongest_safety(&l, &cl, &cl, a).unwrap();
                 assert_eq!(strongest, cl.apply(a));
@@ -483,7 +483,7 @@ mod tests {
     #[test]
     fn theorem7_weakest_liveness_on_b3() {
         let l = b3();
-        for cl in enumerate_closures(&l) {
+        for cl in enumerate_closures(&l, None).unwrap() {
             for a in 0..l.len() {
                 let weakest = theorem7_weakest_liveness(&l, &cl, &cl, a).unwrap();
                 let d = decompose(&l, &cl, a).unwrap();
@@ -527,7 +527,7 @@ mod tests {
     #[test]
     fn lemma4_on_all_closures() {
         for l in [diamond(), b3()] {
-            for cl in enumerate_closures(&l) {
+            for cl in enumerate_closures(&l, None).unwrap() {
                 for a in 0..l.len() {
                     assert!(lemma4_holds(&l, &cl, a));
                 }
@@ -602,7 +602,7 @@ mod tests {
             if l.len() > 10 {
                 continue;
             }
-            for cl in enumerate_closures(&l) {
+            for cl in enumerate_closures(&l, None).unwrap() {
                 assert!(cl.lemma3_holds(&l), "{name}");
             }
         }

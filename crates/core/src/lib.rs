@@ -64,7 +64,7 @@ pub mod traits;
 
 pub use birkhoff::{birkhoff_check, join_irreducibles, meet_irreducibles, BirkhoffOutcome};
 pub use bitset::{Bitset, BitsetAlgebra};
-pub use closure::{enumerate_closures, enumerate_closures_with_budget, random_closure, Closure};
+pub use closure::{enumerate_closures, random_closure, Closure};
 pub use counterexamples::{figure1, figure2, Figure1, Figure2};
 pub use decompose::{
     all_decompositions, classify, decompose, decompose_generic, decompose_pair,

@@ -19,9 +19,10 @@
 //!     vec![0, 2, 1],
 //!     vec![vec![1, 2], vec![1], vec![2]],
 //! );
-//! let solution = solve(&game);
+//! let solution = solve(&game, None)?;
 //! assert_eq!(solution.winner[0], Player::Even);
 //! assert_eq!(solution.strategy[0], Some(1)); // pick the even loop
+//! # Ok::<(), sl_support::SlError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -33,4 +34,4 @@ pub mod zielonka;
 
 pub use parity::{ParityGame, Player};
 pub use rabin::{solve_rabin, RabinGame, RabinSolution};
-pub use zielonka::{solve, solve_with_budget, verify, Solution};
+pub use zielonka::{solve, verify, Solution};

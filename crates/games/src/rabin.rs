@@ -175,7 +175,7 @@ pub fn solve_rabin(game: &RabinGame) -> RabinSolution {
     }
     debug_assert_eq!(owner.len(), nodes.len(), "all IAR nodes processed");
     let parity = ParityGame::new(owner, priority, edges);
-    let solution: Solution = solve(&parity);
+    let solution: Solution = solve(&parity, None).expect("an unmetered solve cannot fail");
     RabinSolution {
         winner: (0..n).map(|v| solution.winner[v]).collect(),
     }
@@ -325,11 +325,11 @@ mod tests {
                     outs
                 })
                 .collect();
-            let direct = solve(&ParityGame::new(
-                owner.clone(),
-                priority.clone(),
-                succ.clone(),
-            ));
+            let direct = solve(
+                &ParityGame::new(owner.clone(), priority.clone(), succ.clone()),
+                None,
+            )
+            .unwrap();
             let rabin = solve_rabin(&parity_as_rabin(&owner, &priority, &succ));
             assert_eq!(
                 rabin.winner, direct.winner,

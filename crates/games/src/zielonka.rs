@@ -26,28 +26,27 @@ impl Solution {
 }
 
 /// Solves a parity game by Zielonka's algorithm.
-#[must_use]
-pub fn solve(game: &ParityGame) -> Solution {
-    solve_with_budget(game, &Budget::unlimited()).expect("unlimited budget cannot be exceeded")
-}
-
-/// Solves a parity game under a cooperative [`Budget`]: each recursive
-/// sub-arena charges one step against the budget's meter (phase
-/// `"games.zielonka"`), so a step limit, wall-clock deadline, or
-/// cancellation flag aborts the recursion with a typed error instead of
-/// running an adversarial instance to completion. Zielonka's recursion
-/// depth is linear but the call tree can be exponential in the number
-/// of priorities — exactly the shape a deadline should bound.
+///
+/// With `Some(budget)` each recursive sub-arena charges one step
+/// against the budget's meter (phase `"games.zielonka"`), so a step
+/// limit, wall-clock deadline, or cancellation flag aborts the
+/// recursion with a typed error instead of running an adversarial
+/// instance to completion. Zielonka's recursion depth is linear but the
+/// call tree can be exponential in the number of priorities — exactly
+/// the shape a deadline should bound. With `None` nothing is metered.
 ///
 /// # Errors
 ///
-/// [`SlError::BudgetExceeded`] / [`SlError::Cancelled`] from the budget.
-pub fn solve_with_budget(game: &ParityGame, budget: &Budget) -> Result<Solution, SlError> {
+/// [`SlError::BudgetExceeded`] / [`SlError::Cancelled`] from the
+/// budget; never with `budget: None`.
+pub fn solve(game: &ParityGame, budget: Option<&Budget>) -> Result<Solution, SlError> {
     let n = game.len();
     let mut winner = vec![Player::Even; n];
     let mut strategy: Vec<Option<usize>> = vec![None; n];
     let alive = vec![true; n];
-    let mut meter = budget.meter("games.zielonka");
+    let mut meter = budget
+        .unwrap_or(&Budget::unlimited())
+        .meter("games.zielonka");
     solve_rec(game, alive, &mut winner, &mut strategy, &mut meter)?;
     Ok(Solution { winner, strategy })
 }
@@ -319,7 +318,7 @@ mod tests {
     #[test]
     fn single_even_loop() {
         let g = ParityGame::new(vec![Player::Even], vec![2], vec![vec![0]]);
-        let s = solve(&g);
+        let s = solve(&g, None).unwrap();
         assert_eq!(s.winner, vec![Player::Even]);
         verify(&g, &s).unwrap();
     }
@@ -327,7 +326,7 @@ mod tests {
     #[test]
     fn single_odd_loop() {
         let g = ParityGame::new(vec![Player::Even], vec![1], vec![vec![0]]);
-        let s = solve(&g);
+        let s = solve(&g, None).unwrap();
         assert_eq!(s.winner, vec![Player::Odd]);
         verify(&g, &s).unwrap();
     }
@@ -341,7 +340,7 @@ mod tests {
             vec![0, 2, 1],
             vec![vec![1, 2], vec![1], vec![2]],
         );
-        let s = solve(&g);
+        let s = solve(&g, None).unwrap();
         assert_eq!(s.winner, vec![Player::Even, Player::Even, Player::Odd]);
         assert_eq!(s.strategy[0], Some(1));
         verify(&g, &s).unwrap();
@@ -355,7 +354,7 @@ mod tests {
             vec![0, 2, 1],
             vec![vec![1, 2], vec![1], vec![2]],
         );
-        let s = solve(&g);
+        let s = solve(&g, None).unwrap();
         assert_eq!(s.winner, vec![Player::Odd, Player::Even, Player::Odd]);
         verify(&g, &s).unwrap();
     }
@@ -369,7 +368,7 @@ mod tests {
             vec![1, 2],
             vec![vec![1], vec![0]],
         );
-        let s = solve(&g);
+        let s = solve(&g, None).unwrap();
         assert_eq!(s.winner, vec![Player::Even, Player::Even]);
         verify(&g, &s).unwrap();
     }
@@ -384,7 +383,7 @@ mod tests {
             vec![3, 2, 4],
             vec![vec![1], vec![0, 2], vec![2]],
         );
-        let s = solve(&g);
+        let s = solve(&g, None).unwrap();
         assert_eq!(s.winner, vec![Player::Even, Player::Even, Player::Even]);
         assert_eq!(s.strategy[1], Some(2));
         verify(&g, &s).unwrap();
@@ -446,7 +445,7 @@ mod tests {
                 })
                 .collect();
             let g = ParityGame::new(owner, priority, succ);
-            let s = solve(&g);
+            let s = solve(&g, None).unwrap();
             verify(&g, &s).unwrap_or_else(|e| panic!("round {round}: {e}\n{g:?}\n{s:?}"));
         }
     }
@@ -458,8 +457,8 @@ mod tests {
             vec![3, 2, 4],
             vec![vec![1], vec![0, 2], vec![2]],
         );
-        let s = solve_with_budget(&g, &Budget::unlimited()).unwrap();
-        assert_eq!(s, solve(&g));
+        let s = solve(&g, Some(&Budget::unlimited())).unwrap();
+        assert_eq!(s, solve(&g, None).unwrap());
     }
 
     #[test]
@@ -471,7 +470,7 @@ mod tests {
             vec![0, 2, 1],
             vec![vec![1, 2], vec![1], vec![2]],
         );
-        let err = solve_with_budget(&g, &Budget::unlimited().with_steps(1)).unwrap_err();
+        let err = solve(&g, Some(&Budget::unlimited().with_steps(1))).unwrap_err();
         assert!(err.is_budget_exceeded());
         assert_eq!(err.spent(), Some(2), "fails on the second sub-arena");
     }
@@ -482,7 +481,7 @@ mod tests {
         let flag = CancelFlag::new();
         flag.cancel();
         let g = ParityGame::new(vec![Player::Even], vec![2], vec![vec![0]]);
-        let err = solve_with_budget(&g, &Budget::unlimited().with_cancel(&flag)).unwrap_err();
+        let err = solve(&g, Some(&Budget::unlimited().with_cancel(&flag))).unwrap_err();
         assert!(err.is_cancelled());
     }
 
@@ -493,7 +492,7 @@ mod tests {
             vec![3, 2, 4],
             vec![vec![1], vec![0, 2], vec![2]],
         );
-        let s = solve(&g);
+        let s = solve(&g, None).unwrap();
         let even = s.region(Player::Even);
         let odd = s.region(Player::Odd);
         assert_eq!(even.len() + odd.len(), g.len());

@@ -31,12 +31,14 @@ use std::collections::{BTreeSet, HashMap};
 type TableauNode = (BTreeSet<Ltl>, u64);
 
 /// Translates an LTL formula into a Büchi automaton with the same
-/// language. The formula is converted to negation normal form first.
+/// language: [`translate_with_budget`] with `budget: None`, for callers
+/// that want a bare automaton.
 ///
 /// # Panics
 ///
-/// Panics if the formula has more than 64 until-subformulas (promise
-/// masks are `u64`).
+/// Panics where [`translate_with_budget`] returns an error: if the
+/// formula has more than 64 until-subformulas (promise masks are
+/// `u64`).
 ///
 /// # Examples
 ///
@@ -52,31 +54,33 @@ type TableauNode = (BTreeSet<Ltl>, u64);
 /// ```
 #[must_use]
 pub fn translate(alphabet: &Alphabet, formula: &Ltl) -> Buchi {
-    match translate_with_budget(alphabet, formula, &Budget::unlimited()) {
-        Ok(b) => b,
-        Err(err) => panic!("{err}"),
-    }
+    translate_with_budget(alphabet, formula, None).unwrap_or_else(|err| panic!("{err}"))
 }
 
-/// Translates under a cooperative [`Budget`]: every tableau node
-/// charges one step against the budget's meter (phase
-/// `"ltl.translate"`). The tableau is worst-case exponential in the
-/// formula, so adversarial or machine-generated formulas should come
-/// through here with a deadline.
+/// Translates an LTL formula into a Büchi automaton with the same
+/// language. The formula is converted to negation normal form first.
+///
+/// With `Some(budget)` every tableau node charges one step against the
+/// budget's meter (phase `"ltl.translate"`). The tableau is worst-case
+/// exponential in the formula, so adversarial or machine-generated
+/// formulas should come with a deadline. With `None` nothing is
+/// metered.
 ///
 /// # Errors
 ///
 /// * [`SlError::BudgetExceeded`] / [`SlError::Cancelled`] from the
 ///   budget;
 /// * [`SlError::InvalidInput`] if the formula has more than 64
-///   until-subformulas (promise masks are `u64`) — a typed error here,
-///   where [`translate`] panics.
+///   until-subformulas (promise masks are `u64`), with or without a
+///   budget.
 pub fn translate_with_budget(
     alphabet: &Alphabet,
     formula: &Ltl,
-    budget: &Budget,
+    budget: Option<&Budget>,
 ) -> Result<Buchi, SlError> {
-    let mut meter = budget.meter("ltl.translate");
+    let mut meter = budget
+        .unwrap_or(&Budget::unlimited())
+        .meter("ltl.translate");
     let normalized = nnf(formula);
     // Identify the until-subformulas: each carries a promise bit.
     let untils: Vec<Ltl> = normalized
@@ -386,7 +390,8 @@ mod tests {
     fn budgeted_translate_matches_unbudgeted() {
         let s = ab();
         let f = parse(&s, "G (a -> F b)").unwrap();
-        let m = translate_with_budget(&s, &f, &Budget::unlimited()).unwrap();
+        let m = translate_with_budget(&s, &f, Some(&Budget::unlimited())).unwrap();
+        assert_eq!(m, translate_with_budget(&s, &f, None).unwrap());
         assert_eq!(m, translate(&s, &f));
     }
 
@@ -394,7 +399,8 @@ mod tests {
     fn budgeted_translate_stops_on_step_limit() {
         let s = ab();
         let f = parse(&s, "G (a -> F b)").unwrap();
-        let err = translate_with_budget(&s, &f, &Budget::unlimited().with_steps(1)).unwrap_err();
+        let err =
+            translate_with_budget(&s, &f, Some(&Budget::unlimited().with_steps(1))).unwrap_err();
         assert!(err.is_budget_exceeded());
         assert_eq!(err.spent(), Some(2), "second tableau node breaks the limit");
     }

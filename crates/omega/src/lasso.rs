@@ -14,6 +14,7 @@
 
 use crate::alphabet::{Alphabet, Symbol};
 use crate::word::{all_words, Word};
+use std::collections::HashSet;
 use std::fmt;
 
 /// An ultimately periodic ω-word `stem · cycle^ω` in canonical form.
@@ -238,6 +239,11 @@ impl fmt::Display for LassoWord {
 /// `max_stem` and cycle length at most `max_cycle`, deduplicated via the
 /// canonical form. This is the standard sample space for cross-checking
 /// ω-language identities.
+///
+/// Words come in a fixed order — stems, then cycles, each in
+/// [`all_words`] order, keeping the first occurrence of each canonical
+/// word — so callers that report the first failing lasso report the
+/// same one every time.
 #[must_use]
 pub fn all_lassos(alphabet: &Alphabet, max_stem: usize, max_cycle: usize) -> Vec<LassoWord> {
     assert!(max_cycle >= 1, "need cycles of length at least 1");
@@ -246,11 +252,12 @@ pub fn all_lassos(alphabet: &Alphabet, max_stem: usize, max_cycle: usize) -> Vec
         .into_iter()
         .filter(|w| !w.is_empty())
         .collect();
+    let mut seen: HashSet<LassoWord> = HashSet::new();
     let mut out: Vec<LassoWord> = Vec::new();
     for stem in &stems {
         for cycle in &cycles {
             let lasso = LassoWord::new(stem, cycle);
-            if !out.contains(&lasso) {
+            if seen.insert(lasso.clone()) {
                 out.push(lasso);
             }
         }
@@ -398,6 +405,31 @@ mod tests {
         assert!(lassos.contains(&LassoWord::parse(&s, "", "a")));
         assert!(lassos.contains(&LassoWord::parse(&s, "", "a b")));
         assert!(lassos.contains(&LassoWord::parse(&s, "b", "a")));
+        // The order is the first-occurrence order of the quadratic
+        // `Vec::contains` deduplication, kept here as the reference.
+        let reference = |alphabet: &Alphabet, max_stem: usize, max_cycle: usize| {
+            let mut out: Vec<LassoWord> = Vec::new();
+            for stem in &all_words(alphabet, max_stem) {
+                for cycle in all_words(alphabet, max_cycle)
+                    .iter()
+                    .filter(|w| !w.is_empty())
+                {
+                    let lasso = LassoWord::new(stem, cycle);
+                    if !out.contains(&lasso) {
+                        out.push(lasso);
+                    }
+                }
+            }
+            out
+        };
+        let abc = Alphabet::new(&["a", "b", "c"]);
+        for (alphabet, max_stem, max_cycle) in [(&s, 2, 3), (&s, 1, 2), (&abc, 2, 2)] {
+            assert_eq!(
+                all_lassos(alphabet, max_stem, max_cycle),
+                reference(alphabet, max_stem, max_cycle),
+                "stem <= {max_stem}, cycle <= {max_cycle}"
+            );
+        }
     }
 
     #[test]

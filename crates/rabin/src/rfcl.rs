@@ -197,7 +197,9 @@ mod tests {
         ];
         for t in samples() {
             let in_closure = accepts(&c, &t);
-            let oracle = sl_trees::fcl_contains_bounded(&t, &af_b, 2, &continuations, 2).is_ok();
+            let oracle = sl_trees::fcl_contains_bounded(&t, &af_b, 2, &continuations, 2, None)
+                .unwrap()
+                .is_ok();
             assert_eq!(in_closure, oracle, "{t:?}");
         }
     }

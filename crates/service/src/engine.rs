@@ -918,11 +918,8 @@ impl Service {
             let sigma = Alphabet::new(&name_refs);
             let parsed = sl_ltl::parse(&sigma, formula)
                 .map_err(|e| ProtoError::new("invalid_input", e.to_string()))?;
-            let automaton = match &budget {
-                Some(budget) => sl_ltl::translate_with_budget(&sigma, &parsed, budget)
-                    .map_err(|e| ProtoError::new(kind_of(&e), e.to_string()))?,
-                None => sl_ltl::translate(&sigma, &parsed),
-            };
+            let automaton = sl_ltl::translate_with_budget(&sigma, &parsed, budget.as_ref())
+                .map_err(|e| ProtoError::new(kind_of(&e), e.to_string()))?;
             (automaton, "ltl")
         } else if let Some(text) = request.body.get("hoa") {
             let text = text

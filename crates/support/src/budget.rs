@@ -19,10 +19,10 @@
 //! steps spent — so a caller can distinguish "never started" from "ran
 //! out mid-flight" and report partial progress.
 //!
-//! The default budget for env-configurable entry points comes from
-//! [`Budget::from_env`]: `SL_BUDGET_STEPS` (a positive integer) and
-//! `SL_BUDGET_MS` (a deadline in milliseconds from process start of the
-//! algorithm). Both unset means unlimited.
+//! Every budgeted entry point in the workspace outside `sl-pdr` takes
+//! `budget: Option<&Budget>`: `None` runs under the entry point's
+//! default cap (if it has one) and consults no fault site, `Some`
+//! meters the work against the budget. There is no environment knob.
 
 use crate::error::SlError;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -56,8 +56,7 @@ impl CancelFlag {
 
 /// An execution budget: any combination of a step limit, a wall-clock
 /// deadline, and a cancellation flag. The default ([`Budget::unlimited`])
-/// imposes no limit at all, so `*_with_budget` entry points subsume
-/// their unbudgeted siblings.
+/// imposes no limit at all.
 #[derive(Debug, Clone, Default)]
 pub struct Budget {
     max_steps: Option<u64>,
@@ -98,27 +97,6 @@ impl Budget {
     pub fn with_cancel(mut self, flag: &CancelFlag) -> Self {
         self.cancel = Some(flag.clone());
         self
-    }
-
-    /// Reads `SL_BUDGET_STEPS` (positive integer step cap) and
-    /// `SL_BUDGET_MS` (deadline in milliseconds from now). Unset or
-    /// unparsable variables contribute no limit.
-    #[must_use]
-    pub fn from_env() -> Self {
-        let mut budget = Budget::unlimited();
-        if let Some(steps) = env_u64("SL_BUDGET_STEPS") {
-            budget = budget.with_steps(steps);
-        }
-        if let Some(ms) = env_u64("SL_BUDGET_MS") {
-            budget = budget.with_deadline_in(Duration::from_millis(ms));
-        }
-        budget
-    }
-
-    /// Whether no limit of any kind is attached.
-    #[must_use]
-    pub fn is_unlimited(&self) -> bool {
-        self.max_steps.is_none() && self.deadline.is_none() && self.cancel.is_none()
     }
 
     /// Starts metering this budget for one algorithm invocation. The
@@ -237,13 +215,6 @@ impl BudgetMeter {
     }
 }
 
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name)
-        .ok()
-        .and_then(|raw| raw.trim().parse::<u64>().ok())
-        .filter(|&n| n > 0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,14 +272,6 @@ mod tests {
         for _ in 0..1000 {
             meter.tick().unwrap();
         }
-    }
-
-    #[test]
-    fn from_env_is_unlimited_when_unset() {
-        // The test harness does not set SL_BUDGET_*; guard against
-        // other tests polluting the environment by only asserting the
-        // parse of an absent variable.
-        assert!(env_u64("SL_BUDGET_DOES_NOT_EXIST").is_none());
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! The workspace-wide error taxonomy.
 //!
 //! Every long-running algorithm in the workspace (complementation,
-//! Zielonka, the LTL tableau, closure enumeration, the tree-closure
-//! checkers) has a `*_with_budget` / `try_*` entry point that returns
-//! [`SlError`] instead of looping forever or panicking on untrusted
-//! input. Domain-specific errors (`sl-lattice`'s `LatticeError`,
-//! `sl-buchi`'s `ComplementBudgetExceeded`) convert into this taxonomy
-//! via `From` impls in their own crates, and [`SlError::context`] builds
+//! inclusion, Zielonka, the LTL tableau, closure enumeration, the
+//! tree-closure checkers, the monitors) has one entry point taking
+//! `budget: Option<&Budget>` that returns [`SlError`] instead of looping
+//! forever or panicking on untrusted input. Domain-specific errors
+//! (`sl-lattice`'s `LatticeError`) convert into this taxonomy via
+//! `From` impls in their own crates, and [`SlError::context`] builds
 //! context chains that keep the original failure visible through
 //! [`std::error::Error::source`].
 

@@ -23,7 +23,8 @@
 //!   chains, absorbing the domain errors of every crate.
 //! * [`budget`] — [`Budget`]/[`BudgetMeter`]: step limits, wall-clock
 //!   deadlines, and cooperative cancellation ([`CancelFlag`]) shared by
-//!   every `*_with_budget` entry point in the workspace.
+//!   every budgeted entry point in the workspace (each takes
+//!   `budget: Option<&Budget>`; `sl-pdr`'s checkers take `&Budget`).
 //! * [`fault`] — deterministic seeded fault injection
 //!   ([`fault::FaultPlan`], env-configured via `SL_FAULT_SEED` /
 //!   `SL_FAULT_RATE`) proving the degradation paths.

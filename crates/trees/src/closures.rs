@@ -38,50 +38,29 @@ pub struct Refutation {
 /// `width`-fold branching below the frontier, or `y` itself) satisfies
 /// `property`.
 ///
-/// `Ok(())` means membership *as far as the bounds see*; `Err` returns
-/// the depth of a truncation for which no candidate extension worked —
-/// a refutation relative to the candidate family.
+/// The inner `Ok(())` means membership *as far as the bounds see*; the
+/// inner `Err` returns the depth of a truncation for which no candidate
+/// extension worked — a refutation relative to the candidate family.
+///
+/// With `Some(budget)` each graft-and-model-check of a candidate
+/// extension charges one step (phase `"trees.fcl"`). The candidate
+/// count is `depths × continuations` and each check walks a product
+/// construction, so untrusted bounds should come with a budget. With
+/// `None` nothing is metered.
 ///
 /// # Errors
 ///
-/// Returns the stuck truncation as a [`Refutation`].
+/// [`SlError::BudgetExceeded`] / [`SlError::Cancelled`] from the
+/// budget; never with `budget: None`.
 pub fn fcl_contains_bounded(
     y: &RegularTree,
     property: &Ctl,
     max_depth: usize,
     continuations: &[RegularTree],
     width: usize,
-) -> Result<(), Refutation> {
-    try_fcl_contains_bounded(
-        y,
-        property,
-        max_depth,
-        continuations,
-        width,
-        &Budget::unlimited(),
-    )
-    .expect("unlimited budget cannot be exceeded")
-}
-
-/// [`fcl_contains_bounded`] under a cooperative [`Budget`]: each
-/// graft-and-model-check of a candidate extension charges one step
-/// (phase `"trees.fcl"`). The candidate count is `depths ×
-/// continuations` and each check walks a product construction, so
-/// untrusted bounds should come through here.
-///
-/// # Errors
-///
-/// [`SlError::BudgetExceeded`] / [`SlError::Cancelled`] from the
-/// budget. The inner result is the bounded membership verdict.
-pub fn try_fcl_contains_bounded(
-    y: &RegularTree,
-    property: &Ctl,
-    max_depth: usize,
-    continuations: &[RegularTree],
-    width: usize,
-    budget: &Budget,
+    budget: Option<&Budget>,
 ) -> Result<Result<(), Refutation>, SlError> {
-    let mut meter = budget.meter("trees.fcl");
+    let mut meter = budget.unwrap_or(&Budget::unlimited()).meter("trees.fcl");
     // If y itself is in P, every truncation extends to y: done.
     meter.charge(1)?;
     if y.satisfies(property) {
@@ -109,18 +88,10 @@ pub fn try_fcl_contains_bounded(
 /// All antichain cut-pattern prefixes of `y` up to `max_depth`:
 /// nonempty subsets of unrolling paths with no ancestor pairs. Total
 /// prefixes (no cuts) are excluded — `ncl` quantifies over `A_nt`.
-#[must_use]
-pub fn nontotal_prefixes(y: &RegularTree, max_depth: usize) -> Vec<RegularPrefix> {
-    match try_nontotal_prefixes(y, max_depth, &Budget::unlimited()) {
-        Ok(prefixes) => prefixes,
-        Err(err) => panic!("{err}"),
-    }
-}
-
-/// [`nontotal_prefixes`] with typed errors and a cooperative [`Budget`]
-/// (phase `"trees.prefixes"`, one step per candidate subset): the
-/// `2^paths` enumeration blows up fast, and malformed path tables
-/// surface as [`SlError::Domain`] instead of panics.
+///
+/// The `2^paths` enumeration blows up fast: with `Some(budget)` each
+/// candidate subset charges one step (phase `"trees.prefixes"`); with
+/// `None` nothing is metered.
 ///
 /// # Errors
 ///
@@ -130,12 +101,14 @@ pub fn nontotal_prefixes(y: &RegularTree, max_depth: usize) -> Vec<RegularPrefix
 ///   inconsistent (an enumerated path leaves the tree);
 /// * [`SlError::BudgetExceeded`] / [`SlError::Cancelled`] from the
 ///   budget.
-pub fn try_nontotal_prefixes(
+pub fn nontotal_prefixes(
     y: &RegularTree,
     max_depth: usize,
-    budget: &Budget,
+    budget: Option<&Budget>,
 ) -> Result<Vec<RegularPrefix>, SlError> {
-    let mut meter = budget.meter("trees.prefixes");
+    let mut meter = budget
+        .unwrap_or(&Budget::unlimited())
+        .meter("trees.prefixes");
     // Enumerate the unrolling paths up to max_depth.
     let mut paths: Vec<Node> = vec![Vec::new()];
     let mut frontier: Vec<Node> = vec![Vec::new()];
@@ -185,51 +158,30 @@ pub fn try_nontotal_prefixes(
 /// Bounded check of `y ∈ ncl.P`: every non-total cut-pattern prefix of
 /// `y` (up to `max_depth`) has a completion in `property`, searching
 /// completions built from `continuations` (plus `y` itself, which
-/// extends every prefix of `y`).
+/// extends every prefix of `y`). The inner `Err` returns the stuck
+/// prefix pattern as a [`Refutation`].
+///
+/// With `Some(budget)` the prefix enumeration is metered through
+/// [`nontotal_prefixes`] and each completion-and-model-check charges
+/// one step (phase `"trees.ncl"`); with `None` nothing is metered.
 ///
 /// # Errors
 ///
-/// Returns the stuck prefix pattern as a [`Refutation`].
+/// The typed errors of [`nontotal_prefixes`] (with or without a
+/// budget), plus budget exhaustion and cancellation.
 pub fn ncl_contains_bounded(
     y: &RegularTree,
     property: &Ctl,
     max_depth: usize,
     continuations: &[RegularTree],
     width: usize,
-) -> Result<(), Refutation> {
-    try_ncl_contains_bounded(
-        y,
-        property,
-        max_depth,
-        continuations,
-        width,
-        &Budget::unlimited(),
-    )
-    .expect("unlimited budget cannot be exceeded")
-}
-
-/// [`ncl_contains_bounded`] under a cooperative [`Budget`]: the prefix
-/// enumeration is metered through [`try_nontotal_prefixes`] and each
-/// completion-and-model-check charges one step (phase `"trees.ncl"`).
-///
-/// # Errors
-///
-/// Typed errors from [`try_nontotal_prefixes`] plus budget exhaustion
-/// and cancellation. The inner result is the bounded membership
-/// verdict.
-pub fn try_ncl_contains_bounded(
-    y: &RegularTree,
-    property: &Ctl,
-    max_depth: usize,
-    continuations: &[RegularTree],
-    width: usize,
-    budget: &Budget,
+    budget: Option<&Budget>,
 ) -> Result<Result<(), Refutation>, SlError> {
-    let mut meter = budget.meter("trees.ncl");
+    let mut meter = budget.unwrap_or(&Budget::unlimited()).meter("trees.ncl");
     meter.charge(1)?;
     let y_in_property = y.satisfies(property);
-    let prefixes = try_nontotal_prefixes(y, max_depth, budget)
-        .map_err(|e| e.context("try_ncl_contains_bounded: enumerating prefixes"))?;
+    let prefixes = nontotal_prefixes(y, max_depth, budget)
+        .map_err(|e| e.context("ncl_contains_bounded: enumerating prefixes"))?;
     // Enumerate paths again to recover cut descriptions for refutations.
     for (pattern_index, prefix) in prefixes.iter().enumerate() {
         if y_in_property {
@@ -323,7 +275,9 @@ mod tests {
     #[test]
     fn fcl_trivially_contains_members() {
         let q1 = parse_ctl(&sigma(), "a").unwrap();
-        fcl_contains_bounded(&two_branch(), &q1, 2, &[], 1).unwrap();
+        fcl_contains_bounded(&two_branch(), &q1, 2, &[], 1, None)
+            .unwrap()
+            .unwrap();
     }
 
     #[test]
@@ -333,7 +287,9 @@ mod tests {
         let q3a = parse_ctl(&sigma(), "a & AF !a").unwrap();
         let y = const_a();
         assert!(!y.satisfies(&q3a));
-        fcl_contains_bounded(&y, &q3a, 3, &[const_b()], 1).unwrap();
+        fcl_contains_bounded(&y, &q3a, 3, &[const_b()], 1, None)
+            .unwrap()
+            .unwrap();
     }
 
     #[test]
@@ -341,8 +297,9 @@ mod tests {
         // Trees rooted at b cannot extend into q3a: the depth-0
         // truncation is already stuck.
         let q3a = parse_ctl(&sigma(), "a & AF !a").unwrap();
-        let err =
-            fcl_contains_bounded(&const_b(), &q3a, 2, &[const_a(), const_b()], 1).unwrap_err();
+        let err = fcl_contains_bounded(&const_b(), &q3a, 2, &[const_a(), const_b()], 1, None)
+            .unwrap()
+            .unwrap_err();
         assert_eq!(err.depth, 0);
     }
 
@@ -381,8 +338,12 @@ mod tests {
         // q4b = E FG !a: any prefix completes with b^ω below a cut
         // leaf. Check all cut-pattern prefixes of the two-branch tree.
         let q4b = parse_ctl(&sigma(), "EFG !a").unwrap();
-        ncl_contains_bounded(&two_branch(), &q4b, 2, &[const_b()], 1).unwrap();
-        ncl_contains_bounded(&const_a(), &q4b, 2, &[const_b()], 1).unwrap();
+        ncl_contains_bounded(&two_branch(), &q4b, 2, &[const_b()], 1, None)
+            .unwrap()
+            .unwrap();
+        ncl_contains_bounded(&const_a(), &q4b, 2, &[const_b()], 1, None)
+            .unwrap()
+            .unwrap();
     }
 
     #[test]
@@ -390,8 +351,9 @@ mod tests {
         // q1' = "root is b": prefixes of an a-rooted tree never
         // complete into it.
         let root_b = parse_ctl(&sigma(), "b").unwrap();
-        let err =
-            ncl_contains_bounded(&const_a(), &root_b, 1, &[const_a(), const_b()], 1).unwrap_err();
+        let err = ncl_contains_bounded(&const_a(), &root_b, 1, &[const_a(), const_b()], 1, None)
+            .unwrap()
+            .unwrap_err();
         assert_eq!(err.depth, 1);
     }
 
@@ -399,7 +361,7 @@ mod tests {
     fn nontotal_prefix_enumeration_counts() {
         // Unary constant tree, depth 2: paths ε, 0, 00; antichains:
         // {ε}, {0}, {00} (any two are nested): 3 prefixes.
-        let prefixes = nontotal_prefixes(&const_a(), 2);
+        let prefixes = nontotal_prefixes(&const_a(), 2, None).unwrap();
         assert_eq!(prefixes.len(), 3);
         for p in &prefixes {
             assert!(p.is_non_total());
@@ -407,48 +369,50 @@ mod tests {
         }
         // Two-branch tree, depth 1: paths ε, 0, 1; antichains: {ε},
         // {0}, {1}, {0,1}: 4 prefixes.
-        assert_eq!(nontotal_prefixes(&two_branch(), 1).len(), 4);
+        assert_eq!(nontotal_prefixes(&two_branch(), 1, None).unwrap().len(), 4);
     }
 
     #[test]
-    fn try_variants_match_their_panicking_twins() {
+    fn budgeted_checks_match_unbudgeted() {
         let q3a = parse_ctl(&sigma(), "a & AF !a").unwrap();
         let y = const_a();
-        let budget = Budget::unlimited();
-        assert!(
-            try_fcl_contains_bounded(&y, &q3a, 3, &[const_b()], 1, &budget)
+        for budget in [None, Some(&Budget::unlimited())] {
+            assert!(fcl_contains_bounded(&y, &q3a, 3, &[const_b()], 1, budget)
                 .unwrap()
-                .is_ok()
-        );
-        assert!(
-            try_ncl_contains_bounded(&y, &q3a, 3, &[const_b()], 1, &budget)
+                .is_ok());
+            assert!(ncl_contains_bounded(&y, &q3a, 3, &[const_b()], 1, budget)
                 .unwrap()
-                .is_ok()
-        );
-        let prefixes = try_nontotal_prefixes(&const_a(), 2, &budget).unwrap();
-        assert_eq!(prefixes.len(), nontotal_prefixes(&const_a(), 2).len());
+                .is_ok());
+            assert_eq!(nontotal_prefixes(&const_a(), 2, budget).unwrap().len(), 3);
+        }
     }
 
     #[test]
-    fn try_variants_respect_step_limits() {
+    fn budgeted_checks_respect_step_limits() {
         let q3a = parse_ctl(&sigma(), "a & AF !a").unwrap();
         let y = const_a();
         let tight = Budget::unlimited().with_steps(2);
-        let err =
-            try_fcl_contains_bounded(&y, &q3a, 5, &[const_b(), const_a()], 1, &tight).unwrap_err();
+        let err = fcl_contains_bounded(&y, &q3a, 5, &[const_b(), const_a()], 1, Some(&tight))
+            .unwrap_err();
         assert!(err.is_budget_exceeded());
-        let err =
-            try_ncl_contains_bounded(&two_branch(), &q3a, 2, &[const_b()], 1, &tight).unwrap_err();
+        let err = ncl_contains_bounded(&two_branch(), &q3a, 2, &[const_b()], 1, Some(&tight))
+            .unwrap_err();
         assert!(err.root().is_budget_exceeded());
     }
 
     #[test]
-    fn deep_unrolling_is_a_typed_error() {
-        // Depth 8 on the two-branch tree yields 17 unrolling paths: the
-        // panicking API asserts, the try API reports InvalidInput.
-        let err = try_nontotal_prefixes(&two_branch(), 8, &Budget::unlimited()).unwrap_err();
-        assert!(matches!(err, SlError::InvalidInput(_)), "{err}");
-        assert!(err.to_string().contains("lower max_depth"), "{err}");
+    fn deep_unrolling_is_a_typed_error_with_or_without_a_budget() {
+        // Depth 8 on the two-branch tree yields 17 unrolling paths: too
+        // many to enumerate subsets of, reported as InvalidInput.
+        let q3a = parse_ctl(&sigma(), "a & AF !a").unwrap();
+        for budget in [None, Some(&Budget::unlimited())] {
+            let err = nontotal_prefixes(&two_branch(), 8, budget).unwrap_err();
+            assert!(matches!(err, SlError::InvalidInput(_)), "{err}");
+            assert!(err.to_string().contains("lower max_depth"), "{err}");
+            let err =
+                ncl_contains_bounded(&two_branch(), &q3a, 8, &[const_b()], 1, budget).unwrap_err();
+            assert!(matches!(err.root(), SlError::InvalidInput(_)), "{err}");
+        }
     }
 
     #[test]
@@ -458,6 +422,8 @@ mod tests {
         let q3a = parse_ctl(&sigma(), "a & AF !a").unwrap();
         let y = const_a();
         assert!(!y.satisfies(&q3a));
-        ncl_contains_bounded(&y, &q3a, 3, &[const_b()], 1).unwrap();
+        ncl_contains_bounded(&y, &q3a, 3, &[const_b()], 1, None)
+            .unwrap()
+            .unwrap();
     }
 }

@@ -38,8 +38,7 @@ pub mod regular;
 
 pub use closures::{
     fcl_contains_bounded, fcl_refuted_by_path, ncl_contains_bounded, ncl_refuted_by_path,
-    nontotal_prefixes, try_fcl_contains_bounded, try_ncl_contains_bounded, try_nontotal_prefixes,
-    Refutation,
+    nontotal_prefixes, Refutation,
 };
 pub use ctl::{check, parse_ctl, satisfies, Ctl, CtlParseError};
 pub use finite::{FiniteTree, Node, NotPrefixClosed};

@@ -79,7 +79,9 @@ pub fn two_path_witness(alphabet: &Alphabet) -> RegularTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::closures::{fcl_contains_bounded, ncl_contains_bounded, ncl_refuted_by_path};
+    use crate::closures::{
+        fcl_contains_bounded, ncl_contains_bounded, ncl_refuted_by_path, Refutation,
+    };
     use crate::regular::{enumerate_regular_trees, RegularTree};
     use sl_ltl::parse;
 
@@ -113,6 +115,18 @@ mod tests {
         ]
     }
 
+    /// Bounded `fcl` membership over [`continuations`] at width 1,
+    /// unmetered: the outer `Result` is unwrapped (with `None` only an
+    /// over-deep `ncl` unrolling errs), the inner verdict returned.
+    fn fcl(y: &RegularTree, q: &Ctl, depth: usize) -> Result<(), Refutation> {
+        fcl_contains_bounded(y, q, depth, &continuations(), 1, None).unwrap()
+    }
+
+    /// As [`fcl`], for `ncl` at depth 2.
+    fn ncl(y: &RegularTree, q: &Ctl) -> Result<(), Refutation> {
+        ncl_contains_bounded(y, q, 2, &continuations(), 1, None).unwrap()
+    }
+
     #[test]
     fn q1_q2_q6_are_universally_safe_on_universe() {
         // q = fcl.q on the sampled universe: y ∈ fcl.q ⇔ y ∈ q.
@@ -120,7 +134,7 @@ mod tests {
             let q = by_name(name);
             for y in universe() {
                 let in_q = y.satisfies(&q.formula);
-                let in_fcl = fcl_contains_bounded(&y, &q.formula, 2, &continuations(), 1).is_ok();
+                let in_fcl = fcl(&y, &q.formula, 2).is_ok();
                 assert_eq!(in_fcl, in_q, "{name} on {y:?}");
             }
         }
@@ -132,7 +146,7 @@ mod tests {
         // property.
         let q0 = by_name("q0");
         for y in universe() {
-            assert!(fcl_contains_bounded(&y, &q0.formula, 1, &continuations(), 1).is_err());
+            assert!(fcl(&y, &q0.formula, 1).is_err());
         }
     }
 
@@ -143,7 +157,7 @@ mod tests {
         let q3a = by_name("q3a");
         let q1 = by_name("q1");
         for y in universe() {
-            let in_fcl = fcl_contains_bounded(&y, &q3a.formula, 2, &continuations(), 1).is_ok();
+            let in_fcl = fcl(&y, &q3a.formula, 2).is_ok();
             assert_eq!(in_fcl, y.satisfies(&q1.formula), "{y:?}");
         }
     }
@@ -167,7 +181,7 @@ mod tests {
         let a_seq = RegularTree::constant(s.clone(), s.symbol("a").unwrap(), 1);
         let q3a = by_name("q3a");
         assert!(!a_seq.satisfies(&q3a.formula));
-        ncl_contains_bounded(&a_seq, &q3a.formula, 2, &continuations(), 1).unwrap();
+        ncl(&a_seq, &q3a.formula).unwrap();
     }
 
     #[test]
@@ -176,9 +190,9 @@ mod tests {
         let q1 = by_name("q1");
         for y in universe() {
             let in_q1 = y.satisfies(&q1.formula);
-            let in_fcl = fcl_contains_bounded(&y, &q3b.formula, 2, &continuations(), 1).is_ok();
+            let in_fcl = fcl(&y, &q3b.formula, 2).is_ok();
             assert_eq!(in_fcl, in_q1, "fcl.q3b = q1 fails on {y:?}");
-            let in_ncl = ncl_contains_bounded(&y, &q3b.formula, 2, &continuations(), 1).is_ok();
+            let in_ncl = ncl(&y, &q3b.formula).is_ok();
             assert_eq!(in_ncl, in_q1, "ncl.q3b = q1 fails on {y:?}");
         }
     }
@@ -189,7 +203,7 @@ mod tests {
         for name in ["q4a", "q5a"] {
             let q = by_name(name);
             for y in universe() {
-                fcl_contains_bounded(&y, &q.formula, 2, &continuations(), 1)
+                fcl(&y, &q.formula, 2)
                     .unwrap_or_else(|e| panic!("{name} refuted on {y:?} at depth {}", e.depth));
             }
         }
@@ -211,7 +225,7 @@ mod tests {
         for (name, _cont_sym) in [("q4b", "b"), ("q5b", "a")] {
             let q = by_name(name);
             for y in universe() {
-                ncl_contains_bounded(&y, &q.formula, 2, &continuations(), 1)
+                ncl(&y, &q.formula)
                     .unwrap_or_else(|e| panic!("{name} refuted on {y:?} at depth {}", e.depth));
             }
         }
@@ -227,7 +241,7 @@ mod tests {
             let y = RegularTree::from_lasso(&w, s.clone(), 1);
             for name in ["q4a", "q5a"] {
                 let q = by_name(name);
-                ncl_contains_bounded(&y, &q.formula, 2, &continuations(), 1)
+                ncl(&y, &q.formula)
                     .unwrap_or_else(|e| panic!("{name} on {w} at depth {}", e.depth));
             }
         }
@@ -240,7 +254,7 @@ mod tests {
         let s = sigma();
         let af_a = parse_ctl(&s, "AF a").unwrap();
         for y in universe() {
-            fcl_contains_bounded(&y, &af_a, 2, &continuations(), 1).unwrap();
+            fcl(&y, &af_a, 2).unwrap();
         }
         // A witness with an all-b path from the root: root b, one
         // branch all-b, the other all-a.

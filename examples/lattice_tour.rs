@@ -77,9 +77,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let diamond = generators::boolean(2);
     println!(
         "\nB2 carries {} closure operators; every element decomposes under all of them",
-        enumerate_closures(&diamond).len()
+        enumerate_closures(&diamond, None)?.len()
     );
-    for cl in enumerate_closures(&diamond) {
+    for cl in enumerate_closures(&diamond, None)? {
         for x in 0..diamond.len() {
             decompose(&diamond, &cl, x)?;
         }

@@ -104,7 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "idle idle c1 c2 idle c1",
     ] {
         let mut m = monitor.clone();
-        let (verdict, consumed) = m.run(&Word::parse(&sigma, log));
+        let (verdict, consumed) = m.run(&Word::parse(&sigma, log), None)?;
         match verdict {
             Verdict::Ok => println!("log PASS  : {log}"),
             Verdict::Violation => println!("log FAIL  : {log} (at event {consumed})"),

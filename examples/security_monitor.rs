@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for text in traces {
         let trace = Word::parse(&sigma, text);
         let mut m = monitor.clone();
-        let (verdict, consumed) = m.run(&trace);
+        let (verdict, consumed) = m.run(&trace, None)?;
         match verdict {
             Verdict::Ok => println!("PASS     : {text}"),
             Verdict::Violation => {
@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // never fires, because its closure is the whole space.
     let liveness = parse(&sigma, "G F close")?; // "you eventually always come back to close"
     let mut m = Monitor::new(&translate(&sigma, &liveness));
-    let (verdict, _) = m.run(&Word::parse(&sigma, "open use use use use use"));
+    let (verdict, _) = m.run(&Word::parse(&sigma, "open use use use use use"), None)?;
     println!(
         "liveness policy 'G F close' on a close-free trace: {:?} (monitoring cannot enforce liveness)",
         verdict

@@ -7,7 +7,7 @@ use safety_liveness::omega::Alphabet;
 use safety_liveness::rabin::{accepts, decompose as rabin_decompose, rfcl, RabinTreeBuilder};
 use safety_liveness::trees::{
     enumerate_regular_trees, fcl_contains_bounded, ncl_contains_bounded, ncl_refuted_by_path,
-    parse_ctl, q_examples, two_path_witness, RegularTree,
+    parse_ctl, q_examples, two_path_witness, Ctl, Refutation, RegularTree,
 };
 
 fn sigma() -> Alphabet {
@@ -31,6 +31,18 @@ fn continuations() -> Vec<RegularTree> {
     ]
 }
 
+/// Bounded `fcl` membership over [`continuations`] at width 1,
+/// unmetered: the outer `Result` is unwrapped (with `None` only an
+/// over-deep `ncl` unrolling errs), the inner verdict returned.
+fn fcl(y: &RegularTree, q: &Ctl, depth: usize) -> Result<(), Refutation> {
+    fcl_contains_bounded(y, q, depth, &continuations(), 1, None).unwrap()
+}
+
+/// As [`fcl`], for `ncl` at depth 2.
+fn ncl(y: &RegularTree, q: &Ctl) -> Result<(), Refutation> {
+    ncl_contains_bounded(y, q, 2, &continuations(), 1, None).unwrap()
+}
+
 #[test]
 fn q_table_classifications() {
     // The headline claims of Section 4.3, in one sweep:
@@ -46,7 +58,7 @@ fn q_table_classifications() {
         let q = by_name(name);
         for y in universe() {
             let in_q = y.satisfies(&q.formula);
-            let in_fcl = fcl_contains_bounded(&y, &q.formula, 2, &continuations(), 1).is_ok();
+            let in_fcl = fcl(&y, &q.formula, 2).is_ok();
             assert_eq!(in_q, in_fcl, "{name} vs fcl on {y:?}");
         }
     }
@@ -55,7 +67,7 @@ fn q_table_classifications() {
     for name in ["q4a", "q5a"] {
         let q = by_name(name);
         for y in universe() {
-            fcl_contains_bounded(&y, &q.formula, 2, &continuations(), 1)
+            fcl(&y, &q.formula, 2)
                 .unwrap_or_else(|e| panic!("{name}: fcl refuted at depth {}", e.depth));
         }
     }
@@ -64,7 +76,7 @@ fn q_table_classifications() {
     for name in ["q4b", "q5b"] {
         let q = by_name(name);
         for y in universe() {
-            ncl_contains_bounded(&y, &q.formula, 2, &continuations(), 1)
+            ncl(&y, &q.formula)
                 .unwrap_or_else(|e| panic!("{name}: ncl refuted at depth {}", e.depth));
         }
     }
@@ -93,7 +105,7 @@ fn theorem4_three_combinations_exist_for_af_a() {
         // s-part: A_tot contains y (trivially safe); l-part: y ∈ AF a
         // iff y ∈ a ∧ ..., so the meet is exactly membership in AF a.
         let in_a = y.satisfies(&af_a);
-        let fcl_universal = fcl_contains_bounded(&y, &af_a, 2, &continuations(), 1).is_ok();
+        let fcl_universal = fcl(&y, &af_a, 2).is_ok();
         assert!(fcl_universal, "fcl(AF a) should contain {y:?}");
         let _ = in_a;
     }
@@ -111,7 +123,7 @@ fn theorem5_impossibility_concrete() {
     // Hypothesis 1: fcl(AF a) = A_tot on the universe (checked above as
     // well, re-checked here for the record).
     for y in universe() {
-        assert!(fcl_contains_bounded(&y, &af_a, 2, &continuations(), 1).is_ok());
+        assert!(fcl(&y, &af_a, 2).is_ok());
     }
     // Hypothesis 2: ncl(AF a) < A_tot — absolute witness: a tree with
     // an all-b path (cut the other branch; the surviving path violates
@@ -153,7 +165,9 @@ fn rabin_rfcl_matches_tree_fcl() {
     ];
     for t in enumerate_regular_trees(&s, 2, 2) {
         let automaton_says = accepts(&closure, &t);
-        let oracle_says = fcl_contains_bounded(&t, &af_b, 2, &conts, 2).is_ok();
+        let oracle_says = fcl_contains_bounded(&t, &af_b, 2, &conts, 2, None)
+            .unwrap()
+            .is_ok();
         assert_eq!(automaton_says, oracle_says, "{t:?}");
         // Membership in the base automaton agrees with CTL.
         assert_eq!(accepts(&automaton, &t), t.satisfies(&af_b), "{t:?}");
@@ -201,8 +215,8 @@ fn ncl_below_fcl_pointwise() {
     for name in ["q3a", "q3b", "q4a", "q5a"] {
         let q = q_examples(&s).into_iter().find(|e| e.name == name).unwrap();
         for y in universe() {
-            let in_ncl = ncl_contains_bounded(&y, &q.formula, 2, &continuations(), 1).is_ok();
-            let in_fcl = fcl_contains_bounded(&y, &q.formula, 2, &continuations(), 1).is_ok();
+            let in_ncl = ncl(&y, &q.formula).is_ok();
+            let in_fcl = fcl(&y, &q.formula, 2).is_ok();
             if in_ncl {
                 assert!(in_fcl, "{name}: ncl ⊆ fcl violated on {y:?}");
             }

@@ -40,7 +40,7 @@ fn par_map_matches_sequential_on_e4_corpus() {
         // Same corpus split as the E4 binary: exhaustive where feasible,
         // seeded sampling on the larger lattices.
         let closures = if lattice.len() <= 10 {
-            enumerate_closures(&lattice)
+            enumerate_closures(&lattice, None).unwrap()
         } else {
             (0..40).map(|seed| random_closure(&lattice, seed)).collect()
         };

@@ -7,7 +7,7 @@
 //! (`SL_FAULT_RATE` > 0): sites consulted by the global plan are
 //! accounted for explicitly rather than assumed quiet.
 
-use sl_buchi::{complement_budgeted, Monitor, Verdict};
+use sl_buchi::{complement, Monitor, Verdict};
 use sl_ltl::{parse, translate};
 use sl_omega::{Alphabet, Symbol, Word};
 use sl_support::{fault, par, Budget, FaultPlan, SlError};
@@ -33,7 +33,7 @@ fn out_of_alphabet_symbol_degrades_to_unknown() {
     // run() reports where the trace became uninterpretable.
     monitor.reset();
     let trace = Word::parse(&sigma, "a a b");
-    let (verdict, consumed) = monitor.run(&trace);
+    let (verdict, consumed) = monitor.run(&trace, None).unwrap();
     // "G a" closes to "always a": the b at position 3 is in-alphabet,
     // so this is a genuine Violation, not Unknown.
     assert_eq!((verdict, consumed), (Verdict::Violation, 3));
@@ -49,7 +49,7 @@ fn expired_deadline_mid_complementation_is_budget_exceeded() {
     let b = translate(&sigma, &parse(&sigma, "G F a").unwrap());
 
     let budget = Budget::unlimited().with_deadline_in(Duration::ZERO);
-    let err = complement_budgeted(&b, &budget)
+    let err = complement(&b, Some(&budget))
         .expect_err("an already-expired deadline must abort the complementation");
     assert!(
         err.is_budget_exceeded(),
@@ -65,12 +65,15 @@ fn expired_deadline_mid_complementation_is_budget_exceeded() {
 
     // A sane budget on the same input succeeds: the failure above was
     // the deadline, not the input.
-    let ok = complement_budgeted(&b, &Budget::unlimited());
+    let ok = complement(&b, Some(&Budget::unlimited()));
     match ok {
         Ok(_) => {}
         Err(err) if err.root().is_fault_injected() => {} // env fault drill
         Err(err) => panic!("unlimited budget must succeed, got: {err}"),
     }
+    // No budget at all consults no fault site: it succeeds even under
+    // an environment fault drill.
+    complement(&b, None).expect("an unbudgeted complement of G F a succeeds");
 }
 
 /// Path 3 — a [`FaultPlan`]-poisoned sweep item panics inside the

@@ -28,7 +28,7 @@ fn theorem2_exhaustive_on_corpus() {
                 }
             }
         } else {
-            for cl in enumerate_closures(&lattice) {
+            for cl in enumerate_closures(&lattice, None).unwrap() {
                 for a in 0..lattice.len() {
                     let d = decompose(&lattice, &cl, a)
                         .unwrap_or_else(|e| panic!("{name}, element {a}: {e}"));
@@ -42,7 +42,7 @@ fn theorem2_exhaustive_on_corpus() {
 #[test]
 fn theorem3_two_closure_variant_on_b3() {
     let lattice = generators::boolean(3);
-    let closures = enumerate_closures(&lattice);
+    let closures = enumerate_closures(&lattice, None).unwrap();
     for cl1 in &closures {
         for cl2 in &closures {
             if !cl1.pointwise_leq(&lattice, cl2) {
@@ -62,7 +62,7 @@ fn lemma4_holds_everywhere_on_corpus() {
         if lattice.len() > 10 {
             continue;
         }
-        for cl in enumerate_closures(&lattice) {
+        for cl in enumerate_closures(&lattice, None).unwrap() {
             for a in 0..lattice.len() {
                 assert!(lemma4_holds(&lattice, &cl, a), "{name}, element {a}");
             }
@@ -109,7 +109,7 @@ fn theorem5_impossibility_on_corpus() {
         if lattice.len() > 8 {
             continue;
         }
-        let closures = enumerate_closures(&lattice);
+        let closures = enumerate_closures(&lattice, None).unwrap();
         for cl1 in &closures {
             for cl2 in &closures {
                 if !cl1.pointwise_leq(&lattice, cl2) {
@@ -134,7 +134,7 @@ fn theorem6_and_7_on_distributive_corpus() {
         if lattice.len() > 12 || !lattice.is_complemented() {
             continue;
         }
-        for cl in enumerate_closures(&lattice) {
+        for cl in enumerate_closures(&lattice, None).unwrap() {
             for a in 0..lattice.len() {
                 let strongest = theorem6_strongest_safety(&lattice, &cl, &cl, a)
                     .unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -257,7 +257,7 @@ fn n5_and_m3_negative_controls() {
     let n5 = generators::n5();
     assert!(n5.is_complemented() && !n5.is_modular());
     let mut failures = 0;
-    for cl in enumerate_closures(&n5) {
+    for cl in enumerate_closures(&n5, None).unwrap() {
         for a in 0..n5.len() {
             if decompose(&n5, &cl, a).is_err() {
                 failures += 1;

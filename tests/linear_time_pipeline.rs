@@ -200,7 +200,7 @@ fn conjunction_of_decomposition_parts_via_product() {
     for text in ["a U b", "F G !a", "a & F !a"] {
         let m = translate(&s, &parse(&s, text).unwrap());
         let d = decompose(&m);
-        let not_m = complement(&m).unwrap();
+        let not_m = complement(&m, None).unwrap();
         let not_safety = complement_safety(&d.safety);
         let not_liveness = intersection(&not_m, &d.safety);
         // B ⊆ B_S and B ⊆ B_L.

@@ -28,7 +28,7 @@ fn monitor_accepts_exactly_the_good_prefixes() {
         // All traces of length <= 4.
         for trace in safety_liveness::omega::all_words(&s, 4) {
             let mut m = monitor.clone();
-            let (verdict, _) = m.run(&trace);
+            let (verdict, _) = m.run(&trace, None).unwrap();
             // Oracle: does some lasso word extend the trace inside L?
             let extendable = all_lassos(&s, 2, 2).iter().any(|tail| {
                 let whole = tail.prepend(&trace);
@@ -56,8 +56,8 @@ fn monitoring_a_property_monitors_its_safety_part() {
         let monitor_full = Monitor::new(&d.automaton);
         let monitor_safety = Monitor::new(&d.safety);
         for trace in safety_liveness::omega::all_words(&s, 4) {
-            let (v1, c1) = monitor_full.clone().run(&trace);
-            let (v2, c2) = monitor_safety.clone().run(&trace);
+            let (v1, c1) = monitor_full.clone().run(&trace, None).unwrap();
+            let (v2, c2) = monitor_safety.clone().run(&trace, None).unwrap();
             assert_eq!(v1, v2, "{text} on {}", trace.display(&s));
             assert_eq!(c1, c2, "{text} on {}", trace.display(&s));
         }
@@ -76,14 +76,14 @@ fn enforcement_output_is_a_maximal_good_prefix() {
         assert!(allowed.is_prefix_of(&trace));
         // ... and itself passes the monitor.
         let mut m = Monitor::new(&automaton);
-        let (verdict, _) = m.run(&allowed);
+        let (verdict, _) = m.run(&allowed, None).unwrap();
         assert_eq!(verdict, Verdict::Ok);
         // Maximality: if something was cut, adding one more symbol of
         // the original trace violates.
         if allowed.len() < trace.len() {
             let next = trace.at(allowed.len()).unwrap();
             let mut m = Monitor::new(&automaton);
-            m.run(&allowed);
+            m.run(&allowed, None).unwrap();
             assert_eq!(m.step(next), Verdict::Violation);
         }
     }
@@ -101,8 +101,8 @@ fn compiled_monitor_agrees_with_monitor_on_ltl_policies() {
         let monitor = Monitor::new(&automaton);
         let compiled = CompiledMonitor::new(&automaton).unwrap();
         for trace in safety_liveness::omega::all_words(&s, 5) {
-            let (v1, c1) = monitor.clone().run(&trace);
-            let (v2, c2) = compiled.clone().run(&trace);
+            let (v1, c1) = monitor.clone().run(&trace, None).unwrap();
+            let (v2, c2) = compiled.clone().run(&trace, None).unwrap();
             assert_eq!((v1, c1), (v2, c2), "{text} on {}", trace.display(&s));
         }
     }
@@ -217,7 +217,7 @@ fn fleet_sessions_match_lone_monitors_over_desynchronized_traces() {
 
 #[test]
 fn compiled_monitor_settles_like_the_monitor_under_budget() {
-    // Budgeted twins: both monitors either settle on the same
+    // Budgeted runs: both monitors either settle on the same
     // (verdict, consumed) pair or exhaust the same budget.
     let s = sigma();
     let automaton = translate(&s, &parse(&s, "b R a").unwrap());
@@ -227,15 +227,16 @@ fn compiled_monitor_settles_like_the_monitor_under_budget() {
         s.symbol("b").unwrap(),
         s.symbol("b").unwrap(),
     ]);
-    for budget in 1..=6u64 {
+    for steps in 1..=6u64 {
+        let budget = Budget::unlimited().with_steps(steps);
         let mut m = Monitor::new(&automaton);
         let mut c = CompiledMonitor::new(&automaton).unwrap();
-        let got_m = m.run_with_budget(&trace, &Budget::unlimited().with_steps(budget));
-        let got_c = c.run_with_budget(&trace, &Budget::unlimited().with_steps(budget));
+        let got_m = m.run(&trace, Some(&budget));
+        let got_c = c.run(&trace, Some(&budget));
         match (got_m, got_c) {
-            (Ok(a), Ok(b)) => assert_eq!(a, b, "budget {budget}"),
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "budget {steps}"),
             (Err(_), Err(_)) => {}
-            (a, b) => panic!("budget {budget}: monitor {a:?} vs compiled {b:?}"),
+            (a, b) => panic!("budget {steps}: monitor {a:?} vs compiled {b:?}"),
         }
     }
 }

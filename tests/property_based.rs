@@ -220,7 +220,7 @@ fn zielonka_solutions_verify() {
                 }
             }
             let game = ParityGame::new(owners, priorities, succ);
-            let solution = solve(&game);
+            let solution = solve(&game, None).unwrap();
             prop_assert!(verify(&game, &solution).is_ok());
             Ok(())
         },

@@ -303,6 +303,37 @@ fn hostile_define_payloads_get_typed_rejections_not_panics() {
     assert!(is_ok(&responses[3]), "{}", responses[3].render());
 }
 
+/// An LTL `define` past the tableau's 64-until limit (promise masks are
+/// `u64`) is a typed `invalid_input` rejection whether or not the
+/// request carries a budget: both paths run the one budgeted
+/// translation, so neither can panic on the formula's shape.
+#[test]
+fn too_many_untils_is_invalid_input_with_or_without_a_budget() {
+    let service = quiet_service(1);
+    // (a U b) & (a U X b) & ... & (a U X...X b): 65 distinct untils.
+    let ltl = (0..65)
+        .map(|i| format!("(a U {}b)", "X ".repeat(i)))
+        .collect::<Vec<_>>()
+        .join(" & ");
+    for budget in ["", r#","budget":{"steps":1000}"#] {
+        let line = format!(
+            r#"{{"id":1,"verb":"define","name":"wide","ltl":"{ltl}","alphabet":["a","b"]{budget}}}"#
+        );
+        let reply = service.handle_line(&line).line;
+        let response = safety_liveness::service::json::parse(&reply).expect("response parses");
+        assert_eq!(error_kind(&response), Some("invalid_input"), "{reply}");
+        let message = response
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Json::as_str);
+        assert_eq!(
+            message,
+            Some("invalid input: too many until subformulas: 65 (promise masks are u64)"),
+            "{reply}"
+        );
+    }
+}
+
 /// A rejected `monitor-step` — exhausted budget or malformed symbol
 /// list — must leave the session exactly where it was: the whole batch
 /// is validated and charged before the first step, so a client retry
