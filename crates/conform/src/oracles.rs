@@ -701,9 +701,8 @@ fn check_monitor(c: &MonitorCase) -> Outcome {
     }
     // run() over the whole word agrees with the final stepped verdict.
     let word = Word::new(&symbols);
-    let (final_verdict, consumed) = match monitor.run(&word, None) {
-        Ok(run) => run,
-        Err(e) => fail!("unbudgeted run() failed: {e}"),
+    let Ok((final_verdict, consumed)) = monitor.run(&word, None) else {
+        fail!("unbudgeted run() failed");
     };
     let expected_final = verdicts.last().copied().unwrap_or_else(|| {
         let mut fresh = Monitor::new(&policy);
@@ -813,11 +812,11 @@ fn check_compiled(c: &MonitorCase) -> Outcome {
     }
     // run(): same verdict AND same settle position as Monitor.
     let word = Word::new(&symbols);
-    let (final_verdict, consumed, monitor_verdict, monitor_consumed) =
-        match (compiled.run(&word, None), monitor.run(&word, None)) {
-            (Ok((v, n)), Ok((mv, mn))) => (v, n, mv, mn),
-            (a, b) => fail!("unbudgeted run() failed: compiled={a:?} monitor={b:?}"),
-        };
+    let (Ok((final_verdict, consumed)), Ok((monitor_verdict, monitor_consumed))) =
+        (compiled.run(&word, None), monitor.run(&word, None))
+    else {
+        fail!("unbudgeted run() failed");
+    };
     if (final_verdict, consumed) != (monitor_verdict, monitor_consumed) {
         fail!(
             "compiled run ({final_verdict:?}, {consumed}) disagrees with Monitor run ({monitor_verdict:?}, {monitor_consumed})"
