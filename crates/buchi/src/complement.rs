@@ -9,10 +9,11 @@
 //!   This is cheap (at most `2^n` subsets) and is all the decomposition
 //!   theorem needs for the liveness part `B ∪ ¬cl(B)`.
 //! * [`complement`] — full Kupferman–Vardi rank-based complementation
-//!   for arbitrary NBA, used by the exact safety/liveness deciders and
-//!   language-inclusion checks. States are (level ranking, obligation
-//!   set) pairs explored lazily; the construction is exponential, so a
-//!   state budget guards against blow-ups.
+//!   for arbitrary NBA, behind the rank-based inclusion oracle
+//!   ([`crate::incl::included_rank`]). States are (level ranking,
+//!   obligation set) pairs explored lazily; the construction is
+//!   exponential, so a state cap — and, with `Some(budget)`, the
+//!   caller's budget — guards against blow-ups.
 
 use crate::automaton::{Buchi, BuchiBuilder, StateId};
 use sl_support::{fault, Budget, FaultPlan, SlError};
