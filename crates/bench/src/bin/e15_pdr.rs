@@ -29,16 +29,19 @@
 //! pass over the corpus:
 //!
 //! * `pdr/random256/safety` — `check_safety` on every model;
-//! * `pdr/random256/liveness` — `check_liveness` on every model, whose
-//!   counter products have 512 and 768 states.
+//! * `pdr/random256/liveness` — `check_liveness` on every model. Its
+//!   k = 0 query is the model's own safety check, and a reachable bad
+//!   state on a cycle closes a lasso at once, so few models build a
+//!   counter product at all.
 //!
 //! Correctness gates come first: both engines must agree (Safe) at
 //! every fenced size with the PDR invariant replaying cleanly, the
 //! liveness verdict must be Live at `k = 1`, and on the random corpus
 //! every safety verdict must match `bmc_safety` and every liveness
 //! verdict `bmc_lasso`. `BENCH_pdr.json` records the medians;
-//! `scripts/verify.sh` gates PDR-beats-BMC on the 12-bit point and
-//! checks that the random series exist.
+//! `scripts/verify.sh` gates PDR-beats-BMC on the 12-bit point, checks
+//! that the random series exist, and gates the liveness pass at no more
+//! than twice the safety pass of the same run.
 
 use sl_bench::{header, Scoreboard};
 use sl_omega::Alphabet;

@@ -1452,6 +1452,15 @@ fn check_pdr(c: &PdrCase) -> Outcome {
                 {
                     fail!("Live certificate fails product replay at k={k}: {msg}");
                 }
+                // And k is minimal: with the counter capped at k, an
+                // explicit search reaches a saturated state.
+                if k > 0 {
+                    let below = counter_product(&kripke, &bad, k);
+                    let reached = below.kripke.reachable();
+                    if !below.bad.iter().any(|&s| reached[s]) {
+                        fail!("Live at k={k}, but no path visits bad {k} times");
+                    }
+                }
             }
             LivenessVerdict::Lasso { stem, looping } => {
                 if reference.is_none() {

@@ -25,6 +25,11 @@ use sl_buchi::{
 use sl_omega::{Alphabet, LassoWord};
 
 /// Whether `L(φ)` is a safety property.
+///
+/// # Panics
+///
+/// Panics if the formula or its negation has more than 64
+/// until-subformulas in negation normal form ([`translate`] panics there).
 #[must_use]
 pub fn is_safety_formula(alphabet: &Alphabet, formula: &Ltl) -> bool {
     let automaton = translate(alphabet, formula);
@@ -33,6 +38,11 @@ pub fn is_safety_formula(alphabet: &Alphabet, formula: &Ltl) -> bool {
 }
 
 /// Whether `L(φ)` is a liveness property.
+///
+/// # Panics
+///
+/// Panics if the formula has more than 64 until-subformulas in
+/// negation normal form ([`translate`] panics there).
 #[must_use]
 pub fn is_liveness_formula(alphabet: &Alphabet, formula: &Ltl) -> bool {
     let automaton = translate(alphabet, formula);
@@ -41,6 +51,11 @@ pub fn is_liveness_formula(alphabet: &Alphabet, formula: &Ltl) -> bool {
 }
 
 /// Classifies `L(φ)` into the paper's trichotomy.
+///
+/// # Panics
+///
+/// Panics if the formula or its negation has more than 64
+/// until-subformulas in negation normal form ([`translate`] panics there).
 #[must_use]
 pub fn classify_formula(alphabet: &Alphabet, formula: &Ltl) -> Classification {
     match (
@@ -73,6 +88,11 @@ pub struct FormulaDecomposition {
 }
 
 /// Decomposes `φ` with ready-made complements.
+///
+/// # Panics
+///
+/// Panics if the formula or its negation has more than 64
+/// until-subformulas in negation normal form ([`translate`] panics there).
 #[must_use]
 pub fn decompose_formula(alphabet: &Alphabet, formula: &Ltl) -> FormulaDecomposition {
     let automaton = translate(alphabet, formula);

@@ -7,6 +7,11 @@
 //! cycle-through-bad search for the liveness side. On a finite
 //! structure BFS to depth `n` is exact, so disagreements are always an
 //! engine bug (or a sabotage drill).
+//!
+//! The liveness certificate validators live here too, equally free of
+//! engine code: [`validate_lasso`] replays a lasso and
+//! [`validate_live_invariant`] a Live invariant, both by plain
+//! successor-list iteration.
 
 use crate::kripke::SafetyVerdict;
 use sl_lattice::Bitset;
@@ -279,6 +284,58 @@ pub fn validate_lasso(
     }
     if !looping.iter().any(|s| bad.contains(s)) {
         return Err("loop contains no bad state".into());
+    }
+    Ok(())
+}
+
+/// Replays a Live certificate without building the counter product.
+///
+/// `invariant` is a set of product states `s·(k + 2) + c`, where the
+/// counter `c` counts bad visits up to `cap = k + 1`: it starts at
+/// `bad(initial)` and entering a bad state bumps it, saturating at
+/// `cap`. The set must contain the initial product state, be closed
+/// under every edge's counter step, and hold no saturated state.
+///
+/// # Errors
+///
+/// Names the first violation.
+pub fn validate_live_invariant(
+    kripke: &Kripke,
+    bad: &[usize],
+    k: usize,
+    invariant: &Bitset,
+) -> Result<(), String> {
+    let n = kripke.len();
+    let cap = k + 1;
+    let width = cap + 1;
+    if invariant.universe() != n * width {
+        return Err("invariant universe mismatch".into());
+    }
+    let mut is_bad = vec![false; n];
+    for &b in bad {
+        if b >= n {
+            return Err(format!("bad state {b} out of range"));
+        }
+        is_bad[b] = true;
+    }
+    // The product state reached by entering `t` with counter `c`.
+    let enter = |t: usize, c: usize| t * width + (c + usize::from(is_bad[t])).min(cap);
+    if !invariant.contains(enter(kripke.initial(), 0)) {
+        return Err("invariant misses the initial product state".into());
+    }
+    for id in invariant.iter() {
+        let (s, c) = (id / width, id % width);
+        if c == cap {
+            return Err(format!("invariant holds saturated state {id}"));
+        }
+        for &t in kripke.successors(s) {
+            let next = enter(t, c);
+            if !invariant.contains(next) {
+                return Err(format!(
+                    "invariant not closed under product edge {id} -> {next}"
+                ));
+            }
+        }
     }
     Ok(())
 }

@@ -15,9 +15,15 @@
 //!   one compressed edge relation per call, with concrete
 //!   trace/invariant certificates replayed against the structure.
 //! * [`liveness`] — the k-liveness sweep deciding `FG !bad` over all
-//!   paths via [`sl_trees::counter_product`].
+//!   paths via [`sl_trees::counter_product`]: k = 0 is the model's own
+//!   safety check, each later query names only the saturated copies of
+//!   the bad states, and a counterexample whose bad end state lies on a
+//!   cycle closes into a lasso at once.
 //! * [`bmc`] — the independent explicit-state BFS / lasso-search
-//!   reference used by the conformance oracle.
+//!   reference used by the conformance oracle, and the concrete
+//!   liveness validators ([`validate_lasso`], and
+//!   [`validate_live_invariant`], which replays a Live certificate
+//!   without building the product).
 //!
 //! ```
 //! use sl_omega::Alphabet;
@@ -43,7 +49,8 @@ pub mod kripke;
 pub mod liveness;
 
 pub use bmc::{
-    bmc_lasso, bmc_liveness, bmc_safety, bmc_safety_deepening, validate_lasso, LivenessVerdict,
+    bmc_lasso, bmc_liveness, bmc_safety, bmc_safety_deepening, validate_lasso,
+    validate_live_invariant, LivenessVerdict,
 };
 pub use engine::{
     lt_pdr, validate_chain, validate_invariant, Atoms, PdrOutcome, PdrProblem, PdrRun, PdrStats,

@@ -106,6 +106,19 @@ pub fn nontotal_prefixes(
     max_depth: usize,
     budget: Option<&Budget>,
 ) -> Result<Vec<RegularPrefix>, SlError> {
+    Ok(nontotal_patterns(y, max_depth, budget)?
+        .iter()
+        .map(|cuts| RegularPrefix::cut(y, max_depth, cuts))
+        .collect())
+}
+
+/// The cut patterns behind [`nontotal_prefixes`], in the same order:
+/// each is the antichain of unrolling paths its prefix cuts.
+fn nontotal_patterns(
+    y: &RegularTree,
+    max_depth: usize,
+    budget: Option<&Budget>,
+) -> Result<Vec<Vec<Node>>, SlError> {
     let mut meter = budget
         .unwrap_or(&Budget::unlimited())
         .meter("trees.prefixes");
@@ -149,8 +162,7 @@ pub fn nontotal_prefixes(
                 }
             }
         }
-        let cuts: Vec<Node> = chosen.into_iter().cloned().collect();
-        out.push(RegularPrefix::cut(y, max_depth, &cuts));
+        out.push(chosen.into_iter().cloned().collect());
     }
     Ok(out)
 }
@@ -180,13 +192,13 @@ pub fn ncl_contains_bounded(
     let mut meter = budget.unwrap_or(&Budget::unlimited()).meter("trees.ncl");
     meter.charge(1)?;
     let y_in_property = y.satisfies(property);
-    let prefixes = nontotal_prefixes(y, max_depth, budget)
+    let patterns = nontotal_patterns(y, max_depth, budget)
         .map_err(|e| e.context("ncl_contains_bounded: enumerating prefixes"))?;
-    // Enumerate paths again to recover cut descriptions for refutations.
-    for (pattern_index, prefix) in prefixes.iter().enumerate() {
-        if y_in_property {
-            continue; // y itself completes every prefix of y
-        }
+    if y_in_property {
+        return Ok(Ok(())); // y itself completes every prefix of y
+    }
+    for cuts in patterns {
+        let prefix = RegularPrefix::cut(y, max_depth, &cuts);
         let mut found = false;
         for cont in continuations {
             meter.charge(1)?;
@@ -198,7 +210,7 @@ pub fn ncl_contains_bounded(
         if !found {
             return Ok(Err(Refutation {
                 depth: max_depth,
-                cuts: vec![vec![pattern_index as u32]],
+                cuts,
             }));
         }
     }
@@ -322,6 +334,33 @@ mod tests {
         // ...but cutting the all-a branch leaves the all-b path, which
         // violates GF a.
         assert!(ncl_refuted_by_path(&y, 1, &[vec![0]], &gf_a));
+    }
+
+    #[test]
+    fn ncl_refutations_report_the_stuck_cut_paths() {
+        // On a unary tree at depth 1 the non-total prefixes cut `[]`
+        // (the root alone) and `[0]` (the root and its child).
+        let y = const_a();
+        let prefixes = nontotal_prefixes(&y, 1, None).unwrap();
+        assert_eq!(
+            nontotal_patterns(&y, 1, None).unwrap(),
+            vec![vec![vec![]], vec![vec![0]]]
+        );
+        // With no continuation, the first prefix is already stuck.
+        let b = parse_ctl(&sigma(), "b").unwrap();
+        let stuck = ncl_contains_bounded(&y, &b, 1, &[], 1, None)
+            .unwrap()
+            .unwrap_err();
+        assert_eq!(stuck.cuts, vec![Vec::<u32>::new()]);
+        assert_eq!(RegularPrefix::cut(&y, 1, &stuck.cuts), prefixes[0]);
+        // `b` below the root completes the root-only prefix into `AX b`,
+        // but the cut at `[0]` keeps an `a` child.
+        let ax_b = parse_ctl(&sigma(), "AX b").unwrap();
+        let stuck = ncl_contains_bounded(&y, &ax_b, 1, &[const_b()], 1, None)
+            .unwrap()
+            .unwrap_err();
+        assert_eq!(stuck.cuts, vec![vec![0]]);
+        assert_eq!(RegularPrefix::cut(&y, 1, &stuck.cuts), prefixes[1]);
     }
 
     #[test]

@@ -14,6 +14,11 @@ use sl_buchi::Buchi;
 use sl_ltl::{translate, Ltl};
 
 /// Whether some path from the initial state satisfies the LTL formula.
+///
+/// # Panics
+///
+/// Panics if the formula has more than 64 until-subformulas in
+/// negation normal form ([`translate()`] panics there).
 #[must_use]
 pub fn exists_path(kripke: &Kripke, formula: &Ltl) -> bool {
     let nba = translate(kripke.alphabet(), formula);
@@ -21,6 +26,11 @@ pub fn exists_path(kripke: &Kripke, formula: &Ltl) -> bool {
 }
 
 /// Whether every path from the initial state satisfies the formula.
+///
+/// # Panics
+///
+/// Panics if the formula's negation has more than 64 until-subformulas in
+/// negation normal form ([`translate()`] panics there).
 #[must_use]
 pub fn all_paths(kripke: &Kripke, formula: &Ltl) -> bool {
     !exists_path(kripke, &formula.clone().not())

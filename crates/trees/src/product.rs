@@ -11,6 +11,13 @@
 //! The product is built in full (reachability is the checker's job),
 //! so its size is exactly predictable: `n * (cap + 1)` states and
 //! `E * (cap + 1)` transitions for an `n`-state, `E`-edge original.
+//!
+//! [`CounterProduct::bad`] is the whole saturated layer because it is
+//! the certificate contract: a Live invariant must hold no saturated
+//! state, and the validators replay against this set. The k-liveness
+//! sweep in `sl-pdr` queries only a subset of it, the saturated copies
+//! `(b, cap)` of the bad states: the counter grows only on entering a
+//! bad state, so those are the first saturated states on any path.
 
 use crate::kripke::Kripke;
 

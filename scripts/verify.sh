@@ -345,7 +345,10 @@ done
 # E15 smoke: the binary fails itself if PDR and deepening BMC disagree
 # on any sweep size or on the random 256-state corpus, a certificate
 # fails replay, or PDR loses the 12-bit point; the JSON gate re-checks
-# the medians independently and that the random series were measured.
+# the medians independently, that the random series were measured, and
+# that a liveness pass over the random corpus costs at most twice the
+# safety pass measured in the same run (k-liveness at about the cost of
+# a safety check; the ratio, not either time, so host noise cancels).
 echo "-- e15_pdr (smoke)"
 SL_BENCH_SAMPLES=5 SL_BENCH_WARMUP_MS=10 SL_BENCH_JSON_DIR="$pdr_tmp" \
   ./target/release/e15_pdr
@@ -367,11 +370,15 @@ for n in big:
     pdr = records[f"pdr/fenced/{n}"]["median_ns"]
     bmc = records[f"bmc/fenced/{n}"]["median_ns"]
     assert pdr < bmc, f"PDR ({pdr}ns) loses to deepening BMC ({bmc}ns) at n={n}"
+safety = records["pdr/random256/safety"]["median_ns"]
+liveness = records["pdr/random256/liveness"]["median_ns"]
+assert liveness <= 2 * safety, (
+    f"random256 liveness ({liveness}ns) costs more than twice safety ({safety}ns)")
 top = max(big)
 speedup = records[f"bmc/fenced/{top}"]["median_ns"] / records[f"pdr/fenced/{top}"]["median_ns"]
 print(f"BENCH_pdr.json ok: PDR beats deepening BMC {speedup:.0f}x at n={top}, "
-      f"random256 safety {records['pdr/random256/safety']['median_ns'] / 1e6:.2f} ms, "
-      f"liveness {records['pdr/random256/liveness']['median_ns'] / 1e6:.2f} ms per corpus")
+      f"random256 safety {safety / 1e6:.2f} ms, "
+      f"liveness {liveness / 1e6:.2f} ms per corpus ({liveness / safety:.2f}x safety)")
 PY
 # The pdr oracle re-runs isolated so a PDR regression is named as such:
 # corpus replay plus a fixed-seed differential sweep against the

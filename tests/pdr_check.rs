@@ -9,14 +9,23 @@
 //! * the k-liveness sweep must agree with an independent direct lasso
 //!   search on every small random structure, including the negative
 //!   control of a reachable bad cycle;
+//! * each sweep query must ask the whole saturated layer's question:
+//!   on every product, the saturated copies of the bad states and the
+//!   whole layer agree on Safe/Unsafe, every normalized or lifted
+//!   invariant replays against the whole layer, and Live stops at the
+//!   first `k` whose layer is unreachable;
 //! * concurrent `check` clients over one shared service must see
 //!   transcripts byte-identical to solo runs, and the daemon's
 //!   `check` counters must equal the exact sum of the per-request
 //!   engine contributions.
 
 use safety_liveness::service::{serve, Json, Service, ServiceConfig};
+use sl_lattice::Bitset;
 use sl_omega::{Alphabet, Symbol};
-use sl_pdr::{bmc_lasso, check_liveness, check_safety, validate_lasso, LivenessVerdict};
+use sl_pdr::{
+    bmc_lasso, check_liveness, check_safety, validate_lasso, validate_live_invariant,
+    validate_safety_invariant, LivenessVerdict, SafetyVerdict,
+};
 use sl_support::{Budget, FaultPlan, SplitMix};
 use sl_trees::{counter_product, Kripke};
 use std::io::Cursor;
@@ -138,6 +147,75 @@ fn k_liveness_agrees_with_direct_lasso_search_on_small_structures() {
     }
     // The 25% bad rate makes both verdicts common; a one-sided sample
     // would mean the generator (not the checker) regressed.
+    assert!(
+        live > 20 && lassos > 20,
+        "one-sided sample: {live} live, {lassos} lassos"
+    );
+}
+
+#[test]
+fn narrowed_queries_ask_the_saturated_layers_question() {
+    let mut rng = SplitMix::new(0x6e_6172);
+    let unlimited = Budget::unlimited();
+    let (mut live, mut lassos) = (0, 0);
+    for _ in 0..240 {
+        let n = 1 + rng.below(10);
+        let (succ, bad) = random_structure(&mut rng, n);
+        let kripke = build(succ, rng.below(n), &bad);
+        // The first k whose whole saturated layer is unreachable.
+        let mut first_safe = None;
+        for k in 0..=bad.len() {
+            let cap = k + 1;
+            let product = counter_product(&kripke, &bad, cap);
+            let narrowed: Vec<usize> = bad.iter().map(|&b| product.state_id(b, cap)).collect();
+            let layer = check_safety(&product.kripke, &product.bad, &unlimited).unwrap();
+            let narrow = check_safety(&product.kripke, &narrowed, &unlimited).unwrap();
+            let layer_safe = matches!(layer.verdict, SafetyVerdict::Safe { .. });
+            assert_eq!(
+                matches!(narrow.verdict, SafetyVerdict::Safe { .. }),
+                layer_safe,
+                "narrowed and saturated-layer queries disagree at k = {k} on {kripke:?} bad {bad:?}"
+            );
+            if let SafetyVerdict::Safe { mut invariant } = narrow.verdict {
+                for s in 0..n {
+                    invariant.remove(product.state_id(s, cap));
+                }
+                validate_safety_invariant(&product.kripke, &product.bad, &invariant)
+                    .expect("the normalized invariant replays against the saturated layer");
+            }
+            if k == 0 {
+                let model = check_safety(&kripke, &bad, &unlimited).unwrap();
+                assert_eq!(
+                    matches!(model.verdict, SafetyVerdict::Safe { .. }),
+                    layer_safe,
+                    "k = 0 is the model's own safety question"
+                );
+                if let SafetyVerdict::Safe { invariant } = model.verdict {
+                    // I × {0}: (s, 0) has id 2s when cap = 1.
+                    let ids: Vec<usize> = invariant.iter().map(|s| 2 * s).collect();
+                    let lifted = Bitset::from_indices(2 * n, &ids);
+                    validate_safety_invariant(&product.kripke, &product.bad, &lifted)
+                        .expect("the lifted invariant replays against the saturated layer");
+                }
+            }
+            if layer_safe && first_safe.is_none() {
+                first_safe = Some(k);
+            }
+        }
+        let run = check_liveness(&kripke, &bad, &unlimited).expect("unbudgeted");
+        match run.verdict {
+            LivenessVerdict::Live { k, invariant } => {
+                live += 1;
+                assert_eq!(Some(k), first_safe, "Live stops at the saturated layer's k");
+                let product = counter_product(&kripke, &bad, k + 1);
+                validate_safety_invariant(&product.kripke, &product.bad, &invariant)
+                    .expect("the Live certificate replays on the product");
+                validate_live_invariant(&kripke, &bad, k, &invariant)
+                    .expect("the Live certificate replays without the product");
+            }
+            LivenessVerdict::Lasso { .. } => lassos += 1,
+        }
+    }
     assert!(
         live > 20 && lassos > 20,
         "one-sided sample: {live} live, {lassos} lassos"
