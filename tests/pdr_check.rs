@@ -356,3 +356,398 @@ fn check_counters_sum_exactly_across_concurrent_clients() {
     assert_eq!(cached("entries"), 2 * N as u64, "{stats}");
     assert_eq!(cached("collisions"), 0, "{stats}");
 }
+
+/// One `check` line's outcome: `Ok(result)` rendered, or the error's
+/// `(kind, message)`.
+fn check_outcome(service: &Service, line: &str) -> Result<String, (String, String)> {
+    let reply = service.handle_line(line).line;
+    let doc = safety_liveness::service::json::parse(&reply).expect("replies are json");
+    if doc.get("ok") == Some(&Json::Bool(true)) {
+        return Ok(doc.get("result").expect("ok carries a result").render());
+    }
+    let error = doc.get("error").expect("failure carries an error");
+    let field = |key: &str| error.get(key).and_then(Json::as_str).unwrap().to_string();
+    Err((field("kind"), field("message")))
+}
+
+/// `n` self-looping rows, `[[0],[1],…]`, as JSON text.
+fn loop_rows(n: usize) -> String {
+    let rows: Vec<String> = (0..n).map(|s| format!("[{s}]")).collect();
+    format!("[{}]", rows.join(","))
+}
+
+#[test]
+fn every_check_rejection_is_pinned_with_its_kind_and_message() {
+    let big_bad: Vec<String> = (0..255).map(|b| b.to_string()).collect();
+    let too_many = format!(
+        r#"{{"verb":"check","mode":"safety","model":{{"succ":{},"initial":0}},"bad":[]}}"#,
+        loop_rows(4097)
+    );
+    let product_cap = format!(
+        r#"{{"verb":"check","mode":"liveness","model":{{"succ":{},"initial":0}},"bad":[{}]}}"#,
+        loop_rows(4096),
+        big_bad.join(",")
+    );
+    // Too many states wins over a bad row further on.
+    let too_many_with_bad_row = too_many.replacen("[1]", "[]", 1);
+    let out_of_range = |index: usize, n: usize| {
+        (
+            "invalid_input",
+            format!("state index {index} is out of range for a {n}-state model"),
+        )
+    };
+    let not_an_index = (
+        "parse",
+        "state indices must be nonnegative integers".to_string(),
+    );
+    let cases: Vec<(&str, String, (&str, String))> = vec![
+        (
+            "mode missing",
+            r#"{"verb":"check","model":{"succ":[[0]],"initial":0}}"#.into(),
+            ("parse", "request needs a string `mode`".into()),
+        ),
+        (
+            "mode not a string",
+            r#"{"verb":"check","mode":1,"model":{"succ":[[0]],"initial":0}}"#.into(),
+            ("parse", "request needs a string `mode`".into()),
+        ),
+        (
+            "mode unknown",
+            r#"{"verb":"check","mode":"eventually","model":{"succ":[[0]],"initial":0}}"#.into(),
+            (
+                "invalid_input",
+                "check mode must be `safety` or `liveness`, not `eventually`".into(),
+            ),
+        ),
+        (
+            "mode beats a missing model",
+            r#"{"verb":"check","mode":"eventually"}"#.into(),
+            (
+                "invalid_input",
+                "check mode must be `safety` or `liveness`, not `eventually`".into(),
+            ),
+        ),
+        (
+            "model missing",
+            r#"{"verb":"check","mode":"safety","bad":[]}"#.into(),
+            (
+                "parse",
+                "check needs a `model` object with `succ` and `initial`".into(),
+            ),
+        ),
+        (
+            "model not an object",
+            r#"{"verb":"check","mode":"safety","model":[[0]]}"#.into(),
+            (
+                "parse",
+                "check needs a `model` object with `succ` and `initial`".into(),
+            ),
+        ),
+        (
+            "succ missing",
+            r#"{"verb":"check","mode":"safety","model":{"initial":0}}"#.into(),
+            (
+                "parse",
+                "model needs a `succ` array of arrays of state indices".into(),
+            ),
+        ),
+        (
+            "succ not an array",
+            r#"{"verb":"check","mode":"safety","model":{"succ":{"0":[0]},"initial":0}}"#.into(),
+            (
+                "parse",
+                "model needs a `succ` array of arrays of state indices".into(),
+            ),
+        ),
+        (
+            "succ empty",
+            r#"{"verb":"check","mode":"safety","model":{"succ":[],"initial":0}}"#.into(),
+            ("invalid_input", "model must have at least one state".into()),
+        ),
+        (
+            "more than 4096 states",
+            too_many,
+            (
+                "invalid_input",
+                "model has 4097 states; check accepts at most 4096".into(),
+            ),
+        ),
+        (
+            "the state cap beats a bad row",
+            too_many_with_bad_row,
+            (
+                "invalid_input",
+                "model has 4097 states; check accepts at most 4096".into(),
+            ),
+        ),
+        (
+            "row not an array",
+            r#"{"verb":"check","mode":"safety","model":{"succ":[[0],1],"initial":0}}"#.into(),
+            ("parse", "succ[1] must be an array of state indices".into()),
+        ),
+        (
+            "row empty",
+            r#"{"verb":"check","mode":"safety","model":{"succ":[[1],[]],"initial":0}}"#.into(),
+            (
+                "invalid_input",
+                "state 1 has no successor; the transition relation must be total".into(),
+            ),
+        ),
+        (
+            "negative index",
+            r#"{"verb":"check","mode":"safety","model":{"succ":[[0,-1]],"initial":0}}"#.into(),
+            not_an_index.clone(),
+        ),
+        (
+            "fractional index",
+            r#"{"verb":"check","mode":"safety","model":{"succ":[[0.5]],"initial":0}}"#.into(),
+            not_an_index.clone(),
+        ),
+        (
+            "integral float index",
+            r#"{"verb":"check","mode":"safety","model":{"succ":[[1e0]],"initial":0}}"#.into(),
+            not_an_index.clone(),
+        ),
+        (
+            "string index",
+            r#"{"verb":"check","mode":"safety","model":{"succ":[["0"]],"initial":0}}"#.into(),
+            not_an_index.clone(),
+        ),
+        (
+            "index out of range",
+            r#"{"verb":"check","mode":"safety","model":{"succ":[[1],[2]],"initial":0}}"#.into(),
+            out_of_range(2, 2),
+        ),
+        (
+            "index past i64",
+            r#"{"verb":"check","mode":"safety","model":{"succ":[[99999999999999999999]],"initial":0}}"#
+                .into(),
+            not_an_index.clone(),
+        ),
+        (
+            "the first bad index in a row wins",
+            r#"{"verb":"check","mode":"safety","model":{"succ":[[0,7,-1]],"initial":0}}"#.into(),
+            out_of_range(7, 1),
+        ),
+        (
+            "row 1 beats row 3",
+            r#"{"verb":"check","mode":"safety","model":{"succ":[[0],[9],[0],[]],"initial":0}}"#
+                .into(),
+            out_of_range(9, 4),
+        ),
+        (
+            "a malformed row 1 beats an empty row 3",
+            r#"{"verb":"check","mode":"safety","model":{"succ":[[0],"x",[0],[]],"initial":0}}"#
+                .into(),
+            ("parse", "succ[1] must be an array of state indices".into()),
+        ),
+        (
+            "an empty row 1 beats a malformed row 3",
+            r#"{"verb":"check","mode":"safety","model":{"succ":[[0],[],[0],"x"],"initial":0}}"#
+                .into(),
+            (
+                "invalid_input",
+                "state 1 has no successor; the transition relation must be total".into(),
+            ),
+        ),
+        (
+            "initial missing",
+            r#"{"verb":"check","mode":"safety","model":{"succ":[[0]]}}"#.into(),
+            ("parse", "model needs an `initial` state index".into()),
+        ),
+        (
+            "initial out of range",
+            r#"{"verb":"check","mode":"safety","model":{"succ":[[1],[0]],"initial":5}}"#.into(),
+            out_of_range(5, 2),
+        ),
+        (
+            "initial not an index",
+            r#"{"verb":"check","mode":"safety","model":{"succ":[[0]],"initial":"0"}}"#.into(),
+            not_an_index.clone(),
+        ),
+        (
+            "rows beat initial",
+            r#"{"verb":"check","mode":"safety","model":{"succ":[[0],[3]],"initial":7},"bad":[9]}"#
+                .into(),
+            out_of_range(3, 2),
+        ),
+        (
+            "rows beat a missing initial",
+            r#"{"verb":"check","mode":"safety","model":{"succ":[[0],[]]},"bad":"x"}"#.into(),
+            (
+                "invalid_input",
+                "state 1 has no successor; the transition relation must be total".into(),
+            ),
+        ),
+        (
+            "bad not an array",
+            r#"{"verb":"check","mode":"safety","model":{"succ":[[0]],"initial":0},"bad":0}"#
+                .into(),
+            ("parse", "`bad` must be an array of state indices".into()),
+        ),
+        (
+            "bad out of range",
+            r#"{"verb":"check","mode":"safety","model":{"succ":[[1],[0]],"initial":0},"bad":[0,7]}"#
+                .into(),
+            out_of_range(7, 2),
+        ),
+        (
+            "bad not an index",
+            r#"{"verb":"check","mode":"safety","model":{"succ":[[0]],"initial":0},"bad":[true]}"#
+                .into(),
+            not_an_index.clone(),
+        ),
+        (
+            "initial beats bad",
+            r#"{"verb":"check","mode":"safety","model":{"succ":[[0],[1]],"initial":7},"bad":[9]}"#
+                .into(),
+            out_of_range(7, 2),
+        ),
+        (
+            "a missing initial beats a malformed bad",
+            r#"{"verb":"check","mode":"safety","model":{"succ":[[0]]},"bad":"x"}"#.into(),
+            ("parse", "model needs an `initial` state index".into()),
+        ),
+        (
+            "the liveness product cap",
+            product_cap.clone(),
+            (
+                "invalid_input",
+                "liveness check would build a counter product of up to 1052672 states \
+                 (limit 1048576); shrink the model or the bad set"
+                    .into(),
+            ),
+        ),
+        (
+            "bad beats the product cap",
+            product_cap.replace("[0,1,2,", "[4096,1,2,"),
+            out_of_range(4096, 4096),
+        ),
+    ];
+    let service = quiet_service(1);
+    for (name, line, (kind, message)) in &cases {
+        assert_eq!(
+            check_outcome(&service, line),
+            Err((kind.to_string(), message.clone())),
+            "{name}"
+        );
+    }
+    // A null `bad` is an empty bad set, and the product cap binds only
+    // liveness: the same oversized bad set is a fine safety question.
+    assert_eq!(
+        check_outcome(
+            &service,
+            r#"{"verb":"check","mode":"safety","model":{"succ":[[0]],"initial":0},"bad":null}"#
+        ),
+        Ok(r#"{"mode":"safety","verdict":"safe","invariant":[0]}"#.to_string())
+    );
+    let safety_cap = product_cap.replace("\"liveness\"", "\"safety\"");
+    assert!(check_outcome(&service, &safety_cap).is_ok());
+}
+
+/// The `check` cache's `(hits, misses)` so far, read from `stats`.
+fn check_cache_counts(service: &Service) -> (u64, u64) {
+    let stats = service.handle_line(r#"{"verb":"stats"}"#).line;
+    let doc = safety_liveness::service::json::parse(&stats).unwrap();
+    let cache = doc
+        .get("result")
+        .and_then(|r| r.get("check"))
+        .and_then(|c| c.get("cache"))
+        .expect("stats carries the check cache");
+    let count = |key: &str| cache.get(key).and_then(Json::as_u64).unwrap();
+    (count("hits"), count("misses"))
+}
+
+#[test]
+fn check_cache_keys_on_the_question_not_its_spelling() {
+    let base = r#"{"id":1,"verb":"check","mode":"safety","model":{"succ":[[1,2],[2],[2]],"initial":0},"bad":[1,2]}"#;
+    let reuses = [
+        (
+            "whitespace",
+            " { \"id\" : 1 , \"verb\" : \"check\" , \"mode\" : \"safety\" , \"model\" : { \"succ\" : [ [ 1 , 2 ] , [ 2 ] , [ 2 ] ] , \"initial\" : 0 } , \"bad\" : [ 1 , 2 ] } ",
+        ),
+        (
+            "key order",
+            r#"{"bad":[1,2],"model":{"initial":0,"succ":[[1,2],[2],[2]]},"mode":"safety","verb":"check","id":1}"#,
+        ),
+        (
+            "id",
+            r#"{"id":"other","verb":"check","mode":"safety","model":{"succ":[[1,2],[2],[2]],"initial":0},"bad":[1,2]}"#,
+        ),
+        (
+            "no id",
+            r#"{"verb":"check","mode":"safety","model":{"succ":[[1,2],[2],[2]],"initial":0},"bad":[1,2]}"#,
+        ),
+        (
+            "bad order",
+            r#"{"id":1,"verb":"check","mode":"safety","model":{"succ":[[1,2],[2],[2]],"initial":0},"bad":[2,1]}"#,
+        ),
+        (
+            "bad duplicates",
+            r#"{"id":1,"verb":"check","mode":"safety","model":{"succ":[[1,2],[2],[2]],"initial":0},"bad":[2,1,2,1]}"#,
+        ),
+        (
+            "a budget",
+            r#"{"id":1,"verb":"check","mode":"safety","model":{"succ":[[1,2],[2],[2]],"initial":0},"bad":[1,2],"budget":{"steps":1}}"#,
+        ),
+    ];
+    let fresh = [
+        (
+            "swapped targets",
+            r#"{"id":1,"verb":"check","mode":"safety","model":{"succ":[[2,1],[2],[2]],"initial":0},"bad":[1,2]}"#,
+        ),
+        (
+            "a duplicated target",
+            r#"{"id":1,"verb":"check","mode":"safety","model":{"succ":[[1,2,2],[2],[2]],"initial":0},"bad":[1,2]}"#,
+        ),
+        (
+            "another mode",
+            r#"{"id":1,"verb":"check","mode":"liveness","model":{"succ":[[1,2],[2],[2]],"initial":0},"bad":[1,2]}"#,
+        ),
+        (
+            "another initial",
+            r#"{"id":1,"verb":"check","mode":"safety","model":{"succ":[[1,2],[2],[2]],"initial":1},"bad":[1,2]}"#,
+        ),
+        (
+            "another bad set",
+            r#"{"id":1,"verb":"check","mode":"safety","model":{"succ":[[1,2],[2],[2]],"initial":0},"bad":[2]}"#,
+        ),
+        (
+            "a row moved",
+            r#"{"id":1,"verb":"check","mode":"safety","model":{"succ":[[1],[2,2],[2]],"initial":0},"bad":[1,2]}"#,
+        ),
+    ];
+    let service = quiet_service(1);
+    let answer = check_outcome(&service, base).expect("the base question is well formed");
+    assert_eq!(check_cache_counts(&service), (0, 1));
+    let mut misses = 1;
+    for (i, (name, line)) in reuses.iter().enumerate() {
+        assert_eq!(
+            check_outcome(&service, line).as_ref(),
+            Ok(&answer),
+            "{name}"
+        );
+        assert_eq!(
+            check_cache_counts(&service),
+            (i as u64 + 1, misses),
+            "{name} must reuse the cached entry"
+        );
+    }
+    let mut hits = reuses.len() as u64;
+    for (name, line) in fresh {
+        assert!(check_outcome(&service, line).is_ok(), "{name}");
+        misses += 1;
+        assert_eq!(
+            check_cache_counts(&service),
+            (hits, misses),
+            "{name} must not reuse a cached entry"
+        );
+        assert!(check_outcome(&service, line).is_ok(), "{name}");
+        hits += 1;
+        assert_eq!(
+            check_cache_counts(&service),
+            (hits, misses),
+            "{name} repeated is a hit"
+        );
+    }
+}
