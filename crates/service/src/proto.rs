@@ -338,11 +338,14 @@ pub fn read_frame<R: BufRead>(reader: &mut R, max_line: usize) -> std::io::Resul
     }
 }
 
+/// The line as text: valid UTF-8 is taken as it is, without a copy;
+/// invalid bytes decode to U+FFFD.
 fn finish_line(mut bytes: Vec<u8>) -> String {
     if bytes.last() == Some(&b'\r') {
         bytes.pop();
     }
-    String::from_utf8_lossy(&bytes).into_owned()
+    String::from_utf8(bytes)
+        .unwrap_or_else(|invalid| String::from_utf8_lossy(invalid.as_bytes()).into_owned())
 }
 
 #[cfg(test)]
@@ -406,6 +409,24 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(matches!(read_frame(&mut reader, 16).unwrap(), Frame::Eof));
+    }
+
+    #[test]
+    fn framing_decodes_invalid_utf8_to_replacement_characters() {
+        let mut reader = Cursor::new(b"ok \xc3\xa9\nbad \xff\xc3(\r\nlast \xe2\x82".to_vec());
+        match read_frame(&mut reader, 64).unwrap() {
+            Frame::Line(l) => assert_eq!(l, "ok \u{e9}"),
+            other => panic!("{other:?}"),
+        }
+        match read_frame(&mut reader, 64).unwrap() {
+            Frame::Line(l) => assert_eq!(l, "bad \u{fffd}\u{fffd}("),
+            other => panic!("{other:?}"),
+        }
+        match read_frame(&mut reader, 64).unwrap() {
+            Frame::Line(l) => assert_eq!(l, "last \u{fffd}"),
+            other => panic!("{other:?}"),
+        }
+        assert!(matches!(read_frame(&mut reader, 64).unwrap(), Frame::Eof));
     }
 
     #[test]
