@@ -271,11 +271,13 @@ fn is_journaled(verb: Verb) -> bool {
 /// (atomics, summed over every computed check) plus its own memo
 /// table. `check` operands are inline Kripke structures, not
 /// registered automata, so the query cache's `Arc<Buchi>`-shaped
-/// entries cannot hold them; this cache is keyed by a 64-bit hash of
-/// the request's canonical text, in one stripe of `cache_cap` entries.
+/// entries cannot hold them; this cache is keyed by the decoded
+/// question itself ([`CheckKey`], hashed once and compared
+/// structurally) and holds each answer as compact state lists, in one
+/// stripe of `cache_cap` entries.
 #[derive(Debug)]
 struct CheckState {
-    cache: StripedCache<String, Json>,
+    cache: StripedCache<CheckKey, Arc<CheckAnswer>>,
     /// Frames opened across all computed checks.
     frames: AtomicU64,
     /// Proof obligations discharged.
@@ -596,10 +598,11 @@ impl Service {
         self.shared.cache.stats()
     }
 
-    /// Empties the result cache and zeroes its counters (bench
-    /// cold/warm isolation).
+    /// Empties the result caches (queries and `check`) and zeroes
+    /// their counters (bench cold/warm isolation).
     pub fn reset_cache(&self) {
         self.shared.cache.reset();
+        self.shared.check.cache.reset();
     }
 
     // ---- the request path ------------------------------------------
@@ -1169,67 +1172,52 @@ impl Service {
     /// `check`: decide `AG !bad` (mode `safety`) or `FG !bad` over all
     /// paths (mode `liveness`, via the k-liveness reduction) on a
     /// Kripke structure carried inline by the request. A pure query:
-    /// not journaled, cached by a structural hash of the canonicalized
-    /// model, panic-isolated like every other verb.
+    /// not journaled, cached by the decoded question, panic-isolated
+    /// like every other verb. The Kripke structure is built only when
+    /// the cache misses.
     fn do_check(&self, request: &Request) -> Result<Json, ProtoError> {
-        let liveness = match require_str(&request.body, "mode")? {
-            "safety" => false,
-            "liveness" => true,
-            other => {
-                return Err(ProtoError::new(
-                    "invalid_input",
-                    format!("check mode must be `safety` or `liveness`, not `{other}`"),
-                ))
-            }
-        };
-        let (kripke, bad, canon) = parse_check_model(&request.body, liveness)?;
+        let key = parse_check_model(&request.body)?;
         let hash = {
             let mut hasher = std::collections::hash_map::DefaultHasher::new();
-            canon.hash(&mut hasher);
+            key.hash(&mut hasher);
             hasher.finish()
         };
         let cache = &self.shared.check.cache;
-        cache.get_or_try_insert_with(hash, hash, &canon, || {
+        let answer = cache.get_or_try_insert_with(hash, hash, &key, || {
             let budget = request
                 .budget
                 .map_or_else(Budget::unlimited, BudgetSpec::to_budget);
-            let result = if liveness {
+            let (kripke, bad) = key.kripke();
+            let answer = if key.liveness {
                 let run = check_liveness(&kripke, &bad, &budget)
                     .map_err(|e| ProtoError::new(kind_of(&e), e.to_string()))?;
                 self.absorb_check(&run.stats, run.k_reached);
                 match run.verdict {
-                    LivenessVerdict::Live { k, invariant } => Json::obj(vec![
-                        ("mode", Json::Str("liveness".to_string())),
-                        ("verdict", Json::Str("live".to_string())),
-                        ("k", Json::Int(k as i64)),
-                        ("invariant", states_json(invariant.iter())),
-                    ]),
-                    LivenessVerdict::Lasso { stem, looping } => Json::obj(vec![
-                        ("mode", Json::Str("liveness".to_string())),
-                        ("verdict", Json::Str("lasso".to_string())),
-                        ("stem", states_json(stem.into_iter())),
-                        ("loop", states_json(looping.into_iter())),
-                    ]),
+                    LivenessVerdict::Live { k, invariant } => CheckAnswer::Live {
+                        k: k as u64,
+                        invariant: compact(invariant.iter()),
+                    },
+                    LivenessVerdict::Lasso { stem, looping } => CheckAnswer::Lasso {
+                        stem: compact(stem),
+                        looping: compact(looping),
+                    },
                 }
             } else {
                 let run = check_safety(&kripke, &bad, &budget)
                     .map_err(|e| ProtoError::new(kind_of(&e), e.to_string()))?;
                 self.absorb_check(&run.stats, 0);
                 match run.verdict {
-                    SafetyVerdict::Safe { invariant } => Json::obj(vec![
-                        ("mode", Json::Str("safety".to_string())),
-                        ("verdict", Json::Str("safe".to_string())),
-                        ("invariant", states_json(invariant.iter())),
-                    ]),
-                    SafetyVerdict::Unsafe { trace } => Json::obj(vec![
-                        ("mode", Json::Str("safety".to_string())),
-                        ("verdict", Json::Str("unsafe".to_string())),
-                        ("trace", states_json(trace.into_iter())),
-                    ]),
+                    SafetyVerdict::Safe { invariant } => CheckAnswer::Safe {
+                        invariant: compact(invariant.iter()),
+                    },
+                    SafetyVerdict::Unsafe { trace } => CheckAnswer::Unsafe {
+                        trace: compact(trace),
+                    },
                 }
             };
-            Ok(result)
-        })
+            Ok(Arc::new(answer))
+        })?;
+        Ok(answer.to_json())
     }
 
     /// Folds one computed check's engine counters into the daemon
@@ -1664,16 +1652,114 @@ const CHECK_MAX_STATES: usize = 4096;
 /// may construct.
 const CHECK_MAX_PRODUCT: usize = 1 << 20;
 
-/// Parses and validates the `check` operands into a Kripke structure
-/// (labels derived from badness: bad states read `b`, others `a`), the
-/// sorted deduplicated bad set, and the canonical text the result
-/// cache keys on. Every malformed shape is a typed rejection — the
-/// request crosses a trust boundary, and `Kripke::new` panics on the
-/// invariants it checks.
-fn parse_check_model(
-    body: &Json,
+/// A decoded `check` question, and the check cache's key: the mode,
+/// the initial state, the sorted deduplicated bad set, and the rows
+/// exactly as sent (target order and duplicates included) as
+/// compressed sparse rows, so state `s`'s successors are
+/// `targets[offsets[s]..offsets[s + 1]]`. Whitespace, key order, `id`
+/// and `budget` do not reach it, so two requests share a cache entry
+/// exactly when they ask the same question.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct CheckKey {
     liveness: bool,
-) -> Result<(Kripke, Vec<usize>, String), ProtoError> {
+    initial: u32,
+    bad: Vec<u32>,
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+impl CheckKey {
+    /// The Kripke structure this question asks about (labels derived
+    /// from badness: bad states read `b`, others `a`) and its bad set.
+    fn kripke(&self) -> (Kripke, Vec<usize>) {
+        let sigma = Alphabet::ab();
+        let a = sigma.symbol("a").expect("ab alphabet");
+        let b = sigma.symbol("b").expect("ab alphabet");
+        let widen = |xs: &[u32]| xs.iter().map(|&x| x as usize).collect::<Vec<usize>>();
+        let bad = widen(&self.bad);
+        let mut labels = vec![a; self.offsets.len() - 1];
+        for &s in &bad {
+            labels[s] = b;
+        }
+        let kripke = Kripke::from_rows(
+            sigma,
+            labels,
+            widen(&self.offsets),
+            widen(&self.targets),
+            self.initial as usize,
+        );
+        (kripke, bad)
+    }
+}
+
+/// A computed `check` answer as the cache keeps it: the verdict and
+/// its certificate as state lists. [`CheckAnswer::to_json`] builds the
+/// response from it for each reply.
+#[derive(Debug)]
+enum CheckAnswer {
+    Safe {
+        invariant: Box<[u32]>,
+    },
+    Unsafe {
+        trace: Box<[u32]>,
+    },
+    Live {
+        k: u64,
+        invariant: Box<[u32]>,
+    },
+    Lasso {
+        stem: Box<[u32]>,
+        looping: Box<[u32]>,
+    },
+}
+
+impl CheckAnswer {
+    fn to_json(&self) -> Json {
+        let text = |s: &str| Json::Str(s.to_string());
+        match self {
+            CheckAnswer::Safe { invariant } => Json::obj(vec![
+                ("mode", text("safety")),
+                ("verdict", text("safe")),
+                ("invariant", states_json(invariant)),
+            ]),
+            CheckAnswer::Unsafe { trace } => Json::obj(vec![
+                ("mode", text("safety")),
+                ("verdict", text("unsafe")),
+                ("trace", states_json(trace)),
+            ]),
+            CheckAnswer::Live { k, invariant } => Json::obj(vec![
+                ("mode", text("liveness")),
+                ("verdict", text("live")),
+                ("k", Json::Int(*k as i64)),
+                ("invariant", states_json(invariant)),
+            ]),
+            CheckAnswer::Lasso { stem, looping } => Json::obj(vec![
+                ("mode", text("liveness")),
+                ("verdict", text("lasso")),
+                ("stem", states_json(stem)),
+                ("loop", states_json(looping)),
+            ]),
+        }
+    }
+}
+
+/// Decodes and validates the `check` operands in one pass over the
+/// request. Every malformed shape is a typed rejection — the request
+/// crosses a trust boundary, and `Kripke::from_rows` panics on the
+/// invariants it checks. The checks run in a fixed order (mode, model,
+/// rows in order, initial, bad, product size), so the first problem
+/// is the one reported.
+fn parse_check_model(body: &Json) -> Result<CheckKey, ProtoError> {
+    let liveness = match require_str(body, "mode")? {
+        "safety" => false,
+        "liveness" => true,
+        other => {
+            return Err(ProtoError::new(
+                "invalid_input",
+                format!("check mode must be `safety` or `liveness`, not `{other}`"),
+            ))
+        }
+    };
     let model = match body.get("model") {
         Some(model @ Json::Obj(_)) => model,
         _ => {
@@ -1683,13 +1769,13 @@ fn parse_check_model(
             ))
         }
     };
-    let succ_json = model.get("succ").and_then(Json::as_arr).ok_or_else(|| {
+    let rows = model.get("succ").and_then(Json::as_arr).ok_or_else(|| {
         ProtoError::new(
             "parse",
             "model needs a `succ` array of arrays of state indices",
         )
     })?;
-    let n = succ_json.len();
+    let n = rows.len();
     if n == 0 {
         return Err(ProtoError::new(
             "invalid_input",
@@ -1702,25 +1788,31 @@ fn parse_check_model(
             format!("model has {n} states; check accepts at most {CHECK_MAX_STATES}"),
         ));
     }
-    let mut succ: Vec<Vec<usize>> = Vec::with_capacity(n);
-    for (s, outs) in succ_json.iter().enumerate() {
-        let outs = outs.as_arr().ok_or_else(|| {
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0u32);
+    let mut targets = Vec::with_capacity(
+        rows.iter()
+            .map(|row| row.as_arr().map_or(0, <[Json]>::len))
+            .sum(),
+    );
+    for (s, row) in rows.iter().enumerate() {
+        let row = row.as_arr().ok_or_else(|| {
             ProtoError::new(
                 "parse",
                 format!("succ[{s}] must be an array of state indices"),
             )
         })?;
-        if outs.is_empty() {
+        if row.is_empty() {
             return Err(ProtoError::new(
                 "invalid_input",
                 format!("state {s} has no successor; the transition relation must be total"),
             ));
         }
-        let row: Vec<usize> = outs
-            .iter()
-            .map(|t| state_index(t, n))
-            .collect::<Result<_, _>>()?;
-        succ.push(row);
+        for t in row {
+            targets.push(state_index(t, n)?);
+        }
+        // A request line holds far fewer than 2^32 numbers.
+        offsets.push(u32::try_from(targets.len()).expect("row offsets fit in u32"));
     }
     let initial = match model.get("initial") {
         Some(v) => state_index(v, n)?,
@@ -1731,7 +1823,7 @@ fn parse_check_model(
             ))
         }
     };
-    let mut bad: Vec<usize> = match body.get("bad") {
+    let mut bad: Vec<u32> = match body.get("bad") {
         None | Some(Json::Null) => Vec::new(),
         Some(v) => v
             .as_arr()
@@ -1752,34 +1844,18 @@ fn parse_check_model(
             ),
         ));
     }
-    let canon = Json::obj(vec![
-        (
-            "mode",
-            Json::Str(if liveness { "liveness" } else { "safety" }.to_string()),
-        ),
-        ("initial", Json::Int(initial as i64)),
-        ("bad", states_json(bad.iter().copied())),
-        (
-            "succ",
-            Json::Arr(
-                succ.iter()
-                    .map(|row| states_json(row.iter().copied()))
-                    .collect(),
-            ),
-        ),
-    ])
-    .render();
-    let sigma = Alphabet::ab();
-    let a = sigma.symbol("a").expect("ab alphabet");
-    let b = sigma.symbol("b").expect("ab alphabet");
-    let labels = (0..n)
-        .map(|s| if bad.binary_search(&s).is_ok() { b } else { a })
-        .collect();
-    Ok((Kripke::new(sigma, labels, succ, initial), bad, canon))
+    Ok(CheckKey {
+        liveness,
+        initial,
+        bad,
+        offsets,
+        targets,
+    })
 }
 
-/// One state index operand: a nonnegative integer below `n`.
-fn state_index(v: &Json, n: usize) -> Result<usize, ProtoError> {
+/// One state index operand: a nonnegative integer below `n` (at most
+/// [`CHECK_MAX_STATES`], so it fits in `u32`).
+fn state_index(v: &Json, n: usize) -> Result<u32, ProtoError> {
     let index = v
         .as_u64()
         .and_then(|i| usize::try_from(i).ok())
@@ -1790,12 +1866,21 @@ fn state_index(v: &Json, n: usize) -> Result<usize, ProtoError> {
             format!("state index {index} is out of range for a {n}-state model"),
         ));
     }
-    Ok(index)
+    Ok(index as u32)
+}
+
+/// A state sequence as the check cache keeps it, with no spare
+/// capacity.
+fn compact<I: IntoIterator<Item = usize>>(states: I) -> Box<[u32]> {
+    states
+        .into_iter()
+        .map(|s| u32::try_from(s).expect("check state ids are below CHECK_MAX_PRODUCT"))
+        .collect()
 }
 
 /// Renders a state-index sequence as a JSON array.
-fn states_json<I: IntoIterator<Item = usize>>(states: I) -> Json {
-    Json::Arr(states.into_iter().map(|s| Json::Int(s as i64)).collect())
+fn states_json(states: &[u32]) -> Json {
+    Json::Arr(states.iter().map(|&s| Json::Int(i64::from(s))).collect())
 }
 
 // ---- small helpers ------------------------------------------------

@@ -72,25 +72,23 @@ pub fn counter_product(kripke: &Kripke, bad: &[usize], cap: usize) -> CounterPro
     }
     let width = cap + 1;
     let mut labels = Vec::with_capacity(n * width);
-    let mut succ = Vec::with_capacity(n * width);
+    let mut offsets = Vec::with_capacity(n * width + 1);
+    offsets.push(0);
+    let edges: usize = (0..n).map(|s| kripke.successors(s).len()).sum();
+    let mut targets = Vec::with_capacity(edges * width);
     for s in 0..n {
         for c in 0..width {
             labels.push(kripke.label(s));
-            succ.push(
-                kripke
-                    .successors(s)
-                    .iter()
-                    .map(|&t| {
-                        let bump = usize::from(is_bad[t]);
-                        t * width + (c + bump).min(cap)
-                    })
-                    .collect::<Vec<usize>>(),
-            );
+            targets.extend(kripke.successors(s).iter().map(|&t| {
+                let bump = usize::from(is_bad[t]);
+                t * width + (c + bump).min(cap)
+            }));
+            offsets.push(targets.len());
         }
     }
     let initial_counter = usize::from(is_bad[kripke.initial()]).min(cap);
     let initial = kripke.initial() * width + initial_counter;
-    let product = Kripke::new(kripke.alphabet().clone(), labels, succ, initial);
+    let product = Kripke::from_rows(kripke.alphabet().clone(), labels, offsets, targets, initial);
     let saturated = (0..n).map(|s| s * width + cap).collect();
     CounterProduct {
         kripke: product,
