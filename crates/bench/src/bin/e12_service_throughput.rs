@@ -15,7 +15,15 @@
 //! * `svc/include/warm` — the same script against a primed cache
 //!   (every query a hit);
 //! * `svc/batch/fanout` — the script as one `batch` request through
-//!   the panic-isolated parallel sweep, cache cold.
+//!   the panic-isolated parallel sweep, cache cold;
+//! * `svc/check/cold` and `svc/check/warm` — eight `check` requests on
+//!   256-state models shaped like the benchmark's `solve-cold` traffic,
+//!   with the caches reset every iteration, then against a primed
+//!   check cache (every request a hit: decode, probe, reply);
+//! * `svc/json/string64k` and `svc/json/string256k` — parsing one
+//!   request line that holds a single 64 KiB or 256 KiB string.
+//!   `scripts/verify.sh` gates their ratio: a linear scan reads about
+//!   4x, a scan that revisits the rest of the line about 16x.
 //!
 //! Correctness gates come first: every scripted response must be `ok`,
 //! and the warm responses must be byte-identical to the cold ones — the
@@ -28,7 +36,7 @@ use sl_buchi::{hoa::to_hoa, random_buchi, RandomConfig};
 use sl_omega::Alphabet;
 use sl_service::{serve_tcp, Service, ServiceConfig};
 use sl_support::bench::{black_box, Bench};
-use sl_support::FaultPlan;
+use sl_support::{FaultPlan, SplitMix};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::ExitCode;
@@ -97,6 +105,86 @@ fn query_script() -> Vec<String> {
         ));
     }
     lines
+}
+
+/// A total `n`-state model and its bad set, shaped like the `check`
+/// models of the benchmark's `solve-cold` workload: a forward-only
+/// stem, a random core every stem state leads into, and a detached
+/// tail the core rarely reaches; one or two successors per state and
+/// one to three bad states in one of the three regions (bad core
+/// states loop on themselves).
+fn check_model(seed: u64, n: usize) -> (Vec<Vec<usize>>, Vec<usize>) {
+    let mut rng = SplitMix::new(seed);
+    let stem = n / 8;
+    let core_end = n - n / 4;
+    let core = core_end - stem;
+    let mut succ: Vec<Vec<usize>> = (0..n)
+        .map(|s| {
+            let mut row: Vec<usize> = (0..1 + rng.below(2))
+                .map(|_| {
+                    if s + 1 < stem && rng.flip() {
+                        s + 1 + rng.below(stem - s - 1)
+                    } else if s >= core_end && rng.chance(80) {
+                        core_end + rng.below(n - core_end)
+                    } else {
+                        stem + rng.below(core)
+                    }
+                })
+                .collect();
+            row.sort_unstable();
+            row.dedup();
+            row
+        })
+        .collect();
+    let region = rng.below(3);
+    let mut bad: Vec<usize> = (0..1 + rng.below(3))
+        .map(|_| match region {
+            0 => core_end + rng.below(n - core_end),
+            1 => 1 + rng.below(stem - 1),
+            _ => stem + rng.below(core),
+        })
+        .collect();
+    bad.sort_unstable();
+    bad.dedup();
+    if region == 2 {
+        for &b in &bad {
+            if let Err(at) = succ[b].binary_search(&b) {
+                succ[b].insert(at, b);
+            }
+        }
+    }
+    (succ, bad)
+}
+
+/// Eight 256-state `check` requests, alternating safety and liveness.
+fn check_script() -> Vec<String> {
+    (0..8u64)
+        .map(|i| {
+            let (succ, bad) = check_model(0xc4ec_0000 + i, 256);
+            let rows: Vec<String> = succ
+                .iter()
+                .map(|row| {
+                    let cells: Vec<String> = row.iter().map(usize::to_string).collect();
+                    format!("[{}]", cells.join(","))
+                })
+                .collect();
+            let bad: Vec<String> = bad.iter().map(usize::to_string).collect();
+            let mode = if i % 2 == 0 { "safety" } else { "liveness" };
+            format!(
+                r#"{{"id":"k{i}","verb":"check","mode":"{mode}","model":{{"succ":[{}],"initial":0}},"bad":[{}]}}"#,
+                rows.join(","),
+                bad.join(",")
+            )
+        })
+        .collect()
+}
+
+/// A request line holding one string of `bytes` bytes: mostly ASCII,
+/// with a two-byte character and an escape in every 64 bytes.
+fn string_line(bytes: usize) -> String {
+    let chunk = format!("{}\u{e9}\\n", "x".repeat(60));
+    let body = chunk.repeat(bytes / chunk.len());
+    format!(r#"{{"id":"s","verb":"define","name":"s","hoa":"{body}"}}"#)
 }
 
 /// Heavy corpus for the multi-client saturation series: six 26-state
@@ -271,6 +359,50 @@ fn main() -> ExitCode {
         black_box(svc.handle_line(&batch).quit);
     });
 
+    // `check`: decode, probe, compute on a miss, reply. The cold pass
+    // computes every model; the warm pass answers each from the check
+    // cache and must reply byte for byte the same.
+    let checks = check_script();
+    svc.reset_cache();
+    let check_cold_replies = run_script(&mut svc, &checks);
+    let check_warm_replies = run_script(&mut svc, &checks);
+    board.claim(
+        "every check response is ok",
+        check_cold_replies.iter().all(|r| r.contains("\"ok\":true")),
+    );
+    board.claim(
+        "check cache is transparent: warm responses byte-identical to cold",
+        check_warm_replies == check_cold_replies,
+    );
+    let check_cold = bench.measure("svc/check/cold", || {
+        svc.reset_cache();
+        for line in &checks {
+            black_box(svc.handle_line(line).quit);
+        }
+    });
+    svc.reset_cache();
+    run_script(&mut svc, &checks);
+    let check_warm = bench.measure("svc/check/warm", || {
+        for line in &checks {
+            black_box(svc.handle_line(line).quit);
+        }
+    });
+
+    // The parser on one long string, at two sizes four times apart.
+    let string64k = string_line(64 << 10);
+    let string256k = string_line(256 << 10);
+    let parses = |line: &str| sl_service::json::parse(line).is_ok();
+    board.claim(
+        "long string lines parse",
+        parses(&string64k) && parses(&string256k),
+    );
+    let s64 = bench.measure("svc/json/string64k", || {
+        black_box(parses(black_box(&string64k)));
+    });
+    let s256 = bench.measure("svc/json/string256k", || {
+        black_box(parses(black_box(&string256k)));
+    });
+
     // Multi-client saturation over real TCP: one shared daemon, 1→8
     // concurrent connections playing identical mixed cold/warm
     // workloads. On a single core the scaling comes from the shared
@@ -329,7 +461,21 @@ fn main() -> ExitCode {
         "  batch/fanout : {:>10.0} requests/sec",
         rps(queries.len(), fanout)
     );
+    println!(
+        "  check/cold   : {:>10.0} requests/sec",
+        rps(checks.len(), check_cold)
+    );
+    println!(
+        "  check/warm   : {:>10.0} requests/sec",
+        rps(checks.len(), check_warm)
+    );
     println!("cache-hit speedup, warm over cold: {speedup:.1}x");
+    println!(
+        "one-string parse: 64 KiB {:.1} us, 256 KiB {:.1} us ({:.1}x for 4x the bytes)",
+        s64.as_nanos() as f64 / 1e3,
+        s256.as_nanos() as f64 / 1e3,
+        s256.as_nanos() as f64 / s64.as_nanos().max(1) as f64
+    );
     board.claim("cache hits beat recomputation (>1x median)", speedup > 1.0);
 
     // The scaling series: aggregate requests/sec for n clients is
