@@ -1790,11 +1790,7 @@ fn parse_check_model(body: &Json) -> Result<CheckKey, ProtoError> {
     }
     let mut offsets = Vec::with_capacity(n + 1);
     offsets.push(0u32);
-    let mut targets = Vec::with_capacity(
-        rows.iter()
-            .map(|row| row.as_arr().map_or(0, <[Json]>::len))
-            .sum(),
-    );
+    let mut targets = Vec::new();
     for (s, row) in rows.iter().enumerate() {
         let row = row.as_arr().ok_or_else(|| {
             ProtoError::new(
@@ -1811,7 +1807,8 @@ fn parse_check_model(body: &Json) -> Result<CheckKey, ProtoError> {
         for t in row {
             targets.push(state_index(t, n)?);
         }
-        // A request line holds far fewer than 2^32 numbers.
+        // The parsed request spends 32 bytes per target, so 2^32 of
+        // them cannot be in memory at once.
         offsets.push(u32::try_from(targets.len()).expect("row offsets fit in u32"));
     }
     let initial = match model.get("initial") {

@@ -157,7 +157,7 @@ fn render_int(n: i64, out: &mut String) {
     if n < 0 {
         out.push('-');
     }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ascii digits"));
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 /// Writes `s` as a JSON string. Every character that needs an escape
@@ -516,10 +516,12 @@ mod tests {
         assert_eq!(doc.render(), "\"a\\u0001b\"");
         assert_eq!(parse(&doc.render()).unwrap(), doc);
     }
-    /// The parser and renderer as they were before strings and numbers
-    /// were scanned in runs: one character at a time, every number
-    /// through `str::parse`, every integer through `fmt`. The tests
-    /// below hold the module to exactly these results and messages.
+
+    /// A character-at-a-time parser and renderer: every string
+    /// character is decoded on its own, every number goes through
+    /// `str::parse` and every integer through `fmt`. The tests below
+    /// hold the module to exactly its values, error messages and
+    /// rendered bytes.
     mod reference {
         use super::{Json, MAX_DEPTH};
         use std::fmt::Write as _;
@@ -999,9 +1001,9 @@ mod tests {
 
     #[test]
     fn a_string_just_under_the_line_cap_parses_in_linear_time() {
-        // One string filling a 1 MiB request line. Scanning a character
-        // at a time and re-validating the rest of the line took tens of
-        // seconds; a linear scan takes milliseconds.
+        // One string filling a 1 MiB request line. A scan that
+        // re-validates the rest of the line for every character takes
+        // tens of seconds on it; a linear scan takes milliseconds.
         let body = "\u{e9}abcdefghijklmn\\n".repeat(((1 << 20) - 16) / 18);
         let line = format!("{{\"s\":\"{body}\"}}");
         assert!(line.len() < 1 << 20);
