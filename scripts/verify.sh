@@ -105,7 +105,8 @@ if [ "$req_lines" != "$drill_lines" ]; then
 fi
 echo "sld drill: $drill_lines/$req_lines responses, exit 0"
 # E12 smoke: the binary fails itself if any scripted response errors,
-# the cache is not transparent, or cache hits lose to recomputation.
+# the cache is not transparent, or cache hits lose to recomputation;
+# the script below also gates the long-string parse ratio.
 # Cold includes are cheap enough now that warm/cold sit within about
 # 2x, so the medians take 11 samples rather than 5.
 echo "-- e12_service_throughput (smoke)"
@@ -118,13 +119,22 @@ with open(sys.argv[1]) as f:
 assert doc["suite"] == "svc", doc
 records = {r["name"]: r for r in doc["records"]}
 for name in ("svc/define/hoa", "svc/include/cold", "svc/include/warm",
-             "svc/batch/fanout", "svc/mc/clients1", "svc/mc/clients2",
-             "svc/mc/clients4", "svc/mc/clients8"):
+             "svc/batch/fanout", "svc/check/cold", "svc/check/warm",
+             "svc/json/string64k", "svc/json/string256k", "svc/mc/clients1",
+             "svc/mc/clients2", "svc/mc/clients4", "svc/mc/clients8"):
     r = records[name]
     assert r["median_ns"] > 0 and r["samples"] > 0, (name, r)
 cold = records["svc/include/cold"]["median_ns"]
 warm = records["svc/include/warm"]["median_ns"]
 assert warm < cold, f"cache hits ({warm}ns) must beat recomputation ({cold}ns)"
+# The string scan must be linear: a line holding a 256 KiB string may
+# cost at most 8x one holding 64 KiB (linear code reads about 4x, a
+# scan that revisits the rest of the line about 16x). Both come from
+# the same run, so host noise largely cancels.
+s64 = records["svc/json/string64k"]["median_ns"]
+s256 = records["svc/json/string256k"]["median_ns"]
+assert s256 <= 8 * s64, \
+    f"string parse is superlinear: 256 KiB {s256}ns vs 64 KiB {s64}ns ({s256 / s64:.1f}x)"
 # The multi-client saturation gate: 8 concurrent clients must deliver
 # at least 3x the aggregate throughput of 1 (shared sharded caches +
 # singleflight dedup the cold compute across connections, so this
@@ -136,7 +146,7 @@ assert 8 * mc1 >= 3 * mc8, \
     f"8-client aggregate throughput only {8 * mc1 / mc8:.1f}x of 1-client (need >=3x)"
 queries = 28  # the e12 query script: 24 inclusion pairs + 4 universality probes
 print(f"BENCH_svc.json ok: include cold {cold / 1e3:.1f} us, warm {warm / 1e3:.1f} us, "
-      f"cache-hit speedup {cold / warm:.1f}x, "
+      f"cache-hit speedup {cold / warm:.1f}x, string parse 256k/64k {s256 / s64:.1f}x, "
       f"warm {queries / (warm / 1e9):,.0f} requests/sec, "
       f"multi-client scaling {8 * mc1 / mc8:.1f}x at 8 clients")
 PY
