@@ -62,11 +62,11 @@ fn pad(core: &Buchi, padding: usize) -> Buchi {
     builder.build(ids[core.initial()])
 }
 
-/// The random core: 8 states, direct-simulation quotient 6 — small
-/// enough that the identical-core antichain search stays far inside
-/// the budget, large enough that the search is exercised.
+/// The random core: 8 states — small enough that the identical-core
+/// antichain search stays far inside the budget, large enough that the
+/// search is exercised.
 fn random_core(sigma: &Alphabet) -> Buchi {
-    random_buchi(
+    let core = random_buchi(
         sigma,
         21,
         RandomConfig {
@@ -74,7 +74,26 @@ fn random_core(sigma: &Alphabet) -> Buchi {
             density_percent: 120,
             accepting_percent: 40,
         },
-    )
+    );
+    // One extra transition out of the initial state makes the core
+    // nondeterministic, so inclusion into it takes the antichain search
+    // with its trim and quotient, which this family measures (a
+    // deterministic right operand would get the product check).
+    let mut builder = BuchiBuilder::new(sigma.clone());
+    for q in 0..core.num_states() {
+        builder.add_state(core.is_accepting(q));
+    }
+    for q in 0..core.num_states() {
+        for sym in sigma.symbols() {
+            for &r in core.successors(q, sym) {
+                builder.add_transition(q, sym, r);
+                if q == 0 {
+                    builder.add_transition(q, sym, (r + 1) % core.num_states());
+                }
+            }
+        }
+    }
+    builder.build(core.initial())
 }
 
 /// The quotient-kernel corpus: deterministic random automata of 16–40

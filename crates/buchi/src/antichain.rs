@@ -1,11 +1,27 @@
 //! Antichain-based inclusion, universality, and equivalence — the
-//! complement-free decision procedure behind every inclusion question.
+//! complement-free decision procedures behind every inclusion question.
 //!
 //! The rank-based oracle in [`crate::incl`] decides `L(A) ⊆ L(B)` by
 //! materializing the Kupferman–Vardi complement of `B` — exponential
 //! even when the answer is an easy "no". This module decides the same
-//! question *without ever constructing `¬B`*, by searching directly for
-//! a counterexample lasso `u·v^ω ∈ L(A) \ L(B)`:
+//! question *without ever constructing `¬B`*, by one of two searches
+//! picked by the right operand's shape.
+//!
+//! **Deterministic `B`** (at most one successor per state and letter):
+//! one breadth-first pass over the reachable product of `A` with `B`
+//! completed by a rejecting sink, then one SCC pass. `B`'s run on a word
+//! is unique, so a word is in `L(A) \ L(B)` iff `A` has an accepting
+//! run along which `B`'s run — sink included — eventually stays out of
+//! `F_B`; in the product that is a reachable cycle through an `F_A`
+//! state that never enters `F_B`. So a counterexample exists iff a
+//! cyclic SCC of the reachable product, restricted to states outside
+//! `F_B`, holds an `F_A` state. The witness stem is the BFS path to the
+//! first-discovered such state, the cycle the BFS-shortest way back to
+//! it inside its component, ties broken by symbol order. Time and
+//! memory grow with the reachable product, never with `|A|·|B|`.
+//!
+//! **Any other `B`**: an antichain search for a counterexample lasso
+//! `u·v^ω ∈ L(A) \ L(B)`:
 //!
 //! * Every finite word `w` induces a **word-graph** `g_w` over `B`'s
 //!   states: an arc `q → q'` iff `B` can go from `q` to `q'` reading
@@ -45,12 +61,13 @@
 //!   buffers for the whole search.
 //!
 //! [`included`], [`equivalent`], and [`universal`] are the only entry
-//! points; each takes the quotient cache and an optional [`Budget`].
-//! `None` caps the search at [`DEFAULT_ANTICHAIN_BUDGET`] insertion
-//! attempts and consults no fault site; `Some` meters attempts and
-//! subsumption scans against the caller's budget and consults the
-//! fault site `"buchi.incl.antichain"`. The search is exact: it agrees
-//! with the rank-based oracle on every instance (the differential
+//! points; each takes the quotient cache (which only the antichain
+//! search reads) and an optional [`Budget`]. `None` caps the work at
+//! [`DEFAULT_ANTICHAIN_BUDGET`] product states or insertion attempts
+//! and consults no fault site; `Some` meters product states, attempts
+//! and subsumption scans against the caller's budget and consults the
+//! fault site `"buchi.incl.antichain"`. Both searches are exact: they
+//! agree with the rank-based oracle on every instance (the differential
 //! suite in `tests/inclusion_engines.rs` enforces this). The rank path
 //! is still *required* when the caller needs the complement automaton
 //! itself as an artifact (e.g. the liveness part of
@@ -58,14 +75,18 @@
 //! answers queries.
 
 use crate::automaton::Buchi;
+use crate::graph::SccWalk;
 use crate::incl::Inclusion;
 use crate::interned::QuotientCache;
 use sl_omega::{LassoWord, Symbol, Word};
 use sl_support::{fault, Budget, FaultPlan, SlError};
+use std::collections::hash_map::{Entry, HashMap};
 use std::collections::VecDeque;
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// Default cap on antichain insertion attempts for unbudgeted searches
-/// (`budget: None`), mirroring
+/// Default cap on antichain insertion attempts — or, for a
+/// deterministic right operand, on product states — for unbudgeted
+/// searches (`budget: None`), mirroring
 /// [`crate::complement::DEFAULT_COMPLEMENT_BUDGET`].
 pub const DEFAULT_ANTICHAIN_BUDGET: usize = 1 << 17;
 
@@ -80,6 +101,7 @@ pub mod sabotage {
     use std::sync::atomic::{AtomicBool, Ordering};
 
     static BREAK_SUBSUMPTION: AtomicBool = AtomicBool::new(false);
+    static ACCEPTING_SINK: AtomicBool = AtomicBool::new(false);
 
     /// When enabled, the on-the-fly search's subsumption check compares
     /// only the accepting bit and skips the word-graph domination test —
@@ -96,24 +118,41 @@ pub mod sabotage {
     pub fn subsumption_broken() -> bool {
         BREAK_SUBSUMPTION.load(Ordering::Relaxed)
     }
+
+    /// When enabled, the product check treats the sink that completes a
+    /// deterministic right operand as accepting — so a word on which
+    /// `B`'s run dies counts as accepted, and the check can report
+    /// "Holds" for non-inclusions. `slfuzz --sabotage product-sink`
+    /// must detect and shrink the disagreement with the rank engine.
+    pub fn set_product_sink_accepting(on: bool) {
+        ACCEPTING_SINK.store(on, Ordering::Relaxed);
+    }
+
+    /// Whether the product drill flag is currently set.
+    #[must_use]
+    pub fn product_sink_accepting() -> bool {
+        ACCEPTING_SINK.load(Ordering::Relaxed)
+    }
 }
 
 /// How many subsumption comparisons amortize one budget evaluation
 /// (see `BudgetMeter::tick_every`).
 const SCAN_STRIDE: u64 = 64;
 
-/// Monotone counters describing the antichain engine's work on the
-/// current thread, snapshot via [`antichain_stats`]. Counters
-/// accumulate per thread for
-/// the life of the thread; callers interested in one query's cost take
-/// a snapshot before and after and diff with
+/// Monotone counters describing the inclusion engine's work on the
+/// current thread, snapshot via [`antichain_stats`]: the antichain
+/// searches, and the `product_*` counters of the product checks that
+/// deterministic right operands get instead. Counters accumulate per
+/// thread for the life of the thread; callers interested in one query's
+/// cost take a snapshot before and after and diff with
 /// [`AntichainStats::delta_since`] — that is how the `sld` daemon
 /// attributes work to requests even when queries run on pooled sweep
 /// workers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AntichainStats {
-    /// Fixpoint searches started (one per inclusion direction; a
-    /// universality query is one search, an equivalence up to two).
+    /// Antichain searches started (one per inclusion direction with a
+    /// nondeterministic right operand; a universality query is one
+    /// question, an equivalence up to two).
     pub searches: u64,
     /// Antichain insertion attempts across all searches — the
     /// engine's primary work unit (what budgets meter).
@@ -131,6 +170,14 @@ pub struct AntichainStats {
     /// Live antichain size when the most recent search returned (a
     /// gauge).
     pub final_antichain: u64,
+    /// Product checks started (one per inclusion direction with a
+    /// deterministic right operand).
+    pub product_checks: u64,
+    /// Product states created across those checks — the work unit the
+    /// budget meters on that path.
+    pub product_states: u64,
+    /// Product checks that ended with a counterexample lasso.
+    pub product_counterexamples: u64,
 }
 
 impl AntichainStats {
@@ -149,6 +196,11 @@ impl AntichainStats {
             counterexamples: self.counterexamples.saturating_sub(earlier.counterexamples),
             peak_macro_states: self.peak_macro_states,
             final_antichain: self.final_antichain,
+            product_checks: self.product_checks.saturating_sub(earlier.product_checks),
+            product_states: self.product_states.saturating_sub(earlier.product_states),
+            product_counterexamples: self
+                .product_counterexamples
+                .saturating_sub(earlier.product_counterexamples),
         }
     }
 
@@ -162,6 +214,9 @@ impl AntichainStats {
         self.counterexamples += delta.counterexamples;
         self.peak_macro_states = self.peak_macro_states.max(delta.peak_macro_states);
         self.final_antichain = self.final_antichain.max(delta.final_antichain);
+        self.product_checks += delta.product_checks;
+        self.product_states += delta.product_states;
+        self.product_counterexamples += delta.product_counterexamples;
     }
 }
 
@@ -174,6 +229,9 @@ thread_local! {
             counterexamples: 0,
             peak_macro_states: 0,
             final_antichain: 0,
+            product_checks: 0,
+            product_states: 0,
+            product_counterexamples: 0,
         }) };
 }
 
@@ -206,6 +264,17 @@ fn record_search(attempts: u64, scans: u64, found_counterexample: bool, gauges: 
         stats.counterexamples += u64::from(found_counterexample);
         stats.peak_macro_states = stats.peak_macro_states.max(gauges.peak);
         stats.final_antichain = gauges.live;
+        cell.set(stats);
+    });
+}
+
+/// Folds one finished product check into the thread counters.
+fn record_product(states: u64, found_counterexample: bool) {
+    STATS.with(|cell| {
+        let mut stats = cell.get();
+        stats.product_checks += 1;
+        stats.product_states += states;
+        stats.product_counterexamples += u64::from(found_counterexample);
         cell.set(stats);
     });
 }
@@ -686,11 +755,6 @@ fn search_lazy(
     charge: &mut impl FnMut(Step) -> Result<(), SlError>,
     gauges: &mut SearchGauges,
 ) -> Result<Inclusion, SlError> {
-    assert_eq!(
-        a.alphabet(),
-        b.alphabet(),
-        "inclusion requires a common alphabet"
-    );
     let a = cache.quotient(a);
     let b = cache.quotient(b);
     let na = a.num_states();
@@ -767,19 +831,226 @@ fn search_lazy(
     Ok(Inclusion::Holds)
 }
 
-/// Decides `L(a) ⊆ L(b)`, taking both operands' quotients from `cache`
-/// (the `sld` daemon passes its private instance so its counters stay
-/// a deterministic function of the session; library callers pass
+/// Hashes the product's `u64` pair keys with one multiply, folding the
+/// high half down so the table's bucket bits (low) and tag bits (high)
+/// both see every key bit. The keys are state pairs, not attacker-chosen
+/// strings, so `std`'s keyed SipHash buys nothing here.
+#[derive(Debug, Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let h = (self.0 ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The reachable product of `A` with a deterministic `B` completed by a
+/// rejecting sink, in breadth-first discovery order. Every vector grows
+/// with the states and edges reached, and the id table is a hash map,
+/// so nothing is sized by `|A|·(|B|+1)`.
+#[derive(Debug)]
+struct Product {
+    /// The `(A-state, B-state)` pair of each product state; `B`'s state
+    /// count stands for the sink.
+    pairs: Vec<(usize, usize)>,
+    /// Each state's BFS-tree link: the state it was discovered from and
+    /// the letter read ([`ROOT`] for the initial state).
+    tree: Vec<(u32, Symbol)>,
+    /// The product restricted to states outside `F_B`, as CSR rows: the
+    /// edges out of state `v` are `targets[offsets[v]..offsets[v + 1]]`,
+    /// labelled by `letters`, in symbol order. A state in `F_B` has an
+    /// empty row, and no edge enters one.
+    offsets: Vec<usize>,
+    targets: Vec<u32>,
+    letters: Vec<Symbol>,
+}
+
+impl Product {
+    /// Explores the product breadth-first, charging one attempt per
+    /// product state created. The sink steps to itself on every letter;
+    /// it is outside `F_B` unless the product drill is on.
+    fn explore(
+        a: &Buchi,
+        b: &Buchi,
+        charge: &mut impl FnMut(Step) -> Result<(), SlError>,
+    ) -> Result<Product, SlError> {
+        let sink = b.num_states();
+        let sink_accepting = sabotage::product_sink_accepting();
+        let in_fb = |q: usize| {
+            if q == sink {
+                sink_accepting
+            } else {
+                b.is_accepting(q)
+            }
+        };
+        let key = |(p, q): (usize, usize)| p as u64 * (sink as u64 + 1) + q as u64;
+        let mut ids: HashMap<u64, u32, BuildHasherDefault<PairHasher>> = HashMap::default();
+        let start = (a.initial(), b.initial());
+        charge(Step::Attempt)?;
+        ids.insert(key(start), 0);
+        let mut product = Product {
+            pairs: vec![start],
+            tree: vec![(ROOT, Symbol(0))],
+            offsets: vec![0],
+            targets: Vec::new(),
+            letters: Vec::new(),
+        };
+        let mut v = 0;
+        while let Some(&(p, q)) = product.pairs.get(v) {
+            let from = u32::try_from(v).expect("product outgrew u32 ids");
+            for sym in a.alphabet().symbols() {
+                let succs = a.successors(p, sym);
+                if succs.is_empty() {
+                    continue;
+                }
+                let next_q = if q == sink {
+                    sink
+                } else {
+                    b.successors(q, sym).first().copied().unwrap_or(sink)
+                };
+                let kept = !in_fb(q) && !in_fb(next_q);
+                for &next_p in succs {
+                    let id = match ids.entry(key((next_p, next_q))) {
+                        Entry::Occupied(entry) => *entry.get(),
+                        Entry::Vacant(entry) => {
+                            charge(Step::Attempt)?;
+                            let id = u32::try_from(product.pairs.len())
+                                .ok()
+                                .filter(|&id| id != ROOT)
+                                .expect("product outgrew u32 ids");
+                            entry.insert(id);
+                            product.pairs.push((next_p, next_q));
+                            product.tree.push((from, sym));
+                            id
+                        }
+                    };
+                    if kept {
+                        product.targets.push(id);
+                        product.letters.push(sym);
+                    }
+                }
+            }
+            product.offsets.push(product.targets.len());
+            v += 1;
+        }
+        Ok(product)
+    }
+
+    /// The restricted edge at position `i` of `v`'s row, if any.
+    fn edge(&self, v: usize, i: usize) -> Option<(usize, Symbol)> {
+        let at = self.offsets[v] + i;
+        (at < self.offsets[v + 1]).then(|| (self.targets[at] as usize, self.letters[at]))
+    }
+}
+
+/// The letters along `links` from `root` down to `v`, where `links[u]`
+/// is the state `u` was reached from and the letter read.
+fn spell(links: &[(u32, Symbol)], root: usize, mut v: usize) -> Vec<Symbol> {
+    let mut letters = Vec::new();
+    while v != root {
+        let (from, sym) = links[v];
+        letters.push(sym);
+        v = from as usize;
+    }
+    letters.reverse();
+    letters
+}
+
+/// Decides `L(a) ⊆ L(b)` for a deterministic `b` by the product check
+/// (see the module docs): one BFS, one SCC pass over the states outside
+/// `F_B`, and — on a counterexample — one BFS inside its component for
+/// the cycle.
+fn product_included(
+    a: &Buchi,
+    b: &Buchi,
+    charge: &mut impl FnMut(Step) -> Result<(), SlError>,
+) -> Result<Inclusion, SlError> {
+    let product = Product::explore(a, b, charge)?;
+    let n = product.pairs.len();
+    let in_fa = |v: usize| a.is_accepting(product.pairs[v].0);
+    // Good components (cyclic, with an F_A state) get ids; every other
+    // state keeps NONE. The target is the earliest-discovered F_A state
+    // of any good component. Roots go in discovery order, and a walk
+    // only closes components of states it first reached, so once the
+    // target precedes the next root no later component can beat it.
+    const NONE: u32 = u32::MAX;
+    let mut component = vec![NONE; n];
+    let mut good = 0;
+    let mut target: Option<usize> = None;
+    let mut walk = SccWalk::new(n);
+    for root in 0..n {
+        if target.is_some_and(|t| t < root) {
+            break;
+        }
+        if walk.visited(root) {
+            continue;
+        }
+        let succ = |v, i| product.edge(v, i).map(|(w, _)| w);
+        walk.walk(root, succ, |members| {
+            if let Some(first) = members.iter().copied().filter(|&v| in_fa(v)).min() {
+                for &m in members {
+                    component[m] = good;
+                }
+                good += 1;
+                target = Some(target.map_or(first, |t| t.min(first)));
+            }
+            None::<()>
+        });
+    }
+    let Some(target) = target else {
+        return Ok(Inclusion::Holds);
+    };
+    let stem = spell(&product.tree, 0, target);
+    // The shortest way back to the target inside its component.
+    let mut links = vec![(ROOT, Symbol(0)); n];
+    let mut queue = VecDeque::from([target]);
+    while let Some(v) = queue.pop_front() {
+        for (w, sym) in (0..).map_while(|i| product.edge(v, i)) {
+            if w == target {
+                let mut cycle = spell(&links, target, v);
+                cycle.push(sym);
+                return Ok(Inclusion::CounterExample(LassoWord::new(
+                    &Word::new(&stem),
+                    &Word::new(&cycle),
+                )));
+            }
+            if component[w] == component[target] && links[w].0 == ROOT {
+                links[w] = (v as u32, sym);
+                queue.push_back(w);
+            }
+        }
+    }
+    unreachable!("every state of a cyclic component lies on a cycle inside it")
+}
+
+/// Decides `L(a) ⊆ L(b)`. A deterministic `b` (at most one successor
+/// per state and letter) gets the product check, which reads neither
+/// `cache` nor the antichain; any other `b` gets the antichain search,
+/// which takes both operands' quotients from `cache` (the `sld` daemon
+/// passes its private instance so its counters stay a deterministic
+/// function of the session; library callers pass
 /// [`crate::interned::shared_quotient_cache`]).
 ///
-/// With `budget: None` the search is capped at
-/// [`DEFAULT_ANTICHAIN_BUDGET`] insertion attempts and consults no
-/// fault site. With `Some(budget)` every insertion attempt charges the
-/// budget's meter and consults the process-wide fault plan at site
-/// `"buchi.incl.antichain"`; subsumption comparisons — the hot inner
-/// loop — charge through `BudgetMeter::tick_every`, amortizing the
-/// limit evaluation. Both cases run the same search, so verdicts and
-/// counters agree whenever both finish.
+/// With `budget: None` the work is capped at
+/// [`DEFAULT_ANTICHAIN_BUDGET`] product states or insertion attempts
+/// and consults no fault site. With `Some(budget)` every product state
+/// or insertion attempt charges the budget's meter and consults the
+/// process-wide fault plan at site `"buchi.incl.antichain"`;
+/// subsumption comparisons — the antichain's hot inner loop — charge
+/// through `BudgetMeter::tick_every`, amortizing the limit evaluation.
+/// Both cases run the same search, so verdicts and counters agree
+/// whenever both finish.
 ///
 /// # Errors
 ///
@@ -825,6 +1096,17 @@ pub fn included(
             }
         }
     };
+    assert_eq!(
+        a.alphabet(),
+        b.alphabet(),
+        "inclusion requires a common alphabet"
+    );
+    if b.is_deterministic() {
+        let outcome = product_included(a, b, &mut charge);
+        let found = matches!(outcome, Ok(Inclusion::CounterExample(_)));
+        record_product(attempts, found);
+        return outcome;
+    }
     let mut gauges = SearchGauges::default();
     let outcome = search_lazy(a, b, cache, &mut charge, &mut gauges);
     record_search(
@@ -931,7 +1213,7 @@ mod tests {
     use super::*;
     use crate::automaton::BuchiBuilder;
     use crate::incl::{included_rank, shared_complement_cache, universal_rank};
-    use crate::random::{random_buchi, RandomConfig};
+    use crate::random::{random_buchi, random_nondeterministic, RandomConfig};
     use sl_omega::Alphabet;
     use sl_support::SplitMix;
 
@@ -1090,6 +1372,23 @@ mod tests {
         let q0 = builder.add_state(false);
         let qa = builder.add_state(true);
         builder.add_transition(q0, b, q0);
+        builder.add_transition(q0, a, qa);
+        builder.add_transition(qa, b, q0);
+        builder.add_transition(qa, a, qa);
+        builder.build(q0)
+    }
+
+    /// `inf_a` with a redundant `a`-loop on the waiting state: the same
+    /// language, but nondeterministic, so inclusion into it runs the
+    /// antichain search.
+    fn inf_a_nondeterministic(s: &Alphabet) -> Buchi {
+        let a = s.symbol("a").unwrap();
+        let b = s.symbol("b").unwrap();
+        let mut builder = BuchiBuilder::new(s.clone());
+        let q0 = builder.add_state(false);
+        let qa = builder.add_state(true);
+        builder.add_transition(q0, b, q0);
+        builder.add_transition(q0, a, q0);
         builder.add_transition(q0, a, qa);
         builder.add_transition(qa, b, q0);
         builder.add_transition(qa, a, qa);
@@ -1387,21 +1686,28 @@ mod tests {
         let s = sigma();
         let cache = QuotientCache::new();
         let before = antichain_stats();
-        assert!(included(&only_a(&s), &inf_a(&s), &cache, None)
-            .unwrap()
-            .holds());
+        assert!(
+            included(&only_a(&s), &inf_a_nondeterministic(&s), &cache, None)
+                .unwrap()
+                .holds()
+        );
         let holds_delta = antichain_stats().delta_since(&before);
         assert_eq!(holds_delta.searches, 1);
         assert!(holds_delta.insert_attempts > 0);
         assert_eq!(holds_delta.counterexamples, 0);
+        assert_eq!(holds_delta.product_checks, 0);
 
         let mid = antichain_stats();
         assert!(!included(&inf_a(&s), &only_a(&s), &cache, None)
             .unwrap()
             .holds());
         let cex_delta = antichain_stats().delta_since(&mid);
-        assert_eq!(cex_delta.searches, 1);
-        assert_eq!(cex_delta.counterexamples, 1);
+        assert_eq!(cex_delta.searches, 0, "a deterministic right operand");
+        assert_eq!(cex_delta.insert_attempts, 0);
+        assert_eq!(cex_delta.product_checks, 1);
+        assert_eq!(cex_delta.product_counterexamples, 1);
+        // (q0, p0), (qa, p0) on `a`, (q0, sink) on `b`, (qa, sink).
+        assert_eq!(cex_delta.product_states, 4);
     }
 
     #[test]
@@ -1413,11 +1719,22 @@ mod tests {
             counterexamples: 0,
             peak_macro_states: 8,
             final_antichain: 5,
+            product_checks: 2,
+            product_states: 30,
+            product_counterexamples: 1,
         };
         let mut total = AntichainStats::default();
         total.absorb(&a);
         total.absorb(&a);
         assert_eq!(total.insert_attempts, 20);
+        assert_eq!(
+            (
+                total.product_checks,
+                total.product_states,
+                total.product_counterexamples
+            ),
+            (4, 60, 2)
+        );
         // The macro-state gauges absorb as high-water marks, not sums.
         assert_eq!(total.peak_macro_states, 8);
         assert_eq!(
@@ -1434,11 +1751,14 @@ mod tests {
     fn search_gauges_are_recorded() {
         let s = sigma();
         let before = antichain_stats();
-        assert!(
-            included(&only_a(&s), &inf_a(&s), &QuotientCache::new(), None)
-                .unwrap()
-                .holds()
-        );
+        assert!(included(
+            &only_a(&s),
+            &inf_a_nondeterministic(&s),
+            &QuotientCache::new(),
+            None
+        )
+        .unwrap()
+        .holds());
         let after = antichain_stats();
         assert!(
             after.peak_macro_states > 0,
@@ -1461,9 +1781,14 @@ mod tests {
         };
         let cache = QuotientCache::new();
         let complements = shared_complement_cache();
+        let before = antichain_stats();
+        let mut nondeterministic = 0;
         for seed in 0..40u64 {
             let a = random_buchi(&s, seed, config);
-            let b = random_buchi(&s, seed + 1000, config);
+            // Nondeterministic right operands keep this on the antichain
+            // (a few draws come out deterministic and take the product).
+            let b = random_nondeterministic(&s, seed + 1000, 3, 160, 30);
+            nondeterministic += u64::from(!b.is_deterministic());
             let fast = included(&a, &b, &cache, None).unwrap();
             let slow = included_rank(&a, &b, complements).unwrap();
             assert_eq!(
@@ -1475,11 +1800,173 @@ mod tests {
                 assert!(a.accepts(w), "seed {seed}: cex not accepted by a");
                 assert!(!b.accepts(w), "seed {seed}: cex not rejected by b");
             }
-            let fast_univ = universal(&a, &cache, None).unwrap().is_ok();
-            let slow_univ = universal_rank(&a, complements).unwrap().is_ok();
+            let fast_univ = universal(&b, &cache, None).unwrap().is_ok();
+            let slow_univ = universal_rank(&b, complements).unwrap().is_ok();
             assert_eq!(fast_univ, slow_univ, "seed {seed}: universality differs");
         }
+        let work = antichain_stats().delta_since(&before);
+        assert!(nondeterministic >= 30, "{nondeterministic}");
+        assert_eq!(work.searches, 2 * nondeterministic, "{work:?}");
+        assert_eq!(work.product_checks, 80 - 2 * nondeterministic, "{work:?}");
         // Repeat operands went through the quotient cache.
         assert!(cache.stats().hits > 0, "{:?}", cache.stats());
+    }
+
+    /// Runs the product check with no budget.
+    fn product_check(a: &Buchi, b: &Buchi) -> Inclusion {
+        product_included(a, b, &mut |_| Ok(())).expect("unmetered")
+    }
+
+    #[test]
+    fn product_witness_is_the_bfs_first_stem_and_shortest_cycle() {
+        let s = sigma();
+        // Σ^ω ⊄ a^ω: `b` sends a^ω's run to the sink, which loops on
+        // both letters; `a` comes first, so the cycle is `a`.
+        assert_eq!(
+            product_check(&Buchi::universal(s.clone()), &only_a(&s)),
+            Inclusion::CounterExample(LassoWord::parse(&s, "b", "a"))
+        );
+        // Σ^ω ⊄ GF a: the first F_A state in a cycle avoiding F_B is the
+        // initial one, and `b` is the only letter that avoids `qa`.
+        assert_eq!(
+            product_check(&Buchi::universal(s.clone()), &inf_a(&s)),
+            Inclusion::CounterExample(LassoWord::parse(&s, "", "b"))
+        );
+        assert_eq!(product_check(&only_a(&s), &inf_a(&s)), Inclusion::Holds);
+        let empty = Buchi::empty_language(s.clone());
+        assert_eq!(product_check(&empty, &empty), Inclusion::Holds);
+    }
+
+    #[test]
+    fn product_agrees_with_the_antichain_on_deterministic_pairs() {
+        // The antichain's cost follows B's transition monoid, which
+        // random complete automata can make huge: it gets a step cap, and
+        // the pairs it gives up on are counted.
+        let mut verdicts = [0usize; 2];
+        let mut gave_up = 0;
+        for sigma in [Alphabet::ab(), Alphabet::new(&["x", "y", "z"])] {
+            let cache = QuotientCache::new();
+            for seed in 0..100u64 {
+                let config = |states: u64| RandomConfig {
+                    states: 1 + (states % 8) as usize,
+                    density_percent: [50, 65, 80, 100, 160][(seed % 5) as usize],
+                    accepting_percent: 15 + (seed * 7 % 50) as u32,
+                };
+                let a = random_buchi(&sigma, seed, config(seed));
+                let b = random_buchi(&sigma, 50_000 + seed, config(seed / 3));
+                let product = product_check(&a, &b);
+                let mut steps = 0u32;
+                let mut capped = |_| {
+                    steps += 1;
+                    match steps {
+                        20_000.. => Err(SlError::BudgetExceeded {
+                            phase: PHASE,
+                            spent: u64::from(steps),
+                        }),
+                        _ => Ok(()),
+                    }
+                };
+                let mut gauges = SearchGauges::default();
+                let Ok(antichain) = search_lazy(&a, &b, &cache, &mut capped, &mut gauges) else {
+                    gave_up += 1;
+                    continue;
+                };
+                assert_eq!(product.holds(), antichain.holds(), "seed {seed}");
+                for verdict in [&product, &antichain] {
+                    if let Inclusion::CounterExample(w) = verdict {
+                        assert!(a.accepts(w) && !b.accepts(w), "seed {seed}: {w}");
+                    }
+                }
+                verdicts[usize::from(product.holds())] += 1;
+            }
+        }
+        assert!(
+            gave_up <= 20,
+            "the antichain gave up on {gave_up} of 200 pairs"
+        );
+        assert!(verdicts[0] > 50 && verdicts[1] > 20, "{verdicts:?}");
+    }
+
+    #[test]
+    fn product_memory_follows_the_reachable_product() {
+        // A 15-state core padded with 10^4 unreachable, successor-free
+        // states on each side: a table indexed by state pairs would hold
+        // 10^8 cells, while the reachable product holds at most 15 · 16.
+        let s = sigma();
+        let padded = |seed: u64| {
+            let core = random_buchi(
+                &s,
+                seed,
+                RandomConfig {
+                    states: 15,
+                    density_percent: 55,
+                    accepting_percent: 40,
+                },
+            );
+            let mut builder = BuchiBuilder::new(s.clone());
+            for q in 0..core.num_states() + 10_000 {
+                builder.add_state(q < core.num_states() && core.is_accepting(q));
+            }
+            for q in 0..core.num_states() {
+                for sym in s.symbols() {
+                    for &r in core.successors(q, sym) {
+                        builder.add_transition(q, sym, r);
+                    }
+                }
+            }
+            builder.build(0)
+        };
+        for seed in [77, 3, 11] {
+            let (a, b) = (padded(seed), padded(seed + 1));
+            let product = Product::explore(&a, &b, &mut |_| Ok(())).expect("unmetered");
+            let states = product.pairs.len();
+            let edges = product.targets.len();
+            assert!(states <= 15 * 16, "seed {seed}: {states} product states");
+            let trimmed = Product::explore(
+                &a.trim_unreachable(),
+                &b.trim_unreachable(),
+                &mut |_| Ok(()),
+            )
+            .expect("unmetered");
+            assert_eq!(trimmed.pairs.len(), states, "seed {seed}");
+            // Amortized growth: no vector holds more than twice what it
+            // stores, plus the first allocation.
+            let slack = |len: usize, cap: usize| cap <= 2 * len + 8;
+            assert!(slack(states, product.pairs.capacity()));
+            assert!(slack(states, product.tree.capacity()));
+            assert!(slack(states + 1, product.offsets.capacity()));
+            assert!(slack(edges, product.targets.capacity()));
+            assert!(slack(edges, product.letters.capacity()));
+            assert_eq!(
+                product_check(&a, &b).holds(),
+                product_check(&a.trim_unreachable(), &b.trim_unreachable()).holds()
+            );
+        }
+    }
+
+    #[test]
+    fn product_budget_counts_states_and_names_the_phase() {
+        // inf_a ⊆ only_a creates four product states: a budget of three
+        // steps runs out in the product check's phase, four suffice.
+        let s = sigma();
+        let before = antichain_stats();
+        let tight = Budget::unlimited().with_steps(3);
+        match included(&inf_a(&s), &only_a(&s), &QuotientCache::new(), Some(&tight)) {
+            Err(SlError::BudgetExceeded { phase, spent }) => assert_eq!((phase, spent), (PHASE, 4)),
+            Err(err) => assert!(err.root().is_fault_injected(), "{err}"),
+            Ok(verdict) => panic!("four product states fit a 3-step budget: {verdict:?}"),
+        }
+        let work = antichain_stats().delta_since(&before);
+        assert_eq!((work.product_checks, work.searches), (1, 0), "{work:?}");
+        let enough = Budget::unlimited().with_steps(4);
+        match included(
+            &inf_a(&s),
+            &only_a(&s),
+            &QuotientCache::new(),
+            Some(&enough),
+        ) {
+            Ok(verdict) => assert!(!verdict.holds()),
+            Err(err) => assert!(err.root().is_fault_injected(), "{err}"),
+        }
     }
 }

@@ -51,12 +51,15 @@ pub struct Buchi {
     /// the hot path.
     all_offsets: Vec<usize>,
     all_targets: Vec<StateId>,
+    /// Whether every row has at most one target, derived with the index
+    /// so that picking an inclusion procedure never rescans the rows.
+    deterministic: bool,
 }
 
 // Equality, like hashing, is over the defining 5-tuple only; the
-// derived successor index is a function of the transition rows. The
-// CSR arrays are canonical (rows sorted and deduplicated), so comparing
-// them flat is comparing the transition relation.
+// derived successor index and flag are functions of the transition
+// rows. The CSR arrays are canonical (rows sorted and deduplicated), so
+// comparing them flat is comparing the transition relation.
 impl PartialEq for Buchi {
     fn eq(&self, other: &Self) -> bool {
         self.initial == other.initial
@@ -176,6 +179,7 @@ impl Buchi {
         Buchi {
             alphabet,
             accepting,
+            deterministic: at_most_one_target(&offsets),
             offsets,
             targets,
             initial,
@@ -255,6 +259,15 @@ impl Buchi {
     #[must_use]
     pub fn all_successors(&self, q: StateId) -> &[StateId] {
         &self.all_targets[self.all_offsets[q]..self.all_offsets[q + 1]]
+    }
+
+    /// Whether every state has at most one successor per symbol.
+    /// Missing successors are allowed, so a partial automaton can be
+    /// deterministic. Derived once when the automaton is assembled, so
+    /// the answer costs nothing however many states it has.
+    #[must_use]
+    pub fn is_deterministic(&self) -> bool {
+        self.deterministic
     }
 
     /// A deterministic 64-bit hash of the defining 5-tuple (alphabet,
@@ -355,6 +368,7 @@ impl Buchi {
         Buchi {
             alphabet: self.alphabet.clone(),
             accepting,
+            deterministic: at_most_one_target(&offsets),
             offsets,
             targets,
             initial: remap[self.initial],
@@ -394,6 +408,11 @@ impl Buchi {
         out.initial = q;
         out
     }
+}
+
+/// Whether every CSR row the offsets delimit holds at most one target.
+fn at_most_one_target(offsets: &[usize]) -> bool {
+    offsets.windows(2).all(|row| row[1] - row[0] <= 1)
 }
 
 impl fmt::Display for Buchi {
@@ -502,6 +521,7 @@ mod tests {
         assert!(!m.is_accepting(0));
         assert!(m.is_accepting(1));
         assert_eq!(m.accepting_states(), vec![1]);
+        assert!(m.is_deterministic());
     }
 
     #[test]
@@ -585,6 +605,8 @@ mod tests {
         }
         assert!(m.all_successors(sink).is_empty());
         assert_eq!(m.all_successors(0), &[0, 1, 2]);
+        assert!(!m.is_deterministic(), "state 0 has three x-successors");
+        assert!(m.restrict(&[true, false, false]).is_deterministic());
         assert_eq!(m.all_successors(2), &[0, 2]);
         assert_eq!(m.num_transitions(), 6);
         assert_eq!(

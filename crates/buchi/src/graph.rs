@@ -107,11 +107,96 @@ pub(crate) fn tarjan(graph: &Graph<'_>) -> SccResult {
     SccResult { component, count }
 }
 
-/// Whether node `v` lies on a cycle (its SCC is nontrivial, or it has a
-/// self loop).
-pub(crate) fn on_cycle(graph: &Graph<'_>, scc: &SccResult, v: usize) -> bool {
-    let members = scc.members();
-    members[scc.component[v]].len() > 1 || (graph.succ)(v).contains(&v)
+/// An iterative Tarjan walk over nodes `0..n` that reads successors by
+/// position — `succ(v, i)` is `v`'s `i`-th successor, `None` past the
+/// last — so no successor list is ever materialized. A walk visits only
+/// what its root reaches and hands each *cyclic* component (more than
+/// one node, or one node with a self loop) to a callback as it closes,
+/// in reverse topological order; a callback that returns `Some` ends the
+/// walk, and with it the walker's use. Further walks from unvisited
+/// roots continue the same numbering.
+pub(crate) struct SccWalk {
+    /// DFS number, counted from 1; 0 = unvisited.
+    index: Vec<usize>,
+    low: Vec<usize>,
+    on_stack: Vec<bool>,
+    stack: Vec<usize>,
+    /// Open nodes: the node, the position of its next successor, and
+    /// whether it has been seen to loop on itself.
+    calls: Vec<(usize, usize, bool)>,
+    counter: usize,
+}
+
+impl SccWalk {
+    pub fn new(n: usize) -> SccWalk {
+        SccWalk {
+            index: vec![0; n],
+            low: vec![0; n],
+            on_stack: vec![false; n],
+            stack: Vec::new(),
+            calls: Vec::new(),
+            counter: 0,
+        }
+    }
+
+    pub fn visited(&self, v: usize) -> bool {
+        self.index[v] != 0
+    }
+
+    /// Walks from the unvisited `root`; see the type docs.
+    pub fn walk<T>(
+        &mut self,
+        root: usize,
+        mut succ: impl FnMut(usize, usize) -> Option<usize>,
+        mut cyclic: impl FnMut(&[usize]) -> Option<T>,
+    ) -> Option<T> {
+        self.open(root);
+        while let Some(top) = self.calls.last_mut() {
+            let (v, i, _) = *top;
+            if let Some(w) = succ(v, i) {
+                top.1 += 1;
+                top.2 |= w == v;
+                if self.index[w] == 0 {
+                    self.open(w);
+                } else if self.on_stack[w] {
+                    self.low[v] = self.low[v].min(self.index[w]);
+                }
+                continue;
+            }
+            let (_, _, self_loop) = self.calls.pop().expect("a frame is open");
+            if let Some(&(parent, _, _)) = self.calls.last() {
+                self.low[parent] = self.low[parent].min(self.low[v]);
+            }
+            if self.low[v] != self.index[v] {
+                continue;
+            }
+            let start = self
+                .stack
+                .iter()
+                .rposition(|&s| s == v)
+                .expect("an open component root is on the stack");
+            for &s in &self.stack[start..] {
+                self.on_stack[s] = false;
+            }
+            let members = &self.stack[start..];
+            if members.len() > 1 || self_loop {
+                if let Some(found) = cyclic(members) {
+                    return Some(found);
+                }
+            }
+            self.stack.truncate(start);
+        }
+        None
+    }
+
+    fn open(&mut self, v: usize) {
+        self.counter += 1;
+        self.index[v] = self.counter;
+        self.low[v] = self.counter;
+        self.on_stack[v] = true;
+        self.stack.push(v);
+        self.calls.push((v, 0, false));
+    }
 }
 
 /// Backward reachability: all nodes that can reach some node in `targets`
@@ -153,12 +238,37 @@ mod tests {
         }
     }
 
+    /// Which nodes lie on a cycle, by [`SccWalk`] from every root.
+    fn on_cycle(n: usize, edges: &[(usize, usize)]) -> Vec<bool> {
+        let mut adj = vec![Vec::new(); n];
+        for &(u, v) in edges {
+            adj[u].push(v);
+        }
+        let mut walk = SccWalk::new(n);
+        let mut cyclic = vec![false; n];
+        for root in 0..n {
+            if !walk.visited(root) {
+                walk.walk(
+                    root,
+                    |v, i| adj[v].get(i).copied(),
+                    |members| {
+                        for &m in members {
+                            cyclic[m] = true;
+                        }
+                        None::<()>
+                    },
+                );
+            }
+        }
+        cyclic
+    }
+
     #[test]
     fn single_cycle_is_one_component() {
         let g = graph_from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
         let scc = tarjan(&g);
         assert_eq!(scc.count, 1);
-        assert!(on_cycle(&g, &scc, 0));
+        assert_eq!(on_cycle(3, &[(0, 1), (1, 2), (2, 0)]), [true; 3]);
     }
 
     #[test]
@@ -166,8 +276,29 @@ mod tests {
         let g = graph_from_edges(3, &[(0, 1), (1, 2)]);
         let scc = tarjan(&g);
         assert_eq!(scc.count, 3);
-        assert!(!on_cycle(&g, &scc, 0));
-        assert!(!on_cycle(&g, &scc, 2));
+        assert_eq!(on_cycle(3, &[(0, 1), (1, 2)]), [false; 3]);
+    }
+
+    #[test]
+    fn walk_stops_at_the_first_cyclic_component_to_close() {
+        // From 0 the walk reaches {1, 2} and {3} (a self loop); {1, 2}
+        // closes first, and the walk returns before seeing 3.
+        let adj: [&[usize]; 4] = [&[1, 3], &[2], &[1], &[3]];
+        let mut walk = SccWalk::new(4);
+        let mut seen = Vec::new();
+        let found = walk.walk(
+            0,
+            |v, i| adj[v].get(i).copied(),
+            |members| {
+                seen.push(members.len());
+                let mut sorted = members.to_vec();
+                sorted.sort_unstable();
+                Some(sorted)
+            },
+        );
+        assert_eq!(found, Some(vec![1, 2]));
+        assert_eq!(seen, [2]);
+        assert!(!walk.visited(3));
     }
 
     #[test]
@@ -182,10 +313,7 @@ mod tests {
 
     #[test]
     fn self_loop_counts_as_cycle() {
-        let g = graph_from_edges(2, &[(0, 0), (0, 1)]);
-        let scc = tarjan(&g);
-        assert!(on_cycle(&g, &scc, 0));
-        assert!(!on_cycle(&g, &scc, 1));
+        assert_eq!(on_cycle(2, &[(0, 0), (0, 1)]), [true, false]);
     }
 
     #[test]

@@ -84,5 +84,5 @@ pub use interned::{
 pub use member::{accepts, BuchiProperty};
 pub use monitor::{Monitor, SecurityAutomaton, Verdict};
 pub use ops::{intersection, intersection_all, union, union_all};
-pub use random::{random_buchi, RandomConfig};
+pub use random::{random_buchi, random_nondeterministic, RandomConfig};
 pub use reduce::{direct_simulation, reduce};

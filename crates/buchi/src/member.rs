@@ -1,50 +1,33 @@
 //! Membership of lasso words.
 //!
-//! To decide `u · v^ω ∈ L(B)`, build the product of `B` with the word's
+//! To decide `u · v^ω ∈ L(B)`, walk the product of `B` with the word's
 //! phase graph and look for a reachable cycle through an accepting
-//! automaton state. The product has `|Q| * (|u| + |v|)` nodes.
+//! automaton state. The product has `|Q| * (|u| + |v|)` nodes; one
+//! Tarjan walk from `(initial, 0)` visits only the reachable ones and
+//! stops at the first cyclic component holding an accepting state.
 
 use crate::automaton::Buchi;
-use crate::graph::{tarjan, Graph};
+use crate::graph::SccWalk;
 use sl_omega::LassoWord;
 
 /// Whether the automaton accepts the lasso word.
 #[must_use]
 pub fn accepts(b: &Buchi, word: &LassoWord) -> bool {
     let phases = word.phase_count();
-    let n = b.num_states() * phases;
-    let node = |q: usize, i: usize| q * phases + i;
-
-    // Forward reachability from (initial, phase 0).
-    let succ = |v: usize| -> Vec<usize> {
+    let succ = |v: usize, k: usize| {
         let (q, i) = (v / phases, v % phases);
-        let sym = word.at(i);
-        let j = word.next_phase(i);
-        b.successors(q, sym).iter().map(|&s| node(s, j)).collect()
+        let next = b.successors(q, word.at(i)).get(k)?;
+        Some(next * phases + word.next_phase(i))
     };
-    let mut reach = vec![false; n];
-    let start = node(b.initial(), 0);
-    reach[start] = true;
-    let mut stack = vec![start];
-    while let Some(v) = stack.pop() {
-        for w in succ(v) {
-            if !reach[w] {
-                reach[w] = true;
-                stack.push(w);
-            }
-        }
-    }
-
-    // A reachable accepting product node on a cycle witnesses acceptance.
-    let graph = Graph {
-        n,
-        succ: Box::new(move |v| std::borrow::Cow::Owned(succ(v))),
+    let good = |members: &[usize]| {
+        members
+            .iter()
+            .any(|&v| b.is_accepting(v / phases))
+            .then_some(())
     };
-    let scc = tarjan(&graph);
-    (0..n).any(|v| {
-        let q = v / phases;
-        reach[v] && b.is_accepting(q) && crate::graph::on_cycle(&graph, &scc, v)
-    })
+    SccWalk::new(b.num_states() * phases)
+        .walk(b.initial() * phases, succ, good)
+        .is_some()
 }
 
 impl Buchi {
@@ -94,7 +77,80 @@ impl sl_omega::LinearProperty for BuchiProperty {
 mod tests {
     use super::*;
     use crate::automaton::BuchiBuilder;
+    use crate::random::{random_buchi, random_nondeterministic, RandomConfig};
     use sl_omega::{all_lassos, Alphabet};
+
+    /// The membership test this module used before the single walk:
+    /// forward reachability, Tarjan over every product node, then a
+    /// cycle test per reachable accepting node. Kept as the reference
+    /// the walk is checked against.
+    fn reference_accepts(b: &Buchi, word: &LassoWord) -> bool {
+        use crate::graph::{tarjan, Graph};
+        let phases = word.phase_count();
+        let n = b.num_states() * phases;
+        let node = |q: usize, i: usize| q * phases + i;
+        let succ = |v: usize| -> Vec<usize> {
+            let (q, i) = (v / phases, v % phases);
+            let sym = word.at(i);
+            let j = word.next_phase(i);
+            b.successors(q, sym).iter().map(|&s| node(s, j)).collect()
+        };
+        let mut reach = vec![false; n];
+        let start = node(b.initial(), 0);
+        reach[start] = true;
+        let mut stack = vec![start];
+        while let Some(v) = stack.pop() {
+            for w in succ(v) {
+                if !reach[w] {
+                    reach[w] = true;
+                    stack.push(w);
+                }
+            }
+        }
+        let graph = Graph {
+            n,
+            succ: Box::new(move |v| std::borrow::Cow::Owned(succ(v))),
+        };
+        let scc = tarjan(&graph);
+        let members = scc.members();
+        (0..n).any(|v| {
+            let on_cycle = members[scc.component[v]].len() > 1 || (graph.succ)(v).contains(&v);
+            reach[v] && b.is_accepting(v / phases) && on_cycle
+        })
+    }
+
+    #[test]
+    fn walk_matches_the_reference_on_random_automata() {
+        let mut verdicts = [0usize; 2];
+        for (k, sigma) in [Alphabet::ab(), Alphabet::new(&["x", "y", "z"])]
+            .iter()
+            .enumerate()
+        {
+            let lassos = all_lassos(sigma, 3, 3);
+            for seed in 0..24u64 {
+                let states = 1 + (seed % 7) as usize;
+                let seed = seed + 100 * k as u64;
+                let deterministic = random_buchi(
+                    sigma,
+                    seed,
+                    RandomConfig {
+                        states,
+                        density_percent: 70,
+                        accepting_percent: 40,
+                    },
+                );
+                let nondeterministic = random_nondeterministic(sigma, seed, states, 160, 40);
+                for b in [&deterministic, &nondeterministic] {
+                    for w in &lassos {
+                        let verdict = accepts(b, w);
+                        assert_eq!(verdict, reference_accepts(b, w), "seed {seed}, {w}");
+                        verdicts[usize::from(verdict)] += 1;
+                    }
+                }
+            }
+        }
+        assert!(verdicts[0] > 1_000 && verdicts[1] > 1_000, "{verdicts:?}");
+    }
 
     fn gfa() -> (Alphabet, Buchi) {
         let sigma = Alphabet::ab();

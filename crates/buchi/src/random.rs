@@ -4,6 +4,8 @@
 //! can sweep from sparse partial machines to complete ones. Every
 //! automaton [`random_buchi`] draws is deterministic: each (state,
 //! symbol) pair gets at most one successor, whatever the density.
+//! [`random_nondeterministic`] draws the other kind, for the inclusion
+//! engine that a nondeterministic right operand reaches.
 
 use crate::automaton::{Buchi, BuchiBuilder};
 use sl_omega::Alphabet;
@@ -64,6 +66,36 @@ pub fn random_buchi(alphabet: &Alphabet, seed: u64, config: RandomConfig) -> Buc
             let sym_index = rng.below(alphabet.len());
             let sym = alphabet.symbols().nth(sym_index).expect("in range");
             builder.add_transition(q, sym, rng.below(config.states));
+        }
+    }
+    builder.build(0)
+}
+
+/// A seeded automaton with `density_percent / 100` successors per
+/// (state, symbol) pair, plus one more with the remaining percent —
+/// nondeterministic past 100%, and (unlike [`random_buchi`]) free to
+/// leave a state without successors. State 0 is initial. Successors are
+/// drawn with replacement, so a pair can get fewer than the density
+/// promises.
+#[must_use]
+pub fn random_nondeterministic(
+    alphabet: &Alphabet,
+    seed: u64,
+    states: usize,
+    density_percent: u32,
+    accepting_percent: u32,
+) -> Buchi {
+    let mut rng = SplitMix::new(seed);
+    let mut builder = BuchiBuilder::new(alphabet.clone());
+    for _ in 0..states {
+        builder.add_state(rng.percent() < accepting_percent);
+    }
+    for q in 0..states {
+        for sym in alphabet.symbols() {
+            let extra = u32::from(rng.percent() < density_percent % 100);
+            for _ in 0..density_percent / 100 + extra {
+                builder.add_transition(q, sym, rng.below(states));
+            }
         }
     }
     builder.build(0)

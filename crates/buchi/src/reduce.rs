@@ -212,7 +212,7 @@ pub(crate) fn quotient(b: &Buchi, rows: &[u64]) -> Buchi {
 mod tests {
     use super::*;
     use crate::automaton::BuchiBuilder;
-    use crate::random::{random_buchi, RandomConfig};
+    use crate::random::{random_buchi, random_nondeterministic, RandomConfig};
     use sl_lattice::Bitset;
     use sl_omega::{all_lassos, Alphabet};
     use sl_support::SplitMix;
@@ -286,33 +286,6 @@ mod tests {
 
     fn to_flat(rows: &[Bitset]) -> Vec<u64> {
         rows.iter().flat_map(|row| row.words().to_vec()).collect()
-    }
-
-    /// A seeded automaton with `density_percent / 100` successors per
-    /// (state, symbol) pair, plus one more with the remaining percent —
-    /// nondeterministic past 100%, and (unlike [`random_buchi`]) free
-    /// to leave a state without successors.
-    fn random_nondeterministic(
-        alphabet: &Alphabet,
-        seed: u64,
-        states: usize,
-        density_percent: u32,
-        accepting_percent: u32,
-    ) -> Buchi {
-        let mut rng = SplitMix::new(seed);
-        let mut builder = BuchiBuilder::new(alphabet.clone());
-        for _ in 0..states {
-            builder.add_state(rng.percent() < accepting_percent);
-        }
-        for q in 0..states {
-            for sym in alphabet.symbols() {
-                let extra = u32::from(rng.percent() < density_percent % 100);
-                for _ in 0..density_percent / 100 + extra {
-                    builder.add_transition(q, sym, rng.below(states));
-                }
-            }
-        }
-        builder.build(0)
     }
 
     #[test]

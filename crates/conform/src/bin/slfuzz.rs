@@ -5,7 +5,8 @@
 //!        [--corpus PATH] [--append-corpus PATH]
 //!        [--stats PATH | --stats-dir DIR] [--stable]
 //!        [--max-seconds N]
-//!        [--sabotage antichain-subsumption|pdr-relative-induction|dirty-scc-invalidation]
+//!        [--sabotage antichain-subsumption|product-sink|pdr-relative-induction|
+//!                    dirty-scc-invalidation]
 //!        [--dump N] [--list]
 //! ```
 //!
@@ -47,7 +48,7 @@ fn usage() -> String {
          --max-seconds N   wall-clock budget; past it the run truncates\n\
          --sabotage WHAT   enable an engine sabotage drill\n\
          \x20                (supported: antichain-subsumption,\n\
-         \x20                 pdr-relative-induction,\n\
+         \x20                 product-sink, pdr-relative-induction,\n\
          \x20                 dirty-scc-invalidation)\n\
          --dump N          print N generated cases per oracle and exit\n\
          --list            list oracles and exit\n\
@@ -120,6 +121,7 @@ fn parse_args() -> Result<Cli, String> {
                 let what = value(&mut args, "--sabotage")?;
                 let known = [
                     "antichain-subsumption",
+                    "product-sink",
                     "pdr-relative-induction",
                     "dirty-scc-invalidation",
                 ];
@@ -183,6 +185,12 @@ fn main() -> ExitCode {
         Some("antichain-subsumption") => {
             eprintln!("slfuzz: SABOTAGE DRILL ACTIVE: antichain subsumption deliberately broken");
             sl_buchi::antichain::sabotage::set_break_subsumption(true);
+        }
+        Some("product-sink") => {
+            eprintln!(
+                "slfuzz: SABOTAGE DRILL ACTIVE: the product check's sink deliberately accepting"
+            );
+            sl_buchi::antichain::sabotage::set_product_sink_accepting(true);
         }
         Some("pdr-relative-induction") => {
             eprintln!("slfuzz: SABOTAGE DRILL ACTIVE: PDR relative induction deliberately broken");

@@ -9,7 +9,7 @@ use crate::case::{
     Case, CrashCase, Factor, HoaCase, Incl3Case, InclCase, LatticeCase, MonitorCase, PdrCase,
     SessionCase,
 };
-use sl_buchi::{hoa, random_buchi, Buchi, RandomConfig};
+use sl_buchi::{hoa, random_buchi, random_nondeterministic, Buchi, RandomConfig};
 use sl_ltl::Ltl;
 use sl_omega::Alphabet;
 use sl_support::SplitMix;
@@ -41,6 +41,25 @@ pub fn gen_buchi(rng: &mut SplitMix, alphabet: &Alphabet, max_states: usize) -> 
         accepting_percent: 20 + rng.below(61) as u32,
     };
     random_buchi(alphabet, rng.next_u64(), config)
+}
+
+/// Upper bound on nondeterministic right operands: the rank oracle's
+/// complement of a random 4-state one can take seconds.
+const MAX_NONDETERMINISTIC: usize = 3;
+
+/// Draws a right operand for the inclusion oracles: half the time
+/// [`gen_buchi`]'s deterministic kind, which the product check answers,
+/// half the time one of at most [`MAX_NONDETERMINISTIC`] states with
+/// one or two successors per (state, symbol) pair, which reaches the
+/// antichain search.
+fn gen_right(rng: &mut SplitMix, alphabet: &Alphabet, max_states: usize) -> Buchi {
+    if rng.flip() {
+        return gen_buchi(rng, alphabet, max_states);
+    }
+    let states = 1 + rng.below(max_states.min(MAX_NONDETERMINISTIC));
+    let density = 100 + rng.below(101) as u32;
+    let accepting = 20 + rng.below(61) as u32;
+    random_nondeterministic(alphabet, rng.next_u64(), states, density, accepting)
 }
 
 /// Draws a random LTL formula over `alphabet` with nesting depth at
@@ -85,7 +104,9 @@ pub fn gen_incl(rng: &mut SplitMix) -> InclCase {
     let left = gen_buchi(rng, &alphabet, MAX_STATES);
     // Half the time derive the right side from the left (small edits
     // make near-inclusions, the interesting regime for subsumption);
-    // otherwise independent.
+    // otherwise independent, and then nondeterministic half the time.
+    // (A union addend stays deterministic: a union with a
+    // nondeterministic one can cost the rank oracle a minute.)
     let right = if rng.flip() {
         let mut b = gen_buchi(rng, &alphabet, MAX_STATES);
         if rng.flip() {
@@ -93,7 +114,7 @@ pub fn gen_incl(rng: &mut SplitMix) -> InclCase {
         }
         b
     } else {
-        gen_buchi(rng, &alphabet, MAX_STATES)
+        gen_right(rng, &alphabet, MAX_STATES)
     };
     let budget = if rng.percent() < 25 {
         Some(1 + rng.next_u64() % 50_000)

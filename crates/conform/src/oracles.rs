@@ -9,9 +9,10 @@
 //!   and records a reproducer.
 //!
 //! The laws are the paper's universally-quantified theorems plus the
-//! engine-equivalence contracts the workspace already promises:
-//! on-the-fly antichain and rank inclusion agree (with validated
-//! witnesses, and positive verdicts cross-checked on short lassos),
+//! engine-equivalence contracts the workspace already promises: the
+//! product check, the on-the-fly antichain and rank inclusion agree
+//! (with validated witnesses, and positive verdicts cross-checked on
+//! short lassos),
 //! classify/decompose satisfy Theorems 2/3/5/6/7 on every generated
 //! lattice, `to_hoa ∘ from_hoa` is the identity with stable
 //! diagnostics, monitor verdict prefixes match an independent
@@ -58,10 +59,13 @@ pub enum Outcome {
     Fail(String),
 }
 
-/// Judges `case` with the oracle named by its tag.
+/// Judges `case` with the oracle named by its tag. An engine that
+/// panics has violated a law too: the panic is caught and reported as a
+/// failure, so the runner shrinks it like any other instead of dying.
+/// (The shared caches release their claims when a compute unwinds.)
 #[must_use]
 pub fn check(case: &Case) -> Outcome {
-    match case {
+    let judged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match case {
         Case::Incl(c) => check_incl(c),
         Case::Incl3(c) => check_incl3(c),
         Case::Lattice(c) => check_lattice(c),
@@ -71,7 +75,15 @@ pub fn check(case: &Case) -> Outcome {
         Case::Session(c) => check_session(c),
         Case::Crash(c) => check_crash(c),
         Case::Pdr(c) => check_pdr(c),
-    }
+    }));
+    judged.unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        Outcome::Fail(format!("an engine panicked: {message}"))
+    })
 }
 
 macro_rules! fail {
@@ -93,7 +105,7 @@ pub fn parse_states(text: &str) -> usize {
 }
 
 // ---------------------------------------------------------------------
-// Oracle 1: on-the-fly antichain vs rank inclusion
+// Oracle 1: product check / on-the-fly antichain vs rank inclusion
 // ---------------------------------------------------------------------
 
 fn parse_pair(left: &str, right: &str) -> Result<(Buchi, Buchi), Outcome> {
@@ -175,7 +187,17 @@ fn check_incl(c: &InclCase) -> Outcome {
     if fast.holds() != slow.holds() {
         fail!("engines disagree on inclusion: onthefly={fast:?} rank={slow:?}");
     }
-    for (engine, verdict) in [("onthefly", &fast), ("rank", &slow)] {
+    // Differential: the antichain search on the same question. `b ∪ b`
+    // has `b`'s language and is nondeterministic whenever `b`'s initial
+    // state has a successor, so it reaches the antichain even when `b`
+    // gets the product check.
+    let Ok(twin) = included(&a, &sl_buchi::union(&b, &b), quotients, None) else {
+        return Outcome::Accepted("inclusion budget exceeded");
+    };
+    if twin.holds() != fast.holds() {
+        fail!("inclusion into b and into b ∪ b disagree: {fast:?} vs {twin:?}");
+    }
+    for (engine, verdict) in [("onthefly", &fast), ("rank", &slow), ("twin", &twin)] {
         if let Inclusion::CounterExample(w) = verdict {
             if let Err(msg) = valid_cex(&a, &b, w) {
                 fail!("{engine} {msg}");

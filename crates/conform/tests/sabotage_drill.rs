@@ -5,17 +5,25 @@
 //! reproducer.
 //!
 //! This lives in its own integration-test binary so the process-global
-//! sabotage flags cannot leak into any other test. The two drills
-//! toggle disjoint flags and fuzz disjoint oracles, so they may run
-//! concurrently within the binary.
+//! sabotage flags cannot leak into any other test. The two inclusion
+//! drills fuzz the same oracle, so they take turns on [`INCL_DRILL`];
+//! the PDR drill toggles a disjoint flag and fuzzes a disjoint oracle,
+//! so it runs concurrently with them.
 
 use sl_buchi::antichain::sabotage;
 use sl_conform::run::{fuzz, FuzzOptions};
 use sl_conform::{check, Outcome};
+use std::sync::{Mutex, PoisonError};
 
-#[test]
-fn broken_subsumption_is_caught_and_shrunk_small() {
-    sabotage::set_break_subsumption(true);
+/// Held by each drill on the `incl` oracle for its whole run.
+static INCL_DRILL: Mutex<()> = Mutex::new(());
+
+/// Fuzzes the `incl` oracle for 64 cases with `set(true)` in force and
+/// demands a finding that shrinks to at most 8 automaton states (summed
+/// over both operands), fails under the sabotage and passes without it.
+fn incl_drill_is_caught_and_shrunk_small(what: &str, set: fn(bool)) {
+    let _turn = INCL_DRILL.lock().unwrap_or_else(PoisonError::into_inner);
+    set(true);
     let report = fuzz(&FuzzOptions {
         seed: 2003,
         cases: 64,
@@ -23,19 +31,17 @@ fn broken_subsumption_is_caught_and_shrunk_small() {
         only_case: None,
         max_seconds: None,
     });
-    sabotage::set_break_subsumption(false);
+    set(false);
 
     let findings = report.findings();
     assert!(
         !findings.is_empty(),
-        "the incl oracle must catch a broken subsumption check within 64 cases"
+        "the incl oracle must catch {what} within 64 cases"
     );
-    // Acceptance bound: the shrunk reproducer has at most 8 automaton
-    // states (summed over both operands).
     let smallest = findings.iter().map(|f| f.shrunk.weight()).min().unwrap();
     assert!(
         smallest <= 8,
-        "smallest shrunk reproducer has weight {smallest}, want <= 8"
+        "{what}: smallest shrunk reproducer has weight {smallest}, want <= 8"
     );
     for finding in &findings {
         assert!(
@@ -48,20 +54,36 @@ fn broken_subsumption_is_caught_and_shrunk_small() {
         // The shrunk case must still fail under sabotage and pass with
         // the engine healthy — i.e. it reproduces the injected bug, not
         // some shrinking artifact.
-        sabotage::set_break_subsumption(true);
+        set(true);
         let broken = check(&finding.shrunk);
-        sabotage::set_break_subsumption(false);
+        set(false);
         assert!(
             matches!(broken, Outcome::Fail(_)),
-            "shrunk case no longer reproduces under sabotage: {}",
+            "{what}: shrunk case no longer reproduces under sabotage: {}",
             finding.shrunk.to_line()
         );
         let healthy = check(&finding.shrunk);
         assert!(
             matches!(healthy, Outcome::Pass | Outcome::Accepted(_)),
-            "shrunk case fails even with the engine healthy: {healthy:?}"
+            "{what}: shrunk case fails even with the engine healthy: {healthy:?}"
         );
     }
+}
+
+#[test]
+fn broken_subsumption_is_caught_and_shrunk_small() {
+    incl_drill_is_caught_and_shrunk_small(
+        "a broken subsumption check",
+        sabotage::set_break_subsumption,
+    );
+}
+
+#[test]
+fn accepting_product_sink_is_caught_and_shrunk_small() {
+    incl_drill_is_caught_and_shrunk_small(
+        "an accepting product sink",
+        sabotage::set_product_sink_accepting,
+    );
 }
 
 #[test]

@@ -1285,6 +1285,51 @@ impl Service {
                 ("clean_sccs", Json::Int(advanced.clean_sccs as i64)),
             ],
         );
+        let mut engine = vec![
+            ("complement_cache", complement),
+            (
+                "antichain",
+                Json::obj(vec![
+                    ("searches", Json::Int(antichain.searches as i64)),
+                    (
+                        "insert_attempts",
+                        Json::Int(antichain.insert_attempts as i64),
+                    ),
+                    (
+                        "subsumption_scans",
+                        Json::Int(antichain.subsumption_scans as i64),
+                    ),
+                    (
+                        "counterexamples",
+                        Json::Int(antichain.counterexamples as i64),
+                    ),
+                    (
+                        "peak_macro_states",
+                        Json::Int(antichain.peak_macro_states as i64),
+                    ),
+                    (
+                        "final_antichain",
+                        Json::Int(antichain.final_antichain as i64),
+                    ),
+                ]),
+            ),
+        ];
+        // Additive: the block appears once a product check has run, so
+        // sessions that never ask an inclusion question keep their bytes.
+        if antichain.product_checks > 0 {
+            engine.push((
+                "product",
+                Json::obj(vec![
+                    ("checks", Json::Int(antichain.product_checks as i64)),
+                    ("states", Json::Int(antichain.product_states as i64)),
+                    (
+                        "counterexamples",
+                        Json::Int(antichain.product_counterexamples as i64),
+                    ),
+                ]),
+            ));
+        }
+        engine.push(("quotient_cache", quotient));
         let counters = &self.shared.counters;
         let mut doc = vec![
             ("requests", Json::Obj(requests)),
@@ -1312,39 +1357,7 @@ impl Service {
                 ]),
             ),
             ("cache", cache),
-            (
-                "engine",
-                Json::obj(vec![
-                    ("complement_cache", complement),
-                    (
-                        "antichain",
-                        Json::obj(vec![
-                            ("searches", Json::Int(antichain.searches as i64)),
-                            (
-                                "insert_attempts",
-                                Json::Int(antichain.insert_attempts as i64),
-                            ),
-                            (
-                                "subsumption_scans",
-                                Json::Int(antichain.subsumption_scans as i64),
-                            ),
-                            (
-                                "counterexamples",
-                                Json::Int(antichain.counterexamples as i64),
-                            ),
-                            (
-                                "peak_macro_states",
-                                Json::Int(antichain.peak_macro_states as i64),
-                            ),
-                            (
-                                "final_antichain",
-                                Json::Int(antichain.final_antichain as i64),
-                            ),
-                        ]),
-                    ),
-                    ("quotient_cache", quotient),
-                ]),
-            ),
+            ("engine", Json::obj(engine)),
         ];
         let check = &self.shared.check;
         doc.push((
@@ -1572,14 +1585,16 @@ fn compute_isolated(
     (outcome, delta)
 }
 
-/// The verb semantics proper. Every verb asks the on-the-fly antichain
-/// engine one or two inclusion questions under the request's budget:
-/// none means the engine's default attempt cap and no fault site, so
-/// fault drills only fire where a request opted into a budget.
-/// `include`/`equivalent`/`universal` quotient through the daemon's
-/// [`QuotientCache`], so repeated queries over the same operands reuse
-/// interned quotients instead of recomputing the simulation per query;
-/// `classify` still quotients through the process-wide cache.
+/// The verb semantics proper. Every verb asks the inclusion engine one
+/// or two inclusion questions under the request's budget: none means
+/// the engine's default cap and no fault site, so fault drills only
+/// fire where a request opted into a budget. A deterministic right
+/// operand gets the product check, which reads no quotient; for any
+/// other, `include`/`equivalent`/`universal` quotient through the
+/// daemon's [`QuotientCache`], so repeated queries over the same
+/// operands reuse interned quotients instead of recomputing the
+/// simulation per query, and `classify` quotients through the
+/// process-wide cache.
 fn compute_query(job: &QueryJob, quotient: &QuotientCache) -> Result<Json, SlError> {
     let budget = job.budget.map(BudgetSpec::to_budget);
     let budget = budget.as_ref();

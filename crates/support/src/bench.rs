@@ -64,6 +64,9 @@ pub struct Bench {
     /// Warmup duration before sampling starts.
     pub warmup: Duration,
     records: Vec<BenchRecord>,
+    /// Named figures that are not timings (shares, per-item
+    /// percentiles), in recording order.
+    notes: Vec<(String, f64)>,
 }
 
 impl Default for Bench {
@@ -72,6 +75,7 @@ impl Default for Bench {
             samples: 30,
             warmup: Duration::from_millis(80),
             records: Vec::new(),
+            notes: Vec::new(),
         }
     }
 }
@@ -94,6 +98,7 @@ impl Bench {
             samples,
             warmup,
             records: Vec::new(),
+            notes: Vec::new(),
         }
     }
 
@@ -152,6 +157,14 @@ impl Bench {
         &self.records
     }
 
+    /// Records a named figure that is not a timing — a share, a count,
+    /// a per-item percentile — prints it, and exports it under the JSON
+    /// document's `notes`.
+    pub fn note(&mut self, name: &str, value: f64) {
+        println!("{name:<40} {value}");
+        self.notes.push((name.to_string(), value));
+    }
+
     /// Renders the recorded measurements as a JSON document (no
     /// external dependencies: the format is flat and hand-rolled).
     #[must_use]
@@ -173,7 +186,24 @@ impl Bench {
                 if i + 1 < self.records.len() { "," } else { "" }
             ));
         }
-        out.push_str("  ]\n}\n");
+        out.push_str("  ]");
+        if !self.notes.is_empty() {
+            out.push_str(",\n  \"notes\": [\n");
+            for (i, (name, value)) in self.notes.iter().enumerate() {
+                let value = if value.is_finite() {
+                    value.to_string()
+                } else {
+                    "null".to_string()
+                };
+                out.push_str(&format!(
+                    "    {{\"name\": \"{}\", \"value\": {value}}}{}\n",
+                    escape_json(name),
+                    if i + 1 < self.notes.len() { "," } else { "" }
+                ));
+            }
+            out.push_str("  ]");
+        }
+        out.push_str("\n}\n");
         out
     }
 
@@ -238,6 +268,7 @@ mod tests {
             samples: 5,
             warmup: Duration::from_millis(1),
             records: Vec::new(),
+            notes: Vec::new(),
         }
     }
 
@@ -276,6 +307,21 @@ mod tests {
             "{json}"
         );
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    #[test]
+    fn notes_render_after_the_records() {
+        let mut bench = tiny_bench();
+        assert!(!bench.to_json("unit").contains("notes"));
+        bench.note("suite/share", 0.5);
+        bench.note("suite/count", 3.0);
+        bench.note("suite/undefined", f64::NAN);
+        let json = bench.to_json("unit");
+        assert!(json.ends_with(
+            "  \"notes\": [\n    {\"name\": \"suite/share\", \"value\": 0.5},\n    \
+             {\"name\": \"suite/count\", \"value\": 3},\n    \
+             {\"name\": \"suite/undefined\", \"value\": null}\n  ]\n}\n"
+        ));
     }
 
     #[test]

@@ -54,7 +54,10 @@ SL_BENCH_SAMPLES=5 SL_BENCH_WARMUP_MS=10 SL_BENCH_JSON_DIR="$incl_tmp" \
 # The JSON artifact must exist, parse as the flat BENCH shape, and show
 # the on-the-fly engine no worse than 2x the rank-based median anywhere.
 # The warmed-cache search series must exist and cost no more than their
-# corpus twins, which also pay for the simulation quotients.
+# corpus twins, which also pay for the simulation quotients (both use
+# nondeterministic specifications, so both run the antichain search).
+# The product check must answer every unscreened deterministic pair
+# within the default cap.
 python3 - "$incl_tmp/BENCH_incl.json" <<'PY'
 import json, sys
 with open(sys.argv[1]) as f:
@@ -69,13 +72,20 @@ for suite in ("incl", "univ"):
     assert fly <= 2 * rank, f"{suite}: onthefly {fly}ns loses >2x to rank {rank}ns"
     search = records[f"{suite}/onthefly/search"]["median_ns"]
     assert search <= fly, f"{suite}: warmed search {search}ns costs more than corpus {fly}ns"
+for name in ("incl/product/corpus", "incl/product/unscreened"):
+    assert name in records, f"E11 did not measure {name}"
+notes = {n["name"]: n["value"] for n in doc["notes"]}
+share = notes["incl/product/unscreened/answered_share"]
+assert share == 1.0, f"the product check answered only {share:.3f} of the unscreened pairs"
 print(f"BENCH_incl.json ok: incl speedup "
       f"{records['incl/rank_uncached/corpus']['median_ns'] / records['incl/onthefly/corpus']['median_ns']:.1f}x, "
       f"univ speedup "
       f"{records['univ/rank_uncached/corpus']['median_ns'] / records['univ/onthefly/corpus']['median_ns']:.1f}x, "
       f"search share of corpus: incl "
       f"{records['incl/onthefly/search']['median_ns'] / records['incl/onthefly/corpus']['median_ns']:.2f}, univ "
-      f"{records['univ/onthefly/search']['median_ns'] / records['univ/onthefly/corpus']['median_ns']:.2f}")
+      f"{records['univ/onthefly/search']['median_ns'] / records['univ/onthefly/corpus']['median_ns']:.2f}, "
+      f"unscreened product p50 {notes['incl/product/unscreened/p50_ns'] / 1e3:.1f} us, "
+      f"p99 {notes['incl/product/unscreened/p99_ns'] / 1e3:.1f} us")
 PY
 rm -rf "$incl_tmp"
 

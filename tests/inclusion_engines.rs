@@ -1,7 +1,9 @@
-//! Differential verification of the inclusion engine: the on-the-fly
-//! antichain search (quotient-cached, lazily expanded) against the
+//! Differential verification of the inclusion engine — the product
+//! check for deterministic right operands, the on-the-fly antichain
+//! search (quotient-cached, lazily expanded) for the rest — against the
 //! rank-based oracle, an independent algorithm (complement, then check
-//! emptiness).
+//! emptiness). The pool below is deterministic, so its sweeps pin the
+//! product check; the exhaustion test pins the antichain.
 //!
 //! Both engines are exact, so on every query they must return the same
 //! verdict, and every counterexample either produces must be *genuine*
@@ -219,13 +221,32 @@ fn ring(n: usize) -> Buchi {
     builder.build(states[0])
 }
 
+/// `Σ^ω` on two states, each stepping to both on every letter: a
+/// nondeterministic right operand, so inclusion into it runs the
+/// antichain search, on a quotient that is exactly the one-state
+/// [`Buchi::universal`].
+fn top() -> Buchi {
+    let sigma = Alphabet::ab();
+    let mut builder = BuchiBuilder::new(sigma.clone());
+    let states = [builder.add_state(true), builder.add_state(true)];
+    for from in states {
+        for sym in sigma.symbols() {
+            for to in states {
+                builder.add_transition(from, sym, to);
+            }
+        }
+    }
+    builder.build(states[0])
+}
+
 /// An unbudgeted search that runs into the default attempt cap reports
 /// the phase that ran out — the antichain search — both from the
 /// library and on the wire. (It once surfaced as
 /// `buchi.complement`, although no complement is ever built.)
 #[test]
 fn unbudgeted_exhaustion_names_the_antichain_phase() {
-    let all = Buchi::universal(Alphabet::ab());
+    let all = top();
+    assert!(!all.is_deterministic());
     assert!(included(&ring(128), &all, &QuotientCache::new(), None)
         .expect("the 128-state ring fits the default cap")
         .holds());
@@ -262,6 +283,49 @@ fn unbudgeted_exhaustion_names_the_antichain_phase() {
     );
 }
 
+/// The product check meters product states against the same default
+/// cap, in the same phase: two deterministic rings of 400 and 401
+/// states reach more than 2^17 state pairs.
+#[test]
+fn unbudgeted_product_exhaustion_names_the_same_phase() {
+    let (a, b) = (ring(400), ring(401));
+    assert!(b.is_deterministic());
+    let before = antichain_stats();
+    let err = included(&a, &b, &QuotientCache::new(), None)
+        .expect_err("the ring product exceeds the default cap");
+    assert_eq!(
+        err,
+        SlError::BudgetExceeded {
+            phase: "buchi.incl.antichain",
+            spent: DEFAULT_ANTICHAIN_BUDGET as u64 + 1,
+        }
+    );
+    let work = antichain_stats().delta_since(&before);
+    assert_eq!((work.product_checks, work.searches), (1, 0), "{work:?}");
+    assert_eq!(work.product_states, DEFAULT_ANTICHAIN_BUDGET as u64 + 1);
+}
+
+/// Two complete deterministic 16-state automata on which the antichain
+/// search made 275M subsumption scans before its attempt cap fired: the
+/// product check answers within the default cap, from a few hundred
+/// product states.
+#[test]
+fn the_275m_scan_pair_holds_within_the_default_cap() {
+    let sigma = Alphabet::ab();
+    let cfg = RandomConfig {
+        states: 16,
+        density_percent: 160,
+        accepting_percent: 30,
+    };
+    let (a, b) = (random_buchi(&sigma, 0, cfg), random_buchi(&sigma, 500, cfg));
+    let before = antichain_stats();
+    let verdict = included(&a, &b, &QuotientCache::new(), None).expect("within the default cap");
+    assert_eq!(verdict, Inclusion::Holds);
+    let work = antichain_stats().delta_since(&before);
+    assert_eq!((work.product_checks, work.searches), (1, 0), "{work:?}");
+    assert!(work.product_states <= 16 * 17, "{work:?}");
+}
+
 /// 64-bit FNV-1a, folding `bytes` into `hash`.
 fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |h, &b| {
@@ -269,15 +333,22 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     })
 }
 
-/// The search's observable output, pinned: the verdict and displayed
-/// counterexample of every question in a seeded corpus, and the summed
-/// work counters. The constants were computed with the `Vec<Bitset>`
-/// word-graph kernel; a kernel that changes the search order, the
-/// subsumption rule, the witness words or a charge point moves at least
-/// one of them. The corpus: 540 random questions over 3–10 states, 52
-/// over 16–40 states shaped like `sldbench`'s `solve-cold` automata,
-/// and ring questions over 64–130 states, whose word-graph rows span
-/// two and three `u64` words.
+/// The engine's observable output, pinned: the verdict of every
+/// question in a seeded corpus, the displayed counterexamples, and the
+/// summed work counters. The corpus: 540 random questions over 3–10
+/// states, 52 over 16–40 states shaped like `sldbench`'s `solve-cold`
+/// automata, and ring questions over 64–130 states, whose word-graph
+/// rows span two and three `u64` words.
+///
+/// The verdict digest was computed with the antichain search alone (the
+/// `Vec<Bitset>` word-graph kernel) and must never move: every right
+/// operand here is deterministic, so the product check now answers all
+/// of them, and it must agree with the search it replaced. The witness
+/// digest and the counters were re-pinned when the product check took
+/// over: its witnesses are BFS-shortest stems and cycles rather than the
+/// antichain's first lasso, and its work is counted in product states.
+/// A change to the search order, the witness rule or a charge point
+/// moves them.
 #[test]
 fn search_output_is_pinned_on_a_seeded_corpus() {
     let sigma = Alphabet::ab();
@@ -303,15 +374,16 @@ fn search_output_is_pinned_on_a_seeded_corpus() {
         Inclusion::Holds => Ok(()),
         Inclusion::CounterExample(w) => Err(w),
     };
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut verdicts = 0xcbf2_9ce4_8422_2325u64;
+    let mut witnesses = 0xcbf2_9ce4_8422_2325u64;
     let mut questions = 0usize;
     let before = antichain_stats();
     let mut ask = |kind: &str, verdict: Result<(), LassoWord>| {
-        let line = match verdict {
-            Ok(()) => format!("{questions} {kind} holds\n"),
-            Err(w) => format!("{questions} {kind} {w}\n"),
-        };
-        digest = fnv1a(digest, line.as_bytes());
+        let holds = verdict.is_ok();
+        verdicts = fnv1a(verdicts, format!("{questions} {kind} {holds}\n").as_bytes());
+        if let Err(w) = verdict {
+            witnesses = fnv1a(witnesses, format!("{questions} {kind} {w}\n").as_bytes());
+        }
         questions += 1;
     };
     for k in 0..420u64 {
@@ -347,18 +419,18 @@ fn search_output_is_pinned_on_a_seeded_corpus() {
     let verdict = included(&ring(128), &all, &cache, None).unwrap();
     ask("incl-top", inclusion(verdict));
     let work = antichain_stats().delta_since(&before);
+    assert_eq!(
+        format!("{questions} questions, verdicts {verdicts:#018x}"),
+        "602 questions, verdicts 0x7bd1f68e10915ff1"
+    );
     let summary = format!(
-        "{questions} questions, digest {digest:#018x}, {} searches, {} attempts, {} scans, \
-         {} counterexamples, peak {} macro-states",
-        work.searches,
-        work.insert_attempts,
-        work.subsumption_scans,
-        work.counterexamples,
-        work.peak_macro_states
+        "witnesses {witnesses:#018x}, {} searches, {} product checks, {} product states, \
+         {} counterexamples",
+        work.searches, work.product_checks, work.product_states, work.product_counterexamples
     );
     assert_eq!(
         summary,
-        "602 questions, digest 0xbd9554c1dbf1f43c, 635 searches, 94805 attempts, 258665 scans, \
-         440 counterexamples, peak 32239 macro-states"
+        "witnesses 0x58a47208a4348303, 0 searches, 635 product checks, 14932 product states, \
+         440 counterexamples"
     );
 }

@@ -2,9 +2,9 @@
 //! (`sl_buchi::interned`): incremental simulation maintenance must be
 //! *bit-identical* to from-scratch computation over long seeded
 //! mutation sequences, on-the-fly counterexamples must replay on the
-//! raw (unquotiented) operands, and the lazy macro-state arena must
-//! not scale with dead padding — the memory-regression gate for the
-//! 10^4-state tier.
+//! raw (unquotiented) operands, and neither the lazy macro-state arena
+//! nor the product check may scale with dead padding — the
+//! memory-regression gates for the 10^4-state tier.
 
 use safety_liveness::buchi::{
     antichain_stats, included, random_buchi, scratch_quotient, shared_quotient_cache,
@@ -225,19 +225,36 @@ fn onthefly_counterexamples_replay_on_raw_automata() {
     );
 }
 
-/// A small live core drowned in `padding` unreachable, successor-free
-/// states. The search trims first, so it must never see the padding.
-fn padded(sigma: &Alphabet, seed: u64, padding: usize) -> Buchi {
-    let core = random_buchi(
-        sigma,
-        seed,
-        RandomConfig {
-            states: 15,
-            density_percent: 55,
-            accepting_percent: 40,
-        },
-    );
+/// A 15-state deterministic core, or the same core with one extra
+/// transition beside the initial state's first one, which makes it
+/// nondeterministic. (Randomly nondeterministic 15-state cores are no
+/// good here: self-inclusion is the antichain's worst case, and most
+/// of them exhaust the default cap.)
+fn core(sigma: &Alphabet, seed: u64, deterministic: bool) -> Buchi {
+    let cfg = RandomConfig {
+        states: 15,
+        density_percent: 55,
+        accepting_percent: 40,
+    };
+    let core = random_buchi(sigma, seed, cfg);
+    if deterministic {
+        return core;
+    }
     let mut shape = shape_of(&core);
+    let row = shape.succ[0]
+        .iter_mut()
+        .find(|row| !row.is_empty())
+        .expect("every random_buchi state has a successor");
+    let extra = (row[0] + 1) % 15;
+    row.push(extra);
+    row.sort_unstable();
+    build(sigma, &shape)
+}
+
+/// A small live core drowned in `padding` unreachable, successor-free
+/// states. Neither search may ever see the padding.
+fn padded(sigma: &Alphabet, core: &Buchi, padding: usize) -> Buchi {
+    let mut shape = shape_of(core);
     for _ in 0..padding {
         shape.accepting.push(false);
         shape.succ.push(vec![Vec::new(); sigma.len()]);
@@ -266,13 +283,16 @@ fn search_alone(a: Buchi, b: Buchi) -> (bool, AntichainStats) {
 /// trimmed pair — every counter and both macro-state gauges equal. The
 /// arena gauge (`peak_macro_states`) counts every macro-state ever
 /// created, so padding-driven blowup cannot hide behind subsumption.
+/// The cores are nondeterministic, so this is the antichain search.
 #[test]
 fn lazy_search_peak_macro_states_ignores_dead_padding() {
     let sigma = Alphabet::ab();
     let mut real_searches = 0;
-    for seed in [77, 3, 11, 21, 42] {
-        let a = padded(&sigma, seed, 10_000);
-        let b = padded(&sigma, seed, 10_001);
+    for seed in SEEDS {
+        let core = core(&sigma, seed, false);
+        assert!(!core.is_deterministic(), "seed {seed}");
+        let a = padded(&sigma, &core, 10_000);
+        let b = padded(&sigma, &core, 10_001);
         let (a_trim, b_trim) = (a.trim_unreachable(), b.trim_unreachable());
         assert!(a_trim.num_states() <= 15 && b_trim.num_states() <= 15);
 
@@ -302,4 +322,38 @@ fn lazy_search_peak_macro_states_ignores_dead_padding() {
         real_searches >= 3,
         "only {real_searches} seeds ran a real search"
     );
+}
+
+const SEEDS: [u64; 5] = [77, 3, 11, 21, 42];
+
+/// The same gate for the product check, which deterministic right
+/// operands get: over a 10^4-state padded pair it creates exactly the
+/// product states of the trimmed pair, at most `15 · 16` of them, and
+/// gives the same answer. (Its memory is checked against the states it
+/// holds in `sl_buchi::antichain`'s unit tests.)
+#[test]
+fn product_check_ignores_dead_padding() {
+    let sigma = Alphabet::ab();
+    let mut counterexamples = 0;
+    for seed in SEEDS {
+        let (left, right) = (core(&sigma, seed, true), core(&sigma, seed + 1, true));
+        let a = padded(&sigma, &left, 10_000);
+        let b = padded(&sigma, &right, 10_001);
+        assert!(b.is_deterministic());
+        let (trimmed_holds, on_trimmed) = search_alone(left, right);
+        let (padded_holds, on_padded) = search_alone(a, b);
+        assert_eq!(trimmed_holds, padded_holds, "seed {seed}");
+        assert_eq!(on_padded.product_checks, 1, "seed {seed}");
+        assert_eq!(on_padded.searches, 0, "seed {seed}: no antichain search");
+        assert!(
+            on_padded.product_states > 1 && on_padded.product_states <= 15 * 16,
+            "seed {seed}: {on_padded:?}"
+        );
+        assert_eq!(
+            on_padded, on_trimmed,
+            "seed {seed}: padding changed the work"
+        );
+        counterexamples += on_padded.product_counterexamples;
+    }
+    assert!(counterexamples > 0, "every seed held");
 }
