@@ -75,11 +75,10 @@
 //! answers queries.
 
 use crate::automaton::Buchi;
-use crate::graph::SccWalk;
 use crate::incl::Inclusion;
 use crate::interned::QuotientCache;
 use sl_omega::{LassoWord, Symbol, Word};
-use sl_support::{fault, Budget, FaultPlan, SlError};
+use sl_support::{fault, Budget, FaultPlan, SccWalk, SlError};
 use std::collections::hash_map::{Entry, HashMap};
 use std::collections::VecDeque;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -1218,15 +1217,12 @@ mod tests {
     use sl_support::SplitMix;
 
     /// The word-graph kernel this module used before the flat layout —
-    /// one [`Bitset`] per row, and a lasso test through the generic
-    /// [`Graph`] and [`tarjan`] — kept as the reference the flat kernel
-    /// is checked against.
+    /// one [`Bitset`] per row — with a lasso test by definition, kept
+    /// as the reference the flat kernel is checked against.
     mod reference {
         use crate::automaton::{Buchi, StateId};
-        use crate::graph::{tarjan, Graph};
         use sl_lattice::Bitset;
         use sl_omega::Symbol;
-        use std::borrow::Cow;
 
         #[derive(Debug, Clone, PartialEq, Eq)]
         pub struct WordGraph {
@@ -1323,39 +1319,33 @@ mod tests {
             }
         }
 
+        /// Whether `u·v^ω ∈ L(B)`: from a state `B` reaches on `u`, the
+        /// `v` steps reach some `x` that steps through `F_B` to a `y`
+        /// from which `x` is reachable again.
         pub fn lasso_in_b(b: &Buchi, g_u: &WordGraph, g_v: &WordGraph) -> bool {
             let n = b.num_states();
-            let graph = Graph {
-                n,
-                succ: Box::new(|q| Cow::Owned(g_v.reach[q].iter().collect())),
-            };
-            let scc = tarjan(&graph);
-            let mut good = vec![false; scc.count];
-            for x in 0..n {
-                for y in g_v.acc[x].iter() {
-                    if scc.component[x] == scc.component[y] {
-                        good[scc.component[x]] = true;
+            // `star[q]`: the states `q` reaches in zero or more `v` steps.
+            let star: Vec<Bitset> = (0..n)
+                .map(|q| {
+                    let mut seen = Bitset::empty(n);
+                    seen.insert(q);
+                    let mut stack = vec![q];
+                    while let Some(p) = stack.pop() {
+                        for s in g_v.reach[p].iter() {
+                            if !seen.contains(s) {
+                                seen.insert(s);
+                                stack.push(s);
+                            }
+                        }
                     }
-                }
-            }
-            let mut seen = vec![false; n];
-            let mut stack: Vec<usize> = Vec::new();
-            for q in g_u.reach[b.initial()].iter() {
-                seen[q] = true;
-                stack.push(q);
-            }
-            while let Some(q) = stack.pop() {
-                if good[scc.component[q]] {
-                    return true;
-                }
-                for s in g_v.reach[q].iter() {
-                    if !seen[s] {
-                        seen[s] = true;
-                        stack.push(s);
-                    }
-                }
-            }
-            false
+                    seen
+                })
+                .collect();
+            g_u.reach[b.initial()].iter().any(|p| {
+                star[p]
+                    .iter()
+                    .any(|x| g_v.acc[x].iter().any(|y| star[y].contains(x)))
+            })
         }
     }
 

@@ -16,35 +16,29 @@
 //! lassos.
 
 use crate::automaton::Buchi;
-use crate::graph::{backward_reachable, tarjan, Graph};
+use crate::graph::reaching;
+use sl_support::SccWalk;
 
 /// The set of *live* states: those from which some accepting cycle is
 /// reachable, i.e. `L(B(q)) ≠ ∅`.
 #[must_use]
 pub fn live_states(b: &Buchi) -> Vec<bool> {
-    let graph = Graph {
-        n: b.num_states(),
-        succ: Box::new(|q| std::borrow::Cow::Borrowed(b.all_successors(q))),
-    };
-    let scc = tarjan(&graph);
-    let members = scc.members();
-    let size: Vec<usize> = members.iter().map(Vec::len).collect();
     // Accepting states on cycles are the cores of accepting lassos.
-    let cores: Vec<usize> = (0..b.num_states())
-        .filter(|&q| {
-            b.is_accepting(q) && (size[scc.component[q]] > 1 || b.all_successors(q).contains(&q))
-        })
-        .collect();
-    // Reverse adjacency in one pass over the successor lists: the old
-    // dense bit-probe scan paid O(n) per queried vertex, turning every
-    // `Monitor::new`/`classify` into an O(n²) walk.
-    let mut pred: Vec<Vec<usize>> = vec![Vec::new(); b.num_states()];
-    for p in 0..b.num_states() {
-        for &q in b.all_successors(p) {
-            pred[q].push(p);
+    let n = b.num_states();
+    let mut cores = vec![false; n];
+    let mut walk = SccWalk::new(n);
+    let succ = |q: usize, i| b.all_successors(q).get(i).copied();
+    for root in 0..n {
+        if !walk.visited(root) {
+            walk.walk(root, succ, |members| {
+                for &q in members {
+                    cores[q] = b.is_accepting(q);
+                }
+                None::<()>
+            });
         }
     }
-    backward_reachable(&pred, &cores)
+    reaching(b, cores)
 }
 
 /// The closure automaton: restrict to live states, then make every state

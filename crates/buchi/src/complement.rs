@@ -5,7 +5,8 @@
 //! * [`complement_safety`] — for *all-accepting* automata (the shape the
 //!   closure operator produces), whose language is "some infinite run
 //!   exists". The complement is the co-safety language "all runs die",
-//!   obtained by a subset construction with an accepting dead-state sink.
+//!   obtained by the monitors' subset construction with an accepting
+//!   dead-state sink.
 //!   This is cheap (at most `2^n` subsets) and is all the decomposition
 //!   theorem needs for the liveness part `B ∪ ¬cl(B)`.
 //! * [`complement`] — full Kupferman–Vardi rank-based complementation
@@ -16,6 +17,7 @@
 //!   caller's budget — guards against blow-ups.
 
 use crate::automaton::{Buchi, BuchiBuilder, StateId};
+use crate::monitor::{Monitor, DEAD};
 use sl_support::{fault, Budget, FaultPlan, SlError};
 use std::collections::HashMap;
 
@@ -32,39 +34,23 @@ pub fn complement_safety(b: &Buchi) -> Buchi {
         (0..b.num_states()).all(|q| b.is_accepting(q)),
         "complement_safety requires an all-accepting automaton"
     );
+    let table = Monitor::subset_construction(b).table;
     let sigma = b.alphabet().clone();
     let mut builder = BuchiBuilder::new(sigma.clone());
-    // The accepting sink that swallows words once all runs have died.
+    // The accepting sink that swallows words once all runs have died;
+    // subset state `s` becomes state `s + 1`.
     let dead = builder.add_state(true);
+    for _ in &table {
+        builder.add_state(false);
+    }
     for sym in sigma.symbols() {
         builder.add_transition(dead, sym, dead);
-    }
-    let mut ids: HashMap<Vec<StateId>, StateId> = HashMap::new();
-    let start: Vec<StateId> = vec![b.initial()];
-    let start_id = builder.add_state(false);
-    ids.insert(start.clone(), start_id);
-    let mut work = vec![start];
-    while let Some(subset) = work.pop() {
-        let from = ids[&subset];
-        for sym in sigma.symbols() {
-            let mut next: Vec<StateId> = subset
-                .iter()
-                .flat_map(|&q| b.successors(q, sym).iter().copied())
-                .collect();
-            next.sort_unstable();
-            next.dedup();
-            if next.is_empty() {
-                builder.add_transition(from, sym, dead);
-            } else {
-                let to = *ids.entry(next.clone()).or_insert_with(|| {
-                    work.push(next);
-                    builder.add_state(false)
-                });
-                builder.add_transition(from, sym, to);
-            }
+        for (s, row) in table.iter().enumerate() {
+            let to = row[sym.index()];
+            builder.add_transition(s + 1, sym, if to == DEAD { dead } else { to + 1 });
         }
     }
-    builder.build(start_id)
+    builder.build(1)
 }
 
 /// A ranking-construction state: ranks per original state (`-1` =

@@ -5,36 +5,28 @@
 //! periodic word, which we return as a [`LassoWord`].
 
 use crate::automaton::{Buchi, StateId};
-use crate::graph::{tarjan, Graph};
 use sl_omega::{LassoWord, Symbol, Word};
+use sl_support::SccWalk;
 
 /// Finds an accepted lasso word, or `None` if the language is empty.
+/// The lasso runs through the smallest accepting state that lies on a
+/// reachable cycle, along a shortest stem and a shortest cycle.
 #[must_use]
 pub fn find_accepted_word(b: &Buchi) -> Option<LassoWord> {
-    let reachable = b.reachable();
-    let graph = Graph {
-        n: b.num_states(),
-        succ: Box::new(|q| std::borrow::Cow::Borrowed(b.all_successors(q))),
-    };
-    let scc = tarjan(&graph);
-    let members = scc.members();
-    let scc_size: Vec<usize> = members.iter().map(Vec::len).collect();
-
-    for q in 0..b.num_states() {
-        if !reachable[q] || !b.is_accepting(q) {
-            continue;
+    let mut core: Option<StateId> = None;
+    let succ = |q: usize, i| b.all_successors(q).get(i).copied();
+    SccWalk::new(b.num_states()).walk(b.initial(), succ, |members| {
+        if let Some(q) = members.iter().copied().filter(|&q| b.is_accepting(q)).min() {
+            core = Some(core.map_or(q, |c| c.min(q)));
         }
-        let nontrivial = scc_size[scc.component[q]] > 1 || b.all_successors(q).contains(&q);
-        if !nontrivial {
-            continue;
-        }
-        // Stem: shortest symbol path initial -> q.
-        let stem = symbol_path(b, b.initial(), q, false)?;
-        // Cycle: shortest nonempty symbol path q -> q.
-        let cycle = symbol_path(b, q, q, true)?;
-        return Some(LassoWord::new(&stem, &cycle));
-    }
-    None
+        None::<()>
+    });
+    let q = core?;
+    // Stem: shortest symbol path initial -> q.
+    let stem = symbol_path(b, b.initial(), q, false)?;
+    // Cycle: shortest nonempty symbol path q -> q.
+    let cycle = symbol_path(b, q, q, true)?;
+    Some(LassoWord::new(&stem, &cycle))
 }
 
 /// Whether the automaton's language is empty.

@@ -46,12 +46,11 @@
 //! an `O(n²)` preprocessing bill into `O(core²)`.
 
 use crate::automaton::Buchi;
-use crate::graph::{tarjan, Graph};
+use crate::graph::reaching;
 use crate::reduce::{quotient, refine, row_words, top_rows};
 use sl_lattice::Bitset;
 use sl_support::fault::{self, FaultPlan};
-use sl_support::{CacheStats, StripedCache};
-use std::borrow::Cow;
+use sl_support::{CacheStats, SccWalk, StripedCache};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Test-only engine sabotage, used by the conformance fuzzer to prove
@@ -193,54 +192,57 @@ pub fn scratch_quotient(b: &Buchi) -> Buchi {
 fn seed_rows(old_t: &Buchi, old_rows: &[u64], new_t: &Buchi, rows: &mut [u64]) -> AdvanceReport {
     let n_new = new_t.num_states();
     let n_old = old_t.num_states();
-    // A state is locally unchanged when its index, acceptance bit, and
+    // A state is locally changed unless its index, acceptance bit, and
     // every per-symbol successor row survived the edit verbatim.
-    let mut local_same = vec![false; n_new];
-    for (q, same) in local_same.iter_mut().enumerate().take(n_new.min(n_old)) {
-        *same = new_t.is_accepting(q) == old_t.is_accepting(q)
-            && new_t
-                .alphabet()
-                .symbols()
-                .all(|s| new_t.successors(q, s) == old_t.successors(q, s));
-    }
-    let graph = Graph {
-        n: n_new,
-        succ: Box::new(|q| Cow::Borrowed(new_t.all_successors(q))),
+    let changed: Vec<bool> = (0..n_new)
+        .map(|q| {
+            q >= n_old
+                || new_t.is_accepting(q) != old_t.is_accepting(q)
+                || new_t
+                    .alphabet()
+                    .symbols()
+                    .any(|s| new_t.successors(q, s) != old_t.successors(q, s))
+        })
+        .collect();
+    // A state is dirty when it reaches a locally changed one, so its
+    // cone is no longer the old version's. (The drill stops the marking
+    // at the state's own SCC.)
+    let mut dirty = if sabotage::dirty_tracking_broken() {
+        changed
+    } else {
+        reaching(new_t, changed)
     };
-    let scc = tarjan(&graph);
-    let mut dirty = vec![false; scc.count];
-    for q in 0..n_new {
-        if !local_same[q] {
-            dirty[scc.component[q]] = true;
-        }
-    }
-    // Dirtiness propagates backward from successors: tarjan numbers
-    // components in reverse topological order, so every successor SCC
-    // has a smaller id and one ascending pass settles the partition.
-    if !sabotage::dirty_tracking_broken() {
-        let members = scc.members();
-        for c in 0..scc.count {
-            if dirty[c] {
-                continue;
-            }
-            'scan: for &q in &members[c] {
-                for &r in new_t.all_successors(q) {
-                    if dirty[scc.component[r]] {
-                        dirty[c] = true;
-                        break 'scan;
-                    }
+    // The SCCs are the cyclic components plus the states outside them,
+    // and an SCC is dirty when any of its states is.
+    let (mut sccs, mut dirty_sccs) = (0, 0);
+    let mut on_cycle = vec![false; n_new];
+    let mut walk = SccWalk::new(n_new);
+    let succ = |q: usize, i| new_t.all_successors(q).get(i).copied();
+    for root in 0..n_new {
+        if !walk.visited(root) {
+            walk.walk(root, succ, |members| {
+                let d = members.iter().any(|&q| dirty[q]);
+                for &q in members {
+                    dirty[q] = d;
+                    on_cycle[q] = true;
                 }
-            }
+                sccs += 1;
+                dirty_sccs += usize::from(d);
+                None::<()>
+            });
         }
     }
-    let dirty_sccs = dirty.iter().filter(|&&d| d).count();
+    for q in (0..n_new).filter(|&q| !on_cycle[q]) {
+        sccs += 1;
+        dirty_sccs += usize::from(dirty[q]);
+    }
     // A clean state's reachable cone is bit-identical to the old
     // version's, and a simulation verdict depends only on the two
     // cones — so on clean × clean pairs the old fixpoint bit *is* the
     // new fixpoint bit. Keep the optimistic top everywhere else. A
     // clean state is locally unchanged, so its index is below both
     // state counts: its old row sits at the same index.
-    let clean_states: Vec<usize> = (0..n_new).filter(|&q| !dirty[scc.component[q]]).collect();
+    let clean_states: Vec<usize> = (0..n_new).filter(|&q| !dirty[q]).collect();
     let (w_new, w_old) = (row_words(n_new), row_words(n_old));
     let mut clean = vec![0u64; w_new];
     for &q in &clean_states {
@@ -256,7 +258,7 @@ fn seed_rows(old_t: &Buchi, old_rows: &[u64], new_t: &Buchi, rows: &mut [u64]) -
     }
     AdvanceReport {
         dirty_sccs,
-        clean_sccs: scc.count - dirty_sccs,
+        clean_sccs: sccs - dirty_sccs,
     }
 }
 

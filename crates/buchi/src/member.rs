@@ -7,8 +7,8 @@
 //! stops at the first cyclic component holding an accepting state.
 
 use crate::automaton::Buchi;
-use crate::graph::SccWalk;
 use sl_omega::LassoWord;
+use sl_support::SccWalk;
 
 /// Whether the automaton accepts the lasso word.
 #[must_use]
@@ -80,43 +80,35 @@ mod tests {
     use crate::random::{random_buchi, random_nondeterministic, RandomConfig};
     use sl_omega::{all_lassos, Alphabet};
 
-    /// The membership test this module used before the single walk:
-    /// forward reachability, Tarjan over every product node, then a
-    /// cycle test per reachable accepting node. Kept as the reference
-    /// the walk is checked against.
+    /// Membership by definition, with no SCC code: some product node
+    /// that is reachable and accepting reaches itself again in one or
+    /// more steps. Kept as the reference the walk is checked against.
     fn reference_accepts(b: &Buchi, word: &LassoWord) -> bool {
-        use crate::graph::{tarjan, Graph};
         let phases = word.phase_count();
         let n = b.num_states() * phases;
-        let node = |q: usize, i: usize| q * phases + i;
         let succ = |v: usize| -> Vec<usize> {
             let (q, i) = (v / phases, v % phases);
-            let sym = word.at(i);
             let j = word.next_phase(i);
-            b.successors(q, sym).iter().map(|&s| node(s, j)).collect()
+            b.successors(q, word.at(i))
+                .iter()
+                .map(|&s| s * phases + j)
+                .collect()
         };
-        let mut reach = vec![false; n];
-        let start = node(b.initial(), 0);
-        reach[start] = true;
-        let mut stack = vec![start];
-        while let Some(v) = stack.pop() {
-            for w in succ(v) {
-                if !reach[w] {
-                    reach[w] = true;
-                    stack.push(w);
+        // The nodes reachable from `from` in one or more steps.
+        let after = |from: usize| {
+            let mut seen = vec![false; n];
+            let mut stack = succ(from);
+            while let Some(v) = stack.pop() {
+                if !seen[v] {
+                    seen[v] = true;
+                    stack.extend(succ(v));
                 }
             }
-        }
-        let graph = Graph {
-            n,
-            succ: Box::new(move |v| std::borrow::Cow::Owned(succ(v))),
+            seen
         };
-        let scc = tarjan(&graph);
-        let members = scc.members();
-        (0..n).any(|v| {
-            let on_cycle = members[scc.component[v]].len() > 1 || (graph.succ)(v).contains(&v);
-            reach[v] && b.is_accepting(v / phases) && on_cycle
-        })
+        let start = b.initial() * phases;
+        let reached = after(start);
+        (0..n).any(|v| (v == start || reached[v]) && b.is_accepting(v / phases) && after(v)[v])
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! runtime monitoring (Henzinger–Mazzocchi–Saraç 2023).
 
 use crate::automaton::{Buchi, StateId};
-use crate::closure::{closure, live_states};
+use crate::closure::closure;
 use sl_omega::{Symbol, Word};
 use sl_support::{Budget, SlError};
 use std::collections::HashMap;
@@ -64,18 +64,9 @@ impl Monitor {
     #[must_use]
     pub fn new(b: &Buchi) -> Self {
         let safety = closure(b);
-        // Subset construction over the (already all-live) closure.
-        let live = live_states(&safety);
-        let sigma = safety.alphabet().clone();
-        let mut ids: HashMap<Vec<StateId>, usize> = HashMap::new();
-        let mut table: Vec<Vec<usize>> = Vec::new();
-        let start: Vec<StateId> =
-            if safety.num_states() > 0 && live.get(safety.initial()) == Some(&true) {
-                vec![safety.initial()]
-            } else {
-                Vec::new()
-            };
-        if start.is_empty() {
+        // Every state of a nonempty closure is live, so only the
+        // empty-language stub has a state without successors.
+        if safety.all_successors(safety.initial()).is_empty() {
             // The property's closure is empty: everything violates.
             return Monitor {
                 table: Vec::new(),
@@ -83,16 +74,29 @@ impl Monitor {
                 current: DEAD,
             };
         }
+        Self::subset_construction(&safety)
+    }
+
+    /// The subset construction of an all-accepting automaton, whose
+    /// language is "some infinite run exists": one state per reachable
+    /// nonempty set of automaton states, numbered in discovery order,
+    /// and [`DEAD`] where every run has died. [`Monitor::new`] runs it
+    /// on the closure and [`crate::complement_safety`] on any
+    /// all-accepting automaton, so the state indices that snapshots
+    /// store and the complement's numbering come from one construction.
+    pub(crate) fn subset_construction(b: &Buchi) -> Self {
+        let sigma = b.alphabet();
+        let start: Vec<StateId> = vec![b.initial()];
+        let mut ids: HashMap<Vec<StateId>, usize> = HashMap::new();
         ids.insert(start.clone(), 0);
-        table.push(vec![DEAD; sigma.len()]);
+        let mut table: Vec<Vec<usize>> = vec![vec![DEAD; sigma.len()]];
         let mut work = vec![start];
         while let Some(subset) = work.pop() {
             let from = ids[&subset];
             for sym in sigma.symbols() {
                 let mut next: Vec<StateId> = subset
                     .iter()
-                    .flat_map(|&q| safety.successors(q, sym).iter().copied())
-                    .filter(|&q| live[q])
+                    .flat_map(|&q| b.successors(q, sym).iter().copied())
                     .collect();
                 next.sort_unstable();
                 next.dedup();

@@ -2,7 +2,7 @@
 //! an independent strategy verifier used to cross-check the solver.
 
 use crate::parity::{ParityGame, Player};
-use sl_support::{Budget, BudgetMeter, SlError};
+use sl_support::{Budget, BudgetMeter, SccWalk, SlError};
 
 /// A solved parity game: per-vertex winner and, for each vertex owned by
 /// its winner, a winning move.
@@ -196,40 +196,43 @@ pub fn verify(game: &ParityGame, solution: &Solution) -> Result<(), String> {
         }
         // Every cycle in `edges` within the region must have max
         // priority of `player`'s parity. Check recursively: find the
-        // max priority in each SCC; if it is the loser's parity, fail
-        // when it lies on a cycle; remove those vertices and recurse.
-        let mut active: Vec<bool> = region.clone();
+        // max priority in each cyclic SCC; if it is the loser's parity,
+        // fail; otherwise drop the top vertices and look for
+        // loser-dominated sub-cycles among the rest.
+        let mut active = region;
         loop {
-            let comps = sccs(n, &edges, &active);
+            for outs in &mut edges {
+                outs.retain(|&w| active[w]);
+            }
+            let mut walk = SccWalk::new(n);
             let mut changed = false;
-            let mut bad = false;
-            for comp in &comps {
-                let cyclic = comp.len() > 1 || edges[comp[0]].contains(&comp[0]);
-                if !cyclic {
+            for root in 0..n {
+                if walk.visited(root) {
                     continue;
                 }
-                let top = comp
-                    .iter()
-                    .map(|&v| game.priority(v))
-                    .max()
-                    .expect("nonempty");
-                if Player::of_priority(top) == player {
-                    // Winner's parity dominates: drop the top vertices
-                    // and look for loser-dominated sub-cycles.
+                let succ = |v: usize, i| edges[v].get(i).copied();
+                let bad = walk.walk(root, succ, |comp| {
+                    let top = comp
+                        .iter()
+                        .map(|&v| game.priority(v))
+                        .max()
+                        .expect("nonempty");
+                    if Player::of_priority(top) != player {
+                        return Some(());
+                    }
                     for &v in comp {
                         if game.priority(v) == top {
                             active[v] = false;
                             changed = true;
                         }
                     }
-                } else {
-                    bad = true;
+                    None
+                });
+                if bad.is_some() {
+                    return Err(format!(
+                        "a cycle in the {player} region is dominated by the opponent's parity"
+                    ));
                 }
-            }
-            if bad {
-                return Err(format!(
-                    "a cycle in the {player} region is dominated by the opponent's parity"
-                ));
             }
             if !changed {
                 break;
@@ -237,78 +240,6 @@ pub fn verify(game: &ParityGame, solution: &Solution) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// SCCs of the restricted graph (simple iterative Tarjan).
-fn sccs(n: usize, edges: &[Vec<usize>], active: &[bool]) -> Vec<Vec<usize>> {
-    const UNSET: usize = usize::MAX;
-    let mut index = vec![UNSET; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack = Vec::new();
-    let mut next = 0usize;
-    let mut out: Vec<Vec<usize>> = Vec::new();
-
-    enum Frame {
-        Enter(usize),
-        Resume(usize, usize),
-    }
-    for root in 0..n {
-        if !active[root] || index[root] != UNSET {
-            continue;
-        }
-        let mut work = vec![Frame::Enter(root)];
-        while let Some(frame) = work.pop() {
-            match frame {
-                Frame::Enter(v) => {
-                    index[v] = next;
-                    low[v] = next;
-                    next += 1;
-                    stack.push(v);
-                    on_stack[v] = true;
-                    work.push(Frame::Resume(v, 0));
-                }
-                Frame::Resume(v, mut i) => {
-                    let mut descended = false;
-                    while i < edges[v].len() {
-                        let w = edges[v][i];
-                        i += 1;
-                        if !active[w] {
-                            continue;
-                        }
-                        if index[w] == UNSET {
-                            work.push(Frame::Resume(v, i));
-                            work.push(Frame::Enter(w));
-                            descended = true;
-                            break;
-                        } else if on_stack[w] {
-                            low[v] = low[v].min(index[w]);
-                        }
-                    }
-                    if descended {
-                        continue;
-                    }
-                    if low[v] == index[v] {
-                        let mut comp = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("scc stack underflow");
-                            on_stack[w] = false;
-                            comp.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        out.push(comp);
-                    }
-                    if let Some(Frame::Resume(parent, _)) = work.last() {
-                        let parent = *parent;
-                        low[parent] = low[parent].min(low[v]);
-                    }
-                }
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -413,9 +344,23 @@ mod tests {
         assert!(verify(&g, &bogus).is_err());
     }
 
+    /// 64-bit FNV-1a, folding `bytes` into `hash`.
+    fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(hash, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
     /// Random games cross-checked: solve, then verify the strategies.
+    /// Each solution is then corrupted — one winner flipped, one move
+    /// redirected, or every owned move sent to its first successor —
+    /// and the verifier's answers on the corrupted copies are pinned as
+    /// a digest, computed before `verify` ran on the shared SCC walk.
     #[test]
     fn random_games_verify() {
+        let mut corrupt = sl_support::SplitMix::new(0x2E11);
+        let mut answers = 0xcbf2_9ce4_8422_2325u64;
+        let mut rejected = 0;
         let mut state = 0xDEAD_BEEFu64;
         let mut rng = move || {
             state = state
@@ -447,7 +392,30 @@ mod tests {
             let g = ParityGame::new(owner, priority, succ);
             let s = solve(&g, None).unwrap();
             verify(&g, &s).unwrap_or_else(|e| panic!("round {round}: {e}\n{g:?}\n{s:?}"));
+            let mut bad = s.clone();
+            let v = corrupt.below(n);
+            match corrupt.below(3) {
+                0 => bad.winner[v] = bad.winner[v].opponent(),
+                1 => {
+                    let outs = g.successors(v);
+                    bad.strategy[v] = Some(outs[corrupt.below(outs.len())]);
+                }
+                _ => {
+                    for (w, slot) in bad.strategy.iter_mut().enumerate() {
+                        if g.owner(w) == bad.winner[w] {
+                            *slot = g.successors(w).first().copied();
+                        }
+                    }
+                }
+            }
+            let answer = verify(&g, &bad);
+            rejected += usize::from(answer.is_err());
+            answers = fnv1a(answers, format!("{round} {answer:?}\n").as_bytes());
         }
+        assert_eq!(
+            format!("{rejected} rejected, answers {answers:#018x}"),
+            "100 rejected, answers 0xe4c339daa6cce5db"
+        );
     }
 
     #[test]

@@ -31,6 +31,11 @@
 //! * [`cache`] — [`StripedCache`], the workspace's one memo table:
 //!   striped locks, collision checks, cap-and-clear, a fault drill,
 //!   one [`CacheStats`] shape, and singleflight.
+//! * [`scc`] — [`SccWalk`], the workspace's one strongly-connected-
+//!   component walk: iterative Tarjan over positional successors,
+//!   handing each cyclic component to a callback as it closes. Closure,
+//!   emptiness, membership, the product inclusion check, path
+//!   quantification and the parity-strategy verifier all run on it.
 //!
 //! Everything here is plain `std`; there are no feature flags and no
 //! transitive dependencies.
@@ -46,6 +51,7 @@ pub mod fault;
 pub mod par;
 pub mod prop;
 pub mod rng;
+pub mod scc;
 
 pub use budget::{Budget, BudgetMeter, CancelFlag};
 pub use cache::{CacheStats, StripedCache};
@@ -53,3 +59,4 @@ pub use error::SlError;
 pub use fault::FaultPlan;
 pub use par::{ItemOutcome, SweepReport};
 pub use rng::SplitMix;
+pub use scc::SccWalk;

@@ -12,6 +12,7 @@
 use crate::kripke::Kripke;
 use sl_buchi::Buchi;
 use sl_ltl::{translate, Ltl};
+use sl_support::SccWalk;
 
 /// Whether some path from the initial state satisfies the LTL formula.
 ///
@@ -36,115 +37,32 @@ pub fn all_paths(kripke: &Kripke, formula: &Ltl) -> bool {
     !exists_path(kripke, &formula.clone().not())
 }
 
-/// Whether some path's label word is accepted by the automaton.
+/// Whether some path's label word is accepted by the automaton: one
+/// SCC walk over the product of the structure and the automaton, from
+/// the initial pair, that stops at the first cyclic component holding
+/// an accepting automaton state.
 #[must_use]
 pub fn exists_accepted_path(kripke: &Kripke, nba: &Buchi) -> bool {
-    let ns = kripke.len();
     let nq = nba.num_states();
-    let n = ns * nq;
-    let node = |s: usize, q: usize| s * nq + q;
-    let succ = |v: usize| -> Vec<usize> {
+    // Product node `s·|Q| + q`. Its `i`-th successor pairs the
+    // automaton's `i / d`-th successor on `s`'s label with the
+    // structure's `i % d`-th successor, where `d ≥ 1` is `s`'s
+    // out-degree.
+    let succ = |v: usize, i: usize| {
         let (s, q) = (v / nq, v % nq);
-        let sym = kripke.label(s);
-        let mut out = Vec::new();
-        for &qn in nba.successors(q, sym) {
-            for &sn in kripke.successors(s) {
-                out.push(node(sn, qn));
-            }
-        }
-        out
+        let next = kripke.successors(s);
+        let qn = nba.successors(q, kripke.label(s)).get(i / next.len())?;
+        Some(next[i % next.len()] * nq + qn)
     };
-    // Forward reachability from (initial, nba initial).
-    let start = node(kripke.initial(), nba.initial());
-    let mut reach = vec![false; n];
-    reach[start] = true;
-    let mut stack = vec![start];
-    while let Some(v) = stack.pop() {
-        for w in succ(v) {
-            if !reach[w] {
-                reach[w] = true;
-                stack.push(w);
-            }
-        }
-    }
-    // Accepting product node on a reachable cycle?
-    // Reuse a small Tarjan here.
-    let comps = sccs(n, &succ);
-    let mut comp_size = vec![0usize; n];
-    for &c in &comps {
-        comp_size[c] += 1;
-    }
-    (0..n).any(|v| {
-        reach[v] && nba.is_accepting(v % nq) && (comp_size[comps[v]] > 1 || succ(v).contains(&v))
-    })
-}
-
-/// Component ids by iterative Tarjan over a successor function.
-fn sccs(n: usize, succ: &dyn Fn(usize) -> Vec<usize>) -> Vec<usize> {
-    const UNSET: usize = usize::MAX;
-    let mut index = vec![UNSET; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack = Vec::new();
-    let mut comp = vec![UNSET; n];
-    let mut next = 0usize;
-    let mut count = 0usize;
-    enum Frame {
-        Enter(usize),
-        Resume(usize, Vec<usize>, usize),
-    }
-    for root in 0..n {
-        if index[root] != UNSET {
-            continue;
-        }
-        let mut work = vec![Frame::Enter(root)];
-        while let Some(frame) = work.pop() {
-            match frame {
-                Frame::Enter(v) => {
-                    index[v] = next;
-                    low[v] = next;
-                    next += 1;
-                    stack.push(v);
-                    on_stack[v] = true;
-                    work.push(Frame::Resume(v, succ(v), 0));
-                }
-                Frame::Resume(v, outs, mut i) => {
-                    let mut descended = false;
-                    while i < outs.len() {
-                        let w = outs[i];
-                        i += 1;
-                        if index[w] == UNSET {
-                            work.push(Frame::Resume(v, outs, i));
-                            work.push(Frame::Enter(w));
-                            descended = true;
-                            break;
-                        } else if on_stack[w] {
-                            low[v] = low[v].min(index[w]);
-                        }
-                    }
-                    if descended {
-                        continue;
-                    }
-                    if low[v] == index[v] {
-                        loop {
-                            let w = stack.pop().expect("scc stack underflow");
-                            on_stack[w] = false;
-                            comp[w] = count;
-                            if w == v {
-                                break;
-                            }
-                        }
-                        count += 1;
-                    }
-                    if let Some(Frame::Resume(parent, _, _)) = work.last() {
-                        let parent = *parent;
-                        low[parent] = low[parent].min(low[v]);
-                    }
-                }
-            }
-        }
-    }
-    comp
+    let good = |members: &[usize]| {
+        members
+            .iter()
+            .any(|&v| nba.is_accepting(v % nq))
+            .then_some(())
+    };
+    SccWalk::new(kripke.len() * nq)
+        .walk(kripke.initial() * nq + nba.initial(), succ, good)
+        .is_some()
 }
 
 #[cfg(test)]
@@ -152,8 +70,10 @@ mod tests {
     use super::*;
     use crate::ctl::{parse_ctl, satisfies};
     use crate::regular::enumerate_regular_trees;
+    use sl_buchi::random_nondeterministic;
     use sl_ltl::parse;
-    use sl_omega::Alphabet;
+    use sl_omega::{Alphabet, Symbol};
+    use sl_support::SplitMix;
 
     fn sigma() -> Alphabet {
         Alphabet::ab()
@@ -224,6 +144,63 @@ mod tests {
             let k = t.to_kripke();
             assert_eq!(satisfies(&k, &af), all_paths(&k, &fa), "{t:?}");
         }
+    }
+
+    /// 64-bit FNV-1a, folding `bytes` into `hash`.
+    fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(hash, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// [`exists_accepted_path`] pinned on seeded pairs: structures of
+    /// 1–12 states with one to three successors each, against nine
+    /// translated formulas and one random nondeterministic automaton
+    /// per structure. The digest was computed before the product search
+    /// ran on the shared SCC walk.
+    #[test]
+    fn exists_accepted_path_is_pinned_on_seeded_pairs() {
+        let s = sigma();
+        let texts = [
+            "G a",
+            "F b",
+            "G F a",
+            "F G b",
+            "a U b",
+            "b R a",
+            "G (a -> X b)",
+            "X X a",
+            "F (a & X G b)",
+        ];
+        let formulas: Vec<Buchi> = texts
+            .iter()
+            .map(|text| translate(&s, &parse(&s, text).unwrap()))
+            .collect();
+        let mut rng = SplitMix::new(0x9A7B);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let (mut pairs, mut accepted) = (0, 0);
+        for seed in 0..80u64 {
+            let n = 1 + rng.below(12);
+            let mut labels = Vec::new();
+            let mut succ = Vec::new();
+            for _ in 0..n {
+                labels.push(Symbol(rng.below(2) as u16));
+                let degree = 1 + rng.below(3);
+                succ.push((0..degree).map(|_| rng.below(n)).collect::<Vec<_>>());
+            }
+            let k = Kripke::new(s.clone(), labels, succ, rng.below(n));
+            let nba = random_nondeterministic(&s, rng.next_u64(), 1 + rng.below(6), 120, 40);
+            for (j, b) in formulas.iter().chain([&nba]).enumerate() {
+                let verdict = exists_accepted_path(&k, b);
+                digest = fnv1a(digest, format!("{seed} {j} {verdict}\n").as_bytes());
+                pairs += 1;
+                accepted += usize::from(verdict);
+            }
+        }
+        assert_eq!(
+            format!("{pairs} pairs, {accepted} accepted, digest {digest:#018x}"),
+            "800 pairs, 513 accepted, digest 0x9c320bf6399f0d12"
+        );
     }
 
     #[test]

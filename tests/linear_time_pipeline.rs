@@ -3,11 +3,13 @@
 //! lasso-word semantics at every stage.
 
 use safety_liveness::buchi::{
-    classify, closure, decompose, equivalent, is_liveness, is_safety, shared_quotient_cache,
-    universal, Classification,
+    classify, closure, complement_safety, decompose, equivalent, find_accepted_word, is_liveness,
+    is_safety, live_states, random_buchi, random_nondeterministic, shared_quotient_cache,
+    universal, Buchi, Classification, CompiledMonitor, Monitor, RandomConfig,
 };
 use safety_liveness::ltl::{eval, parse, rem_examples, translate};
-use safety_liveness::omega::{all_lassos, rem, Alphabet, LinearProperty};
+use safety_liveness::omega::{all_lassos, all_words, rem, Alphabet, LinearProperty};
+use sl_support::SplitMix;
 
 fn sigma() -> Alphabet {
     Alphabet::ab()
@@ -213,4 +215,101 @@ fn conjunction_of_decomposition_parts_via_product() {
         let meet = intersection(&d.safety, &d.liveness);
         assert!(included_with_complement(&meet, &not_m).holds(), "{text}");
     }
+}
+
+/// 64-bit FNV-1a, folding `bytes` into `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The closure side's observable output, pinned on a seeded corpus:
+/// the live states, the closure's structural hash, the emptiness
+/// witness, and, where the subset construction stays small, the safety
+/// complement's and the liveness part's structural hashes, the state
+/// counts of both monitors, and on every word up to length 4 their
+/// verdicts and the subset monitor's saved state (the index snapshots
+/// store). The corpus: deterministic and nondeterministic automata over
+/// 1–3 letters with 1–130 states, so state sets span one to three `u64`
+/// words. The digests were computed before the closure family shared
+/// one SCC walk and one subset construction; a change to a discovery
+/// order or a witness rule moves them.
+#[test]
+fn closure_constructions_are_pinned_on_a_seeded_corpus() {
+    let alphabets = [
+        Alphabet::new(&["a"]),
+        Alphabet::ab(),
+        Alphabet::new(&["a", "b", "c"]),
+    ];
+    let mut rng = SplitMix::new(0x00C1_050E);
+    let mut corpus: Vec<(Alphabet, Buchi)> = Vec::new();
+    for sigma in &alphabets {
+        for states in [1usize, 2, 3, 5, 8, 12, 40, 64, 65, 130] {
+            for density in [30u32, 70, 100] {
+                let cfg = RandomConfig {
+                    states,
+                    density_percent: density,
+                    accepting_percent: 30,
+                };
+                corpus.push((sigma.clone(), random_buchi(sigma, rng.next_u64(), cfg)));
+            }
+            for density in [60u32, 120, 180] {
+                let b = random_nondeterministic(sigma, rng.next_u64(), states, density, 30);
+                corpus.push((sigma.clone(), b));
+            }
+        }
+    }
+    let basis = 0xcbf2_9ce4_8422_2325u64;
+    let [mut live, mut closed, mut witness, mut complemented, mut monitored, mut compiled] =
+        [basis; 6];
+    let mut subset_cases = 0;
+    for (i, (sigma, b)) in corpus.iter().enumerate() {
+        let bits: String = live_states(b)
+            .iter()
+            .map(|&l| if l { '1' } else { '0' })
+            .collect();
+        live = fnv1a(live, format!("{i} {bits}\n").as_bytes());
+        let cl = closure(b);
+        closed = fnv1a(closed, format!("{i} {}\n", cl.structural_hash()).as_bytes());
+        let word = find_accepted_word(b).map(|w| w.display(sigma));
+        witness = fnv1a(witness, format!("{i} {word:?}\n").as_bytes());
+        if !b.is_deterministic() && b.num_states() > 12 {
+            continue;
+        }
+        subset_cases += 1;
+        let liveness = decompose(b).liveness;
+        let line = format!(
+            "{i} {} {}\n",
+            complement_safety(&cl).structural_hash(),
+            liveness.structural_hash()
+        );
+        complemented = fnv1a(complemented, line.as_bytes());
+        let mut monitor = Monitor::new(b);
+        let mut fast = CompiledMonitor::new(b).expect("small enough to compile");
+        monitored = fnv1a(
+            monitored,
+            format!("{i} {}\n", monitor.num_states()).as_bytes(),
+        );
+        compiled = fnv1a(compiled, format!("{i} {}\n", fast.num_states()).as_bytes());
+        for w in all_words(sigma, 4) {
+            let (verdict, settled) = monitor.run(&w, None).unwrap();
+            let line = format!("{i} {verdict:?} {settled} {}\n", monitor.save_state());
+            monitored = fnv1a(monitored, line.as_bytes());
+            let (verdict, settled) = fast.run(&w, None).unwrap();
+            compiled = fnv1a(compiled, format!("{i} {verdict:?} {settled}\n").as_bytes());
+        }
+    }
+    let summary = format!(
+        "{} automata, {subset_cases} subset cases\nlive {live:#018x}\nclosure {closed:#018x}\n\
+         witness {witness:#018x}\ncomplement {complemented:#018x}\nmonitor {monitored:#018x}\n\
+         compiled {compiled:#018x}",
+        corpus.len()
+    );
+    assert_eq!(
+        summary,
+        "180 automata, 156 subset cases\nlive 0xd8c6de999a602f20\nclosure 0x1e3ae8756f02746d\n\
+         witness 0x52c957157b77ed10\ncomplement 0xc9d96fb0aedad088\nmonitor 0x396e1381c691f069\n\
+         compiled 0xbae06245ed4425e6"
+    );
 }
