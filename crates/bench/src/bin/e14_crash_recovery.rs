@@ -16,13 +16,19 @@
 //!
 //! * `persist/snapshot/sessions1000` — one `drain()` (journal sync plus
 //!   a full snapshot) of a daemon holding 1,000 monitor sessions over
-//!   25 HOA targets.
+//!   25 HOA targets of 1–4 states;
+//! * `persist/snapshot/registry200` — the same for a daemon shaped like
+//!   `sldbench`'s `monitor-journal` state: 200 registry automata of
+//!   16–64 states and 1,000 monitor sessions over them, with nothing
+//!   redefined since the previous drain, so every text comes from the
+//!   render memo.
 //!
 //! Correctness gates come first: every recovered daemon must answer a
 //! probe suffix byte-identically to an uninterrupted twin, the
 //! snapshot configurations must replay strictly fewer journal records
-//! than the journal-only one, and the fleet's newest snapshot must hold
-//! each distinct automaton text exactly once (a count, not a timing).
+//! than the journal-only one, and both snapshot-cost daemons' newest
+//! snapshots must hold each distinct automaton text exactly once (a
+//! count, not a timing).
 //! `BENCH_persist.json` records the medians; `scripts/verify.sh` gates
 //! on this artifact.
 
@@ -38,6 +44,10 @@ const SESSION: usize = 1200;
 /// Targets and monitor sessions of the snapshot-cost fleet.
 const FLEET_TARGETS: usize = 25;
 const FLEET_SESSIONS: usize = 1000;
+/// Registry automata and monitor sessions of the `monitor-journal`-shaped
+/// snapshot-cost daemon.
+const REGISTRY_AUTOMATA: usize = 200;
+const REGISTRY_SESSIONS: usize = 1000;
 
 fn config() -> ServiceConfig {
     ServiceConfig {
@@ -56,15 +66,17 @@ fn scratch(tag: &str) -> PathBuf {
 
 /// A `define` of a small random HOA automaton under `name`.
 fn define(rng: &mut SplitMix, name: &str) -> String {
-    let b = sl_buchi::random_buchi(
-        &sl_omega::Alphabet::ab(),
-        rng.next_u64(),
-        sl_buchi::RandomConfig {
-            states: 1 + rng.below(4),
-            density_percent: 60,
-            accepting_percent: 50,
-        },
-    );
+    let config = sl_buchi::RandomConfig {
+        states: 1 + rng.below(4),
+        density_percent: 60,
+        accepting_percent: 50,
+    };
+    define_random(rng, name, config)
+}
+
+/// A `define` of a random deterministic HOA automaton under `name`.
+fn define_random(rng: &mut SplitMix, name: &str, config: sl_buchi::RandomConfig) -> String {
+    let b = sl_buchi::random_buchi(&sl_omega::Alphabet::ab(), rng.next_u64(), config);
     let hoa = sl_buchi::hoa::to_hoa(&b, name)
         .replace('\\', "\\\\")
         .replace('"', "\\\"")
@@ -123,6 +135,71 @@ fn fleet(seed: u64) -> Vec<String> {
         ));
     }
     lines
+}
+
+/// The `monitor-journal`-shaped daemon: 200 deterministic, all-accepting
+/// (so safety, compiled into fleets) HOA targets of 16–64 states, then
+/// 1,000 monitor sessions spread over them, each created by one step.
+fn registry(seed: u64) -> Vec<String> {
+    let mut rng = SplitMix::new(seed);
+    let mut lines: Vec<String> = (0..REGISTRY_AUTOMATA)
+        .map(|t| {
+            let config = sl_buchi::RandomConfig {
+                states: 16 + rng.below(49),
+                density_percent: 65,
+                accepting_percent: 100,
+            };
+            define_random(&mut rng, &format!("r{t:03}"), config)
+        })
+        .collect();
+    for j in 0..REGISTRY_SESSIONS {
+        lines.push(format!(
+            "{{\"verb\":\"monitor-step\",\"monitor\":\"s{j:04}\",\"target\":\"r{:03}\",\"symbols\":[\"{}\"]}}",
+            j % REGISTRY_AUTOMATA,
+            if rng.flip() { "a" } else { "b" }
+        ));
+    }
+    lines
+}
+
+/// A persistent daemon in a fresh `dir` without automatic snapshots,
+/// after serving `lines`.
+fn populated(dir: &std::path::Path, lines: &[String]) -> Service {
+    let svc = Service::with_persistence(
+        config(),
+        &PersistConfig {
+            dir: dir.to_path_buf(),
+            snapshot_every: 0,
+        },
+    )
+    .expect("snapshot-cost daemon");
+    for line in lines {
+        svc.handle_line(line);
+    }
+    svc
+}
+
+/// Whether the newest snapshot in `dir` holds `automata` distinct texts,
+/// each once: as many `HOA: v1` headers and `automata` table entries.
+fn each_text_once(dir: &std::path::Path, label: &str, automata: usize) -> bool {
+    let payload = newest_snapshot(dir);
+    let table: Vec<String> = sl_service::json::parse(&payload)
+        .ok()
+        .and_then(|doc| {
+            doc.get("automata")?
+                .as_arr()?
+                .iter()
+                .map(|t| t.as_str().map(str::to_string))
+                .collect()
+        })
+        .unwrap_or_default();
+    let texts = payload.matches("HOA: v1").count();
+    println!(
+        "  {label} snapshot: {} bytes, {texts} automaton texts",
+        payload.len()
+    );
+    let distinct: std::collections::HashSet<&String> = table.iter().collect();
+    texts == automata && table.len() == automata && distinct.len() == automata
 }
 
 /// The payload of the newest snapshot in `dir`.
@@ -257,40 +334,27 @@ fn main() -> ExitCode {
     // and writes a full snapshot (temp file, fsync, rename, directory
     // fsync, journal rotation), exactly as the daemon's cadence does.
     let fleet_dir = scratch("fleet");
-    let fleet_svc = Service::with_persistence(
-        config(),
-        &PersistConfig {
-            dir: fleet_dir.clone(),
-            snapshot_every: 0,
-        },
-    )
-    .expect("fleet daemon");
-    for line in fleet(2003) {
-        fleet_svc.handle_line(&line);
-    }
+    let fleet_svc = populated(&fleet_dir, &fleet(2003));
     let snapshot_med = bench.measure("persist/snapshot/sessions1000", || {
         black_box(fleet_svc.drain().expect("drain"));
     });
-    let payload = newest_snapshot(&fleet_dir);
-    let table: Vec<String> = sl_service::json::parse(&payload)
-        .ok()
-        .and_then(|doc| {
-            doc.get("automata")?
-                .as_arr()?
-                .iter()
-                .map(|t| t.as_str().map(str::to_string))
-                .collect()
-        })
-        .unwrap_or_default();
-    let distinct: std::collections::HashSet<&String> = table.iter().collect();
-    let texts = payload.matches("HOA: v1").count();
-    println!(
-        "  fleet snapshot: {} bytes, {texts} automaton texts for {FLEET_TARGETS} targets and {FLEET_SESSIONS} sessions",
-        payload.len()
-    );
     board.claim(
         "the newest fleet snapshot holds each distinct automaton text exactly once",
-        texts == FLEET_TARGETS && table.len() == FLEET_TARGETS && distinct.len() == FLEET_TARGETS,
+        each_text_once(&fleet_dir, "fleet", FLEET_TARGETS),
+    );
+
+    // The same at `monitor-journal` scale. One drain before the clock
+    // starts, so every measured drain finds the state it snapshots
+    // unchanged since the previous one.
+    let registry_dir = scratch("registry");
+    let registry_svc = populated(&registry_dir, &registry(2003));
+    registry_svc.drain().expect("first drain");
+    let registry_med = bench.measure("persist/snapshot/registry200", || {
+        black_box(registry_svc.drain().expect("drain"));
+    });
+    board.claim(
+        "the newest registry200 snapshot holds each distinct automaton text exactly once",
+        each_text_once(&registry_dir, "registry200", REGISTRY_AUTOMATA),
     );
 
     println!("\nrecovery (median):");
@@ -303,6 +367,10 @@ fn main() -> ExitCode {
         "fleet snapshot (median): {:.3} ms",
         snapshot_med.as_secs_f64() * 1e3
     );
+    println!(
+        "registry200 snapshot (median): {:.3} ms",
+        registry_med.as_secs_f64() * 1e3
+    );
     board.claim(
         "snapshot-assisted recovery (snap64) is no slower than full replay",
         medians[1] <= medians[0],
@@ -312,6 +380,7 @@ fn main() -> ExitCode {
         let _ = std::fs::remove_dir_all(dir);
     }
     let _ = std::fs::remove_dir_all(&fleet_dir);
+    let _ = std::fs::remove_dir_all(&registry_dir);
     bench.finish("persist");
     board.finish()
 }

@@ -80,7 +80,7 @@
 
 use crate::cache::{QueryCache, QueryKind};
 use crate::json::Json;
-use crate::persist::{Persist, PersistConfig, PersistError, SessionSnap};
+use crate::persist::{escaped, Persist, PersistConfig, PersistError, SnapshotEncoder};
 use crate::proto::{
     err_value, kind_of, ok_value, request_from_value, BudgetSpec, ProtoError, Request, Verb,
 };
@@ -228,6 +228,16 @@ impl Sessions {
         }
         SessionBackend::Nfa(Monitor::new(target))
     }
+
+    /// The raw monitor state of `session`, as snapshots store it.
+    fn save_state(&self, session: &MonitorSession) -> u64 {
+        match &session.backend {
+            SessionBackend::Compiled { fleet, slot } => {
+                u64::from(self.fleets[*fleet].fleet.save_state(*slot))
+            }
+            SessionBackend::Nfa(monitor) => monitor.save_state(),
+        }
+    }
 }
 
 /// One handled line's outcome.
@@ -296,16 +306,25 @@ struct PersistState {
     persist: Persist,
     replaying: bool,
     notes: Vec<String>,
-    /// The HOA text of every automaton the last snapshot wrote, so the
-    /// next snapshot renders only automata that are new since.
+    /// The text of every automaton the last snapshot wrote, so the next
+    /// snapshot renders only automata that are new since.
     rendered: RenderMemo,
 }
 
-/// Rendered HOA text keyed by `Arc` identity and the name it is rendered
-/// under (the name is part of the text). Each entry holds its `Arc`, so
-/// the automaton's address cannot be freed and reused by a different
-/// automaton while the entry lives.
-type RenderMemo = HashMap<(usize, String), (Arc<Buchi>, String)>;
+/// Snapshot texts kept between snapshots: each automaton's HOA text,
+/// rendered, JSON-escaped and interned by content once in its life.
+#[derive(Debug, Default)]
+struct RenderMemo {
+    /// Keyed by `Arc` identity and the name the automaton is rendered
+    /// under (the name is part of the text). Each entry holds its `Arc`,
+    /// so the automaton's address cannot be freed and reused by a
+    /// different automaton while the entry lives.
+    entries: HashMap<(usize, String), (Arc<Buchi>, Arc<str>)>,
+    /// Every text an entry holds, once: entries with equal texts share
+    /// one `Arc<str>`, which is the text's identity in the snapshot's
+    /// `automata` table.
+    texts: HashSet<Arc<str>>,
+}
 
 /// Request/error/session tallies, all atomics so any connection can
 /// bump them without a lock.
@@ -439,7 +458,7 @@ impl Service {
             persist,
             replaying: true,
             notes: recovered.notes,
-            rendered: RenderMemo::new(),
+            rendered: RenderMemo::default(),
         });
         if let Some(snapshot) = &recovered.snapshot {
             service.restore_snapshot(snapshot)?;
@@ -580,9 +599,9 @@ impl Service {
         let Some(state) = persist.as_mut() else {
             return Ok(false);
         };
-        let (registry, sessions) = self.snapshot_state(&mut state.rendered);
+        let encoder = self.encode_snapshot(&mut state.rendered);
         state.persist.sync()?;
-        state.persist.write_snapshot(registry, sessions)?;
+        state.persist.write_encoded(encoder)?;
         Ok(true)
     }
 
@@ -753,62 +772,61 @@ impl Service {
             return;
         };
         if !state.replaying && state.persist.should_snapshot() {
-            let (registry, sessions) = self.snapshot_state(&mut state.rendered);
-            if let Err(e) = state.persist.write_snapshot(registry, sessions) {
+            let encoder = self.encode_snapshot(&mut state.rendered);
+            if let Err(e) = state.persist.write_encoded(encoder) {
                 eprintln!("sld: snapshot failed: {e}");
             }
         }
     }
 
-    /// Serializes the durable state: sorted registry bindings (HOA is
-    /// an exact codec — `from_hoa(to_hoa(b)) == b`) and sorted monitor
-    /// sessions with their raw backend state. Called with the mutation
-    /// lock held, so no mutator is mid-flight; queries may interleave
-    /// freely (they never touch durable state).
+    /// Encodes the durable state: name-sorted registry bindings (HOA is
+    /// an exact codec — `from_hoa(to_hoa(b)) == b`) and name-sorted
+    /// monitor sessions with their raw backend state. Called with the
+    /// mutation lock held, so no mutator is mid-flight; queries may
+    /// interleave freely (they never touch durable state).
     ///
     /// Automata are immutable behind their `Arc`, so each is rendered
-    /// once and its text reused from `memo` by every later snapshot
-    /// that still holds it. `memo` ends up holding exactly the automata
-    /// this snapshot wrote; the ones it no longer reaches are released.
-    fn snapshot_state(&self, memo: &mut RenderMemo) -> (Vec<(String, String)>, Vec<SessionSnap>) {
-        let mut previous = std::mem::take(memo);
-        let mut render = |automaton: &Arc<Buchi>, name: &str| -> String {
+    /// and escaped once and its text reused from `memo` by every later
+    /// snapshot that still holds it. `memo` ends up holding exactly the
+    /// automata this snapshot wrote; the ones it no longer reaches are
+    /// released.
+    fn encode_snapshot(&self, memo: &mut RenderMemo) -> SnapshotEncoder {
+        let mut previous = std::mem::take(&mut memo.entries);
+        let RenderMemo { entries, texts } = memo;
+        let mut text = |automaton: &Arc<Buchi>, name: &str| -> Arc<str> {
             let key = (Arc::as_ptr(automaton) as usize, name.to_string());
-            let (_, text) = memo.entry(key).or_insert_with_key(|key| {
-                previous
-                    .remove(key)
-                    .unwrap_or_else(|| (Arc::clone(automaton), hoa::to_hoa(automaton, name)))
+            let (_, text) = entries.entry(key).or_insert_with_key(|key| {
+                previous.remove(key).unwrap_or_else(|| {
+                    let text = escaped(&hoa::to_hoa(automaton, name));
+                    let interned = texts.get(text.as_str()).cloned().unwrap_or_else(|| {
+                        let text: Arc<str> = text.into();
+                        texts.insert(Arc::clone(&text));
+                        text
+                    });
+                    (Arc::clone(automaton), interned)
+                })
             });
-            text.clone()
+            Arc::clone(text)
         };
-        let mut registry: Vec<(String, String)> = self
-            .read_registry()
-            .iter()
-            .map(|(name, automaton)| (name.to_string(), render(automaton, name)))
-            .collect();
-        registry.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut encoder = SnapshotEncoder::default();
+        let registry = self.read_registry();
+        let mut bindings: Vec<(&str, &Arc<Buchi>)> = registry.iter().collect();
+        bindings.sort_unstable_by_key(|&(name, _)| name);
+        for (name, automaton) in bindings {
+            encoder.binding(name, &text(automaton, name));
+        }
+        drop(registry);
         let guard = self.lock_sessions();
-        let mut sessions: Vec<SessionSnap> = guard
-            .monitors
-            .iter()
-            .map(|(name, session)| {
-                let state = match &session.backend {
-                    SessionBackend::Compiled { fleet, slot } => {
-                        u64::from(guard.fleets[*fleet].fleet.save_state(*slot))
-                    }
-                    SessionBackend::Nfa(monitor) => monitor.save_state(),
-                };
-                SessionSnap {
-                    name: name.clone(),
-                    target: session.target.clone(),
-                    hoa: render(&session.source, &session.target),
-                    state,
-                }
-            })
-            .collect();
+        let mut sessions: Vec<(&String, &MonitorSession)> = guard.monitors.iter().collect();
+        sessions.sort_unstable_by_key(|&(name, _)| name);
+        for (name, session) in sessions {
+            let text = text(&session.source, &session.target);
+            encoder.session(name, &session.target, &text, guard.save_state(session));
+        }
         drop(guard);
-        sessions.sort_unstable_by(|a, b| a.name.cmp(&b.name));
-        (registry, sessions)
+        drop(previous);
+        texts.retain(|text| Arc::strong_count(text) > 1);
+        encoder
     }
 
     /// Rebuilds registry and sessions from a snapshot. Automata are
@@ -1996,12 +2014,250 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::{load_snapshot, SessionSnap, Snapshot};
+    use std::path::{Path, PathBuf};
+
+    fn persistent(dir: &Path) -> Service {
+        let _ = std::fs::remove_dir_all(dir);
+        Service::with_persistence(
+            ServiceConfig {
+                fault: FaultPlan::disabled(),
+                threads: 1,
+                ..ServiceConfig::default()
+            },
+            &PersistConfig {
+                dir: dir.to_path_buf(),
+                snapshot_every: 0,
+            },
+        )
+        .expect("open")
+    }
+
+    /// The durable state as the reference renders it: every text
+    /// rendered afresh, entries sorted by name.
+    fn reference_snapshot(service: &Service) -> Snapshot {
+        let seq = service
+            .lock_persist()
+            .as_ref()
+            .expect("persistent")
+            .persist
+            .seq();
+        let mut registry: Vec<(String, String)> = service
+            .read_registry()
+            .iter()
+            .map(|(name, b)| (name.to_string(), hoa::to_hoa(b, name)))
+            .collect();
+        registry.sort();
+        let guard = service.lock_sessions();
+        let mut sessions: Vec<SessionSnap> = guard
+            .monitors
+            .iter()
+            .map(|(name, session)| SessionSnap {
+                name: name.clone(),
+                target: session.target.clone(),
+                hoa: hoa::to_hoa(&session.source, &session.target),
+                state: guard.save_state(session),
+            })
+            .collect();
+        sessions.sort_by(|a, b| a.name.cmp(&b.name));
+        Snapshot {
+            seq,
+            registry,
+            sessions,
+        }
+    }
+
+    fn newest_snapshot(dir: &Path) -> PathBuf {
+        let (_, name) = std::fs::read_dir(dir)
+            .expect("persistence dir")
+            .filter_map(|entry| {
+                let name = entry.ok()?.file_name().into_string().ok()?;
+                let epoch: u64 = name
+                    .strip_prefix("snap-")?
+                    .strip_suffix(".slsnap")?
+                    .parse()
+                    .ok()?;
+                Some((epoch, name))
+            })
+            .max()
+            .expect("a snapshot was written");
+        dir.join(name)
+    }
+
+    /// Drains `service` and checks the snapshot it wrote: the reference
+    /// renderer's bytes, loading back to the reference state, and a
+    /// memo whose interned texts are exactly its entries' texts.
+    fn drain_and_check(service: &Service, dir: &Path) -> Snapshot {
+        let want = reference_snapshot(service);
+        service.drain().expect("drain");
+        let path = newest_snapshot(dir);
+        let bytes = std::fs::read(&path).expect("snapshot file");
+        assert_eq!(
+            std::str::from_utf8(&bytes[24..]).expect("UTF-8"),
+            want.to_json().render()
+        );
+        assert_eq!(load_snapshot(&path).expect("load"), want);
+        let guard = service.lock_persist();
+        let memo = &guard.as_ref().expect("persistent").rendered;
+        let held: HashSet<*const u8> = memo
+            .entries
+            .values()
+            .map(|(_, text)| Arc::as_ptr(text).cast::<u8>())
+            .collect();
+        let interned: HashSet<*const u8> = memo
+            .texts
+            .iter()
+            .map(|t| Arc::as_ptr(t).cast::<u8>())
+            .collect();
+        assert_eq!(held, interned);
+        want
+    }
+
+    fn request(service: &Service, line: &str) -> String {
+        service.handle_line(line).line
+    }
+
+    #[test]
+    fn snapshots_hold_the_reference_bytes() {
+        let dir = std::env::temp_dir().join(format!("sl-engine-encode-{}", std::process::id()));
+        let service = persistent(&dir);
+        // An empty registry and no sessions.
+        let snap = drain_and_check(&service, &dir);
+        assert!(snap.registry.is_empty() && snap.sessions.is_empty());
+
+        // Names that need escapes: quote, backslash, control
+        // characters and non-ASCII.
+        let awkward = r#"q\"b\\s\u0001\n\u00e9\u65e5"#;
+        let define =
+            format!(r#"{{"verb":"define","name":"{awkward}","ltl":"G a","alphabet":["a","b"]}}"#);
+        assert!(request(&service, &define).contains("\"ok\":true"));
+        let step = format!(
+            r#"{{"verb":"monitor-step","monitor":"{awkward}","target":"{awkward}","symbols":["a"]}}"#
+        );
+        assert!(request(&service, &step).contains("\"ok\":true"));
+
+        // Two distinct `Arc`s with equal text: `p` redefined as itself
+        // while a session still watches the first one.
+        let define_p = r#"{"verb":"define","name":"p","ltl":"G a","alphabet":["a","b"]}"#;
+        request(&service, define_p);
+        request(
+            &service,
+            r#"{"verb":"monitor-step","monitor":"mp","target":"p","symbols":["a"]}"#,
+        );
+        let first_p = Arc::clone(service.read_registry().get("p").expect("p"));
+        request(&service, define_p);
+
+        // A session that outlived a redefinition of its target.
+        request(
+            &service,
+            r#"{"verb":"define","name":"r","ltl":"G b","alphabet":["a","b"]}"#,
+        );
+        request(
+            &service,
+            r#"{"verb":"monitor-step","monitor":"mr","target":"r","symbols":["b"]}"#,
+        );
+        request(
+            &service,
+            r#"{"verb":"define","name":"r","ltl":"F b","alphabet":["a","b"]}"#,
+        );
+
+        // NFA sentinel states above `i64::MAX`: `a U b` is not safety,
+        // so its sessions get the NFA backend; `c` kills the run and an
+        // unknown symbol makes the verdict unknown.
+        request(
+            &service,
+            r#"{"verb":"define","name":"u","ltl":"a U b","alphabet":["a","b","c"]}"#,
+        );
+        request(
+            &service,
+            r#"{"verb":"monitor-step","monitor":"dead","target":"u","symbols":["c"]}"#,
+        );
+        request(
+            &service,
+            r#"{"verb":"monitor-step","monitor":"lost","target":"u","symbols":["zz"]}"#,
+        );
+
+        let snap = drain_and_check(&service, &dir);
+        let session = |name: &str| {
+            snap.sessions
+                .iter()
+                .find(|s| s.name == name)
+                .expect("session")
+        };
+        assert_eq!(snap.registry.len(), 4);
+        assert_eq!(
+            session("q\"b\\s\u{1}\n\u{e9}\u{65e5}").target,
+            "q\"b\\s\u{1}\n\u{e9}\u{65e5}"
+        );
+        assert_eq!(session("dead").state, u64::MAX);
+        assert_eq!(session("lost").state, u64::MAX - 1);
+        let p = &snap
+            .registry
+            .iter()
+            .find(|(name, _)| name == "p")
+            .expect("p")
+            .1;
+        assert_eq!(&session("mp").hoa, p);
+        let r = &snap
+            .registry
+            .iter()
+            .find(|(name, _)| name == "r")
+            .expect("r")
+            .1;
+        assert_ne!(&session("mr").hoa, r);
+        // The two `p`s are two memo entries sharing one interned text,
+        // so the table holds that text once.
+        let second_p = Arc::clone(service.read_registry().get("p").expect("p"));
+        assert!(!Arc::ptr_eq(&first_p, &second_p));
+        {
+            let guard = service.lock_persist();
+            let memo = &guard.as_ref().expect("persistent").rendered;
+            let text = |b: &Arc<Buchi>| {
+                Arc::clone(&memo.entries[&(Arc::as_ptr(b) as usize, "p".to_string())].1)
+            };
+            assert!(Arc::ptr_eq(&text(&first_p), &text(&second_p)));
+        }
+        let payload = std::fs::read(newest_snapshot(&dir)).expect("snapshot");
+        let doc =
+            crate::json::parse(std::str::from_utf8(&payload[24..]).expect("UTF-8")).expect("JSON");
+        let table = doc.get("automata").and_then(Json::as_arr).expect("table");
+        assert_eq!(table.len(), 5, "awkward, p, r, old r, u");
+
+        // Nothing changed: the next snapshot writes the same payload.
+        assert_eq!(drain_and_check(&service, &dir), snap);
+
+        // Seeded operations over awkward names, with a drain after each
+        // round.
+        let names = ["p", r#"q\"b"#, r#"\\\u0007x"#, r#"\u00e9"#];
+        let formulas = ["G a", "F a", "G b", "a U b", "G (a | F b)"];
+        let mut rng = sl_support::SplitMix::new(2003);
+        for _ in 0..8 {
+            for _ in 0..12 {
+                let name = names[rng.below(names.len())];
+                let line = if rng.below(3) == 0 {
+                    let formula = formulas[rng.below(formulas.len())];
+                    format!(
+                        r#"{{"verb":"define","name":"{name}","ltl":"{formula}","alphabet":["a","b"]}}"#
+                    )
+                } else {
+                    let symbol = ["a", "b", "x"][rng.below(3)];
+                    format!(
+                        r#"{{"verb":"monitor-step","monitor":"m{}","target":"{name}","symbols":["{symbol}"]}}"#,
+                        rng.below(6)
+                    )
+                };
+                request(&service, &line);
+            }
+            drain_and_check(&service, &dir);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     /// The names the memo holds renderings under, sorted.
     fn memo_entries(service: &Service) -> Vec<String> {
         let guard = service.lock_persist();
         let memo = &guard.as_ref().expect("persistent").rendered;
-        let mut names: Vec<String> = memo.keys().map(|(_, name)| name.clone()).collect();
+        let mut names: Vec<String> = memo.entries.keys().map(|(_, name)| name.clone()).collect();
         names.sort();
         names
     }
@@ -2009,19 +2265,7 @@ mod tests {
     #[test]
     fn the_render_memo_keeps_exactly_what_the_last_snapshot_wrote() {
         let dir = std::env::temp_dir().join(format!("sl-engine-memo-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let service = Service::with_persistence(
-            ServiceConfig {
-                fault: FaultPlan::disabled(),
-                threads: 1,
-                ..ServiceConfig::default()
-            },
-            &PersistConfig {
-                dir: dir.clone(),
-                snapshot_every: 0,
-            },
-        )
-        .expect("open");
+        let service = persistent(&dir);
         let define = |name: &str, ltl: &str| {
             let line = format!(
                 r#"{{"verb":"define","name":"{name}","ltl":"{ltl}","alphabet":["a","b"]}}"#
@@ -2044,9 +2288,13 @@ mod tests {
         assert_eq!(memo_entries(&service), ["p", "p", "q"]);
         let key = (Arc::as_ptr(&old_p) as usize, "p".to_string());
         let guard = service.lock_persist();
-        let (held, text) = &guard.as_ref().expect("persistent").rendered[&key];
+        let memo = &guard.as_ref().expect("persistent").rendered;
+        let (held, text) = &memo.entries[&key];
         assert!(Arc::ptr_eq(held, &old_p));
-        assert_eq!(*text, hoa::to_hoa(&old_p, "p"));
+        assert_eq!(**text, escaped(&hoa::to_hoa(&old_p, "p")));
+        // The interned texts are exactly the entries' texts.
+        assert_eq!(memo.texts.len(), 3);
+        assert!(memo.entries.values().all(|(_, t)| memo.texts.contains(t)));
         drop(guard);
         let _ = std::fs::remove_dir_all(&dir);
     }

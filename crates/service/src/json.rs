@@ -143,9 +143,17 @@ impl Json {
 
 /// Writes `n` in decimal, without going through `fmt`.
 fn render_int(n: i64, out: &mut String) {
+    if n < 0 {
+        out.push('-');
+    }
+    render_u64(n.unsigned_abs(), out);
+}
+
+/// Writes `n` in decimal, without going through `fmt`.
+pub(crate) fn render_u64(n: u64, out: &mut String) {
     let mut digits = [0u8; 20];
     let mut at = digits.len();
-    let mut rest = n.unsigned_abs();
+    let mut rest = n;
     loop {
         at -= 1;
         digits[at] = b'0' + (rest % 10) as u8;
@@ -154,15 +162,12 @@ fn render_int(n: i64, out: &mut String) {
             break;
         }
     }
-    if n < 0 {
-        out.push('-');
-    }
     out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 /// Writes `s` as a JSON string. Every character that needs an escape
 /// is ASCII, so the text between two of them is copied as one run.
-fn render_string(s: &str, out: &mut String) {
+pub(crate) fn render_string(s: &str, out: &mut String) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
     let mut run = 0;

@@ -49,6 +49,11 @@
 //! is [`PersistError::Corrupt`]. The reader also accepts the older
 //! shape, with no table and a `"hoa"` text in every registry and
 //! session entry.
+//!
+//! The writer never builds that document as a [`Json`] tree: a
+//! [`SnapshotEncoder`] appends names, indices and states as it is fed,
+//! and copies each automaton text from an already-escaped form that its
+//! caller keeps between snapshots.
 
 use crate::json::{self, Json};
 use std::collections::HashMap;
@@ -56,6 +61,7 @@ use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// First 8 bytes of every journal file.
 pub const JOURNAL_MAGIC: &[u8; 8] = b"SLJRNL1\n";
@@ -196,11 +202,13 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// The payload: each distinct HOA text once, in an `automata` table
-    /// ordered by first occurrence in `registry`, then `sessions`, which
-    /// point into it by index — so the bytes stay a function of the
-    /// state while a thousand sessions over one target cost one text.
-    fn to_json<'a>(&'a self) -> Json {
+    /// The reference payload: each distinct HOA text once, in an
+    /// `automata` table ordered by first occurrence in `registry`, then
+    /// `sessions`, which point into it by index — so the bytes stay a
+    /// function of the state while a thousand sessions over one target
+    /// cost one text. [`SnapshotEncoder`] must write exactly its bytes.
+    #[cfg(test)]
+    pub(crate) fn to_json<'a>(&'a self) -> Json {
         let mut table: HashMap<&str, usize> = HashMap::new();
         let mut automata: Vec<Json> = Vec::new();
         let mut index_of = |text: &'a str| -> Json {
@@ -311,6 +319,115 @@ impl Snapshot {
     }
 }
 
+/// `text` as a JSON string literal, quotes included: the form in which
+/// [`SnapshotEncoder`] copies automaton texts into a payload.
+#[must_use]
+pub(crate) fn escaped(text: &str) -> String {
+    let mut out = String::with_capacity(text.len() + 2);
+    json::render_string(text, &mut out);
+    out
+}
+
+/// A snapshot payload, encoded as it is captured: the shape
+/// [`Snapshot::to_json`] renders, without building it.
+///
+/// Automaton texts arrive [`escaped`], each as an `Arc<str>` that every
+/// entry with the same content shares, so the table dedupes them by
+/// `Arc` identity and each distinct text is copied once and never
+/// escaped again. Table indices are handed out in call order, so feed
+/// every binding in name order first, then every session in name order.
+#[derive(Debug, Default)]
+pub(crate) struct SnapshotEncoder {
+    /// Table index of each text, by the address of its `Arc`.
+    index: HashMap<usize, usize>,
+    automata: Vec<Arc<str>>,
+    registry: String,
+    sessions: String,
+}
+
+impl SnapshotEncoder {
+    fn index_of(&mut self, text: &Arc<str>) -> u64 {
+        let next = self.automata.len();
+        let index = *self
+            .index
+            .entry(Arc::as_ptr(text).cast::<u8>() as usize)
+            .or_insert(next);
+        if index == next {
+            self.automata.push(Arc::clone(text));
+        }
+        index as u64
+    }
+
+    /// Adds the registry binding of `name` to the automaton `text`.
+    pub(crate) fn binding(&mut self, name: &str, text: &Arc<str>) {
+        let index = self.index_of(text);
+        let out = &mut self.registry;
+        if !out.is_empty() {
+            out.push(',');
+        }
+        out.push_str("{\"name\":");
+        json::render_string(name, out);
+        out.push_str(",\"automaton\":");
+        json::render_u64(index, out);
+        out.push('}');
+    }
+
+    /// Adds the monitor session `name` on `target`, watching the
+    /// automaton `text` from the raw monitor state `state`.
+    pub(crate) fn session(&mut self, name: &str, target: &str, text: &Arc<str>, state: u64) {
+        let index = self.index_of(text);
+        let out = &mut self.sessions;
+        if !out.is_empty() {
+            out.push(',');
+        }
+        out.push_str("{\"name\":");
+        json::render_string(name, out);
+        out.push_str(",\"target\":");
+        json::render_string(target, out);
+        out.push_str(",\"automaton\":");
+        json::render_u64(index, out);
+        out.push_str(",\"state\":\"");
+        json::render_u64(state, out);
+        out.push_str("\"}");
+    }
+
+    /// The payload of a snapshot taken at journal sequence `seq`.
+    pub(crate) fn finish(self, seq: u64) -> String {
+        let texts: usize = self.automata.iter().map(|text| text.len() + 1).sum();
+        let mut out = String::with_capacity(64 + texts + self.registry.len() + self.sessions.len());
+        out.push_str("{\"seq\":");
+        json::render_u64(seq, &mut out);
+        out.push_str(",\"automata\":[");
+        for (i, text) in self.automata.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(text);
+        }
+        out.push_str("],\"registry\":[");
+        out.push_str(&self.registry);
+        out.push_str("],\"sessions\":[");
+        out.push_str(&self.sessions);
+        out.push_str("]}");
+        out
+    }
+}
+
+/// Encodes bindings and sessions given with plain HOA texts, escaping
+/// each distinct text once.
+fn encode(registry: &[(String, String)], sessions: &[SessionSnap]) -> SnapshotEncoder {
+    let mut texts: HashMap<&str, Arc<str>> = HashMap::new();
+    let mut intern = |hoa| Arc::clone(texts.entry(hoa).or_insert_with(|| escaped(hoa).into()));
+    let mut encoder = SnapshotEncoder::default();
+    for (name, hoa) in registry {
+        encoder.binding(name, &intern(hoa));
+    }
+    for s in sessions {
+        encoder.session(&s.name, &s.target, &intern(&s.hoa), s.state);
+    }
+    encoder
+}
+
 /// What startup recovery reconstructed from disk.
 #[derive(Debug, Default)]
 pub struct Recovered {
@@ -409,7 +526,7 @@ fn read_journal(path: &Path) -> Result<JournalScan, PersistError> {
     })
 }
 
-fn load_snapshot(path: &Path) -> Result<Snapshot, PersistError> {
+pub(crate) fn load_snapshot(path: &Path) -> Result<Snapshot, PersistError> {
     let corrupt = |offset: u64, detail: String| PersistError::Corrupt {
         path: path.to_path_buf(),
         offset,
@@ -452,6 +569,18 @@ fn sync_dir(dir: &Path) -> Result<(), PersistError> {
     handle.sync_all().map_err(|e| io_err(dir, &e))
 }
 
+/// Creates the journal at `path` holding only its magic, durably: the
+/// file, then its directory, reach stable storage.
+fn create_journal(dir: &Path, path: &Path) -> Result<File, PersistError> {
+    let mut journal = File::create(path).map_err(|e| io_err(path, &e))?;
+    journal
+        .write_all(JOURNAL_MAGIC)
+        .map_err(|e| io_err(path, &e))?;
+    journal.sync_all().map_err(|e| io_err(path, &e))?;
+    sync_dir(dir)?;
+    Ok(journal)
+}
+
 /// The journal writer plus snapshot/compaction bookkeeping for one
 /// persistence directory. Built by [`Persist::open`], which also
 /// performs recovery.
@@ -463,7 +592,10 @@ pub struct Persist {
     epoch: u64,
     /// Next record sequence number.
     seq: u64,
-    journal: File,
+    /// The open `journal-<epoch>.slj`; `None` after a snapshot committed
+    /// a new epoch whose journal could not be created yet.
+    journal: Option<File>,
+    /// The path of `journal-<epoch>.slj`.
     journal_path: PathBuf,
     stats: PersistStats,
 }
@@ -582,7 +714,7 @@ impl Persist {
             snapshot_every: config.snapshot_every,
             epoch,
             seq: next_seq,
-            journal,
+            journal: Some(journal),
             journal_path,
             stats: PersistStats {
                 journal_bytes: valid_len,
@@ -595,12 +727,15 @@ impl Persist {
     }
 
     /// Appends one request line to the journal (write-ahead: call this
-    /// *before* dispatching the request it records).
+    /// *before* dispatching the request it records). When a snapshot
+    /// committed a new epoch but could not create its journal, this
+    /// creates it first.
     ///
     /// # Errors
     ///
-    /// [`PersistError::Io`] when the write fails — the caller should
-    /// reject the request rather than mutate undurable state.
+    /// [`PersistError::Io`] when the write fails or the epoch's journal
+    /// cannot be created — the caller should reject the request rather
+    /// than mutate undurable state.
     pub fn append(&mut self, line: &str) -> Result<(), PersistError> {
         let payload = line.as_bytes();
         if payload.len() > MAX_RECORD {
@@ -609,12 +744,20 @@ impl Persist {
                 detail: format!("record of {} bytes exceeds the journal cap", payload.len()),
             });
         }
+        let journal = match &mut self.journal {
+            Some(journal) => journal,
+            None => {
+                let journal = create_journal(&self.dir, &self.journal_path)?;
+                self.stats.journal_bytes = JOURNAL_MAGIC.len() as u64;
+                self.journal.insert(journal)
+            }
+        };
         let mut buf = Vec::with_capacity(RECORD_HEADER + payload.len());
         buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         buf.extend_from_slice(&self.seq.to_le_bytes());
         buf.extend_from_slice(&fnv64(self.seq, payload).to_le_bytes());
         buf.extend_from_slice(payload);
-        self.journal
+        journal
             .write_all(&buf)
             .map_err(|e| io_err(&self.journal_path, &e))?;
         self.seq += 1;
@@ -630,58 +773,69 @@ impl Persist {
         self.snapshot_every > 0 && self.stats.records_since_snapshot >= self.snapshot_every
     }
 
-    /// Writes a snapshot of the given state atomically (temp file,
-    /// `fsync`, rename, directory `fsync`), rotates to a fresh journal
-    /// epoch, and prunes every epoch before the previous one (the
-    /// previous epoch is kept whole as the corruption fallback). Equal
-    /// HOA texts among the bindings and sessions are written once.
+    /// Writes a snapshot of the given state: the same file as
+    /// [`Persist::write_encoded`] writes for it, which does the work.
+    /// Equal HOA texts among the bindings and sessions are written once.
     ///
     /// # Errors
     ///
-    /// [`PersistError::Io`] on any filesystem failure; the journal is
-    /// still intact, so the caller may continue without the snapshot.
+    /// As [`Persist::write_encoded`].
     pub fn write_snapshot(
         &mut self,
         registry: Vec<(String, String)>,
         sessions: Vec<SessionSnap>,
     ) -> Result<(), PersistError> {
-        let snap = Snapshot {
-            seq: self.seq,
-            registry,
-            sessions,
-        };
+        self.write_encoded(encode(&registry, &sessions))
+    }
+
+    /// Writes the encoded state as snapshot `<epoch+1>` atomically (temp
+    /// file, `fsync`, rename), rotates to that epoch's fresh journal
+    /// (old journal `fsync`, new journal with its magic `fsync`ed,
+    /// directory `fsync`), and prunes every epoch before the previous
+    /// one (the previous epoch is kept whole as the corruption
+    /// fallback).
+    ///
+    /// The rename is the commit point: recovery prefers the new
+    /// snapshot and skips older journals, so from then on records go
+    /// only to the new epoch's journal. If that journal cannot be
+    /// created here, [`Persist::append`] creates it or fails.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::Io`] on any filesystem failure. Before the rename
+    /// the journal is intact, so the caller may continue without the
+    /// snapshot; after it, the snapshot holds every record so far.
+    pub(crate) fn write_encoded(&mut self, encoder: SnapshotEncoder) -> Result<(), PersistError> {
+        let payload = encoder.finish(self.seq).into_bytes();
         let next = self.epoch + 1;
-        let payload = snap.to_json().render().into_bytes();
         let final_path = self.dir.join(format!("snap-{next}.slsnap"));
         let tmp_path = self.dir.join(format!(".snap-{next}.tmp"));
         {
+            let mut header = [0u8; 24];
+            header[..8].copy_from_slice(SNAPSHOT_MAGIC);
+            header[8..16].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+            header[16..].copy_from_slice(&fnv64(0, &payload).to_le_bytes());
             let mut f = File::create(&tmp_path).map_err(|e| io_err(&tmp_path, &e))?;
-            f.write_all(SNAPSHOT_MAGIC)
-                .map_err(|e| io_err(&tmp_path, &e))?;
-            f.write_all(&(payload.len() as u64).to_le_bytes())
-                .map_err(|e| io_err(&tmp_path, &e))?;
-            f.write_all(&fnv64(0, &payload).to_le_bytes())
-                .map_err(|e| io_err(&tmp_path, &e))?;
+            f.write_all(&header).map_err(|e| io_err(&tmp_path, &e))?;
             f.write_all(&payload).map_err(|e| io_err(&tmp_path, &e))?;
             f.sync_all().map_err(|e| io_err(&tmp_path, &e))?;
         }
         fs::rename(&tmp_path, &final_path).map_err(|e| io_err(&final_path, &e))?;
-        // Durable journal-so-far, then the fresh epoch's journal.
-        self.journal
-            .sync_all()
-            .map_err(|e| io_err(&self.journal_path, &e))?;
-        let journal_path = self.dir.join(format!("journal-{next}.slj"));
-        let mut journal = File::create(&journal_path).map_err(|e| io_err(&journal_path, &e))?;
-        journal
-            .write_all(JOURNAL_MAGIC)
-            .map_err(|e| io_err(&journal_path, &e))?;
-        journal.sync_all().map_err(|e| io_err(&journal_path, &e))?;
-        sync_dir(&self.dir)?;
-        self.journal = journal;
-        self.journal_path = journal_path;
+        let old = self.journal.take();
+        let old_path = std::mem::replace(
+            &mut self.journal_path,
+            self.dir.join(format!("journal-{next}.slj")),
+        );
         self.epoch = next;
         self.stats.snapshots_taken += 1;
         self.stats.records_since_snapshot = 0;
+        self.stats.journal_bytes = 0;
+        // Durable journal-so-far (the fallback epoch), then the fresh
+        // epoch's journal.
+        if let Some(old) = old {
+            old.sync_all().map_err(|e| io_err(&old_path, &e))?;
+        }
+        self.journal = Some(create_journal(&self.dir, &self.journal_path)?);
         self.stats.journal_bytes = JOURNAL_MAGIC.len() as u64;
         self.prune(next.saturating_sub(1));
         Ok(())
@@ -713,9 +867,13 @@ impl Persist {
     ///
     /// [`PersistError::Io`] when the sync fails.
     pub fn sync(&mut self) -> Result<(), PersistError> {
-        self.journal
-            .sync_all()
-            .map_err(|e| io_err(&self.journal_path, &e))
+        match &self.journal {
+            Some(journal) => journal
+                .sync_all()
+                .map_err(|e| io_err(&self.journal_path, &e)),
+            // Not created yet: every record so far is in the snapshot.
+            None => Ok(()),
+        }
     }
 
     /// Records the duration and replay size of a completed startup
@@ -1027,6 +1185,126 @@ mod tests {
         let path = dir.join("snap-1.slsnap");
         write_snapshot_file(&path, &per_entry_json(&snap).render());
         assert_eq!(load_snapshot(&path).unwrap(), snap);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Strings a payload must escape: quote, backslash, control
+    /// characters and non-ASCII, beside plain and empty ones.
+    const AWKWARD: [&str; 6] = [
+        "plain",
+        "q\"uote",
+        "back\\slash",
+        "ctl\u{1}\n\t\u{1f}\r",
+        "\u{e9}\u{65e5}\u{1f980}",
+        "",
+    ];
+
+    /// A seeded state: a few bindings and sessions over a pool of four
+    /// texts (so equal texts recur), with awkward names and states on
+    /// both sides of `i64::MAX`.
+    fn seeded_snapshot(seed: u64) -> Snapshot {
+        let mut rng = sl_support::SplitMix::new(seed);
+        let texts: Vec<String> = (0..4)
+            .map(|t| format!("HOA: v1\nname: \"{}\"\nStates: {t}\n--END--\n", AWKWARD[t]))
+            .collect();
+        let name = |rng: &mut sl_support::SplitMix, i: usize| {
+            format!("{}{i}", AWKWARD[rng.below(AWKWARD.len())])
+        };
+        let registry = (0..rng.below(6))
+            .map(|i| (name(&mut rng, i), texts[rng.below(4)].clone()))
+            .collect();
+        let states = [
+            0,
+            7,
+            i64::MAX as u64,
+            (i64::MAX as u64) + 1,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let sessions = (0..rng.below(8))
+            .map(|j| SessionSnap {
+                name: name(&mut rng, j),
+                target: name(&mut rng, j),
+                hoa: texts[rng.below(4)].clone(),
+                state: states[rng.below(states.len())],
+            })
+            .collect();
+        Snapshot {
+            seq: rng.below(1 << 20) as u64,
+            registry,
+            sessions,
+        }
+    }
+
+    #[test]
+    fn the_encoder_writes_the_reference_bytes() {
+        let empty = Snapshot::default();
+        assert_eq!(
+            encode(&empty.registry, &empty.sessions).finish(0),
+            empty.to_json().render()
+        );
+        for seed in 0..256 {
+            let snap = seeded_snapshot(seed);
+            let payload = encode(&snap.registry, &snap.sessions).finish(snap.seq);
+            assert_eq!(payload, snap.to_json().render(), "seed {seed}");
+            let doc = json::parse(&payload).unwrap();
+            assert_eq!(Snapshot::from_json(&doc).unwrap(), snap, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn write_snapshot_files_hold_the_reference_bytes_and_load_back() {
+        let dir = temp_dir("reference");
+        let (mut p, _) = Persist::open(&config(&dir)).unwrap();
+        for (epoch, seed) in (1..).zip(0..32) {
+            let snap = Snapshot {
+                seq: p.seq(),
+                ..if seed == 0 {
+                    Snapshot::default()
+                } else {
+                    seeded_snapshot(seed)
+                }
+            };
+            p.write_snapshot(snap.registry.clone(), snap.sessions.clone())
+                .unwrap();
+            let path = dir.join(format!("snap-{epoch}.slsnap"));
+            let bytes = fs::read(&path).unwrap();
+            assert_eq!(
+                bytes[24..],
+                *snap.to_json().render().as_bytes(),
+                "seed {seed}"
+            );
+            assert_eq!(load_snapshot(&path).unwrap(), snap, "seed {seed}");
+            p.append("a record between snapshots").unwrap();
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn after_the_rename_records_go_only_to_the_new_epoch() {
+        let dir = temp_dir("commit");
+        let (mut p, _) = Persist::open(&config(&dir)).unwrap();
+        p.append("r0").unwrap();
+        // The rotation fails after the rename: the new epoch's journal
+        // cannot be created.
+        fs::create_dir(dir.join("journal-1.slj")).unwrap();
+        let registry = vec![("a".to_string(), "HOA-a".to_string())];
+        assert!(p.write_snapshot(registry.clone(), Vec::new()).is_err());
+        assert!(dir.join("snap-1.slsnap").exists(), "the snapshot committed");
+        // Recovery would skip journal-0 now, so a record must not land
+        // there: it is refused until journal-1 exists.
+        assert!(matches!(p.append("refused"), Err(PersistError::Io { .. })));
+        assert!(p.sync().is_ok(), "nothing unsynced: the snapshot holds it");
+        fs::remove_dir(dir.join("journal-1.slj")).unwrap();
+        p.append("r1").unwrap();
+        assert_eq!(
+            p.stats().journal_bytes,
+            fs::metadata(dir.join("journal-1.slj")).unwrap().len()
+        );
+        drop(p);
+        let (_, rec) = Persist::open(&config(&dir)).unwrap();
+        assert_eq!(rec.snapshot.map(|s| s.registry), Some(registry));
+        assert_eq!(rec.tail, vec!["r1"]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

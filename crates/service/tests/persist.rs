@@ -526,3 +526,42 @@ fn shutdown_reply_survives_peers_disconnecting_mid_drain() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+#[test]
+fn a_snapshot_that_fails_after_its_rename_loses_no_acknowledged_request() {
+    let define = |name: &str| {
+        format!(r#"{{"verb":"define","name":"{name}","ltl":"G a","alphabet":["a","b"]}}"#)
+    };
+    let classify = |name: &str| format!(r#"{{"verb":"classify","target":"{name}"}}"#);
+    let dir = temp_dir("commit-point");
+    let svc = open(&dir, 2);
+    // Two records: snapshot 1 and journal 1.
+    for name in ["p0", "p1"] {
+        assert!(svc.handle_line(&define(name)).line.contains("\"ok\":true"));
+    }
+    // The second snapshot is renamed into place, then its journal
+    // cannot be created; a retry would fail before its rename.
+    std::fs::create_dir(dir.join("journal-2.slj")).unwrap();
+    for name in ["p2", "p3"] {
+        assert!(svc.handle_line(&define(name)).line.contains("\"ok\":true"));
+    }
+    assert!(dir.join("snap-2.slsnap").exists());
+    std::fs::create_dir(dir.join(".snap-2.tmp")).unwrap();
+    let reply = svc.handle_line(&define("t")).line;
+    drop(svc); // crash
+    std::fs::remove_dir(dir.join("journal-2.slj")).unwrap();
+    std::fs::remove_dir(dir.join(".snap-2.tmp")).unwrap();
+    let svc = open(&dir, 2);
+    for name in ["p0", "p1", "p2", "p3"] {
+        assert!(svc
+            .handle_line(&classify(name))
+            .line
+            .contains("\"ok\":true"));
+    }
+    let after = svc.handle_line(&classify("t")).line;
+    assert!(
+        reply.contains("\"kind\":\"persist\"") || after.contains("\"ok\":true"),
+        "`define t` answered {reply} but recovered to {after}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -445,13 +445,16 @@ echo "-- crash-oracle corpus + fixed-seed sweep"
 ./target/release/slfuzz --seed 2003 --cases 200 --oracle crash \
   --corpus scripts/conform_corpus.jsonl
 # E14 smoke: the binary fails itself if a recovered daemon diverges
-# from its twin, snapshots stop bounding the replay, or the fleet
-# snapshot writes any automaton text more than once.
+# from its twin, snapshots stop bounding the replay, or either
+# snapshot-cost daemon's snapshot writes any automaton text more than
+# once.
 persist_tmp="$(mktemp -d)"
 echo "-- e14_crash_recovery (smoke)"
 SL_BENCH_SAMPLES=5 SL_BENCH_WARMUP_MS=10 SL_BENCH_JSON_DIR="$persist_tmp" \
   ./target/release/e14_crash_recovery | tee "$persist_tmp/e14.out"
 grep -qF "[ok]   the newest fleet snapshot holds each distinct automaton text exactly once" \
+  "$persist_tmp/e14.out"
+grep -qF "[ok]   the newest registry200 snapshot holds each distinct automaton text exactly once" \
   "$persist_tmp/e14.out"
 python3 - "$persist_tmp/BENCH_persist.json" <<'PY'
 import json, sys
@@ -460,7 +463,8 @@ with open(sys.argv[1]) as f:
 assert doc["suite"] == "persist", doc
 records = {r["name"]: r for r in doc["records"]}
 for name in ("persist/recover/journal_only", "persist/recover/snap64",
-             "persist/recover/snap512", "persist/snapshot/sessions1000"):
+             "persist/recover/snap512", "persist/snapshot/sessions1000",
+             "persist/snapshot/registry200"):
     r = records[name]
     assert r["median_ns"] > 0 and r["samples"] > 0, (name, r)
 full = records["persist/recover/journal_only"]["median_ns"]
@@ -469,14 +473,17 @@ assert snap <= full, f"snapshot recovery ({snap}ns) slower than full replay ({fu
 replayed = 1200  # e14 journals 1200 requests under interval 0
 print(f"BENCH_persist.json ok: snapshot recovery {full / snap:.1f}x faster, "
       f"journal replay {replayed / (full / 1e9):,.0f} records/sec, "
-      f"fleet snapshot {records['persist/snapshot/sessions1000']['median_ns'] / 1e6:.2f} ms")
+      f"fleet snapshot {records['persist/snapshot/sessions1000']['median_ns'] / 1e6:.2f} ms, "
+      f"registry200 snapshot {records['persist/snapshot/registry200']['median_ns'] / 1e6:.2f} ms")
 PY
 rm -rf "$persist_tmp"
 
 echo "== fault-injection smoke (SL_FAULT_RATE=0.05, seeded) =="
 # The same tier-1 suite and sweeps must pass *via degradation* while a
-# deterministic fault plan poisons the instrumented sites.
-SL_FAULT_RATE=0.05 SL_FAULT_SEED=2003 cargo test -q --offline --workspace
+# deterministic fault plan poisons the instrumented sites. Every test
+# binary runs even after one fails, so one failure cannot hide another;
+# the stage still fails if any test does.
+SL_FAULT_RATE=0.05 SL_FAULT_SEED=2003 cargo test -q --offline --workspace --no-fail-fast
 for exp in e4_decomposition e9_extremal e10_closure_ablation; do
   echo "-- $exp (fault drill)"
   SL_FAULT_RATE=0.05 SL_FAULT_SEED=2003 "./target/release/$exp"
